@@ -578,8 +578,9 @@ def emit_outputs(report, wigner_grids, output_dir, write_trajectory=True):
             fh.write(f"# x_min = {grid.x_min!r}  dx = {grid.dx!r}  nx = {grid.n_x}\n")
             fh.write(f"# p_min = {grid.p_min!r}  dp = {grid.dp!r}  np = {grid.n_p}\n")
             fh.write("# rows: p index, columns: x index\n")
+            row_format = " ".join(["%.17e"] * grid.n_x) + "\n"
             for row in grid.values:
-                fh.write(" ".join(f"{v:.17e}" for v in row) + "\n")
+                fh.write(row_format % tuple(row.tolist()))
         written.append(path)
 
     path = out / "report.json"

@@ -17,7 +17,13 @@ class DeltaLimitError(CapabilityError):
 
 
 class DivergenceError(Exception):
-    """The numerical state became non-finite during integration."""
+    """The numerical state became non-finite during integration.
+
+    t is when that was detected: for solve_lambda the end of the sample
+    interval in which the RK4 state went non-finite, for split_step the end
+    of the block of oracle.FINITE_CHECK_EVERY steps in which the grid state
+    did.
+    """
 
     def __init__(self, t, message=None):
         self.t = t

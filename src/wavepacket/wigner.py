@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import Constants
 from .kernels import ComplexGrid
@@ -137,6 +136,10 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpace
         warnings = warnings + (
             f"p grid extends to {p_abs_max!r}, beyond the hbar*pi/dy = "
             f"{hbar * math.pi / dx!r} the y sampling resolves (aliasing)",)
+
+    # imported here, not at module level: it is the only scipy use and
+    # most of the package's import time
+    from scipy.interpolate import CubicSpline
 
     # one spline refinement onto the half-step lattice: psi_half[k] = psi(x_min + k*dx/2)
     x = psi.x()

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_HEADER, load_config, main,
-                            parse_config)
+from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_HEADER, emit_outputs, load_config,
+                            main, parse_config)
 from wavepacket.errors import ConfigError
+from wavepacket.wigner import PhaseSpaceGrid
 
 SMALL_CONFIG = {
     "system": {"type": "free"},
@@ -113,6 +114,20 @@ def test_free_spread_outputs(tmp_path):
                        for ln in dat if not ln.startswith("#")])
     assert matrix.shape == (257, 256)
     assert matrix.max() == pytest.approx(1.0 / math.pi, abs=1e-6)
+
+
+def test_wigner_dat_rows_match_per_value_format(tmp_path):
+    """The row-template writer gives the bytes of formatting each numpy
+    value on its own with f"{v:.17e}"."""
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+    values[0, :3] = (0.0, -0.0, 5e-324)
+    grid = PhaseSpaceGrid(x_min=-1.0, dx=0.25, p_min=-2.0, dp=0.5, values=values)
+    emit_outputs({}, [{"grid": grid, "index": 3, "t": 0.5}], tmp_path,
+                 write_trajectory=False)
+    rows = [ln for ln in (tmp_path / "wigner_t3.dat").read_text().splitlines(True)
+            if not ln.startswith("#")]
+    assert rows == [" ".join(f"{v:.17e}" for v in row) + "\n" for row in grid.values]
 
 
 def test_ho_constant_width_report(tmp_path):

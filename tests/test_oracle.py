@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
-                             RampOmega, SystemSpec)
-from wavepacket.errors import GridMismatchError, ResolutionError, ValidationError
+                             RampOmega, SystemSpec, TabulatedOmega, omega_at)
+from wavepacket.errors import (DivergenceError, GridMismatchError, ResolutionError,
+                               ValidationError)
 from wavepacket.evolution import solve_lambda
 from wavepacket.kernels import ComplexGrid
-from wavepacket.oracle import GridState, compare_states, quadrature_moments, split_step
+from wavepacket.oracle import (FINITE_CHECK_EVERY, GridState, compare_states,
+                               quadrature_moments, split_step)
 from wavepacket.packet import evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
 
@@ -25,6 +27,52 @@ def analytic_states(system, packet, t):
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), X)
     psi_t = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), X)
     return traj, GridState(psi0, 0.0), GridState(psi_t, t)
+
+
+def reference_split_step(state, system, dt, steps):
+    """Plain Strang loop, one V/2 . T . V/2 product per step, rebuilt every step."""
+    c = system.constants
+    grid = state.grid
+    x = grid.x()
+    p = 2.0 * math.pi * c.hbar * np.fft.fftfreq(grid.n, d=grid.dx)
+    kinetic = np.exp(-0.5j * dt * p * p / (c.mass * c.hbar))
+    psi = grid.values.copy()
+    t = state.t
+    for _ in range(steps):
+        w_mid = omega_at(system, t + 0.5 * dt)
+        half_v = np.exp(-0.25j * dt * c.mass * w_mid * w_mid * x * x / c.hbar)
+        psi = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * psi))
+        t += dt
+    return psi, t
+
+
+@pytest.mark.parametrize("law", [
+    ConstantOmega(1.0),
+    RampOmega(1.0, 0.25),
+    # constant on [0, 0.4], so merged factors are reused there, then ramps
+    TabulatedOmega((0.0, 0.4, 0.7, 1.0), (1.2, 1.2, 0.8, 1.5)),
+], ids=["constant", "ramp", "tabulated"])
+def test_split_step_matches_per_step_strang_loop(law):
+    system = SystemSpec(C, law)
+    _, s0, _ = analytic_states(system, InitialPacket(0.3, 1.0, 1.2), 0.0)
+    dt, steps = 2e-3, 500
+    expected, t_end = reference_split_step(s0, system, dt, steps)
+    out = split_step(s0, system, dt, steps)
+    assert out.t == t_end
+    assert np.max(np.abs(out.grid.values - expected)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("steps", [10, 3 * FINITE_CHECK_EVERY + 5])
+def test_overflowing_law_raises_divergence(steps):
+    """w^2 overflows to inf on the first step; the state goes non-finite and
+    the error names the end of the first checked block."""
+    system = SystemSpec(C, RampOmega(1.0, 1e200))
+    _, s0, _ = analytic_states(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
+    dt = 1e-3
+    with pytest.raises(DivergenceError) as err:
+        split_step(s0, system, dt, steps)
+    assert err.value.t == pytest.approx(min(steps, FINITE_CHECK_EVERY) * dt)
 
 
 def test_zero_steps_returns_input():
@@ -76,6 +124,18 @@ def test_compare_identical_states():
     assert l2 == 0.0
     assert aligned == 0.0
     assert all(m == 0.0 for m in moments)
+
+
+def test_compare_small_perturbation():
+    """A phase perturbation exp(i*delta*x) of the centred packet has aligned
+    error delta*sqrt(<x~^2>) to first order: resolved, not rounded to 0."""
+    _, s0, _ = analytic_states(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
+    delta = 1e-9
+    perturbed = GridState(ComplexGrid(s0.grid.x_min, s0.grid.dx,
+                                      s0.grid.values * np.exp(1j * delta * X)), 0.0)
+    _, aligned, _ = compare_states(s0, perturbed)
+    _, _, var_x, _, _ = quadrature_moments(s0.grid, C.hbar)
+    assert aligned == pytest.approx(delta * math.sqrt(var_x), rel=1e-6)
 
 
 def test_compare_global_phase():
