@@ -176,6 +176,8 @@ def _get(data, path, expected, default=None, required=True):
         raise ConfigError(
             f"config field '{path}' must be {expected.__name__}, got {node!r}"
         )
+    if expected is float and not math.isfinite(node):
+        raise ConfigError(f"config field '{path}' must be finite, got {node!r}")
     return node
 
 

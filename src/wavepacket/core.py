@@ -9,6 +9,7 @@ parameter alpha0, with alpha0^2 = 2 m <x~^2>_0 / hbar.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -121,17 +122,15 @@ class TabulatedOmega:
 
     def omega(self, t):
         times, omegas = self.times, self.omegas
-        if t < times[0] or t > times[-1]:
+        if not times[0] <= t <= times[-1]:
             raise ValidationError(
                 f"t={t!r} outside tabulated range [{times[0]}, {times[-1]}]"
             )
-        # linear interpolation; bisect would be overkill for the table sizes used
-        for i in range(len(times) - 1):
-            if t <= times[i + 1]:
-                span = times[i + 1] - times[i]
-                frac = (t - times[i]) / span
-                return omegas[i] + frac * (omegas[i + 1] - omegas[i])
-        return omegas[-1]  # pragma: no cover
+        # linear interpolation on segment i, the first with t <= times[i + 1]
+        i = bisect_left(times, t, 1) - 1
+        span = times[i + 1] - times[i]
+        frac = (t - times[i]) / span
+        return omegas[i] + frac * (omegas[i + 1] - omegas[i])
 
 
 FrequencyLaw = Union[Free, ConstantOmega, RampOmega, ModulatedOmega, TabulatedOmega]
@@ -152,12 +151,6 @@ def omega_at(system: SystemSpec, t: float) -> float:
     """
     _require_finite("t", t)
     return system.frequency_law.omega(t)
-
-
-def omega_squared_at(system: SystemSpec, t: float) -> float:
-    """w(t)^2, the coefficient appearing in the equations of motion."""
-    w = omega_at(system, t)
-    return w * w
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ wraps.
 import math
 from dataclasses import dataclass
 
-from .core import InitialPacket, SystemSpec, ConstantOmega, Free, omega_squared_at
+from .core import InitialPacket, SystemSpec, ConstantOmega, Free
 from .errors import CapabilityError, DivergenceError, ValidationError
 
 
@@ -111,42 +111,81 @@ def initial_state(packet: InitialPacket):
     return _make_state(0.0, complex(a0, 0.0), complex(0.0, 1.0 / a0), 0.0)
 
 
-def _rhs(system, t, y):
-    # y = (u, u', z, z', eta, eta', phi)
-    w2 = omega_squared_at(system, t)
-    u, ud, z, zd, e, ed, _ = y
-    return (ud, -w2 * u, zd, -w2 * z, ed, -w2 * e, 1.0 / (u * u + z * z))
+def _rk4_step(omega, t, y, h):
+    """One classic RK4 step for y = (u, u', z, z', eta, eta', phi).
 
+    The right-hand side is (u', -w^2 u, z', -w^2 z, eta', -w^2 eta,
+    1/(u^2 + z^2)) with w = omega(t); omega is the frequency law's bound
+    `omega` method.  Every stage is written out component by component, and
+    the operation order is the contract: w^2 is w*w, the stage states are
+    yi + (0.5*h)*ki and yi + h*ki, and the update is
+    yi + (h/6)*((k1 + 2*(k2 + k3)) + k4), so each result rounds exactly as
+    in the tuple-per-stage form (kept as the reference in the tests).  w is
+    evaluated once at t + h/2 for both k2 and k3, and phi, which feeds no
+    derivative, gets only its final update.
+    """
+    u, ud, z, zd, e, ed, phi = y
+    half = 0.5 * h
 
-def _rk4_step(system, t, y, h):
-    k1 = _rhs(system, t, y)
-    y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
-    k2 = _rhs(system, t + 0.5 * h, y2)
-    y3 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2))
-    k3 = _rhs(system, t + 0.5 * h, y3)
-    y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
-    k4 = _rhs(system, t + h, y4)
-    return tuple(
-        yi + (h / 6.0) * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+    w = omega(t)
+    n1 = -(w * w)
+    au1, az1, ae1 = n1 * u, n1 * z, n1 * e
+    p1 = 1.0 / (u * u + z * z)
+    u2, ud2 = u + half * ud, ud + half * au1
+    z2, zd2 = z + half * zd, zd + half * az1
+    e2, ed2 = e + half * ed, ed + half * ae1
+
+    w = omega(t + half)
+    n2 = -(w * w)
+    au2, az2, ae2 = n2 * u2, n2 * z2, n2 * e2
+    p2 = 1.0 / (u2 * u2 + z2 * z2)
+    u3, ud3 = u + half * ud2, ud + half * au2
+    z3, zd3 = z + half * zd2, zd + half * az2
+    e3, ed3 = e + half * ed2, ed + half * ae2
+
+    au3, az3, ae3 = n2 * u3, n2 * z3, n2 * e3
+    p3 = 1.0 / (u3 * u3 + z3 * z3)
+    u4, ud4 = u + h * ud3, ud + h * au3
+    z4, zd4 = z + h * zd3, zd + h * az3
+    e4, ed4 = e + h * ed3, ed + h * ae3
+
+    w = omega(t + h)
+    n4 = -(w * w)
+    au4, az4, ae4 = n4 * u4, n4 * z4, n4 * e4
+    p4 = 1.0 / (u4 * u4 + z4 * z4)
+
+    c = h / 6.0
+    return (u + c * ((ud + 2.0 * (ud2 + ud3)) + ud4),
+            ud + c * ((au1 + 2.0 * (au2 + au3)) + au4),
+            z + c * ((zd + 2.0 * (zd2 + zd3)) + zd4),
+            zd + c * ((az1 + 2.0 * (az2 + az3)) + az4),
+            e + c * ((ed + 2.0 * (ed2 + ed3)) + ed4),
+            ed + c * ((ae1 + 2.0 * (ae2 + ae3)) + ae4),
+            phi + c * ((p1 + 2.0 * (p2 + p3)) + p4))
 
 
 def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> Trajectory:
     """Integrate lambda, eta and phi over t_grid with classic fixed-step RK4.
 
-    t_grid must start at 0 and increase strictly.  Each sample interval is
+    t_grid must start at 0, be finite and increase strictly, and dt must be
+    finite and positive (ValidationError otherwise).  Each sample interval is
     covered by uniform substeps of size <= dt, so sample times are hit
     exactly.  Raises DivergenceError if the state goes non-finite.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid or t_grid[0] != 0.0:
         raise ValidationError("t_grid must start at 0")
+    for i, t in enumerate(t_grid):
+        if not math.isfinite(t):
+            raise ValidationError(f"t_grid[{i}] must be finite, got {t!r}")
     if any(t1 >= t2 for t1, t2 in zip(t_grid, t_grid[1:])):
         raise ValidationError("t_grid must be strictly increasing")
+    if not math.isfinite(dt):
+        raise ValidationError(f"dt must be finite, got {dt!r}")
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
 
+    omega = system.frequency_law.omega
     m = system.constants.mass
     a0 = packet.alpha0
     y = (a0, 0.0, 0.0, 1.0 / a0, packet.x0, packet.p0 / m, 0.0)
@@ -159,9 +198,9 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
         n_sub = max(1, math.ceil(span / dt - 1e-12))
         h = span / n_sub
         for k in range(n_sub):
-            y = _rk4_step(system, t + k * h, y, h)
+            y = _rk4_step(omega, t + k * h, y, h)
         t = t_next
-        if not all(math.isfinite(v) for v in y):
+        if not all(map(math.isfinite, y)):
             raise DivergenceError(t)
         u, ud, z, zd, e, ed, phi = y
         samples.append((_make_state(t, complex(u, z), complex(ud, zd), phi),

@@ -195,6 +195,22 @@ def test_exit_code_bad_field(tmp_path):
     assert main(["run", cfg]) == 2
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("time", "t_end", math.inf),
+    ("time", "t_end", math.nan),
+    ("time", "dt", math.nan),
+    ("packet", "x0", -math.inf),
+    ("grid", "x_max", math.inf),
+])
+def test_exit_code_non_finite_field(tmp_path, capsys, section, field, value):
+    """json writes and reads these as the literals Infinity and NaN."""
+    data = dict(SMALL_CONFIG, **{section: dict(SMALL_CONFIG[section], **{field: value})})
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{section}.{field}' must be finite" in err
+
+
 def test_exit_code_divergence(tmp_path):
     data = dict(SMALL_CONFIG,
                 system={"type": "tabulated", "points": [[0.0, 1e300], [10.0, 1e300]]},

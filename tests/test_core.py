@@ -1,6 +1,7 @@
 """Tests for constants, frequency laws, and packet validation."""
 
 import math
+import random
 
 import pytest
 
@@ -31,6 +32,35 @@ def test_omega_tabulated_out_of_range():
         omega_at(system, 2.5)
     with pytest.raises(ValidationError):
         omega_at(system, -0.1)
+    law = system.frequency_law
+    for t in (math.nextafter(0.0, -math.inf), math.nextafter(2.0, math.inf),
+              -math.inf, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="outside tabulated range"):
+            law.omega(t)
+
+
+def _scan_omega(law, t):
+    """Reference: segment i is the first with t <= times[i + 1], found by a linear scan."""
+    times, omegas = law.times, law.omegas
+    for i in range(len(times) - 1):
+        if t <= times[i + 1]:
+            span = times[i + 1] - times[i]
+            frac = (t - times[i]) / span
+            return omegas[i] + frac * (omegas[i + 1] - omegas[i])
+    raise AssertionError("t beyond the table")
+
+
+def test_omega_tabulated_bisect_matches_scan():
+    """Same segment (the first i with t <= times[i+1]), so the same value."""
+    rng = random.Random(20261018)
+    times = (0.0, 0.3, 1.0, 1.1, 2.5, 4.0, 4.0000001, 7.25, 10.0)
+    law = TabulatedOmega(times, tuple(rng.uniform(0.0, 3.0) for _ in times))
+    points = list(times)
+    points += [0.5 * (a + b) for a, b in zip(times, times[1:])]
+    points += [math.nextafter(times[0], math.inf), math.nextafter(times[-1], -math.inf)]
+    points += [rng.uniform(times[0], times[-1]) for _ in range(1000)]
+    for t in points:
+        assert law.omega(t) == _scan_omega(law, t)
 
 
 def test_free_equals_constant_zero():

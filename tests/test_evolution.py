@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
                              omega_at)
 from wavepacket.errors import CapabilityError, DivergenceError, ValidationError
+from wavepacket import evolution
 from wavepacket.evolution import (closed_form_classical, closed_form_lambda,
                                   ermakov_residual, initial_state, solve_lambda)
 
@@ -191,6 +193,17 @@ def test_t_grid_validation():
         solve_lambda(FREE, packet, [0.0, 1.0], dt=0.0)
 
 
+@pytest.mark.parametrize("t_grid, dt, field", [
+    ([0.0, math.inf], 1e-3, "t_grid"),
+    ([0.0, 1.0, math.nan], 1e-3, "t_grid"),
+    ([0.0, 1.0], math.nan, "dt"),
+    ([0.0, 1.0], math.inf, "dt"),
+])
+def test_non_finite_time_rejected(t_grid, dt, field):
+    with pytest.raises(ValidationError, match=f"{field}.* must be finite"):
+        solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
+
+
 def test_trajectory_time_dependent_omega_follows_tabulated():
     """Tabulated interpolation feeds the integrator (needs midpoint values)."""
     table = SystemSpec(C, TabulatedOmega((0.0, 2.0), (1.0, 1.0)))
@@ -201,3 +214,94 @@ def test_trajectory_time_dependent_omega_follows_tabulated():
     s_ho, _ = traj_ho[-1]
     assert abs(s_tab.lam - s_ho.lam) <= 1e-12
     assert omega_at(table, 1.3) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The flat RK4 step against a tuple-per-stage reference
+# ---------------------------------------------------------------------------
+
+def _rhs_reference(omega, t, y):
+    w = omega(t)
+    w2 = w * w
+    u, ud, z, zd, e, ed, _ = y
+    return (ud, -w2 * u, zd, -w2 * z, ed, -w2 * e, 1.0 / (u * u + z * z))
+
+
+def _rk4_step_reference(omega, t, y, h):
+    k1 = _rhs_reference(omega, t, y)
+    y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
+    k2 = _rhs_reference(omega, t + 0.5 * h, y2)
+    y3 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2))
+    k3 = _rhs_reference(omega, t + 0.5 * h, y3)
+    y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
+    k4 = _rhs_reference(omega, t + h, y4)
+    return tuple(
+        yi + (h / 6.0) * (a + 2.0 * (b + c) + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+
+
+EXACT_LAWS = [
+    Free(), ConstantOmega(1.3), RampOmega(0.5, 0.2), ModulatedOmega(1.0, 0.2, 2.1),
+    TabulatedOmega((0.0, 1.25, 2.5, 3.75, 5.0), (1.0, 0.4, 1.8, 0.7, 1.2)),
+]
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_omega = st.floats(0.0, 3.0, **_finite)
+
+
+@st.composite
+def _tabulated(draw):
+    """Knots 0 < interior < 10.5 (as close as floats allow), so [t, t + h] fits."""
+    interior = sorted(draw(st.lists(st.floats(0.01, 10.49, **_finite),
+                                    unique=True, max_size=5)))
+    times = (0.0, *interior, 10.5)
+    return TabulatedOmega(times, tuple(draw(_omega) for _ in times))
+
+
+_law = st.one_of(
+    st.just(Free()),
+    st.builds(ConstantOmega, _omega),
+    st.builds(RampOmega, _omega, st.floats(-1.0, 1.0, **_finite)),
+    st.builds(ModulatedOmega, _omega, st.floats(-0.5, 0.5, **_finite),
+              st.floats(0.0, 5.0, **_finite)),
+    _tabulated(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=_law,
+       y=st.tuples(*[st.floats(-10.0, 10.0, **_finite)] * 7).filter(
+           lambda y: y[0] * y[0] + y[2] * y[2] > 1e-6),
+       t=st.floats(0.0, 10.0, **_finite),
+       h=st.floats(1e-6, 0.5, **_finite))
+def test_rk4_step_equals_tuple_reference(law, y, t, h):
+    assert evolution._rk4_step(law.omega, t, y, h) == _rk4_step_reference(law.omega, t, y, h)
+
+
+def _samples(traj):
+    return [(s.t, s.lam, s.lam_dot, s.alpha, s.alpha_dot, s.phi, s.phi_dot,
+             cl.eta, cl.eta_dot) for s, cl in traj.samples]
+
+
+@pytest.mark.parametrize("law", EXACT_LAWS, ids=lambda law: type(law).__name__)
+def test_solve_lambda_trajectory_equals_tuple_reference(monkeypatch, law):
+    system = SystemSpec(C, law)
+    packet = InitialPacket(0.3, 0.9, 1.1)
+    t_grid = [k * 0.1 for k in range(51)]
+    flat = solve_lambda(system, packet, t_grid)
+    monkeypatch.setattr(evolution, "_rk4_step", _rk4_step_reference)
+    reference = solve_lambda(system, packet, t_grid)
+    assert _samples(flat) == _samples(reference)
+
+
+def test_overflowing_ramp_diverges_at_reference_time(monkeypatch):
+    """w*w overflows to inf and the state goes non-finite, as before."""
+    system = SystemSpec(C, RampOmega(1.0, 1e200))
+    packet = InitialPacket(0.0, 1.0, 1.0)
+    with pytest.raises(DivergenceError) as flat:
+        solve_lambda(system, packet, grid(1.0, 10))
+    monkeypatch.setattr(evolution, "_rk4_step", _rk4_step_reference)
+    with pytest.raises(DivergenceError) as reference:
+        solve_lambda(system, packet, grid(1.0, 10))
+    assert flat.value.t == reference.value.t == 0.1
