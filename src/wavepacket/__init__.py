@@ -12,13 +12,13 @@ from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega
 from .errors import (CapabilityError, ConfigError, DeltaLimitError, DivergenceError,
                      GridMismatchError, ResolutionError, ValidationError)
 from .evolution import (ClassicalState, LambdaState, Trajectory, closed_form_classical,
-                        closed_form_lambda, closed_form_trajectory, ermakov_residual,
-                        initial_state, solve_lambda)
+                        closed_form_lambda, ermakov_residual, initial_state,
+                        solve_lambda)
 from .invariants import (TransformMatrix, UncertaintyCanonical, canonical_coordinates,
                          det_as_ermakov, energy_partition, ermakov_invariant,
-                         frozen_width_matrix, invariant_uncertainty_product,
+                         euler_lagrange_residuals, frozen_width_matrix,
                          matrix_from_classical, matrix_from_state,
-                         uncertainty_dynamics_residuals, uncertainty_hamiltonian)
+                         uncertainty_hamiltonian)
 from .kernels import (ComplexGrid, SymplecticParams, TDKernelParams, apply_kernel,
                       kernel_td, kernel_ti, satisfies_kernel_odes,
                       td_kernel_evaluator, ti_kernel_evaluator)

@@ -34,9 +34,8 @@ from .errors import (CapabilityError, ConfigError, DivergenceError,
                      ResolutionError, ValidationError)
 from .evolution import ermakov_residual, solve_lambda
 from .invariants import (canonical_coordinates, det_as_ermakov, energy_partition,
-                         ermakov_invariant, frozen_width_matrix, matrix_from_state,
-                         invariant_uncertainty_product, uncertainty_dynamics_residuals,
-                         uncertainty_hamiltonian)
+                         ermakov_invariant, euler_lagrange_residuals,
+                         frozen_width_matrix, uncertainty_hamiltonian)
 from .kernels import SymplecticParams, TDKernelParams, satisfies_kernel_odes, \
     apply_kernel, td_kernel_evaluator
 from .oracle import GridState, compare_states, split_step
@@ -293,7 +292,6 @@ def _sample_records(config, traj):
     records = []
     for state, cl in traj.samples:
         moments = moments_from_lambda(state, c)
-        det = matrix_from_state(state, config.packet.alpha0).det
         i_l = ermakov_invariant(cl.eta, cl.eta_dot, state.alpha, state.alpha_dot)
         p_phi = canonical_coordinates(state, c).p_phi
         e_cl, e_tilde = energy_partition(cl, state, config.system)
@@ -302,8 +300,8 @@ def _sample_records(config, traj):
             "eta": cl.eta, "eta_dot": cl.eta_dot,
             "alpha": state.alpha, "alpha_dot": state.alpha_dot, "phi": state.phi,
             "var_x": moments.var_x, "var_p": moments.var_p, "corr": moments.corr,
-            "det_M": det, "I_L": i_l, "p_phi": p_phi,
-            "invariant_uncertainty_product": invariant_uncertainty_product(moments, c),
+            "det_M": state.wronskian, "I_L": i_l, "p_phi": p_phi,
+            "invariant_uncertainty_product": moments.uncertainty_determinant(),
             "E_cl": e_cl, "E_tilde": e_tilde,
             "ermakov_residual": ermakov_residual(
                 state, omega_at(config.system, state.t)),
@@ -326,11 +324,10 @@ def _invariant_summary(config, traj, records, tol):
     det_vs_ermakov = None
     if config.packet.p0 != 0.0 and config.packet.x0 == 0.0:
         det_vs_ermakov = 0.0
-        for state, cl in traj.samples:
-            val = det_as_ermakov(cl.eta, cl.eta_dot, state.alpha, state.alpha_dot,
+        for r in records:
+            val = det_as_ermakov(r["eta"], r["eta_dot"], r["alpha"], r["alpha_dot"],
                                  config.packet.alpha0, config.packet.p0, c.mass)
-            det = matrix_from_state(state, config.packet.alpha0).det
-            det_vs_ermakov = max(det_vs_ermakov, abs(val - det))
+            det_vs_ermakov = max(det_vs_ermakov, abs(val - r["det_M"]))
 
     # Euler-Lagrange residuals are O(h^2) finite-difference diagnostics, so
     # they run on a short trajectory sampled at the integrator step itself
@@ -338,20 +335,17 @@ def _invariant_summary(config, traj, records, tol):
     n_fine = round(el_span / config.dt)
     fine = solve_lambda(config.system, config.packet,
                         [k * config.dt for k in range(n_fine + 1)], dt=config.dt)
-    el_phi = el_alpha = 0.0
-    for i in range(1, len(fine) - 1):
-        r_phi, r_alpha, _ = uncertainty_dynamics_residuals(fine, i)
-        el_phi = max(el_phi, r_phi)
-        el_alpha = max(el_alpha, r_alpha)
+    res_phi, res_alpha = euler_lagrange_residuals(fine)
+    el_phi = float(res_phi.max(initial=0.0))
+    el_alpha = float(res_alpha.max(initial=0.0))
 
     energy_vs_hamiltonian = 0.0
-    for state, cl in traj.samples:
+    for (state, _), r in zip(traj.samples, records):
         uc = canonical_coordinates(state, c)
         w = omega_at(config.system, state.t)
-        _, e_tilde = energy_partition(cl, state, config.system)
         energy_vs_hamiltonian = max(
             energy_vs_hamiltonian,
-            abs(uncertainty_hamiltonian(uc, w, c) - e_tilde))
+            abs(uncertainty_hamiltonian(uc, w, c) - r["E_tilde"]))
 
     el_tol = tol["el_residual_factor"] * config.dt * config.dt
     checks = {

@@ -19,6 +19,7 @@ wraps.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import InitialPacket, SystemSpec, ConstantOmega, Free
 from .errors import CapabilityError, DivergenceError, ValidationError
@@ -73,26 +74,30 @@ class ClassicalState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled joint evolution of (LambdaState, ClassicalState)."""
+    """Sampled joint evolution of lambda, eta and phi.
+
+    `states` holds the integrator's raw state (u, u', z, z', eta, eta', phi)
+    at each of `times`; indexing and `samples` give the
+    (LambdaState, ClassicalState) pairs, built on first use.
+    """
 
     system: SystemSpec
     packet: InitialPacket
-    samples: tuple
+    times: tuple
+    states: tuple
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.states)
 
     def __getitem__(self, index):
         return self.samples[index]
 
-    def times(self):
-        return [s.t for s, _ in self.samples]
-
-    def lambda_states(self):
-        return [s for s, _ in self.samples]
-
-    def classical_states(self):
-        return [c for _, c in self.samples]
+    @cached_property
+    def samples(self):
+        return tuple(
+            (_make_state(t, complex(u, z), complex(ud, zd), phi),
+             ClassicalState(t=t, eta=e, eta_dot=ed))
+            for t, (u, ud, z, zd, e, ed, phi) in zip(self.times, self.states))
 
 
 def _make_state(t, lam, lam_dot, phi):
@@ -170,7 +175,8 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
     t_grid must start at 0, be finite and increase strictly, and dt must be
     finite and positive (ValidationError otherwise).  Each sample interval is
     covered by uniform substeps of size <= dt, so sample times are hit
-    exactly.  Raises DivergenceError if the state goes non-finite.
+    exactly.  Raises DivergenceError if the state goes non-finite.  The
+    Trajectory keeps the raw state tuple at each sample time.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid or t_grid[0] != 0.0:
@@ -190,8 +196,7 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
     a0 = packet.alpha0
     y = (a0, 0.0, 0.0, 1.0 / a0, packet.x0, packet.p0 / m, 0.0)
 
-    samples = [(initial_state(packet),
-                ClassicalState(t=0.0, eta=packet.x0, eta_dot=packet.p0 / m))]
+    states = [y]
     t = 0.0
     for t_next in t_grid[1:]:
         span = t_next - t
@@ -202,10 +207,9 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
         t = t_next
         if not all(map(math.isfinite, y)):
             raise DivergenceError(t)
-        u, ud, z, zd, e, ed, phi = y
-        samples.append((_make_state(t, complex(u, z), complex(ud, zd), phi),
-                        ClassicalState(t=t, eta=e, eta_dot=ed)))
-    return Trajectory(system=system, packet=packet, samples=tuple(samples))
+        states.append(y)
+    return Trajectory(system=system, packet=packet, times=tuple(t_grid),
+                      states=tuple(states))
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +269,6 @@ def closed_form_classical(system: SystemSpec, packet: InitialPacket, t: float) -
     v0 = packet.p0 / m
     return ClassicalState(t=t, eta=C * packet.x0 + S * v0,
                           eta_dot=Cd * packet.x0 + Sd * v0)
-
-
-def closed_form_trajectory(system: SystemSpec, packet: InitialPacket, t_grid) -> Trajectory:
-    """Trajectory built from the closed forms on the given grid."""
-    samples = tuple(
-        (closed_form_lambda(system, packet, float(t)),
-         closed_form_classical(system, packet, float(t)))
-        for t in t_grid
-    )
-    return Trajectory(system=system, packet=packet, samples=samples)
 
 
 def ermakov_residual(state: LambdaState, omega: float) -> float:

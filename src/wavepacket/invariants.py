@@ -18,9 +18,10 @@ p_phi = (hbar/2)*alpha^2*phi' = hbar/2, and the uncertainty product is
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Constants, Free, ConstantOmega, SystemSpec, omega_at
 from .evolution import ClassicalState, LambdaState, Trajectory
-from .packet import Moments
 from .errors import CapabilityError, ValidationError
 
 
@@ -133,11 +134,6 @@ def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0) -> floa
                     + (eta / alpha) ** 2)
 
 
-def invariant_uncertainty_product(moments: Moments, constants: Constants) -> float:
-    """<x~^2><p~^2> - (1/4)<[x~,p~]_+>^2; equals hbar^2/4 at all times."""
-    return moments.uncertainty_determinant()
-
-
 def energy_partition(classical: ClassicalState, state: LambdaState,
                      system: SystemSpec):
     """(E_cl, E_tilde): the classical energy of the mean trajectory and the
@@ -181,35 +177,41 @@ def uncertainty_hamiltonian(uc: UncertaintyCanonical, omega: float,
             + 0.25 * hbar * omega * omega * uc.alpha ** 2)
 
 
-def uncertainty_dynamics_residuals(traj: Trajectory, index: int):
-    """Euler-Lagrange residuals of the width dynamics at an interior sample,
-    by centered differences at the trajectory's own sample spacing:
+def euler_lagrange_residuals(traj: Trajectory):
+    """Euler-Lagrange residuals of the width dynamics at every interior
+    sample, by centered differences at the trajectory's own sample spacing:
 
         d/dt [(hbar/2)*alpha^2*phi'] = 0,
         alpha'' + w^2*alpha - phi'^2*alpha = 0.
 
-    Returns (res_phi, res_alpha, p_phi).  Accuracy is O(h^2) in the local
-    sample spacing h, which must be uniform around the index.
+    Returns the arrays (res_phi, res_alpha), empty for fewer than 3 samples.
+    Accuracy is O(h^2) in the sample spacing h, which must be uniform
+    (ValidationError otherwise).  alpha, phi' and p_phi are formed from the
+    raw states in the operation order of LambdaState and
+    canonical_coordinates, so every value rounds as it does there.
     """
-    if not 0 < index < len(traj) - 1:
-        raise ValidationError("index must be interior for centered differences")
-    c = traj.system.constants
-    prev, _ = traj[index - 1]
-    here, _ = traj[index]
-    nxt, _ = traj[index + 1]
-    h1 = here.t - prev.t
-    h2 = nxt.t - here.t
-    if abs(h1 - h2) > 1e-12 * max(h1, h2):
+    times = np.array(traj.times)
+    if len(times) < 3:
+        return np.empty(0), np.empty(0)
+    h1 = times[1:-1] - times[:-2]
+    h2 = times[2:] - times[1:-1]
+    if np.any(np.abs(h1 - h2) > 1e-12 * np.maximum(h1, h2)):
         raise ValidationError("centered differences need uniform sample spacing")
     h = 0.5 * (h1 + h2)
 
-    p_phi = canonical_coordinates(here, c).p_phi
-    p_phi_prev = canonical_coordinates(prev, c).p_phi
-    p_phi_next = canonical_coordinates(nxt, c).p_phi
-    res_phi = abs((p_phi_next - p_phi_prev) / (2.0 * h))
+    u, ud, z, zd, *_ = np.array(traj.states).T
+    # abs(lambda) is hypot, and Im(lambda'*conj(lambda)) is the imaginary
+    # part of CPython's complex product
+    alpha = np.hypot(u, z)
+    phi_dot = (ud * -z + zd * u) / (alpha * alpha)
+    p_phi = 0.5 * traj.system.constants.hbar * alpha * alpha * phi_dot
+    res_phi = np.abs((p_phi[2:] - p_phi[:-2]) / (2.0 * h))
 
-    alpha_ddot = (nxt.alpha - 2.0 * here.alpha + prev.alpha) / (h * h)
-    w = omega_at(traj.system, here.t)
-    res_alpha = abs(alpha_ddot + w * w * here.alpha
-                    - here.phi_dot ** 2 * here.alpha)
-    return res_phi, res_alpha, p_phi
+    a = alpha[1:-1]
+    alpha_ddot = (alpha[2:] - 2.0 * a + alpha[:-2]) / (h * h)
+    omega = traj.system.frequency_law.omega
+    w = np.array([omega(t) for t in traj.times[1:-1]])
+    # x ** 2 on a float is libm pow, which is not always x * x to the last
+    # bit; float_power calls pow too
+    res_alpha = np.abs(alpha_ddot + w * w * a - np.float_power(phi_dot[1:-1], 2) * a)
+    return res_phi, res_alpha

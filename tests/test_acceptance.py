@@ -18,7 +18,7 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
 from wavepacket.evolution import closed_form_lambda, solve_lambda
 from wavepacket.invariants import (canonical_coordinates, det_as_ermakov,
                                    ermakov_invariant, frozen_width_matrix,
-                                   invariant_uncertainty_product, matrix_from_state)
+                                   matrix_from_state)
 from wavepacket.kernels import (SymplecticParams, TDKernelParams, apply_kernel,
                                 satisfies_kernel_odes, td_kernel_evaluator)
 from wavepacket.oracle import GridState, compare_states, split_step
@@ -119,7 +119,7 @@ def test_criterion_05_invariant_uncertainty_product():
     for name in SWEEP:
         traj = sweep_trajectory(name)
         for s, _ in traj.samples:
-            iup = invariant_uncertainty_product(moments_from_lambda(s, C), C)
+            iup = moments_from_lambda(s, C).uncertainty_determinant()
             p_phi = canonical_coordinates(s, C).p_phi
             worst = max(worst, abs(iup - 0.25 * C.hbar ** 2),
                         abs(p_phi - 0.5 * C.hbar))

@@ -227,6 +227,31 @@ def test_exit_code_delta_limit(tmp_path):
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 4
 
 
+def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
+    """Two samples leave no interior point for the centered differences."""
+    data = dict(SMALL_CONFIG, time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())[
+        "invariants"]["checks"]
+    assert checks["euler_lagrange_phi"]["value"] == 0.0
+    assert checks["euler_lagrange_alpha"]["value"] == 0.0
+
+
+def test_drifting_wronskian_fails_its_check_instead_of_exiting(tmp_path):
+    """At dt = 0.05 the RK4 Wronskian drifts past 1e-9 by t = 50."""
+    data = dict(BUILTIN_SCENARIOS["ho-breathing"],
+                time={"t_end": 50.0, "dt": 0.05, "sample_every": 10},
+                tasks=["evolve", "invariants"])
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    drift = report["invariants"]["checks"]["det_M_drift"]
+    assert drift["value"] > drift["tolerance"]
+    assert drift["pass"] is False
+    assert report["pass"] is False
+
+
 # ---------------------------------------------------------------------------
 # auxiliary commands
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              omega_at)
 from wavepacket.errors import CapabilityError, DivergenceError, ValidationError
 from wavepacket import evolution
-from wavepacket.evolution import (closed_form_classical, closed_form_lambda,
-                                  ermakov_residual, initial_state, solve_lambda)
+from wavepacket.evolution import (ClassicalState, closed_form_classical,
+                                  closed_form_lambda, ermakov_residual, initial_state,
+                                  solve_lambda)
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -293,6 +294,25 @@ def test_solve_lambda_trajectory_equals_tuple_reference(monkeypatch, law):
     monkeypatch.setattr(evolution, "_rk4_step", _rk4_step_reference)
     reference = solve_lambda(system, packet, t_grid)
     assert _samples(flat) == _samples(reference)
+
+
+@pytest.mark.parametrize("law", EXACT_LAWS, ids=lambda law: type(law).__name__)
+def test_samples_are_built_from_stored_states_and_cached(law):
+    traj = solve_lambda(SystemSpec(C, law), InitialPacket(0.3, 0.9, 1.1),
+                        [k * 0.1 for k in range(51)])
+    assert len(traj) == len(traj.states) == len(traj.times) == 51
+    assert "samples" not in vars(traj)
+    expected = tuple(
+        (evolution._make_state(t, complex(u, z), complex(ud, zd), phi),
+         ClassicalState(t=t, eta=e, eta_dot=ed))
+        for t, (u, ud, z, zd, e, ed, phi) in zip(traj.times, traj.states))
+    assert traj.samples == expected   # dataclass == compares every field
+    assert traj.samples[0][0] == initial_state(traj.packet)
+    for s, cl in traj.samples:
+        for value in (s.t, s.alpha, s.alpha_dot, s.phi, s.phi_dot, cl.eta, cl.eta_dot):
+            assert type(value) is float   # repr in trajectory.csv needs plain floats
+    assert traj.samples is traj.samples
+    assert traj[-1] is traj.samples[-1]
 
 
 def test_overflowing_ramp_diverges_at_reference_time(monkeypatch):

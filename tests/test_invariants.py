@@ -5,18 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
-                             ModulatedOmega, RampOmega, SystemSpec)
+                             ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
+                             omega_at)
 from wavepacket.errors import CapabilityError, ValidationError
-from wavepacket.evolution import closed_form_lambda, solve_lambda
+from wavepacket.evolution import Trajectory, closed_form_lambda, solve_lambda
 from wavepacket.invariants import (TransformMatrix, canonical_coordinates,
                                    det_as_ermakov, energy_partition,
-                                   ermakov_invariant, frozen_width_matrix,
-                                   invariant_uncertainty_product,
-                                   matrix_from_classical, matrix_from_state,
-                                   uncertainty_dynamics_residuals,
-                                   uncertainty_hamiltonian)
+                                   ermakov_invariant, euler_lagrange_residuals,
+                                   frozen_width_matrix, matrix_from_classical,
+                                   matrix_from_state, uncertainty_hamiltonian)
 from wavepacket.packet import Moments, moments_from_lambda
 
 C = Constants()
@@ -130,16 +130,16 @@ def test_det_constant_and_ermakov_drift(law, alpha0):
 
 
 def test_invariant_uncertainty_product_values():
-    assert invariant_uncertainty_product(Moments(1.0, 0.5, 1.0), C) == \
+    assert Moments(1.0, 0.5, 1.0).uncertainty_determinant() == \
         pytest.approx(0.25, rel=1e-14)
-    assert invariant_uncertainty_product(Moments(0.5, 0.5, 0.0), C) == 0.25
+    assert Moments(0.5, 0.5, 0.0).uncertainty_determinant() == 0.25
 
 
 def test_invariant_uncertainty_product_breathing_branch():
     packet = InitialPacket(0.0, 1.0, 1.7)  # oscillating width
     traj = solve(HO, packet)
     for s, _ in traj.samples:
-        iup = invariant_uncertainty_product(moments_from_lambda(s, C), C)
+        iup = moments_from_lambda(s, C).uncertainty_determinant()
         assert abs(iup - 0.25) <= 1e-10
 
 
@@ -184,11 +184,12 @@ def test_euler_lagrange_residuals_at_integrator_resolution():
     dt = 1e-3
     t_grid = [k * dt for k in range(1001)]
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
-    for i in range(1, len(traj) - 1, 100):
-        res_phi, res_alpha, p_phi = uncertainty_dynamics_residuals(traj, i)
-        assert res_phi <= 1e-6
-        assert res_alpha <= 1e-6
-        assert p_phi == pytest.approx(0.5, abs=1e-10)
+    res_phi, res_alpha = euler_lagrange_residuals(traj)
+    assert len(res_phi) == len(res_alpha) == len(traj) - 2
+    assert res_phi.max() <= 1e-6
+    assert res_alpha.max() <= 1e-6
+    for s, _ in traj.samples[1:-1:100]:
+        assert canonical_coordinates(s, C).p_phi == pytest.approx(0.5, abs=1e-10)
 
 
 def test_uncertainty_product_identity():
@@ -233,8 +234,97 @@ def test_canonical_matrix_rejects_wrong_determinant():
 
 
 def test_residuals_need_interior_uniform_samples():
-    traj = solve(FREE, InitialPacket(0.0, 1.0, 1.0), t_end=1.0, n=10)
-    with pytest.raises(ValidationError):
-        uncertainty_dynamics_residuals(traj, 0)
-    with pytest.raises(ValidationError):
-        uncertainty_dynamics_residuals(traj, len(traj) - 1)
+    traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0, 0.1, 0.2, 0.4])
+    with pytest.raises(ValidationError, match="uniform"):
+        euler_lagrange_residuals(traj)
+    for n in (0, 1):
+        traj = solve(FREE, InitialPacket(0.0, 1.0, 1.0), t_end=0.001, n=n)
+        res_phi, res_alpha = euler_lagrange_residuals(traj)
+        assert res_phi.shape == res_alpha.shape == (0,)
+
+
+def _uncertainty_dynamics_residuals_reference(traj: Trajectory, index: int):
+    """The per-sample residuals the array form replaced, kept as its
+    bit-exact reference; returns (res_phi, res_alpha, p_phi)."""
+    if not 0 < index < len(traj) - 1:
+        raise ValidationError("index must be interior for centered differences")
+    c = traj.system.constants
+    prev, _ = traj[index - 1]
+    here, _ = traj[index]
+    nxt, _ = traj[index + 1]
+    h1 = here.t - prev.t
+    h2 = nxt.t - here.t
+    if abs(h1 - h2) > 1e-12 * max(h1, h2):
+        raise ValidationError("centered differences need uniform sample spacing")
+    h = 0.5 * (h1 + h2)
+
+    p_phi = canonical_coordinates(here, c).p_phi
+    p_phi_prev = canonical_coordinates(prev, c).p_phi
+    p_phi_next = canonical_coordinates(nxt, c).p_phi
+    res_phi = abs((p_phi_next - p_phi_prev) / (2.0 * h))
+
+    alpha_ddot = (nxt.alpha - 2.0 * here.alpha + prev.alpha) / (h * h)
+    w = omega_at(traj.system, here.t)
+    res_alpha = abs(alpha_ddot + w * w * here.alpha
+                    - here.phi_dot ** 2 * here.alpha)
+    return res_phi, res_alpha, p_phi
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_omega = st.floats(0.0, 3.0, **_finite)
+
+
+@st.composite
+def _tabulated(draw):
+    """Knots reach past t = 4, the end of the longest trajectory below."""
+    interior = sorted(draw(st.lists(st.floats(0.01, 4.49, **_finite),
+                                    unique=True, max_size=4)))
+    times = (0.0, *interior, 4.5)
+    return TabulatedOmega(times, tuple(draw(_omega) for _ in times))
+
+
+_law = st.one_of(
+    st.just(Free()),
+    st.builds(ConstantOmega, _omega),
+    st.builds(RampOmega, _omega, st.floats(-0.5, 0.5, **_finite)),
+    st.builds(ModulatedOmega, _omega, st.floats(-0.5, 0.5, **_finite),
+              st.floats(0.0, 5.0, **_finite)),
+    _tabulated(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=_law,
+       constants=st.builds(Constants, st.floats(0.1, 3.0, **_finite),
+                           st.floats(0.1, 3.0, **_finite)),
+       packet=st.builds(InitialPacket, st.floats(-3.0, 3.0, **_finite),
+                        st.floats(-3.0, 3.0, **_finite), st.floats(0.2, 3.0, **_finite)),
+       spacing=st.floats(1e-3, 0.1, **_finite),
+       substeps=st.integers(1, 4),
+       n=st.integers(0, 40))
+def test_euler_lagrange_residuals_equal_per_sample_reference(law, constants, packet,
+                                                             spacing, substeps, n):
+    system = SystemSpec(constants, law)
+    traj = solve_lambda(system, packet, [k * spacing for k in range(n + 1)],
+                        dt=spacing / substeps)
+    res_phi, res_alpha = euler_lagrange_residuals(traj)
+    assert len(res_phi) == len(res_alpha) == max(0, len(traj) - 2)
+    for i in range(1, len(traj) - 1):
+        ref_phi, ref_alpha, _ = _uncertainty_dynamics_residuals_reference(traj, i)
+        assert res_phi[i - 1] == ref_phi
+        assert res_alpha[i - 1] == ref_alpha
+
+
+@pytest.mark.parametrize("law", [
+    Free(), ConstantOmega(1.3), RampOmega(0.5, 0.2), ModulatedOmega(1.0, 0.2, 2.1),
+    TabulatedOmega((0.0, 0.4, 0.9, 1.5), (1.0, 0.4, 1.8, 0.7)),
+], ids=lambda law: type(law).__name__)
+def test_euler_lagrange_residuals_equal_reference_at_integrator_resolution(law):
+    """The invariant report's use: one sample per RK4 step, 1 000 steps."""
+    dt = 1e-3
+    traj = solve_lambda(SystemSpec(Constants(1.3, 0.7), law),
+                        InitialPacket(0.4, 0.9, 1.2), [k * dt for k in range(1001)], dt=dt)
+    res_phi, res_alpha = euler_lagrange_residuals(traj)
+    reference = [_uncertainty_dynamics_residuals_reference(traj, i)[:2]
+                 for i in range(1, len(traj) - 1)]
+    assert list(zip(res_phi.tolist(), res_alpha.tolist())) == reference
