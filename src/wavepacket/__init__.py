@@ -8,24 +8,23 @@ serves as a brute-force oracle against all of them.
 """
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
-                   RampOmega, SystemSpec, TabulatedOmega, omega_at, validate_packet)
+                   RampOmega, SystemSpec, TabulatedOmega, TransformMatrix,
+                   omega_at, validate_packet)
 from .errors import (CapabilityError, ConfigError, DeltaLimitError, DivergenceError,
                      GridMismatchError, ResolutionError, ValidationError)
 from .evolution import (ClassicalState, LambdaState, Trajectory, closed_form_classical,
                         closed_form_lambda, ermakov_residual, initial_state,
                         solve_lambda)
-from .invariants import (TransformMatrix, UncertaintyCanonical, canonical_coordinates,
+from .invariants import (UncertaintyCanonical, canonical_coordinates,
                          det_as_ermakov, energy_partition, ermakov_invariant,
                          euler_lagrange_residuals, frozen_width_matrix,
                          matrix_from_classical, matrix_from_state,
                          uncertainty_hamiltonian)
-from .kernels import (ComplexGrid, SymplecticParams, TDKernelParams, apply_kernel,
-                      kernel_td, kernel_ti, satisfies_kernel_odes,
-                      td_kernel_evaluator, ti_kernel_evaluator)
+from .kernels import (ComplexGrid, apply_kernel, kernel_td, kernel_ti,
+                      satisfies_kernel_odes)
 from .oracle import GridState, compare_states, quadrature_moments, split_step
 from .packet import (GaussianPacket, Moments, classical_action, evaluate_wavefunction,
                      moments_from_lambda, propagate_analytic)
-from .wigner import (PhaseSpaceGrid, ScaledPhasePoint, scaled_pointmap,
-                     wigner_gaussian, wigner_numeric, wigner_pointmap)
+from .wigner import PhaseSpaceGrid, wigner_gaussian, wigner_numeric, wigner_pointmap
 
 __version__ = "0.1.0"

@@ -24,20 +24,22 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
-                   RampOmega, SystemSpec, TabulatedOmega, omega_at)
+                   RampOmega, SystemSpec, TabulatedOmega, TransformMatrix,
+                   is_free_motion, omega_at)
 from .errors import (CapabilityError, ConfigError, DivergenceError,
                      ResolutionError, ValidationError)
 from .evolution import ermakov_residual, solve_lambda
 from .invariants import (canonical_coordinates, det_as_ermakov, energy_partition,
                          ermakov_invariant, euler_lagrange_residuals,
-                         frozen_width_matrix, uncertainty_hamiltonian)
-from .kernels import SymplecticParams, TDKernelParams, satisfies_kernel_odes, \
-    apply_kernel, td_kernel_evaluator
+                         frozen_width_matrix, matrix_from_state,
+                         uncertainty_hamiltonian)
+from .kernels import apply_kernel, kernel_td, satisfies_kernel_odes
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analytic
 from .wigner import wigner_numeric
@@ -70,7 +72,7 @@ TOLERANCE_PROFILES = {
 # fixed enumeration for the kernel defining-equation sweep: 20 symplectic
 # parameter sets with |b| >= 0.2, c solved from the unit determinant
 KERNEL_CHECK_LATTICE = tuple(
-    (a, b, (a * 0.8 - 1.0) / b, 0.8)
+    TransformMatrix(a, b, (a * 0.8 - 1.0) / b, 0.8)
     for a in (-1.5, -0.5, 0.0, 0.5, 1.5)
     for b in (0.2, 0.7, 1.3, 2.5)
 )
@@ -309,6 +311,11 @@ def _sample_records(config, traj):
     return records
 
 
+def _check(value, tolerance):
+    """One report check entry; the key order is part of report.json."""
+    return {"value": value, "tolerance": tolerance, "pass": bool(value <= tolerance)}
+
+
 def _invariant_summary(config, traj, records, tol):
     c = config.constants
     det_drift = max(abs(r["det_M"] - 1.0) for r in records)
@@ -349,24 +356,18 @@ def _invariant_summary(config, traj, records, tol):
 
     el_tol = tol["el_residual_factor"] * config.dt * config.dt
     checks = {
-        "ermakov_residual_max": {
-            "value": max(r["ermakov_residual"] for r in records),
-            "tolerance": 1e-9},
-        "det_M_drift": {"value": det_drift, "tolerance": tol["det_drift"]},
-        "ermakov_rel_drift": {"value": ermakov_drift,
-                              "tolerance": tol["ermakov_rel_drift"]},
-        "p_phi_abs_dev": {"value": p_phi_dev, "tolerance": tol["p_phi_abs_dev"]},
-        "iup_abs_dev": {"value": iup_dev, "tolerance": tol["iup_abs_dev"]},
-        "euler_lagrange_phi": {"value": el_phi, "tolerance": el_tol},
-        "euler_lagrange_alpha": {"value": el_alpha, "tolerance": el_tol},
-        "uncertainty_hamiltonian_vs_energy": {
-            "value": energy_vs_hamiltonian, "tolerance": 1e-10},
+        "ermakov_residual_max": _check(
+            max(r["ermakov_residual"] for r in records), 1e-9),
+        "det_M_drift": _check(det_drift, tol["det_drift"]),
+        "ermakov_rel_drift": _check(ermakov_drift, tol["ermakov_rel_drift"]),
+        "p_phi_abs_dev": _check(p_phi_dev, tol["p_phi_abs_dev"]),
+        "iup_abs_dev": _check(iup_dev, tol["iup_abs_dev"]),
+        "euler_lagrange_phi": _check(el_phi, el_tol),
+        "euler_lagrange_alpha": _check(el_alpha, el_tol),
+        "uncertainty_hamiltonian_vs_energy": _check(energy_vs_hamiltonian, 1e-10),
     }
     if det_vs_ermakov is not None:
-        checks["det_vs_ermakov_identity"] = {
-            "value": det_vs_ermakov, "tolerance": 1e-9}
-    for entry in checks.values():
-        entry["pass"] = bool(entry["value"] <= entry["tolerance"])
+        checks["det_vs_ermakov_identity"] = _check(det_vs_ermakov, 1e-9)
     return checks
 
 
@@ -431,18 +432,18 @@ def _wigner_task(config, traj, indices):
 def _kernel_check_task(config, traj, tol):
     c = config.constants
     worst = 0.0
-    for a, b, cc, d in KERNEL_CHECK_LATTICE:
-        params = SymplecticParams(a, b, cc, d)
-        params.require_symplectic(1e-12)
-        r1, r2 = satisfies_kernel_odes(params, c)
+    for matrix in KERNEL_CHECK_LATTICE:
+        matrix.require_symplectic(1e-12)
+        r1, r2 = satisfies_kernel_odes(matrix, c)
         worst = max(worst, r1, r2)
 
     state, _ = traj[-1]
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-    params = TDKernelParams.from_lambda_state(state, config.packet.alpha0)
-    forward = apply_kernel(td_kernel_evaluator(params, c), psi0, x)
-    back = apply_kernel(td_kernel_evaluator(params.reversed(), c), forward, x)
+    matrix = matrix_from_state(state, config.packet.alpha0)
+    forward = apply_kernel(partial(kernel_td, matrix, constants=c), psi0, x)
+    back = apply_kernel(partial(kernel_td, matrix, constants=c, inverse=True),
+                        forward, x)
     roundtrip = math.sqrt(float(np.trapezoid(
         np.abs(back.values - psi0.values) ** 2, dx=psi0.dx)))
     unitarity = abs(forward.norm() - psi0.norm())
@@ -453,12 +454,8 @@ def _kernel_check_task(config, traj, tol):
         "td_roundtrip_l2": roundtrip,
         "td_unitarity_defect": unitarity,
         "checks": {
-            "kernel_ode_residual": {
-                "value": worst, "tolerance": tol["kernel_ode_residual"],
-                "pass": bool(worst <= tol["kernel_ode_residual"])},
-            "kernel_roundtrip_l2": {
-                "value": roundtrip, "tolerance": tol["kernel_roundtrip_l2"],
-                "pass": bool(roundtrip <= tol["kernel_roundtrip_l2"])},
+            "kernel_ode_residual": _check(worst, tol["kernel_ode_residual"]),
+            "kernel_roundtrip_l2": _check(roundtrip, tol["kernel_roundtrip_l2"]),
         },
     }
 
@@ -483,9 +480,7 @@ def _oracle_task(config, traj, tol):
             "corr": moment_errors[4],
         },
         "checks": {
-            "oracle_aligned_l2": {
-                "value": aligned, "tolerance": tol["oracle_aligned_l2"],
-                "pass": bool(aligned <= tol["oracle_aligned_l2"])},
+            "oracle_aligned_l2": _check(aligned, tol["oracle_aligned_l2"]),
         },
     }
 
@@ -514,9 +509,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     if "invariants" in config.tasks:
         checks = _invariant_summary(config, traj, records, tol)
         report["invariants"] = {"checks": checks}
-        law = config.system.frequency_law
-        if isinstance(law, Free) or (isinstance(law, ConstantOmega)
-                                     and law.omega0 == 0.0):
+        if is_free_motion(config.system.frequency_law):
             report["invariants"]["frozen_width"] = _frozen_width_block(
                 config, records)
 

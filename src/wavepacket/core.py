@@ -5,7 +5,10 @@ A system is a one-dimensional quadratic Hamiltonian H = p^2/2m + m w(t)^2 x^2 / 
 fixed entirely by the constants and the frequency law w(t) (w = 0 for free
 motion).  Initial states are minimum-uncertainty Gaussians parametrized by
 their mean position x0, mean momentum p0 and the dimensionless width
-parameter alpha0, with alpha0^2 = 2 m <x~^2>_0 / hbar.
+parameter alpha0, with alpha0^2 = 2 m <x~^2>_0 / hbar.  Every linear
+phase-space map (the time-dependent transformation matrix, the matrices of
+the time-independent kernels, the frozen-width diagnostic) is one
+TransformMatrix.
 """
 
 import math
@@ -136,6 +139,12 @@ class TabulatedOmega:
 FrequencyLaw = Union[Free, ConstantOmega, RampOmega, ModulatedOmega, TabulatedOmega]
 
 
+def is_free_motion(law: FrequencyLaw) -> bool:
+    """True for the laws with w(t) = 0 identically: Free and ConstantOmega(0)."""
+    return isinstance(law, Free) or (isinstance(law, ConstantOmega)
+                                     and law.omega0 == 0.0)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """A quadratic Hamiltonian: constants plus the frequency law w(t)."""
@@ -189,3 +198,50 @@ def validate_packet(packet: InitialPacket, constants: Constants):
     var_x0 = hbar * a2 / (2.0 * m)
     var_p0 = hbar * m / (2.0 * a2)
     return var_x0, var_p0
+
+
+# ---------------------------------------------------------------------------
+# Linear phase-space maps
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TransformMatrix:
+    """Real 2x2 matrix ((a, b), (c, d)) acting on column vectors scaled by
+    alpha0 (1 for the matrices of the time-independent kernels).
+
+    canonical=False tags the frozen-width diagnostic, whose determinant
+    deliberately differs from 1.  Construction never checks det: where a
+    unit determinant is a precondition, the consumer calls
+    require_symplectic.
+    """
+
+    a: float
+    b: float
+    c: float
+    d: float
+    alpha0: float = 1.0
+    canonical: bool = True
+
+    def __post_init__(self):
+        if not self.alpha0 > 0.0:
+            raise ValidationError(f"alpha0 must be positive, got {self.alpha0!r}")
+
+    @property
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def require_symplectic(self, tol):
+        if abs(self.det - 1.0) > tol:
+            raise ValidationError(
+                f"matrix is not symplectic: det={self.det!r} (tol {tol})"
+            )
+
+    def matmul(self, other):
+        """self @ other, acting on the vectors other acts on."""
+        return TransformMatrix(
+            a=self.a * other.a + self.b * other.c,
+            b=self.a * other.b + self.b * other.d,
+            c=self.c * other.a + self.d * other.c,
+            d=self.c * other.b + self.d * other.d,
+            alpha0=other.alpha0, canonical=self.canonical and other.canonical,
+        )

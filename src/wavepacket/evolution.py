@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import InitialPacket, SystemSpec, ConstantOmega, Free
+from .core import InitialPacket, SystemSpec, ConstantOmega, is_free_motion
 from .errors import CapabilityError, DivergenceError, ValidationError
 
 
@@ -219,7 +219,7 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
 def _closed_form_basis(system, t):
     """Fundamental solutions (C, S) with C(0)=1, C'(0)=0, S(0)=0, S'(0)=1."""
     law = system.frequency_law
-    if isinstance(law, Free) or (isinstance(law, ConstantOmega) and law.omega0 == 0.0):
+    if is_free_motion(law):
         return 1.0, 0.0, t, 1.0
     if isinstance(law, ConstantOmega):
         w = law.omega0

@@ -1,8 +1,11 @@
 """Conserved quantities of the time-dependent transformation.
 
-The 2x2 matrix M = ((zd, -z), (-ud, u)) built from lambda = u + i*z maps a
-phase point at time t back to its scaled initial values; det M equals the
-Wronskian zd*u - ud*z = 1 for every solution.  Written in terms of the
+The 2x2 matrix M = ((zd, -z), (-ud, u)) built from lambda = u + i*z by
+matrix_from_state maps a phase point at time t back to its scaled initial
+values; it is a core.TransformMatrix with alpha0 as its scale, the same
+type the kernels and the Wigner point map take.  det M equals the Wronskian
+zd*u - ud*z, which is 1 on exact solutions; the integrator's drift from 1
+is reported by the caller, never raised here.  Written in terms of the
 classical trajectory eta and the width alpha, the same determinant is
 (m/(alpha0*p0))^2 * [(eta'*alpha - alpha'*eta)^2 + (eta/alpha)^2], i.e.
 2*(m/(alpha0*p0))^2 times the Ermakov invariant.  The frozen-width variant
@@ -20,39 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, Free, ConstantOmega, SystemSpec, omega_at
+from .core import Constants, SystemSpec, TransformMatrix, is_free_motion, omega_at
 from .evolution import ClassicalState, LambdaState, Trajectory
 from .errors import CapabilityError, ValidationError
-
-
-@dataclass(frozen=True)
-class TransformMatrix:
-    """Rows ((zd, -z), (-ud, u)), plus the alpha0 that scales the column
-    vectors it acts on.  canonical=False tags the frozen-width diagnostic,
-    whose determinant deliberately differs from 1."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-    alpha0: float
-    t: float
-    canonical: bool = True
-
-    def __post_init__(self):
-        if self.alpha0 <= 0.0:
-            raise ValidationError(f"alpha0 must be positive, got {self.alpha0!r}")
-        if self.canonical and abs(self.det - 1.0) > 1e-9:
-            raise ValidationError(
-                f"canonical matrix must have det 1, got {self.det!r}"
-            )
-
-    @property
-    def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def entries(self):
-        return ((self.m11, self.m12), (self.m21, self.m22))
 
 
 @dataclass(frozen=True)
@@ -66,16 +39,13 @@ class UncertaintyCanonical:
 
 
 def matrix_from_state(state: LambdaState, alpha0: float) -> TransformMatrix:
-    """M = ((zd, -z), (-ud, u)) from a LambdaState; det is asserted."""
-    return TransformMatrix(
-        m11=state.z_hat_dot, m12=-state.z_hat,
-        m21=-state.u_hat_dot, m22=state.u_hat,
-        alpha0=alpha0, t=state.t,
-    )
+    """M = ((zd, -z), (-ud, u)) from a LambdaState; det is not checked."""
+    return TransformMatrix(a=state.z_hat_dot, b=-state.z_hat,
+                           c=-state.u_hat_dot, d=state.u_hat, alpha0=alpha0)
 
 
-def matrix_from_classical(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0,
-                          t=0.0, canonical=True) -> TransformMatrix:
+def matrix_from_classical(eta, eta_dot, alpha, alpha_dot, alpha0, p0,
+                          mass=1.0) -> TransformMatrix:
     """The matrix written via (eta, eta', alpha, alpha'):
 
         M = (m/(alpha0*p0)) * ((eta', -eta),
@@ -89,12 +59,12 @@ def matrix_from_classical(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0,
         raise ValidationError("classical parametrization requires p0 != 0")
     s = mass / (alpha0 * p0)
     return TransformMatrix(
-        m11=s * eta_dot,
-        m12=-s * eta,
-        m21=s * (-eta_dot * alpha_dot * alpha
-                 + eta * (alpha_dot * alpha_dot + 1.0 / (alpha * alpha))),
-        m22=s * (eta_dot * alpha * alpha - eta * alpha_dot * alpha),
-        alpha0=alpha0, t=t, canonical=canonical,
+        a=s * eta_dot,
+        b=-s * eta,
+        c=s * (-eta_dot * alpha_dot * alpha
+               + eta * (alpha_dot * alpha_dot + 1.0 / (alpha * alpha))),
+        d=s * (eta_dot * alpha * alpha - eta * alpha_dot * alpha),
+        alpha0=alpha0,
     )
 
 
@@ -104,16 +74,10 @@ def frozen_width_matrix(system: SystemSpec, alpha0: float, t: float) -> Transfor
     det = 1 + (t/alpha0^2)^2, not 1; the matrix is tagged non-canonical and
     is rejected by the Wigner point map.
     """
-    law = system.frequency_law
-    if not (isinstance(law, Free)
-            or (isinstance(law, ConstantOmega) and law.omega0 == 0.0)):
+    if not is_free_motion(system.frequency_law):
         raise CapabilityError("frozen-width matrix is defined for free motion only")
-    a0 = alpha0
-    return TransformMatrix(
-        m11=1.0 / a0, m12=-t / a0,
-        m21=t / a0 ** 3, m22=a0,
-        alpha0=a0, t=t, canonical=False,
-    )
+    return TransformMatrix(a=1.0 / alpha0, b=-t / alpha0, c=t / alpha0 ** 3,
+                           d=alpha0, alpha0=alpha0, canonical=False)
 
 
 def ermakov_invariant(eta, eta_dot, alpha, alpha_dot) -> float:

@@ -1,28 +1,37 @@
 """Configuration-space propagator kernels and their quadrature application.
 
-Two families:
+Both kernels are the quadratic-phase kernel of one core.TransformMatrix
+M = ((a, b), (c, d)) (Littlejohn, Phys. Rep. 138, 193 (1986)), evaluated by
+one body,
 
-* the time-independent kernel of a symplectic matrix ((a, b), (c, d)),
+    K(x, x') = prefactor * exp(i * coef * (A*x^2 - 2*x*y + D*y^2)).
 
-      K(x, x') = (1/(2*pi*i*hbar*b))^(1/2)
-                 * exp(-(i/(2*hbar*b)) * (a*x^2 - 2*x*x' + d*x'^2)),
+They differ in how they read M:
 
-  with hbar inserted so the kernel is unitary (the bare form quoted in the
-  literature omits it);
+* kernel_ti, the time-independent kernel of a symplectic matrix:
+  A = a, D = d, y = x', coef = -1/(2*hbar*b) and the paper's prefactor
+  (1/(2*pi*i*hbar*b))^(1/2), with hbar inserted so the kernel is unitary
+  (the bare form quoted in the literature omits it);
 
-* the time-dependent kernel parametrized by (z_hat, z_hat', u_hat, u_hat'),
+* kernel_td, the time-dependent kernel of M = ((zd, -z), (-ud, u)) from
+  invariants.matrix_from_state: A = zd = a, D = u = d, y = x'/alpha0,
+  coef = m/(2*hbar*z) with z = -b, and the physical prefactor
+  (m/(2*pi*i*hbar*alpha0*z))^(1/2).
 
-      K(x, x', t, 0) = (m/(2*pi*i*hbar*alpha0*z_hat))^(1/2)
-                       * exp((i*m/(2*hbar*z_hat))
-                             * (z_hat'*x^2 - 2*x*(x'/alpha0) + u_hat*(x'/alpha0)^2)).
+For the same phase the two prefactors differ by a factor of +-i, with the
+sign set by the sign of z (the square-root branch of 1/i), so they stay
+two conventions: the first is the paper's, the second gives the evolved
+packet with its global phase.
 
-Both are singular where the quadratic-phase denominator (b or z_hat)
-vanishes; there the kernel concentrates into a delta function and callers
-must use the point map instead, which is signalled by DeltaLimitError.
+Both are singular where b vanishes; for |b| <= B_MIN the kernel is a delta
+function and callers must use the point map instead, which is signalled by
+DeltaLimitError.
 
-The inverse time-dependent kernel is implemented as the adjoint
-K_inv(x, x') = conj(K(x', x)), which is the exact functional inverse of the
-unitary forward transform for every alpha0.
+kernel_td(..., inverse=True) is the adjoint K_inv(x, x') = conj(K(x', x)).
+It is the exact functional inverse of the forward transform for every z:
+|prefactor|^2 = m/(2*pi*hbar*alpha0*|z|) matches the cross-term
+coefficient m/(hbar*alpha0*z) of the phase, so the round trip holds
+whatever det M is.
 """
 
 import cmath
@@ -31,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants
+from .core import Constants, TransformMatrix
 from .errors import DeltaLimitError, ValidationError
 
-DEFAULT_B_MIN = 1e-8
-DEFAULT_Z_MIN = 1e-8
+B_MIN = 1e-8           # |b| at or below which a kernel is a delta function
+COVERAGE_TOL = 1e-8    # apply_kernel warns below 1 - COVERAGE_TOL input mass
+ODE_PROBE = np.linspace(-1.0, 1.0, 5)  # x and x' of the defining-equation check
+ODE_STEP = 1e-5        # its central-difference step
 
 
 @dataclass(frozen=True)
@@ -81,199 +92,93 @@ def trapezoid_weights(n, dx):
     return w
 
 
-@dataclass(frozen=True)
-class SymplecticParams:
-    """Entries of a real 2x2 canonical transformation matrix.
-
-    Construction does not hard-fail on det != 1 (diagnostic paths probe
-    deliberately broken inputs); use require_symplectic() where unit
-    determinant is a precondition.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @property
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def require_symplectic(self, tol=1e-12):
-        if abs(self.det - 1.0) > tol:
-            raise ValidationError(
-                f"matrix is not symplectic: det={self.det!r} (tol {tol})"
-            )
-
-    def matmul(self, other):
-        return SymplecticParams(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
+def _require_off_caustic(b):
+    if abs(b) <= B_MIN:
+        raise DeltaLimitError(
+            f"|b|={abs(b)!r} <= {B_MIN}: kernel is a delta function; "
+            "apply the point map instead"
         )
 
 
-@dataclass(frozen=True)
-class TDKernelParams:
-    """Time-dependent kernel data: (z_hat, z_hat_dot, u_hat, u_hat_dot, alpha0).
-
-    The Wronskian z_hat_dot*u_hat - u_hat_dot*z_hat must equal 1; this is what
-    makes the forward/inverse pair mutually inverse and the kernel unitary.
-    direction selects which of the two the kernel evaluates.
-    """
-
-    z_hat: float
-    z_hat_dot: float
-    u_hat: float
-    u_hat_dot: float
-    alpha0: float
-    direction: str = "forward"
-
-    def __post_init__(self):
-        if self.alpha0 <= 0.0:
-            raise ValidationError(f"alpha0 must be positive, got {self.alpha0!r}")
-        if self.direction not in ("forward", "inverse"):
-            raise ValidationError(f"unknown direction {self.direction!r}")
-        w = self.wronskian
-        if abs(w - 1.0) > 1e-9:
-            raise ValidationError(
-                f"z_hat_dot*u_hat - u_hat_dot*z_hat = {w!r}, must be 1 within 1e-9"
-            )
-
-    @property
-    def wronskian(self):
-        return self.z_hat_dot * self.u_hat - self.u_hat_dot * self.z_hat
-
-    @classmethod
-    def from_lambda_state(cls, state, alpha0, direction="forward"):
-        return cls(z_hat=state.z_hat, z_hat_dot=state.z_hat_dot,
-                   u_hat=state.u_hat, u_hat_dot=state.u_hat_dot,
-                   alpha0=alpha0, direction=direction)
-
-    def reversed(self):
-        other = "inverse" if self.direction == "forward" else "forward"
-        return TDKernelParams(self.z_hat, self.z_hat_dot, self.u_hat,
-                              self.u_hat_dot, self.alpha0, other)
+def _quadratic_phase(prefactor, coef, a, d, x, y):
+    """prefactor * exp(i * coef * (a*x^2 - 2*x*y + d*y^2)), the one form of
+    both kernels, in a fixed operation order."""
+    return prefactor * np.exp(1j * (coef * (a * x ** 2 - 2.0 * x * y + d * y ** 2)))
 
 
-# ---------------------------------------------------------------------------
-# Time-independent kernel
-# ---------------------------------------------------------------------------
-
-def kernel_ti(params: SymplecticParams, x, x_prime, constants: Constants,
-              b_min=DEFAULT_B_MIN):
+def kernel_ti(matrix: TransformMatrix, x, x_prime, constants: Constants):
     """Evaluate the symplectic-matrix kernel at (x, x').  Vectorizes over
     numpy array arguments.
 
-    Raises DeltaLimitError for |b| <= b_min: in that limit the kernel is the
+    Raises DeltaLimitError for |b| <= B_MIN: in that limit the kernel is the
     delta-function point map x' = a*x and cannot be integrated numerically.
     """
-    b = params.b
-    if abs(b) <= b_min:
-        raise DeltaLimitError(
-            f"|b|={abs(b)!r} <= {b_min}: kernel is a delta function; "
-            "apply the point map x' = a*x instead"
-        )
+    b = matrix.b
+    _require_off_caustic(b)
     hbar = constants.hbar
     prefactor = cmath.sqrt(1.0 / (2.0j * math.pi * hbar * b))
-    phase = (-1.0 / (2.0 * hbar * b)) * (
-        params.a * np.asarray(x) ** 2
-        - 2.0 * np.asarray(x) * np.asarray(x_prime)
-        + params.d * np.asarray(x_prime) ** 2
-    )
-    return prefactor * np.exp(1j * phase)
+    return _quadratic_phase(prefactor, -1.0 / (2.0 * hbar * b), matrix.a, matrix.d,
+                            np.asarray(x), np.asarray(x_prime))
 
 
-def satisfies_kernel_odes(params: SymplecticParams, constants: Constants,
-                          x_probe=None, xp_probe=None, step=1e-5):
+def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants):
     """Residuals of the two defining differential equations of the kernel,
 
         (a*x + b*(hbar/i)*d/dx) K = x' K,
         (c*x + d*(hbar/i)*d/dx) K = -(hbar/i) dK/dx',
 
-    evaluated by central finite differences on a probe grid.  Returns the
-    two maximum absolute residuals, normalized by the kernel magnitude.
+    evaluated by central finite differences (step ODE_STEP) on the ODE_PROBE
+    grid in x and x'.  Returns the two maximum absolute residuals,
+    normalized by the kernel magnitude.
     """
-    if x_probe is None:
-        x_probe = np.linspace(-1.0, 1.0, 5)
-    if xp_probe is None:
-        xp_probe = np.linspace(-1.0, 1.0, 5)
-    x = np.asarray(x_probe, dtype=float)[:, None]
-    xp = np.asarray(xp_probe, dtype=float)[None, :]
+    x = ODE_PROBE[:, None]
+    xp = ODE_PROBE[None, :]
     hbar = constants.hbar
-    h = step
+    h = ODE_STEP
 
-    k0 = kernel_ti(params, x, xp, constants)
-    dk_dx = (kernel_ti(params, x + h, xp, constants)
-             - kernel_ti(params, x - h, xp, constants)) / (2.0 * h)
-    dk_dxp = (kernel_ti(params, x, xp + h, constants)
-              - kernel_ti(params, x, xp - h, constants)) / (2.0 * h)
+    k0 = kernel_ti(matrix, x, xp, constants)
+    dk_dx = (kernel_ti(matrix, x + h, xp, constants)
+             - kernel_ti(matrix, x - h, xp, constants)) / (2.0 * h)
+    dk_dxp = (kernel_ti(matrix, x, xp + h, constants)
+              - kernel_ti(matrix, x, xp - h, constants)) / (2.0 * h)
 
     scale = np.abs(k0)
-    res1 = np.abs(params.a * x * k0 + params.b * (hbar / 1j) * dk_dx - xp * k0)
-    res2 = np.abs(params.c * x * k0 + params.d * (hbar / 1j) * dk_dx
+    res1 = np.abs(matrix.a * x * k0 + matrix.b * (hbar / 1j) * dk_dx - xp * k0)
+    res2 = np.abs(matrix.c * x * k0 + matrix.d * (hbar / 1j) * dk_dx
                   + (hbar / 1j) * dk_dxp)
     return float(np.max(res1 / scale)), float(np.max(res2 / scale))
 
 
-# ---------------------------------------------------------------------------
-# Time-dependent kernel
-# ---------------------------------------------------------------------------
-
-def _kernel_td_forward(params, x, x_prime, constants):
-    z, zd, u = params.z_hat, params.z_hat_dot, params.u_hat
-    a0 = params.alpha0
-    hbar, m = constants.hbar, constants.mass
-    prefactor = cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z))
-    xs = np.asarray(x_prime) / a0
-    phase = (m / (2.0 * hbar * z)) * (
-        zd * np.asarray(x) ** 2 - 2.0 * np.asarray(x) * xs + u * xs ** 2
-    )
-    return prefactor * np.exp(1j * phase)
-
-
-def kernel_td(params: TDKernelParams, x, x_prime, constants: Constants,
-              z_min=DEFAULT_Z_MIN):
-    """Evaluate the time-dependent kernel at (x, x').
+def kernel_td(matrix: TransformMatrix, x, x_prime, constants: Constants,
+              inverse=False):
+    """Evaluate the time-dependent kernel of M = ((zd, -z), (-ud, u)) at
+    (x, x').
 
     forward: x is the evolved coordinate, x' the initial one (scaled by
     1/alpha0 inside, following the parametrization).  inverse: the adjoint,
     conj(K_forward(x', x)), which undoes the forward transform exactly.
 
-    Raises DeltaLimitError for |z_hat| <= z_min (the t -> 0 caustic where
-    the kernel turns into a delta function).
+    Raises DeltaLimitError for |z| <= B_MIN (the t -> 0 caustic where the
+    kernel turns into a delta function).
     """
-    if abs(params.z_hat) <= z_min:
-        raise DeltaLimitError(
-            f"|z_hat|={abs(params.z_hat)!r} <= {z_min}: kernel is a delta "
-            "function; apply the point map instead"
-        )
-    if params.direction == "forward":
-        return _kernel_td_forward(params, x, x_prime, constants)
-    return np.conjugate(_kernel_td_forward(params, x_prime, x, constants))
+    _require_off_caustic(matrix.b)
+    if inverse:
+        x, x_prime = x_prime, x
+    z, a0 = -matrix.b, matrix.alpha0
+    hbar, m = constants.hbar, constants.mass
+    prefactor = cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z))
+    values = _quadratic_phase(prefactor, m / (2.0 * hbar * z), matrix.a, matrix.d,
+                              np.asarray(x), np.asarray(x_prime) / a0)
+    return np.conjugate(values) if inverse else values
 
 
-def ti_kernel_evaluator(params, constants, b_min=DEFAULT_B_MIN):
-    """Closure (x, x') -> K for apply_kernel."""
-    def evaluate(x, x_prime):
-        return kernel_ti(params, x, x_prime, constants, b_min=b_min)
-    return evaluate
-
-
-def td_kernel_evaluator(params, constants, z_min=DEFAULT_Z_MIN):
-    """Closure (x, x') -> K for apply_kernel."""
-    def evaluate(x, x_prime):
-        return kernel_td(params, x, x_prime, constants, z_min=z_min)
-    return evaluate
-
-
-def apply_kernel(kernel, psi_in: ComplexGrid, x_out, coverage_tol=1e-8) -> ComplexGrid:
+def apply_kernel(kernel, psi_in: ComplexGrid, x_out) -> ComplexGrid:
     """psi_out(x) = integral K(x, x') psi_in(x') dx' by trapezoid quadrature.
 
-    kernel is a vectorized callable (x_column, x_prime_row) -> matrix.  If
-    the input grid holds less than 1 - coverage_tol of the probability mass
-    the result is tagged with a coverage warning rather than rejected.
+    kernel is a vectorized callable (x_column, x_prime_row) -> matrix, e.g.
+    functools.partial(kernel_td, matrix, constants=constants).  If the input
+    grid holds less than 1 - COVERAGE_TOL of the probability mass the result
+    is tagged with a coverage warning rather than rejected.
     """
     x_out = np.asarray(x_out, dtype=float)
     if x_out.ndim != 1 or len(x_out) < 2:
@@ -284,7 +189,7 @@ def apply_kernel(kernel, psi_in: ComplexGrid, x_out, coverage_tol=1e-8) -> Compl
 
     warnings = ()
     mass = psi_in.norm() ** 2
-    if mass < 1.0 - coverage_tol:
+    if mass < 1.0 - COVERAGE_TOL:
         warnings = (f"input grid covers only {mass!r} of unit probability mass",)
 
     xp = psi_in.x()

@@ -10,12 +10,15 @@ half-step samples psi(x +- y/2) come from one cubic-spline refinement of
 psi onto the half-step lattice, so y can run over the full grid without
 doubling the input resolution.
 
-Phase-space transport of Gaussian states uses the scaled point map
+Phase-space transport of Gaussian states uses the point map of the
+transformation matrix M = ((a, b), (c, d)) = ((zd, -z), (-ud, u)),
 
-    (x'/alpha0, alpha0*p'/m) = (zd*x - z*p/m, u*p/m - ud*x),
+    (x', p') = (alpha0*(a*x + b*p/m), (m/alpha0)*(c*x + d*p/m)),
 
-i.e. the backward classical flow written in the width-aware parametrization;
-it is canonical exactly when the transformation matrix has determinant 1.
+i.e. the backward classical flow written in the width-aware parametrization
+(x'/alpha0, -alpha0*p'/m) = M (x, p/m), with both sign flips of the second
+component cancelled.  It is canonical exactly when det M = 1, which
+wigner_pointmap requires.
 """
 
 import math
@@ -23,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants
+from .core import Constants, TransformMatrix
 from .kernels import ComplexGrid
 from .packet import Moments
 from .errors import ValidationError
+
+GAUSSIAN_DET_TOL = 1e-6   # wigner_gaussian: |moment det - hbar^2/4| allowed
+POINTMAP_DET_TOL = 1e-9   # wigner_pointmap: |det M - 1| allowed
 
 
 @dataclass(frozen=True)
@@ -93,23 +99,6 @@ class PhaseSpaceGrid:
         )
 
 
-@dataclass(frozen=True)
-class ScaledPhasePoint:
-    """The column vector (x'/alpha0, -alpha0*p'/m) of the matrix relation.
-
-    The sign of the second component follows the matrix equation's left-hand
-    side; physical() undoes the scaling so downstream code never sees it.
-    """
-
-    xi: float
-    pi: float
-    alpha0: float
-    mass: float
-
-    def physical(self):
-        return self.alpha0 * self.xi, -(self.mass / self.alpha0) * self.pi
-
-
 def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpaceGrid:
     """Wigner transform of a gridded wavefunction.
 
@@ -164,7 +153,7 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpace
 
 
 def wigner_gaussian(moments: Moments, mean_x: float, mean_p: float,
-                    constants: Constants, det_tol=1e-6):
+                    constants: Constants):
     """Closed-form Gaussian Wigner function as an evaluator (x, p) -> W.
 
     W = (1/(pi*hbar)) * exp(-(2/hbar^2) * (<p~^2>*xt^2
@@ -174,10 +163,10 @@ def wigner_gaussian(moments: Moments, mean_x: float, mean_p: float,
     hbar = constants.hbar
     det = moments.uncertainty_determinant()
     expected = 0.25 * hbar * hbar
-    if abs(det - expected) > det_tol:
+    if abs(det - expected) > GAUSSIAN_DET_TOL:
         raise ValidationError(
             f"moment determinant {det!r} != hbar^2/4 = {expected!r} "
-            f"beyond {det_tol}"
+            f"beyond {GAUSSIAN_DET_TOL}"
         )
 
     def evaluate(x, p):
@@ -190,35 +179,21 @@ def wigner_gaussian(moments: Moments, mean_x: float, mean_p: float,
     return evaluate
 
 
-def scaled_pointmap(matrix, x, p, constants: Constants):
-    """Map a phase point through the transformation matrix, returning the
-    scaled column vector as a ScaledPhasePoint.
-
-    The matrix relation reads (x'/alpha0, -alpha0*p'/m) = M (x, p/m); the
-    stored pi keeps the left-hand sign, so pi is minus the second component
-    of the product M (x, p/m).
-    """
-    mm = constants.mass
-    xi = matrix.m11 * x + matrix.m12 * (p / mm)
-    pi = -(matrix.m21 * x + matrix.m22 * (p / mm))
-    return ScaledPhasePoint(xi=xi, pi=pi, alpha0=matrix.alpha0, mass=mm)
-
-
-def wigner_pointmap(w0, matrix, x, p, constants: Constants, det_tol=1e-9):
+def wigner_pointmap(w0, matrix: TransformMatrix, x, p, constants: Constants):
     """Transport an initial Wigner function by the symplectic point map:
     W(x, p, t) = W0(x', p') with (x', p') mapped backward through `matrix`.
 
-    Rejects matrices that are not canonical (det != 1, e.g. the frozen-width
-    diagnostic), since the point map is only measure-preserving for det = 1.
+    Rejects matrices that are not canonical (tagged so, like the
+    frozen-width diagnostic, or with |det - 1| > POINTMAP_DET_TOL), since
+    the point map is only measure-preserving for det = 1.
     """
-    if getattr(matrix, "canonical", True) is False:
+    if not matrix.canonical:
         raise ValidationError(
             "matrix is tagged non-canonical and cannot transport Wigner functions"
         )
-    if abs(matrix.det - 1.0) > det_tol:
-        raise ValidationError(
-            f"det = {matrix.det!r} != 1 within {det_tol}: not a canonical map"
-        )
-    point = scaled_pointmap(matrix, np.asarray(x), np.asarray(p), constants)
-    x0, p0 = point.physical()
+    matrix.require_symplectic(POINTMAP_DET_TOL)
+    x, p = np.asarray(x), np.asarray(p)
+    mm, a0 = constants.mass, matrix.alpha0
+    x0 = a0 * (matrix.a * x + matrix.b * (p / mm))
+    p0 = (mm / a0) * (matrix.c * x + matrix.d * (p / mm))
     return w0(x0, p0)

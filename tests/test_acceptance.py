@@ -10,17 +10,17 @@ cross-validation between two implementation routes that share no code path.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
-                             ModulatedOmega, SystemSpec)
+                             ModulatedOmega, SystemSpec, TransformMatrix)
 from wavepacket.evolution import closed_form_lambda, solve_lambda
 from wavepacket.invariants import (canonical_coordinates, det_as_ermakov,
                                    ermakov_invariant, frozen_width_matrix,
                                    matrix_from_state)
-from wavepacket.kernels import (SymplecticParams, TDKernelParams, apply_kernel,
-                                satisfies_kernel_odes, td_kernel_evaluator)
+from wavepacket.kernels import apply_kernel, kernel_td, satisfies_kernel_odes
 from wavepacket.oracle import GridState, compare_states, split_step
 from wavepacket.packet import evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
@@ -137,8 +137,9 @@ def test_criterion_06_representation_triangle():
         psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
         analytic = GridState(evaluate_wavefunction(propagate_analytic(traj, 1), x), 1.0)
 
-        params = TDKernelParams.from_lambda_state(traj[1][0], packet.alpha0)
-        kernel = GridState(apply_kernel(td_kernel_evaluator(params, C), psi0, x), 1.0)
+        matrix = matrix_from_state(traj[1][0], packet.alpha0)
+        kernel = GridState(apply_kernel(partial(kernel_td, matrix, constants=C), psi0, x),
+                           1.0)
         oracle = split_step(GridState(psi0, 0.0), system, 1e-3, 1000)
 
         for a, b in ((analytic, kernel), (analytic, oracle), (kernel, oracle)):
@@ -186,7 +187,7 @@ def test_criterion_07_wigner_transport():
 
 def test_criterion_08_kernel_defining_equations():
     started = time.perf_counter()
-    lattice = [SymplecticParams(a, b, (a * 0.8 - 1.0) / b, 0.8)
+    lattice = [TransformMatrix(a, b, (a * 0.8 - 1.0) / b, 0.8)
                for a in (-1.5, -0.5, 0.0, 0.5, 1.5)
                for b in (0.2, 0.7, 1.3, 2.5)]
     assert len(lattice) == 20
@@ -226,6 +227,5 @@ def test_criterion_10_small_omega_continuity():
     tiny = SystemSpec(C, ConstantOmega(1e-6))
     m_tiny = matrix_from_state(closed_form_lambda(tiny, packet, 1.0), 1.0)
     m_free = matrix_from_state(closed_form_lambda(FREE, packet, 1.0), 1.0)
-    worst = max(abs(a - b) for a, b in zip(sum(m_tiny.entries(), ()),
-                                           sum(m_free.entries(), ())))
+    worst = max(abs(getattr(m_tiny, k) - getattr(m_free, k)) for k in "abcd")
     report("10", "omega -> 0 matrix continuity", worst, 1e-5, started)

@@ -252,6 +252,21 @@ def test_drifting_wronskian_fails_its_check_instead_of_exiting(tmp_path):
     assert report["pass"] is False
 
 
+def test_drifting_wronskian_does_not_stop_kernel_check(tmp_path):
+    """The time-dependent kernel is evaluated whatever det M is; the drift
+    shows only in det_M_drift."""
+    data = dict(BUILTIN_SCENARIOS["ho-breathing"],
+                time={"t_end": 50.0, "dt": 0.05, "sample_every": 10},
+                tasks=["evolve", "invariants", "kernel_check"])
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["invariants"]["checks"]["det_M_drift"]["pass"] is False
+    kernel_checks = report["kernel_check"]["checks"]
+    assert set(kernel_checks) == {"kernel_ode_residual", "kernel_roundtrip_l2"}
+    assert kernel_checks["kernel_roundtrip_l2"]["pass"] is True
+
+
 # ---------------------------------------------------------------------------
 # auxiliary commands
 # ---------------------------------------------------------------------------

@@ -9,19 +9,24 @@ from hypothesis import given, settings, strategies as st
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
-                             omega_at)
+                             TransformMatrix, omega_at)
 from wavepacket.errors import CapabilityError, ValidationError
 from wavepacket.evolution import Trajectory, closed_form_lambda, solve_lambda
-from wavepacket.invariants import (TransformMatrix, canonical_coordinates,
+from wavepacket.invariants import (canonical_coordinates,
                                    det_as_ermakov, energy_partition,
                                    ermakov_invariant, euler_lagrange_residuals,
                                    frozen_width_matrix, matrix_from_classical,
                                    matrix_from_state, uncertainty_hamiltonian)
 from wavepacket.packet import Moments, moments_from_lambda
+from wavepacket.wigner import wigner_gaussian, wigner_pointmap
 
 C = Constants()
 FREE = SystemSpec(C, Free())
 HO = SystemSpec(C, ConstantOmega(1.0))
+
+
+def entries(m):
+    return m.a, m.b, m.c, m.d
 
 
 def solve(system, packet, t_end=10.0, n=100, dt=1e-3):
@@ -31,24 +36,26 @@ def solve(system, packet, t_end=10.0, n=100, dt=1e-3):
 def test_matrix_free_t1():
     s = closed_form_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
     m = matrix_from_state(s, 1.0)
-    assert m.entries() == ((1.0, -1.0), (0.0, 1.0))
+    assert (m.a, m.b, m.c, m.d) == (1.0, -1.0, 0.0, 1.0)
     assert m.det == pytest.approx(1.0, abs=1e-15)
 
 
 def test_matrix_ho_quarter_period_is_rotation():
     s = closed_form_lambda(HO, InitialPacket(0.0, 1.0, 1.0), math.pi / 2.0)
     m = matrix_from_state(s, 1.0)
-    assert m.m11 == pytest.approx(0.0, abs=1e-15)
-    assert m.m12 == pytest.approx(-1.0, abs=1e-15)
-    assert m.m21 == pytest.approx(1.0, abs=1e-15)
-    assert m.m22 == pytest.approx(0.0, abs=1e-15)
+    assert m.a == pytest.approx(0.0, abs=1e-15)
+    assert m.b == pytest.approx(-1.0, abs=1e-15)
+    assert m.c == pytest.approx(1.0, abs=1e-15)
+    assert m.d == pytest.approx(0.0, abs=1e-15)
 
 
 def test_matrix_t0():
     s = closed_form_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
-    assert matrix_from_state(s, 1.0).entries() == ((1.0, 0.0), (0.0, 1.0))
+    m = matrix_from_state(s, 1.0)
+    assert (m.a, m.b, m.c, m.d) == (1.0, 0.0, 0.0, 1.0)
     s2 = closed_form_lambda(FREE, InitialPacket(0.0, 1.0, 2.0), 0.0)
-    assert matrix_from_state(s2, 2.0).entries() == ((0.5, 0.0), (0.0, 2.0))
+    m2 = matrix_from_state(s2, 2.0)
+    assert (m2.a, m2.b, m2.c, m2.d) == (0.5, 0.0, 0.0, 2.0)
 
 
 def test_frozen_width_determinants():
@@ -108,8 +115,8 @@ def test_classical_matrix_matches_lambda_matrix():
     for s, cl in traj.samples:
         m_lam = matrix_from_state(s, packet.alpha0)
         m_cl = matrix_from_classical(cl.eta, cl.eta_dot, s.alpha, s.alpha_dot,
-                                     packet.alpha0, packet.p0, C.mass, t=s.t)
-        for a, b in zip(sum(m_lam.entries(), ()), sum(m_cl.entries(), ())):
+                                     packet.alpha0, packet.p0, C.mass)
+        for a, b in zip(entries(m_lam), entries(m_cl)):
             assert abs(a - b) <= 1e-9
 
 
@@ -221,16 +228,21 @@ def test_small_omega_matrix_limit():
     s_free = closed_form_lambda(FREE, packet, 1.0)
     m_tiny = matrix_from_state(s_tiny, 1.0)
     m_free = matrix_from_state(s_free, 1.0)
-    for a, b in zip(sum(m_tiny.entries(), ()), sum(m_free.entries(), ())):
+    for a, b in zip(entries(m_tiny), entries(m_free)):
         assert abs(a - b) <= 1e-5
 
 
 def test_canonical_matrix_rejects_wrong_determinant():
-    with pytest.raises(ValidationError):
-        TransformMatrix(1.0, 0.0, 0.0, 1.1, alpha0=1.0, t=0.0)
-    # tagged non-canonical constructions are allowed
-    m = TransformMatrix(1.0, 0.0, 0.0, 1.1, alpha0=1.0, t=0.0, canonical=False)
-    assert m.det == pytest.approx(1.1)
+    """Construction never checks det; the point map, which needs det = 1,
+    refuses the matrix, whether or not it is tagged canonical."""
+    w0 = wigner_gaussian(Moments(0.5, 0.5, 0.0), 0.0, 0.0, C)
+    for canonical in (True, False):
+        m = TransformMatrix(1.0, 0.0, 0.0, 1.1, alpha0=1.0, canonical=canonical)
+        assert m.det == pytest.approx(1.1)
+        with pytest.raises(ValidationError):
+            wigner_pointmap(w0, m, 0.0, 0.0, C)
+    with pytest.raises(ValidationError, match="alpha0"):
+        TransformMatrix(1.0, 0.0, 0.0, 1.0, alpha0=0.0)
 
 
 def test_residuals_need_interior_uniform_samples():

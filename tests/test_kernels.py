@@ -2,25 +2,26 @@
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from wavepacket.core import Constants, ConstantOmega, Free, InitialPacket, SystemSpec
+from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
+                             TransformMatrix)
 from wavepacket.errors import DeltaLimitError, ValidationError
 from wavepacket.evolution import solve_lambda
-from wavepacket.kernels import (ComplexGrid, SymplecticParams, TDKernelParams,
-                                apply_kernel, kernel_td, kernel_ti,
-                                satisfies_kernel_odes, td_kernel_evaluator,
-                                ti_kernel_evaluator)
+from wavepacket.invariants import matrix_from_state
+from wavepacket.kernels import (ComplexGrid, apply_kernel, kernel_td, kernel_ti,
+                                satisfies_kernel_odes)
 from wavepacket.packet import evaluate_wavefunction, propagate_analytic
 
 C = Constants()
-FOURIER = SymplecticParams(0.0, 1.0, -1.0, 0.0)
+FOURIER = TransformMatrix(0.0, 1.0, -1.0, 0.0)
 
 # same published lattice the scenario runner sweeps: c closes the determinant
 LATTICE = tuple(
-    SymplecticParams(a, b, (a * 0.8 - 1.0) / b, 0.8)
+    TransformMatrix(a, b, (a * 0.8 - 1.0) / b, 0.8)
     for a in (-1.5, -0.5, 0.0, 0.5, 1.5)
     for b in (0.2, 0.7, 1.3, 2.5)
 )
@@ -44,7 +45,7 @@ def test_fourier_kernel_value():
 
 def test_kernel_ti_delta_limit():
     with pytest.raises(DeltaLimitError):
-        kernel_ti(SymplecticParams(1.0, 1e-10, -1.0, 1.0), 0.0, 0.0, C)
+        kernel_ti(TransformMatrix(1.0, 1e-10, -1.0, 1.0), 0.0, 0.0, C)
 
 
 def test_fourier_kernel_ode_residuals():
@@ -60,7 +61,7 @@ def test_lattice_kernel_ode_residuals(params):
 
 
 def test_non_symplectic_params_caught_by_validator():
-    broken = SymplecticParams(1.0, 1.0, -0.1, 1.0)  # det = 1.1
+    broken = TransformMatrix(1.0, 1.0, -0.1, 1.0)  # det = 1.1
     # the residual evaluation itself still runs ...
     r1, r2 = satisfies_kernel_odes(broken, C)
     assert math.isfinite(r1) and math.isfinite(r2)
@@ -72,23 +73,31 @@ def test_non_symplectic_params_caught_by_validator():
 
 def test_td_kernel_free_exponent_coefficient():
     """Free t=1 (z=1, zd=1, u=1): the x^2 coefficient is i/2 at hbar=m=1."""
-    params = TDKernelParams(z_hat=1.0, z_hat_dot=1.0, u_hat=1.0, u_hat_dot=0.0,
-                            alpha0=1.0)
-    ratio = kernel_td(params, 1.3, 0.0, C) / kernel_td(params, 0.0, 0.0, C)
+    matrix = TransformMatrix(a=1.0, b=-1.0, c=0.0, d=1.0)  # ((zd, -z), (-ud, u))
+    ratio = kernel_td(matrix, 1.3, 0.0, C) / kernel_td(matrix, 0.0, 0.0, C)
     assert ratio == pytest.approx(cmath.exp(0.5j * 1.3 ** 2), rel=1e-12)
 
 
 def test_td_kernel_delta_limit():
-    params = TDKernelParams(z_hat=1e-10, z_hat_dot=1.0, u_hat=1.0,
-                            u_hat_dot=0.0, alpha0=1.0)
+    matrix = TransformMatrix(a=1.0, b=-1e-10, c=0.0, d=1.0)
     with pytest.raises(DeltaLimitError):
-        kernel_td(params, 0.0, 0.0, C)
+        kernel_td(matrix, 0.0, 0.0, C)
+    with pytest.raises(DeltaLimitError):
+        kernel_td(matrix, 0.0, 0.0, C, inverse=True)
 
 
-def test_td_params_require_unit_wronskian():
-    with pytest.raises(ValidationError):
-        TDKernelParams(z_hat=1.0, z_hat_dot=1.0, u_hat=1.0, u_hat_dot=0.5,
-                       alpha0=1.0)
+def test_td_roundtrip_does_not_need_unit_wronskian():
+    """|prefactor|^2 matches the phase's cross term for every z, so the
+    adjoint undoes the forward kernel even when det M = 1.5."""
+    x = np.linspace(-15.0, 15.0, 1024)
+    psi = gaussian_grid(x)
+    matrix = TransformMatrix(a=1.0, b=-1.0, c=0.5, d=1.0, alpha0=1.3)
+    assert matrix.det == 1.5
+    forward = apply_kernel(partial(kernel_td, matrix, constants=C), psi, x)
+    back = apply_kernel(partial(kernel_td, matrix, constants=C, inverse=True),
+                        forward, x)
+    assert abs(forward.norm() - psi.norm()) <= 1e-5
+    assert l2(back.values, psi.values, psi.dx) <= 1e-5
 
 
 @pytest.mark.parametrize("system, packet", [
@@ -103,15 +112,16 @@ def test_td_kernel_reproduces_analytic_packet(system, packet, x=None):
     traj = solve_lambda(system, packet, [0.0, 1.0])
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
     psi1 = evaluate_wavefunction(propagate_analytic(traj, 1), x)
-    params = TDKernelParams.from_lambda_state(traj[1][0], packet.alpha0)
-    out = apply_kernel(td_kernel_evaluator(params, C), psi0, x)
+    matrix = matrix_from_state(traj[1][0], packet.alpha0)
+    out = apply_kernel(partial(kernel_td, matrix, constants=C), psi0, x)
     assert l2(out.values, psi1.values, psi0.dx) <= 1e-6
 
 
 def test_fourier_of_gaussian_has_reciprocal_width():
     x = np.linspace(-15.0, 15.0, 1024)
     sigma = 1.4
-    out = apply_kernel(ti_kernel_evaluator(FOURIER, C), gaussian_grid(x, sigma), x)
+    out = apply_kernel(partial(kernel_ti, FOURIER, constants=C),
+                       gaussian_grid(x, sigma), x)
     expected = (sigma ** 2 / math.pi) ** 0.25 * np.exp(-sigma ** 2 * x ** 2 / 2.0)
     assert np.max(np.abs(np.abs(out.values) - expected)) <= 1e-6
     assert abs(out.norm() - 1.0) <= 1e-5
@@ -120,9 +130,8 @@ def test_fourier_of_gaussian_has_reciprocal_width():
 def test_apply_kernel_unitarity():
     x = np.linspace(-15.0, 15.0, 1024)
     psi = gaussian_grid(x)
-    for evaluator in (ti_kernel_evaluator(SymplecticParams(0.8, 1.1, (0.8 * 1.2 - 1) / 1.1, 1.2), C),
-                      ti_kernel_evaluator(FOURIER, C)):
-        out = apply_kernel(evaluator, psi, x)
+    for matrix in (TransformMatrix(0.8, 1.1, (0.8 * 1.2 - 1) / 1.1, 1.2), FOURIER):
+        out = apply_kernel(partial(kernel_ti, matrix, constants=C), psi, x)
         assert abs(out.norm() - psi.norm()) <= 1e-5
 
 
@@ -132,9 +141,10 @@ def test_td_forward_inverse_roundtrip():
     packet = InitialPacket(0.0, 1.0, 1.3)
     traj = solve_lambda(system, packet, [0.0, 1.0])
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-    params = TDKernelParams.from_lambda_state(traj[1][0], packet.alpha0)
-    forward = apply_kernel(td_kernel_evaluator(params, C), psi0, x)
-    back = apply_kernel(td_kernel_evaluator(params.reversed(), C), forward, x)
+    matrix = matrix_from_state(traj[1][0], packet.alpha0)
+    forward = apply_kernel(partial(kernel_td, matrix, constants=C), psi0, x)
+    back = apply_kernel(partial(kernel_td, matrix, constants=C, inverse=True),
+                        forward, x)
     assert l2(back.values, psi0.values, psi0.dx) <= 1e-5
 
 
@@ -144,14 +154,14 @@ def test_group_property():
     x = np.linspace(-12.0, 12.0, 1024)
     dx = float(x[1] - x[0])
     psi = gaussian_grid(x)
-    m1 = SymplecticParams(0.8, 1.1, (0.8 * 1.2 - 1.0) / 1.1, 1.2)
-    m2 = SymplecticParams(1.4, -0.9, (1.4 * 0.6 - 1.0) / -0.9, 0.6)
+    m1 = TransformMatrix(0.8, 1.1, (0.8 * 1.2 - 1.0) / 1.1, 1.2)
+    m2 = TransformMatrix(1.4, -0.9, (1.4 * 0.6 - 1.0) / -0.9, 0.6)
     product = m2.matmul(m1)
     assert abs(product.b) > 0.1
 
-    composed = apply_kernel(ti_kernel_evaluator(m1, C),
-                            apply_kernel(ti_kernel_evaluator(m2, C), psi, x), x)
-    direct = apply_kernel(ti_kernel_evaluator(product, C), psi, x)
+    composed = apply_kernel(partial(kernel_ti, m1, constants=C),
+                            apply_kernel(partial(kernel_ti, m2, constants=C), psi, x), x)
+    direct = apply_kernel(partial(kernel_ti, product, constants=C), psi, x)
 
     overlap = complex(np.trapezoid(np.conjugate(composed.values) * direct.values, dx=dx))
     aligned = math.sqrt(max(composed.norm() ** 2 + direct.norm() ** 2
@@ -162,7 +172,7 @@ def test_group_property():
 def test_apply_kernel_coverage_warning():
     x_narrow = np.linspace(-1.0, 1.0, 256)
     psi = gaussian_grid(x_narrow)  # heavy tails outside
-    out = apply_kernel(ti_kernel_evaluator(FOURIER, C), psi, x_narrow)
+    out = apply_kernel(partial(kernel_ti, FOURIER, constants=C), psi, x_narrow)
     assert any("mass" in w for w in out.warnings)
 
 

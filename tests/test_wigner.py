@@ -1,19 +1,21 @@
 """Tests for the Wigner transform, closed form, and phase-space transport."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from wavepacket.core import Constants, ConstantOmega, Free, InitialPacket, SystemSpec
+from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
+                             TransformMatrix)
 from wavepacket.errors import ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import frozen_width_matrix, matrix_from_state
-from wavepacket.kernels import SymplecticParams, apply_kernel, ti_kernel_evaluator
+from wavepacket.kernels import apply_kernel, kernel_ti
 from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
-from wavepacket.wigner import (PhaseSpaceGrid, scaled_pointmap, wigner_gaussian,
-                               wigner_numeric, wigner_pointmap)
+from wavepacket.wigner import (PhaseSpaceGrid, wigner_gaussian, wigner_numeric,
+                               wigner_pointmap)
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -58,8 +60,8 @@ def test_momentum_marginal_matches_fourier_density():
     """integral W dx equals the momentum density from the Fourier-type kernel."""
     _, psi, full, _, _ = transform_setup(HO, InitialPacket(0.0, 1.0, 1.0), 1.0)
     p = full.p()
-    to_momentum = SymplecticParams(0.0, -1.0, 1.0, 0.0)
-    psi_tilde = apply_kernel(ti_kernel_evaluator(to_momentum, C), psi, p)
+    to_momentum = TransformMatrix(0.0, -1.0, 1.0, 0.0)
+    psi_tilde = apply_kernel(partial(kernel_ti, to_momentum, constants=C), psi, p)
     assert np.max(np.abs(full.marginal_p() - np.abs(psi_tilde.values) ** 2)) <= 1e-5
 
 
@@ -127,8 +129,8 @@ def test_pointmap_is_rigid_rotation_for_constant_width():
     matrix = matrix_from_state(traj[1][0], packet.alpha0)
     ct, st = math.cos(t), math.sin(t)
     for x, p in ((0.3, -0.8), (1.5, 0.2)):
-        point = scaled_pointmap(matrix, x, p, C)
-        x0, p0 = point.physical()
+        # an "initial Wigner function" that returns its arguments exposes the map
+        x0, p0 = wigner_pointmap(lambda x0, p0: (x0, p0), matrix, x, p, C)
         assert x0 == pytest.approx(ct * x - st * p, abs=1e-9)
         assert p0 == pytest.approx(st * x + ct * p, abs=1e-9)
 
