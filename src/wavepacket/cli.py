@@ -16,7 +16,10 @@ Outputs (all LF line endings, full double precision via repr):
     wigner_t<id>.dat matrix (rows = p index, columns = x index) preceded by
                      '#' metadata lines
     report.json      invariant report with per-sample records, summaries and
-                     pass/fail against the configured tolerances
+                     pass/fail against the configured tolerances; each
+                     wigner, kernel_check and oracle_compare section lists
+                     the warnings of its numerics, and warned_sections
+                     counts the sections whose list is not empty
 """
 
 import argparse
@@ -24,7 +27,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,8 @@ from .invariants import (canonical_coordinates, det_as_ermakov, energy_partition
                          ermakov_invariant, euler_lagrange_residuals,
                          frozen_width_matrix, matrix_from_state,
                          uncertainty_hamiltonian)
-from .kernels import apply_kernel, kernel_td, satisfies_kernel_odes
+from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
+                      satisfies_kernel_odes)
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analytic
 from .wigner import wigner_numeric
@@ -56,6 +59,7 @@ TOLERANCE_PROFILES = {
         "oracle_aligned_l2": 1e-5,
         "kernel_ode_residual": 1e-5,
         "kernel_roundtrip_l2": 1e-5,
+        "kernel_vs_analytic_l2": 1e-5,
     },
     "strict": {
         "det_drift": 1e-10,
@@ -66,6 +70,7 @@ TOLERANCE_PROFILES = {
         "oracle_aligned_l2": 1e-6,
         "kernel_ode_residual": 1e-6,
         "kernel_roundtrip_l2": 1e-6,
+        "kernel_vs_analytic_l2": 1e-6,
     },
 }
 
@@ -425,6 +430,7 @@ def _wigner_task(config, traj, indices):
             "min": float(grid.values.min()),
             "integral": full.integral(),
             "marginal_x_max_err": marginal_err,
+            "warnings": list(grid.warnings),
         })
     return outputs
 
@@ -440,22 +446,28 @@ def _kernel_check_task(config, traj, tol):
     state, _ = traj[-1]
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
+    psi_t = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
     matrix = matrix_from_state(state, config.packet.alpha0)
-    forward = apply_kernel(partial(kernel_td, matrix, constants=c), psi0, x)
-    back = apply_kernel(partial(kernel_td, matrix, constants=c, inverse=True),
-                        forward, x)
+    forward = apply_kernel(kernel_td(matrix, c), psi0, x)
+    back = apply_kernel(kernel_td(matrix, c, inverse=True), forward, x)
     roundtrip = math.sqrt(float(np.trapezoid(
         np.abs(back.values - psi0.values) ** 2, dx=psi0.dx)))
     unitarity = abs(forward.norm() - psi0.norm())
+    # the round trip is exact for any adjoint pair, so only this sees a
+    # forward kernel that propagates to the wrong packet
+    vs_analytic = phase_aligned_l2(forward, psi_t)
 
     return {
         "ti_lattice_size": len(KERNEL_CHECK_LATTICE),
         "ti_ode_max_residual": worst,
         "td_roundtrip_l2": roundtrip,
         "td_unitarity_defect": unitarity,
+        "kernel_vs_analytic_l2": vs_analytic,
+        "warnings": list(back.warnings + psi_t.warnings),
         "checks": {
             "kernel_ode_residual": _check(worst, tol["kernel_ode_residual"]),
             "kernel_roundtrip_l2": _check(roundtrip, tol["kernel_roundtrip_l2"]),
+            "kernel_vs_analytic_l2": _check(vs_analytic, tol["kernel_vs_analytic_l2"]),
         },
     }
 
@@ -479,6 +491,7 @@ def _oracle_task(config, traj, tol):
             "var_x": moment_errors[2], "var_p": moment_errors[3],
             "corr": moment_errors[4],
         },
+        "warnings": list(evolved.grid.warnings),
         "checks": {
             "oracle_aligned_l2": _check(aligned, tol["oracle_aligned_l2"]),
         },
@@ -531,6 +544,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
             for name, entry in report[section]["checks"].items():
                 all_checks[name] = entry["pass"]
     report["pass"] = bool(all(all_checks.values())) if all_checks else True
+    sections = report.get("wigner", []) + [
+        report[name] for name in ("kernel_check", "oracle_compare") if name in report]
+    report["warned_sections"] = sum(1 for section in sections if section["warnings"])
     return report, wigner_grids
 
 

@@ -1,12 +1,13 @@
 """Configuration-space propagator kernels and their quadrature application.
 
 Both kernels are the quadratic-phase kernel of one core.TransformMatrix
-M = ((a, b), (c, d)) (Littlejohn, Phys. Rep. 138, 193 (1986)), evaluated by
-one body,
+M = ((a, b), (c, d)) (Littlejohn, Phys. Rep. 138, 193 (1986)), held as one
+QuadraticPhaseKernel record,
 
-    K(x, x') = prefactor * exp(i * coef * (A*x^2 - 2*x*y + D*y^2)).
+    K(x, x') = prefactor * exp(i * coef * (A*x^2 - 2*x*y + D*y^2)),
+    y = x'/scale,
 
-They differ in how they read M:
+and its adjoint conj(K(x', x)).  They differ in how they read M:
 
 * kernel_ti, the time-independent kernel of a symplectic matrix:
   A = a, D = d, y = x', coef = -1/(2*hbar*b) and the paper's prefactor
@@ -32,6 +33,16 @@ It is the exact functional inverse of the forward transform for every z:
 |prefactor|^2 = m/(2*pi*hbar*alpha0*|z|) matches the cross-term
 coefficient m/(hbar*alpha0*z) of the phase, so the round trip holds
 whatever det M is.
+
+apply_kernel sums K(x_i, x'_j) * w_j * psi(x'_j) over the trapezoid weights
+w_j of the input grid without forming the matrix K(x_i, x'_j).  On uniform
+grids x_i = u0 + i*du and y_j = v0 + j*dv the cross term splits by
+i*j = (i^2 + j^2 - (i - j)^2)/2, so the sum is a chirp-z transform
+(Rabiner, Schafer and Rader, 1969): a pre-chirp on the weighted input, one
+linear convolution with the chirp exp(i*coef*du*dv*k^2), k = i - j, done by
+FFT at the next power of two >= n_in + n_out - 1 (Bluestein's algorithm),
+and a post-chirp.  It is the same quadrature sum up to rounding, in
+O((n_in + n_out) log(n_in + n_out)) time and O(n_in + n_out) memory.
 """
 
 import cmath
@@ -47,6 +58,7 @@ B_MIN = 1e-8           # |b| at or below which a kernel is a delta function
 COVERAGE_TOL = 1e-8    # apply_kernel warns below 1 - COVERAGE_TOL input mass
 ODE_PROBE = np.linspace(-1.0, 1.0, 5)  # x and x' of the defining-equation check
 ODE_STEP = 1e-5        # its central-difference step
+UNIFORM_ULPS = 8       # uniform_step: spacing error allowed, in ulps of max|x|
 
 
 @dataclass(frozen=True)
@@ -86,10 +98,44 @@ class ComplexGrid:
                            self.warnings + (message,))
 
 
+def phase_aligned_l2(a: ComplexGrid, b: ComplexGrid) -> float:
+    """min over theta of the trapezoid L2 norm of a - e^(i*theta)*b, for two
+    grids of the same points; neither needs unit norm."""
+    dx = a.dx
+    # the minimizing phase is -arg(overlap); the difference is integrated
+    # directly, since ||a||^2 + ||b||^2 - 2|overlap| cancels below ~1e-8.
+    # The overlap is formed in real arithmetic so that it is exactly real for
+    # b = a (a fused complex multiply leaves a rounding-size imaginary part).
+    ar, ai = a.values.real, a.values.imag
+    br, bi = b.values.real, b.values.imag
+    overlap = complex(np.trapezoid(ar * br + ai * bi, dx=dx),
+                      np.trapezoid(ar * bi - ai * br, dx=dx))
+    aligned_diff = a.values - np.exp(-1j * cmath.phase(overlap)) * b.values
+    return math.sqrt(float(np.trapezoid(np.abs(aligned_diff) ** 2, dx=dx)))
+
+
 def trapezoid_weights(n, dx):
     w = np.full(n, dx)
     w[0] = w[-1] = 0.5 * dx
     return w
+
+
+def uniform_step(x, name):
+    """The step of a uniform increasing 1-D grid x of >= 2 points.
+
+    Each spacing may differ from x[1] - x[0] by 1e-12 of the step plus
+    UNIFORM_ULPS ulps of max|x|: np.linspace rounds every point to the
+    resolution of its magnitude, which on a fine grid far from 0 exceeds any
+    fixed fraction of the step.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < 2:
+        raise ValidationError(f"{name} must be a 1-D grid with >= 2 points")
+    dx = float(x[1] - x[0])
+    atol = 1e-12 * abs(dx) + UNIFORM_ULPS * np.spacing(max(abs(x[0]), abs(x[-1])))
+    if not (dx > 0.0 and np.all(np.abs(np.diff(x) - dx) <= atol)):
+        raise ValidationError(f"{name} must be uniform and increasing")
+    return dx
 
 
 def _require_off_caustic(b):
@@ -100,15 +146,36 @@ def _require_off_caustic(b):
         )
 
 
-def _quadratic_phase(prefactor, coef, a, d, x, y):
-    """prefactor * exp(i * coef * (a*x^2 - 2*x*y + d*y^2)), the one form of
-    both kernels, in a fixed operation order."""
-    return prefactor * np.exp(1j * (coef * (a * x ** 2 - 2.0 * x * y + d * y ** 2)))
+@dataclass(frozen=True)
+class QuadraticPhaseKernel:
+    """K(x, x') = prefactor * exp(i * coef * (a*x^2 - 2*x*y + d*y^2)) with
+    y = x'/scale (y = x' when scale is None), or, when adjoint is set, its
+    adjoint conj(K(x', x)).
+
+    Calling it evaluates pointwise, vectorized over numpy arguments, in a
+    fixed operation order; apply_kernel reads the fields instead.
+    """
+
+    prefactor: complex
+    coef: float
+    a: float
+    d: float
+    scale: float = None
+    adjoint: bool = False
+
+    def __call__(self, x, x_prime):
+        if self.adjoint:
+            x, x_prime = x_prime, x
+        x, y = np.asarray(x), np.asarray(x_prime)
+        if self.scale is not None:
+            y = y / self.scale
+        values = self.prefactor * np.exp(
+            1j * (self.coef * (self.a * x ** 2 - 2.0 * x * y + self.d * y ** 2)))
+        return np.conjugate(values) if self.adjoint else values
 
 
-def kernel_ti(matrix: TransformMatrix, x, x_prime, constants: Constants):
-    """Evaluate the symplectic-matrix kernel at (x, x').  Vectorizes over
-    numpy array arguments.
+def kernel_ti(matrix: TransformMatrix, constants: Constants) -> QuadraticPhaseKernel:
+    """The symplectic-matrix kernel K(x, x').
 
     Raises DeltaLimitError for |b| <= B_MIN: in that limit the kernel is the
     delta-function point map x' = a*x and cannot be integrated numerically.
@@ -116,9 +183,8 @@ def kernel_ti(matrix: TransformMatrix, x, x_prime, constants: Constants):
     b = matrix.b
     _require_off_caustic(b)
     hbar = constants.hbar
-    prefactor = cmath.sqrt(1.0 / (2.0j * math.pi * hbar * b))
-    return _quadratic_phase(prefactor, -1.0 / (2.0 * hbar * b), matrix.a, matrix.d,
-                            np.asarray(x), np.asarray(x_prime))
+    return QuadraticPhaseKernel(prefactor=cmath.sqrt(1.0 / (2.0j * math.pi * hbar * b)),
+                                coef=-1.0 / (2.0 * hbar * b), a=matrix.a, d=matrix.d)
 
 
 def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants):
@@ -135,12 +201,11 @@ def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants):
     xp = ODE_PROBE[None, :]
     hbar = constants.hbar
     h = ODE_STEP
+    kernel = kernel_ti(matrix, constants)
 
-    k0 = kernel_ti(matrix, x, xp, constants)
-    dk_dx = (kernel_ti(matrix, x + h, xp, constants)
-             - kernel_ti(matrix, x - h, xp, constants)) / (2.0 * h)
-    dk_dxp = (kernel_ti(matrix, x, xp + h, constants)
-              - kernel_ti(matrix, x, xp - h, constants)) / (2.0 * h)
+    k0 = kernel(x, xp)
+    dk_dx = (kernel(x + h, xp) - kernel(x - h, xp)) / (2.0 * h)
+    dk_dxp = (kernel(x, xp + h) - kernel(x, xp - h)) / (2.0 * h)
 
     scale = np.abs(k0)
     res1 = np.abs(matrix.a * x * k0 + matrix.b * (hbar / 1j) * dk_dx - xp * k0)
@@ -149,52 +214,79 @@ def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants):
     return float(np.max(res1 / scale)), float(np.max(res2 / scale))
 
 
-def kernel_td(matrix: TransformMatrix, x, x_prime, constants: Constants,
-              inverse=False):
-    """Evaluate the time-dependent kernel of M = ((zd, -z), (-ud, u)) at
-    (x, x').
+def kernel_td(matrix: TransformMatrix, constants: Constants,
+              inverse=False) -> QuadraticPhaseKernel:
+    """The time-dependent kernel of M = ((zd, -z), (-ud, u)).
 
-    forward: x is the evolved coordinate, x' the initial one (scaled by
-    1/alpha0 inside, following the parametrization).  inverse: the adjoint,
-    conj(K_forward(x', x)), which undoes the forward transform exactly.
+    forward: K(x, x') maps the initial coordinate x' (scaled by 1/alpha0
+    inside, following the parametrization) to the evolved coordinate x.
+    inverse: the adjoint, conj(K_forward(x', x)), which undoes the forward
+    transform exactly.
 
     Raises DeltaLimitError for |z| <= B_MIN (the t -> 0 caustic where the
     kernel turns into a delta function).
     """
     _require_off_caustic(matrix.b)
-    if inverse:
-        x, x_prime = x_prime, x
     z, a0 = -matrix.b, matrix.alpha0
     hbar, m = constants.hbar, constants.mass
-    prefactor = cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z))
-    values = _quadratic_phase(prefactor, m / (2.0 * hbar * z), matrix.a, matrix.d,
-                              np.asarray(x), np.asarray(x_prime) / a0)
-    return np.conjugate(values) if inverse else values
+    return QuadraticPhaseKernel(prefactor=cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z)),
+                                coef=m / (2.0 * hbar * z), a=matrix.a, d=matrix.d,
+                                scale=a0, adjoint=inverse)
 
 
-def apply_kernel(kernel, psi_in: ComplexGrid, x_out) -> ComplexGrid:
-    """psi_out(x) = integral K(x, x') psi_in(x') dx' by trapezoid quadrature.
+def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> ComplexGrid:
+    """psi_out(x) = integral K(x, x') psi_in(x') dx' by trapezoid quadrature,
+    summed as a chirp-z transform (see the module docstring).
 
-    kernel is a vectorized callable (x_column, x_prime_row) -> matrix, e.g.
-    functools.partial(kernel_td, matrix, constants=constants).  If the input
-    grid holds less than 1 - COVERAGE_TOL of the probability mass the result
-    is tagged with a coverage warning rather than rejected.
+    x_out must be uniform.  If the input grid holds less than
+    1 - COVERAGE_TOL of the probability mass the result is tagged with a
+    coverage warning rather than rejected.
     """
+    dx_out = uniform_step(x_out, "x_out")
     x_out = np.asarray(x_out, dtype=float)
-    if x_out.ndim != 1 or len(x_out) < 2:
-        raise ValidationError("x_out must be a 1-D grid with >= 2 points")
-    dx_out = float(x_out[1] - x_out[0])
-    if not np.allclose(np.diff(x_out), dx_out, rtol=0.0, atol=1e-12 * abs(dx_out)):
-        raise ValidationError("x_out must be uniform")
+    n_out, n_in = len(x_out), psi_in.n
+    x_min_out = float(x_out[0])
+    # the end-to-end step places u_i within a few ulps of x_out[i]; the phase
+    # is steep enough in x that i*(x_out[1] - x_out[0]) can drift visibly
+    step_out = float(x_out[-1] - x_out[0]) / (n_out - 1)
 
     warnings = ()
     mass = psi_in.norm() ** 2
     if mass < 1.0 - COVERAGE_TOL:
         warnings = (f"input grid covers only {mass!r} of unit probability mass",)
 
-    xp = psi_in.x()
-    matrix = kernel(x_out[:, None], xp[None, :])
-    weights = trapezoid_weights(psi_in.n, psi_in.dx)
-    values = matrix @ (weights * psi_in.values)
-    return ComplexGrid(x_min=float(x_out[0]), dx=dx_out, values=values,
+    # phase coef*(a_out*u^2 - 2*u*v + d_in*v^2) over output u_i = u0 + i*du and
+    # input v_j = v0 + j*dv; the adjoint swaps the roles of a and d and of the
+    # scaled coordinate, and conjugates
+    s = 1.0 if kernel.scale is None else kernel.scale
+    if kernel.adjoint:
+        prefactor, coef = kernel.prefactor.conjugate(), -kernel.coef
+        a_out, d_in = kernel.d, kernel.a
+        u0, du, v0, dv = x_min_out / s, step_out / s, psi_in.x_min, psi_in.dx
+    else:
+        prefactor, coef = kernel.prefactor, kernel.coef
+        a_out, d_in = kernel.a, kernel.d
+        u0, du, v0, dv = x_min_out, step_out, psi_in.x_min / s, psi_in.dx / s
+
+    # -2*u_i*v_j = -2*u0*v_j - 2*v0*du*i - du*dv*(i^2 + j^2 - (i - j)^2)
+    w = coef * du * dv
+    i = np.arange(n_out, dtype=float)
+    j = np.arange(n_in, dtype=float)
+    u = u0 + du * i
+    v = v0 + dv * j
+    weighted = (np.exp(1j * (coef * (d_in * v * v - 2.0 * u0 * v) - w * j * j))
+                * (trapezoid_weights(n_in, psi_in.dx) * psi_in.values))
+
+    # circular convolution with exp(i*w*k^2), k = i - j; lags k >= 0 sit at
+    # index k and k < 0 at size + k, the entries in between reach no output
+    # i < n_out
+    size = 1 << (n_in + n_out - 2).bit_length()
+    k = np.arange(size, dtype=float)
+    k[n_out:] -= size
+    chirp = np.fft.fft(np.exp(1j * (w * (k * k))))
+    summed = np.fft.ifft(np.fft.fft(weighted, size) * chirp)[:n_out]
+
+    values = prefactor * np.exp(1j * (coef * (a_out * u * u - 2.0 * v0 * du * i)
+                                      - w * i * i)) * summed
+    return ComplexGrid(x_min=x_min_out, dx=dx_out, values=values,
                        warnings=psi_in.warnings + warnings)

@@ -17,14 +17,13 @@ once per block of steps rather than every step.  Accuracy is second order
 in dt.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SystemSpec, omega_at
-from .kernels import ComplexGrid
+from .kernels import ComplexGrid, phase_aligned_l2
 from .errors import DivergenceError, GridMismatchError, ResolutionError, ValidationError
 
 FINITE_CHECK_EVERY = 64  # steps between scans of the state for non-finite values
@@ -182,20 +181,9 @@ def compare_states(a: GridState, b: GridState, hbar=1.0):
     ga, gb = a.grid, b.grid
     if ga.n != gb.n or ga.x_min != gb.x_min or ga.dx != gb.dx:
         raise GridMismatchError("states must share a grid")
-    dx = ga.dx
     diff = ga.values - gb.values
-    l2 = math.sqrt(float(np.trapezoid(np.abs(diff) ** 2, dx=dx)))
-
-    # the minimizing phase is -arg(overlap); the difference is integrated
-    # directly, since ||a||^2 + ||b||^2 - 2|overlap| cancels below ~1e-8.
-    # The overlap is formed in real arithmetic so that it is exactly real for
-    # b = a (a fused complex multiply leaves a rounding-size imaginary part).
-    ar, ai = ga.values.real, ga.values.imag
-    br, bi = gb.values.real, gb.values.imag
-    overlap = complex(np.trapezoid(ar * br + ai * bi, dx=dx),
-                      np.trapezoid(ar * bi - ai * br, dx=dx))
-    aligned_diff = ga.values - np.exp(-1j * cmath.phase(overlap)) * gb.values
-    aligned = math.sqrt(float(np.trapezoid(np.abs(aligned_diff) ** 2, dx=dx)))
+    l2 = math.sqrt(float(np.trapezoid(np.abs(diff) ** 2, dx=ga.dx)))
+    aligned = phase_aligned_l2(ga, gb)
 
     ma = quadrature_moments(ga, hbar)
     mb = quadrature_moments(gb, hbar)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Constants
 from .evolution import LambdaState, Trajectory
-from .kernels import ComplexGrid
+from .kernels import ComplexGrid, uniform_step
 from .errors import ValidationError
 
 
@@ -108,12 +108,8 @@ def evaluate_wavefunction(packet: GaussianPacket, x_grid) -> ComplexGrid:
     Attaches a coverage warning when the grid holds less than 1 - 1e-6 of
     the probability mass (trapezoid estimate).
     """
+    dx = uniform_step(x_grid, "x_grid")
     x = np.asarray(x_grid, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise ValidationError("x_grid must be a 1-D grid with >= 2 points")
-    dx = float(x[1] - x[0])
-    if dx <= 0.0 or not np.allclose(np.diff(x), dx, rtol=0.0, atol=1e-12 * dx):
-        raise ValidationError("x_grid must be uniform and increasing")
 
     c = packet.constants
     xt = x - packet.mean_x

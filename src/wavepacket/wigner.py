@@ -5,10 +5,21 @@ The transform of a wavefunction,
     W(x, p) = (1/(2*pi*hbar)) * integral dy exp(i*p*y/hbar)
               * conj(psi(x + y/2)) * psi(x - y/2),
 
-is computed per x row by direct Fourier evaluation over the y offset.  The
-half-step samples psi(x +- y/2) come from one cubic-spline refinement of
-psi onto the half-step lattice, so y can run over the full grid without
-doubling the input resolution.
+is a trapezoid sum over the offsets y_j = j*dx that the grid of psi holds
+on both sides of each x_i.  The half-step samples psi(x +- y/2) come from
+one spectral refinement of psi onto the half-step lattice: the DFT of psi,
+zero-padded to twice its length, so psi is interpolated by its own band of
+frequencies (exact for a band-limited psi that is negligible at both ends
+of its grid, as a Gaussian sampled to many widths is).  The correlation
+corr_j = conj(psi(x + y_j/2)) * psi(x - y_j/2) is Hermitian in j,
+corr_-j = conj(corr_j), so only j >= 0 is summed:
+
+    W(x_i, p) = (dx/(2*pi*hbar)) * (corr_0 + 2*Re sum_{j>=1} exp(i*p*y_j/hbar)*corr_j),
+
+and the real part of each complex product is one real dot product of
+(cos, sin) with (Re, -Im) of corr_j.  The sum over j is one BLAS product
+per fixed block of x rows, so the working memory is the
+(n_p x (n - 1)) complex phase matrix plus one block.
 
 Phase-space transport of Gaussian states uses the point map of the
 transformation matrix M = ((a, b), (c, d)) = ((zd, -z), (-ud, u)),
@@ -33,6 +44,7 @@ from .errors import ValidationError
 
 GAUSSIAN_DET_TOL = 1e-6   # wigner_gaussian: |moment det - hbar^2/4| allowed
 POINTMAP_DET_TOL = 1e-9   # wigner_pointmap: |det M - 1| allowed
+WIGNER_BLOCK = 32         # wigner_numeric: x rows per BLAS product
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,30 @@ class PhaseSpaceGrid:
         )
 
 
+def _half_step_refine(values):
+    """psi on the half-step lattice, psi_half[k] = psi(x_min + k*dx/2) for
+    k = 0 .. 2n - 2, by zero-padding the DFT of psi to length 2n; an even n
+    splits its Nyquist bin between +-n/2."""
+    n = len(values)
+    spectrum = np.fft.fft(values)
+    padded = np.zeros(2 * n, dtype=complex)
+    h = (n + 1) // 2
+    padded[:h] = spectrum[:h]
+    padded[h - n:] = spectrum[h:]
+    if n % 2 == 0:
+        padded[h - n] *= 0.5
+        padded[h] = padded[h - n]
+    return 2.0 * np.fft.ifft(padded)[:2 * n - 1]
+
+
 def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpaceGrid:
     """Wigner transform of a gridded wavefunction.
 
     p_grid is (p_min, dp, n_p).  The x grid of the output is the grid of
-    psi.  Attaches warnings when psi is not normalized to 1e-6 or when the
-    requested momenta exceed what the y sampling can resolve (Nyquist).
+    psi, which should extend far enough that psi is negligible at both ends
+    (the refinement treats psi as periodic).  Attaches warnings when psi is
+    not normalized to 1e-6 or when the requested momenta exceed what the y
+    sampling can resolve (Nyquist).
     """
     p_min, dp, n_p = p_grid
     if dp <= 0.0 or n_p < 2:
@@ -126,27 +156,38 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpace
             f"p grid extends to {p_abs_max!r}, beyond the hbar*pi/dy = "
             f"{hbar * math.pi / dx!r} the y sampling resolves (aliasing)",)
 
-    # imported here, not at module level: it is the only scipy use and
-    # most of the package's import time
-    from scipy.interpolate import CubicSpline
+    # phases[:, j-1] = exp(i*p*y_j/hbar) for y_j = j*dx, j = 1 .. m, read as
+    # real (n_p, 2m) with columns cos, sin interleaved; the sines slot holds
+    # the arguments first, so no other (n_p, m) array is allocated
+    m = n - 1
+    phases = np.empty((n_p, m), dtype=complex)
+    trig = phases.view(float)
+    np.multiply.outer(p / hbar, dx * np.arange(1, n), out=trig[:, 1::2])
+    np.cos(trig[:, 1::2], out=trig[:, 0::2])
+    np.sin(trig[:, 1::2], out=trig[:, 1::2])
 
-    # one spline refinement onto the half-step lattice: psi_half[k] = psi(x_min + k*dx/2)
-    x = psi.x()
-    spline = CubicSpline(x, psi.values)
-    x_half = psi.x_min + 0.5 * dx * np.arange(2 * n - 1)
-    psi_half = spline(x_half)
+    # psi_half padded by m zeros on each side: row i of `plus` holds
+    # psi(x_i + y_j/2) and of `minus` psi(x_i - y_j/2), j = 1 .. m, as strided
+    # views; offsets past either end of the grid read the zeros
+    padded = np.zeros(4 * n - 3, dtype=complex)
+    padded[m:3 * n - 2] = _half_step_refine(psi.values)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, m)
+    plus = windows[m + 1::2][:n]
+    minus = windows[::2, ::-1][:n]
 
-    # x_i + y_j/2 -> half-lattice index 2i + j, valid while 0 <= 2i+j <= 2n-2
-    offsets = np.arange(-(n - 1), n)           # y_j = j*dx
-    phases = np.exp(1j * np.outer(p, offsets * dx) / hbar)  # (n_p, n_y)
     values = np.empty((n_p, n))
-    for i in range(n):
-        j_max = min(2 * i, 2 * (n - 1 - i))
-        sl = slice(n - 1 - j_max, n + j_max)
-        idx = offsets[sl]
-        corr = np.conjugate(psi_half[2 * i + idx]) * psi_half[2 * i - idx]
-        row = phases[:, sl] @ corr
-        values[:, i] = row.real * (dx / (2.0 * math.pi * hbar))
+    block = np.empty((WIGNER_BLOCK, m), dtype=complex)
+    for i0 in range(0, n, WIGNER_BLOCK):
+        i1 = min(i0 + WIGNER_BLOCK, n)
+        # no row of the block reaches beyond offset j_max
+        j_max = min(2 * (i1 - 1), 2 * (n - 1 - i0), m)
+        conj_corr = block[:i1 - i0, :j_max]
+        np.conjugate(minus[i0:i1, :j_max], out=conj_corr)
+        conj_corr *= plus[i0:i1, :j_max]
+        np.matmul(trig[:, :2 * j_max], conj_corr.view(float).T, out=values[:, i0:i1])
+    values *= 2.0
+    values += np.abs(psi.values) ** 2
+    values *= dx / (2.0 * math.pi * hbar)
 
     return PhaseSpaceGrid(x_min=psi.x_min, dx=dx, p_min=float(p_min), dp=float(dp),
                           values=values, warnings=warnings)

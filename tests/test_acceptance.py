@@ -10,7 +10,6 @@ cross-validation between two implementation routes that share no code path.
 
 import math
 import time
-from functools import partial
 
 import numpy as np
 
@@ -138,7 +137,7 @@ def test_criterion_06_representation_triangle():
         analytic = GridState(evaluate_wavefunction(propagate_analytic(traj, 1), x), 1.0)
 
         matrix = matrix_from_state(traj[1][0], packet.alpha0)
-        kernel = GridState(apply_kernel(partial(kernel_td, matrix, constants=C), psi0, x),
+        kernel = GridState(apply_kernel(kernel_td(matrix, C), psi0, x),
                            1.0)
         oracle = split_step(GridState(psi0, 0.0), system, 1e-3, 1000)
 

@@ -105,6 +105,11 @@ def test_free_spread_outputs(tmp_path):
     checks = report["invariants"]["checks"]
     assert checks["det_M_drift"]["value"] <= 1e-9
     assert checks["ermakov_rel_drift"]["value"] <= 1e-8
+    # at t_end the packet reaches the outer halves of the oracle's grid
+    assert report["oracle_compare"]["warnings"] == [
+        "probability mass leaked outside the central half of the domain"]
+    assert report["kernel_check"]["warnings"] == []
+    assert report["warned_sections"] == 1
 
     # wigner_t0.dat peak = 1/pi at hbar = 1
     dat = (out / "wigner_t0.dat").read_text().splitlines()
@@ -263,8 +268,63 @@ def test_drifting_wronskian_does_not_stop_kernel_check(tmp_path):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["invariants"]["checks"]["det_M_drift"]["pass"] is False
     kernel_checks = report["kernel_check"]["checks"]
-    assert set(kernel_checks) == {"kernel_ode_residual", "kernel_roundtrip_l2"}
+    assert set(kernel_checks) == {"kernel_ode_residual", "kernel_roundtrip_l2",
+                                  "kernel_vs_analytic_l2"}
     assert kernel_checks["kernel_roundtrip_l2"]["pass"] is True
+
+
+def test_fine_grid_kernel_check_completes(tmp_path):
+    """n_points = 16384 on [-15, 15]: np.linspace spacing varies by more than
+    1e-12 of the step there, and the kernel quadrature needs O(n) memory."""
+    data = dict(SMALL_CONFIG, time={"t_end": 0.2, "dt": 0.001, "sample_every": 100},
+                grid={"x_min": -15.0, "x_max": 15.0, "n_points": 16384},
+                tasks=["evolve", "kernel_check"])
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["pass"] is True
+    assert report["kernel_check"]["warnings"] == []
+
+
+def test_coverage_warnings_reach_the_report(tmp_path):
+    """free-spread on a grid of [-6, 6]: the packet at t_end leaves the grid,
+    the round trip fails, and the kernel section says why."""
+    data = dict(BUILTIN_SCENARIOS["free-spread"],
+                grid={"x_min": -6.0, "x_max": 6.0, "n_points": 256},
+                tasks=["evolve", "invariants", "kernel_check", "wigner"])
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    kernel = report["kernel_check"]
+    assert kernel["checks"]["kernel_roundtrip_l2"]["pass"] is False
+    assert kernel["warnings"] and all("probability mass" in w for w in kernel["warnings"])
+    assert [entry["warnings"] for entry in report["wigner"]] == [[], []]
+    assert report["warned_sections"] == 1
+
+
+def test_kernel_check_compares_with_analytic_packet(tmp_path):
+    """Both profiles check the forward kernel against propagate_analytic, at
+    criterion 06's 1e-5 by default and 1e-6 when strict."""
+    cfg = write_config(tmp_path, dict(BUILTIN_SCENARIOS["ho-constant-width"],
+                                      tasks=["evolve", "kernel_check"]))
+    for profile, tolerance in (("default", 1e-5), ("strict", 1e-6)):
+        out = tmp_path / profile
+        assert main(["run", cfg, "--output-dir", str(out),
+                     "--tolerance-profile", profile]) == 0
+        kernel = json.loads((out / "report.json").read_text())["kernel_check"]
+        check = kernel["checks"]["kernel_vs_analytic_l2"]
+        assert check["tolerance"] == tolerance
+        assert check["value"] == kernel["kernel_vs_analytic_l2"] <= 1e-12
+
+
+def test_builtin_run_never_imports_scipy(tmp_path):
+    code = ("import sys\n"
+            "from wavepacket.cli import main\n"
+            f"code = main(['run', 'free-spread', '--output-dir', {str(tmp_path)!r}])\n"
+            "assert 'scipy' not in sys.modules\n"
+            "sys.exit(code)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -147,10 +147,11 @@ def test_td_kernel_and_pointmap_equal_references(law, constants, packet, t, inve
 
     x = np.array(xs)[:, None]
     xp = np.array(xps)[None, :]
-    got = kernel_td(matrix, x, xp, constants, inverse=inverse)
+    kernel = kernel_td(matrix, constants, inverse=inverse)
+    got = kernel(x, xp)
     assert np.array_equal(got, _kernel_td_reference(params, x, xp, constants))
     # scalar arguments take numpy's scalar arithmetic, not its array loops
-    got = kernel_td(matrix, xs[0], xps[0], constants, inverse=inverse)
+    got = kernel(xs[0], xps[0])
     assert np.array_equal(got, _kernel_td_reference(params, xs[0], xps[0], constants))
 
     X, P = np.array(xs)[:, None], np.array(xps)[None, :]
@@ -174,7 +175,8 @@ def test_ti_kernel_equals_reference(a, b, d, constants, xs, xps):
     matrix = TransformMatrix(a, b, (a * d - 1.0) / b, d)
     x = np.array(xs)[:, None]
     xp = np.array(xps)[None, :]
-    assert np.array_equal(kernel_ti(matrix, x, xp, constants),
+    kernel = kernel_ti(matrix, constants)
+    assert np.array_equal(kernel(x, xp),
                           _kernel_ti_reference(a, b, d, x, xp, constants))
-    assert np.array_equal(kernel_ti(matrix, xs[0], xps[0], constants),
+    assert np.array_equal(kernel(xs[0], xps[0]),
                           _kernel_ti_reference(a, b, d, xs[0], xps[0], constants))

@@ -1,21 +1,22 @@
 """Tests for the Wigner transform, closed form, and phase-space transport."""
 
 import math
-from functools import partial
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wavepacket.cli import BUILTIN_SCENARIOS, parse_config, run_scenario
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
                              TransformMatrix)
 from wavepacket.errors import ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import frozen_width_matrix, matrix_from_state
-from wavepacket.kernels import apply_kernel, kernel_ti
+from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_ti
 from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
-from wavepacket.wigner import (PhaseSpaceGrid, wigner_gaussian, wigner_numeric,
-                               wigner_pointmap)
+from wavepacket.wigner import (PhaseSpaceGrid, _half_step_refine, wigner_gaussian,
+                               wigner_numeric, wigner_pointmap)
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -61,7 +62,7 @@ def test_momentum_marginal_matches_fourier_density():
     _, psi, full, _, _ = transform_setup(HO, InitialPacket(0.0, 1.0, 1.0), 1.0)
     p = full.p()
     to_momentum = TransformMatrix(0.0, -1.0, 1.0, 0.0)
-    psi_tilde = apply_kernel(partial(kernel_ti, to_momentum, constants=C), psi, p)
+    psi_tilde = apply_kernel(kernel_ti(to_momentum, C), psi, p)
     assert np.max(np.abs(full.marginal_p() - np.abs(psi_tilde.values) ** 2)) <= 1e-5
 
 
@@ -186,3 +187,61 @@ def test_phase_space_grid_validation():
         grid.column_window(4, 4)
     sub = grid.column_window(1, 3)
     assert sub.n_x == 3 and sub.x_min == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("name", ["free-spread", "ho-breathing"])
+def test_builtin_wigner_windows_match_closed_form(name):
+    """The spectral transform is exact to rounding on the windows the
+    scenario runner writes, at both written samples."""
+    config = parse_config(dict(BUILTIN_SCENARIOS[name], tasks=["wigner"]), name=name)
+    report, outputs = run_scenario(config)
+    assert len(outputs) == 2
+    for out in outputs:
+        sample = report["samples"][out["index"]]
+        closed = wigner_gaussian(Moments(sample["var_x"], sample["var_p"], sample["corr"]),
+                                 sample["eta"], C.mass * sample["eta_dot"], C)
+        grid = out["grid"]
+        X, P = np.meshgrid(grid.x(), grid.p())
+        assert np.max(np.abs(grid.values - closed(X, P))) <= 1e-12
+        assert abs(out["integral"] - 1.0) <= 1e-12
+        assert out["warnings"] == []
+
+
+@pytest.mark.parametrize("n", [7, 8, 385, 384])
+def test_half_step_refinement_is_the_trigonometric_interpolant(n):
+    """Zero-padding the DFT reproduces a real trigonometric polynomial of
+    every frequency the n samples hold at the half steps; an even n needs
+    its Nyquist cosine shared between +-n/2 for that."""
+    rng = np.random.default_rng(n)
+    k_max = n // 2
+    cos_amp, sin_amp = rng.normal(size=k_max + 1), rng.normal(size=k_max + 1)
+    if n % 2 == 0:
+        sin_amp[k_max] = 0.0  # vanishes on the samples, so not determined
+
+    def f(t):  # t in units of the sample step
+        angle = 2.0 * math.pi * np.outer(t, np.arange(k_max + 1)) / n
+        return np.cos(angle) @ cos_amp + np.sin(angle) @ sin_amp
+
+    refined = _half_step_refine(f(np.arange(n)).astype(complex))
+    expected = f(0.5 * np.arange(2 * n - 1))
+    assert np.max(np.abs(refined - expected)) <= 1e-12 * np.max(np.abs(expected)) * n
+
+
+def test_wigner_memory_within_dense_phase_matrix():
+    """phase_space_grid.nx = 4096: the scenario runner samples psi on
+    2*ceil(0.75*nx) + 1 points.  Everything wigner_numeric allocates, its
+    output included, stays within the n_p x (2n - 1) complex phase matrix
+    that a dense row-by-row transform would build."""
+    n = 2 * math.ceil(0.75 * 4096) + 1
+    n_p = 257
+    x = np.linspace(-12.0, 12.0, n)
+    psi = ComplexGrid(float(x[0]), float(x[1] - x[0]),
+                      math.pi ** -0.25 * np.exp(-x * x / 2.0))
+    tracemalloc.start()
+    try:
+        grid = wigner_numeric(psi, (-8.0, 16.0 / (n_p - 1), n_p), C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n_p * (2 * n - 1)
+    assert abs(grid.integral() - 1.0) <= 1e-12
