@@ -9,17 +9,15 @@ serves as a brute-force oracle against all of them.
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
                    RampOmega, SystemSpec, TabulatedOmega, TransformMatrix,
-                   omega_at, validate_packet)
+                   omega_at)
 from .errors import (CapabilityError, ConfigError, DeltaLimitError, DivergenceError,
                      GridMismatchError, ResolutionError, ValidationError)
 from .evolution import (ClassicalState, LambdaState, Trajectory, closed_form_classical,
-                        closed_form_lambda, ermakov_residual, initial_state,
-                        solve_lambda)
+                        closed_form_lambda, ermakov_residual, solve_lambda)
 from .invariants import (UncertaintyCanonical, canonical_coordinates,
                          det_as_ermakov, energy_partition, ermakov_invariant,
                          euler_lagrange_residuals, frozen_width_matrix,
-                         matrix_from_classical, matrix_from_state,
-                         uncertainty_hamiltonian)
+                         matrix_from_state, uncertainty_hamiltonian)
 from .kernels import (ComplexGrid, apply_kernel, kernel_td, kernel_ti,
                       satisfies_kernel_odes)
 from .oracle import GridState, compare_states, quadrature_moments, split_step

@@ -12,9 +12,10 @@ TransformMatrix.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Union
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -41,6 +42,11 @@ class Constants:
 
 # ---------------------------------------------------------------------------
 # Frequency laws
+#
+# Each law's omega(t) takes a float or an ndarray of times and returns w at
+# each of them, in one body that broadcasts over t (0.0*t where w does not
+# depend on t): the integrator evaluates a whole block of steps per call,
+# and omega_at turns a single value into a Python float.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class Free:
     """Free motion, w(t) = 0."""
 
     def omega(self, t):
-        return 0.0
+        return 0.0 * t
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class ConstantOmega:
             raise ValidationError(f"omega0 must be >= 0, got {self.omega0!r}")
 
     def omega(self, t):
-        return self.omega0
+        return self.omega0 + 0.0 * t
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ class ModulatedOmega:
             _require_finite(name, getattr(self, name))
 
     def omega(self, t):
-        return self.omega0 * (1.0 + self.epsilon * math.cos(self.gamma * t))
+        return self.omega0 * (1.0 + self.epsilon * np.cos(self.gamma * t))
 
 
 @dataclass(frozen=True)
@@ -124,13 +130,16 @@ class TabulatedOmega:
             raise ValidationError("tabulated times must be strictly increasing")
 
     def omega(self, t):
-        times, omegas = self.times, self.omegas
-        if not times[0] <= t <= times[-1]:
+        times, omegas = np.array(self.times), np.array(self.omegas)
+        t = np.asarray(t, dtype=float)
+        outside = ~((times[0] <= t) & (t <= times[-1]))
+        if outside.any():
+            first = float(t.flat[np.argmax(outside)])
             raise ValidationError(
-                f"t={t!r} outside tabulated range [{times[0]}, {times[-1]}]"
+                f"t={first!r} outside tabulated range [{self.times[0]}, {self.times[-1]}]"
             )
         # linear interpolation on segment i, the first with t <= times[i + 1]
-        i = bisect_left(times, t, 1) - 1
+        i = np.maximum(np.searchsorted(times, t), 1) - 1
         span = times[i + 1] - times[i]
         frac = (t - times[i]) / span
         return omegas[i] + frac * (omegas[i + 1] - omegas[i])
@@ -159,7 +168,7 @@ def omega_at(system: SystemSpec, t: float) -> float:
     Tabulated laws interpolate linearly and reject t outside their range.
     """
     _require_finite("t", t)
-    return system.frequency_law.omega(t)
+    return float(system.frequency_law.omega(t))
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +194,6 @@ class InitialPacket:
         _require_finite("alpha0", self.alpha0)
         if self.alpha0 <= 0.0:
             raise ValidationError(f"alpha0 must be positive, got {self.alpha0!r}")
-
-
-def validate_packet(packet: InitialPacket, constants: Constants):
-    """Return the initial second moments (<x~^2>_0, <p~^2>_0).
-
-    <x~^2>_0 = hbar*alpha0^2/(2m) and <p~^2>_0 = hbar*m/(2*alpha0^2); their
-    product is hbar^2/4 (minimum uncertainty) to machine precision.
-    """
-    hbar, m = constants.hbar, constants.mass
-    a2 = packet.alpha0 * packet.alpha0
-    var_x0 = hbar * a2 / (2.0 * m)
-    var_p0 = hbar * m / (2.0 * a2)
-    return var_x0, var_p0
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,24 @@ with lambda = u_hat + i*z_hat complex and eta real.  The initial conditions
     eta(0)    = x0,       eta'(0)    = p0/m,
 
 pin the Wronskian z_hat'*u_hat - u_hat'*z_hat to exactly 1 and make the
-t = 0 state the minimum-uncertainty packet.  The polar decomposition
-lambda = alpha*exp(i*phi) gives the width alpha = |lambda| and a phase that
-obeys phi' = 1/alpha^2; phi is integrated alongside the trajectory rather
-than recovered from principal-value angles, so it stays continuous across
-wraps.
-"""
+t = 0 state the minimum-uncertainty packet.  So one real fundamental matrix
+((C, S), (C', S')) of y'' + w^2 y = 0, the identity at t = 0, carries every
+packet:
+
+    lambda = alpha0*C + i*S/alpha0,      eta = x0*C + (p0/m)*S.
+
+solve_lambda builds it by classic fixed-step RK4, as a product of per-step
+2x2 propagators; the closed forms know it analytically for free motion and
+constant w.  The polar decomposition lambda = alpha*exp(i*phi) gives the
+width alpha = |lambda| and a phase that obeys phi' = 1/alpha^2; phi is
+integrated alongside the trajectory rather than recovered from
+principal-value angles, so it stays continuous across wraps."""
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .core import InitialPacket, SystemSpec, ConstantOmega, is_free_motion
 from .errors import CapabilityError, DivergenceError, ValidationError
@@ -110,120 +118,183 @@ def _make_state(t, lam, lam_dot, phi):
                        phi=phi, phi_dot=phi_dot)
 
 
-def initial_state(packet: InitialPacket):
-    """The t = 0 LambdaState implied by the normalization convention."""
-    a0 = packet.alpha0
-    return _make_state(0.0, complex(a0, 0.0), complex(0.0, 1.0 / a0), 0.0)
+# RK4 steps per block of the prefix-product scan: memory is O(BLOCK_STEPS)
+# plus the samples, whatever the number of steps
+BLOCK_STEPS = 2048
 
 
-def _rk4_step(omega, t, y, h):
-    """One classic RK4 step for y = (u, u', z, z', eta, eta', phi).
+def _rk4_stages(q, p, n1, n2, n4, h):
+    """One classic RK4 step of q' = p, p' = n*q, with n = -w^2 taken at the
+    step start (n1), midpoint (n2, used by k2 and k3) and end (n4).
 
-    The right-hand side is (u', -w^2 u, z', -w^2 z, eta', -w^2 eta,
-    1/(u^2 + z^2)) with w = omega(t); omega is the frequency law's bound
-    `omega` method.  Every stage is written out component by component, and
-    the operation order is the contract: w^2 is w*w, the stage states are
-    yi + (0.5*h)*ki and yi + h*ki, and the update is
-    yi + (h/6)*((k1 + 2*(k2 + k3)) + k4), so each result rounds exactly as
-    in the tuple-per-stage form (kept as the reference in the tests).  w is
-    evaluated once at t + h/2 for both k2 and k3, and phi, which feeds no
-    derivative, gets only its final update.
+    Returns (dq, dp, q2, q3, q4): the step is (q, p) -> (q + dq, p + dp),
+    and q2..q4 are the stage values of q.  The stage states are
+    yi + (0.5*h)*ki and yi + h*ki and the increment is
+    (h/6)*((k1 + 2*(k2 + k3)) + k4), in that operation order; the arguments
+    broadcast, so this builds the propagators of many steps at once.
     """
-    u, ud, z, zd, e, ed, phi = y
     half = 0.5 * h
-
-    w = omega(t)
-    n1 = -(w * w)
-    au1, az1, ae1 = n1 * u, n1 * z, n1 * e
-    p1 = 1.0 / (u * u + z * z)
-    u2, ud2 = u + half * ud, ud + half * au1
-    z2, zd2 = z + half * zd, zd + half * az1
-    e2, ed2 = e + half * ed, ed + half * ae1
-
-    w = omega(t + half)
-    n2 = -(w * w)
-    au2, az2, ae2 = n2 * u2, n2 * z2, n2 * e2
-    p2 = 1.0 / (u2 * u2 + z2 * z2)
-    u3, ud3 = u + half * ud2, ud + half * au2
-    z3, zd3 = z + half * zd2, zd + half * az2
-    e3, ed3 = e + half * ed2, ed + half * ae2
-
-    au3, az3, ae3 = n2 * u3, n2 * z3, n2 * e3
-    p3 = 1.0 / (u3 * u3 + z3 * z3)
-    u4, ud4 = u + h * ud3, ud + h * au3
-    z4, zd4 = z + h * zd3, zd + h * az3
-    e4, ed4 = e + h * ed3, ed + h * ae3
-
-    w = omega(t + h)
-    n4 = -(w * w)
-    au4, az4, ae4 = n4 * u4, n4 * z4, n4 * e4
-    p4 = 1.0 / (u4 * u4 + z4 * z4)
-
+    a1 = n1 * q
+    q2, p2 = q + half * p, p + half * a1
+    a2 = n2 * q2
+    q3, p3 = q + half * p2, p + half * a2
+    a3 = n2 * q3
+    q4, p4 = q + h * p3, p + h * a3
+    a4 = n4 * q4
     c = h / 6.0
-    return (u + c * ((ud + 2.0 * (ud2 + ud3)) + ud4),
-            ud + c * ((au1 + 2.0 * (au2 + au3)) + au4),
-            z + c * ((zd + 2.0 * (zd2 + zd3)) + zd4),
-            zd + c * ((az1 + 2.0 * (az2 + az3)) + az4),
-            e + c * ((ed + 2.0 * (ed2 + ed3)) + ed4),
-            ed + c * ((ae1 + 2.0 * (ae2 + ae3)) + ae4),
-            phi + c * ((p1 + 2.0 * (p2 + p3)) + p4))
+    return (c * ((p + 2.0 * (p2 + p3)) + p4),
+            c * ((a1 + 2.0 * (a2 + a3)) + a4),
+            q2, q3, q4)
+
+
+# the basis vectors (1, 0) and (0, 1), one per row, as (q, p)
+_BASIS_Q = np.array([[1.0], [0.0]])
+_BASIS_P = np.array([[0.0], [1.0]])
+
+
+def _step_propagators(omega, t, h):
+    """Per-step RK4 propagators for steps starting at the times t with sizes h.
+
+    Returns (E, Q): 1 + E[:, :, k] is the 2x2 matrix that maps (q, p) at
+    the start of step k to its end, and Q[i, :, k] gives the stage value
+    q_{i+2} = Q[i, 0, k]*q + Q[i, 1, k]*p.  E is kept apart from the
+    identity, which it is O(h) away from: 1 + E rounded would carry the same
+    rounding error into every step of a constant law.  w is evaluated at t,
+    t + h/2 and t + h of each step, in step order, by one call of omega.
+    """
+    w = omega(np.stack([t, t + 0.5 * h, t + h], axis=1))
+    n = -(w * w)
+    dq, dp, q2, q3, q4 = _rk4_stages(_BASIS_Q, _BASIS_P, n[:, 0], n[:, 1], n[:, 2], h)
+    return np.stack([dq, dp]), np.stack([q2, q3, q4])
+
+
+def _matmul(a, b):
+    """a @ b over the leading 2x2 axes, elementwise in any trailing axis."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _prefix_products(e):
+    """In place, 1 + e[:, :, k] becomes (1 + e[:, :, k]) @ ... @ (1 + e[:, :, 0]).
+
+    A doubling scan (Hillis and Steele; Blelloch, CMU-CS-90-190): after the
+    pass with offset d, entry k holds the product of the 2d entries ending
+    at k, so log2(n) vectorized passes replace n sequential products.  Each
+    product (1 + a)(1 + b) is formed as 1 + (a + b + a@b).
+    """
+    d = 1
+    while d < e.shape[-1]:
+        a, b = e[:, :, d:], e[:, :, :-d]
+        e[:, :, d:] = a + b + _matmul(a, b)
+        d *= 2
+
+
+def _packet_states(packet, mass, fundamental):
+    """(u, u', z, z', eta, eta') of the packet, from the fundamental matrix
+    ((C, S), (C', S')) of y'' + w^2 y = 0 with C(0) = S'(0) = 1 and
+    C'(0) = S(0) = 0: lambda = alpha0*C + i*S/alpha0 and
+    eta = x0*C + (p0/m)*S.  Works on floats and on arrays."""
+    (c, s), (cd, sd) = fundamental
+    a0, x0, v0 = packet.alpha0, packet.x0, packet.p0 / mass
+    return (a0 * c, a0 * cd, s / a0, sd / a0, x0 * c + v0 * s, x0 * cd + v0 * sd)
+
+
+def _validated_times(t_grid, dt):
+    t_grid = [float(t) for t in t_grid]
+    if not t_grid or t_grid[0] != 0.0:
+        raise ValidationError("t_grid must start at 0")
+    times = np.array(t_grid)
+    finite = np.isfinite(times)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(f"t_grid[{i}] must be finite, got {t_grid[i]!r}")
+    if np.any(times[1:] <= times[:-1]):
+        raise ValidationError("t_grid must be strictly increasing")
+    if not math.isfinite(dt):
+        raise ValidationError(f"dt must be finite, got {dt!r}")
+    if dt <= 0.0:
+        raise ValidationError("dt must be positive")
+    return t_grid, times
 
 
 def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> Trajectory:
     """Integrate lambda, eta and phi over t_grid with classic fixed-step RK4.
 
     t_grid must start at 0, be finite and increase strictly, and dt must be
-    finite and positive (ValidationError otherwise).  Each sample interval is
-    covered by uniform substeps of size <= dt, so sample times are hit
-    exactly.  Raises DivergenceError if the state goes non-finite.  The
-    Trajectory keeps the raw state tuple at each sample time.
+    finite and positive (ValidationError otherwise).  Each sample interval
+    [t, t_next] is covered by n = ceil(span/dt - 1e-12) uniform steps of
+    h = span/n starting at t + k*h, so sample times are hit exactly.
+
+    RK4 is linear on y'' + w^2 y = 0, so each step is a 2x2 matrix R_k and
+    the fundamental matrix after k steps is R_k ... R_1.  It is built per
+    block of BLOCK_STEPS steps by a prefix-product scan and carried from
+    block to block; lambda and eta are read off it, and phi sums the RK4
+    increment h/6*(p1 + 2*(p2 + p3) + p4), p = 1/|lambda|^2 at the stage
+    states, in step order.  Raises DivergenceError at the first sample whose
+    state is non-finite.  The Trajectory keeps the raw state tuple at each
+    sample time.
     """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid or t_grid[0] != 0.0:
-        raise ValidationError("t_grid must start at 0")
-    for i, t in enumerate(t_grid):
-        if not math.isfinite(t):
-            raise ValidationError(f"t_grid[{i}] must be finite, got {t!r}")
-    if any(t1 >= t2 for t1, t2 in zip(t_grid, t_grid[1:])):
-        raise ValidationError("t_grid must be strictly increasing")
-    if not math.isfinite(dt):
-        raise ValidationError(f"dt must be finite, got {dt!r}")
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
+    t_grid, times = _validated_times(t_grid, dt)
+    spans = np.diff(times)
+    n_sub = np.maximum(1, np.ceil(spans / dt - 1e-12)).astype(np.int64)
+    h_sub = spans / n_sub
+    ends = np.cumsum(n_sub)          # steps taken at each sample after t = 0
+    firsts = ends - n_sub
 
     omega = system.frequency_law.omega
-    m = system.constants.mass
-    a0 = packet.alpha0
-    y = (a0, 0.0, 0.0, 1.0 / a0, packet.x0, packet.p0 / m, 0.0)
+    mass = system.constants.mass
+    states = np.empty((len(times), 7))
+    fundamental = np.eye(2)
+    states[0] = (*_packet_states(packet, mass, fundamental), 0.0)
+    phase = 0.0
+    total = int(ends[-1]) if len(ends) else 0
+    with np.errstate(all="ignore"):
+        for start in range(0, total, BLOCK_STEPS):
+            steps = np.arange(start, min(start + BLOCK_STEPS, total))
+            interval = np.searchsorted(ends, steps, side="right")
+            h = h_sub[interval]
+            t = times[interval] + (steps - firsts[interval]) * h
+            e, stages = _step_propagators(omega, t, h)
+            _prefix_products(e)
+            after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
+            before = np.concatenate([fundamental[:, :, None], after[:, :, :-1]], axis=2)
+            fundamental = after[:, :, -1]
 
-    states = [y]
-    t = 0.0
-    for t_next in t_grid[1:]:
-        span = t_next - t
-        n_sub = max(1, math.ceil(span / dt - 1e-12))
-        h = span / n_sub
-        for k in range(n_sub):
-            y = _rk4_step(omega, t + k * h, y, h)
-        t = t_next
-        if not all(map(math.isfinite, y)):
-            raise DivergenceError(t)
-        states.append(y)
+            # stage states, linear in the state (u, u', z, z') at each step start
+            u, ud, z, zd, _, _ = _packet_states(packet, mass, before)
+            us = stages[:, 0] * u + stages[:, 1] * ud
+            zs = stages[:, 0] * z + stages[:, 1] * zd
+            p1 = 1.0 / (u * u + z * z)
+            p2, p3, p4 = 1.0 / (us * us + zs * zs)
+            increments = (h / 6.0) * ((p1 + 2.0 * (p2 + p3)) + p4)
+            phases = np.cumsum(np.concatenate([[phase], increments]))[1:]
+            phase = phases[-1]
+
+            lo, hi = np.searchsorted(ends, [start, steps[-1] + 1], side="right")
+            rows = np.arange(lo, hi) + 1
+            local = ends[lo:hi] - 1 - start
+            states[rows, :6] = np.transpose(
+                _packet_states(packet, mass, after[:, :, local]))
+            states[rows, 6] = phases[local]
+            finite = np.isfinite(states[rows]).all(axis=1)
+            if not finite.all():
+                raise DivergenceError(t_grid[rows[np.argmin(finite)]])
     return Trajectory(system=system, packet=packet, times=tuple(t_grid),
-                      states=tuple(states))
+                      states=tuple(map(tuple, states.tolist())))
 
 
 # ---------------------------------------------------------------------------
 # Closed forms (free motion and constant frequency only)
 # ---------------------------------------------------------------------------
 
-def _closed_form_basis(system, t):
-    """Fundamental solutions (C, S) with C(0)=1, C'(0)=0, S(0)=0, S'(0)=1."""
+def _closed_form_fundamental(system, t):
+    """The fundamental matrix ((C, S), (C', S')) at t, known analytically."""
     law = system.frequency_law
     if is_free_motion(law):
-        return 1.0, 0.0, t, 1.0
+        return (1.0, t), (0.0, 1.0)
     if isinstance(law, ConstantOmega):
         w = law.omega0
-        return math.cos(w * t), -w * math.sin(w * t), math.sin(w * t) / w, math.cos(w * t)
+        return ((math.cos(w * t), math.sin(w * t) / w),
+                (-w * math.sin(w * t), math.cos(w * t)))
     raise CapabilityError(
         f"no closed form for frequency law {type(law).__name__}"
     )
@@ -252,10 +323,9 @@ def closed_form_lambda(system: SystemSpec, packet: InitialPacket, t: float) -> L
     lambda = alpha0*cos(wt) + i*sin(wt)/(alpha0*w) for w > 0, and
     alpha0 + i*t/alpha0 for free motion.
     """
-    C, Cd, S, Sd = _closed_form_basis(system, t)
-    a0 = packet.alpha0
-    lam = complex(a0 * C, S / a0)
-    lam_dot = complex(a0 * Cd, Sd / a0)
+    u, ud, z, zd, _, _ = _packet_states(packet, system.constants.mass,
+                                        _closed_form_fundamental(system, t))
+    lam, lam_dot = complex(u, z), complex(ud, zd)
     phi = _closed_form_phi(system, packet, t)
     state = _make_state(t, lam, lam_dot, 0.0)
     return LambdaState(t=t, lam=lam, lam_dot=lam_dot, alpha=state.alpha,
@@ -264,11 +334,9 @@ def closed_form_lambda(system: SystemSpec, packet: InitialPacket, t: float) -> L
 
 def closed_form_classical(system: SystemSpec, packet: InitialPacket, t: float) -> ClassicalState:
     """Exact classical trajectory for Free or ConstantOmega systems."""
-    C, Cd, S, Sd = _closed_form_basis(system, t)
-    m = system.constants.mass
-    v0 = packet.p0 / m
-    return ClassicalState(t=t, eta=C * packet.x0 + S * v0,
-                          eta_dot=Cd * packet.x0 + Sd * v0)
+    *_, eta, eta_dot = _packet_states(packet, system.constants.mass,
+                                      _closed_form_fundamental(system, t))
+    return ClassicalState(t=t, eta=eta, eta_dot=eta_dot)
 
 
 def ermakov_residual(state: LambdaState, omega: float) -> float:

@@ -44,30 +44,6 @@ def matrix_from_state(state: LambdaState, alpha0: float) -> TransformMatrix:
                            c=-state.u_hat_dot, d=state.u_hat, alpha0=alpha0)
 
 
-def matrix_from_classical(eta, eta_dot, alpha, alpha_dot, alpha0, p0,
-                          mass=1.0) -> TransformMatrix:
-    """The matrix written via (eta, eta', alpha, alpha'):
-
-        M = (m/(alpha0*p0)) * ((eta', -eta),
-                               (-eta'*alpha'*alpha + eta*(alpha'^2 + 1/alpha^2),
-                                eta'*alpha^2 - eta*alpha'*alpha)).
-
-    Valid for trajectories released from eta(0) = 0 with p0 != 0, where
-    z = (m/(alpha0*p0))*eta.
-    """
-    if p0 == 0.0:
-        raise ValidationError("classical parametrization requires p0 != 0")
-    s = mass / (alpha0 * p0)
-    return TransformMatrix(
-        a=s * eta_dot,
-        b=-s * eta,
-        c=s * (-eta_dot * alpha_dot * alpha
-               + eta * (alpha_dot * alpha_dot + 1.0 / (alpha * alpha))),
-        d=s * (eta_dot * alpha * alpha - eta * alpha_dot * alpha),
-        alpha0=alpha0,
-    )
-
-
 def frozen_width_matrix(system: SystemSpec, alpha0: float, t: float) -> TransformMatrix:
     """The would-be free-motion matrix with the width frozen at alpha0.
 
@@ -173,8 +149,7 @@ def euler_lagrange_residuals(traj: Trajectory):
 
     a = alpha[1:-1]
     alpha_ddot = (alpha[2:] - 2.0 * a + alpha[:-2]) / (h * h)
-    omega = traj.system.frequency_law.omega
-    w = np.array([omega(t) for t in traj.times[1:-1]])
+    w = traj.system.frequency_law.omega(times[1:-1])
     # x ** 2 on a float is libm pow, which is not always x * x to the last
     # bit; float_power calls pow too
     res_alpha = np.abs(alpha_ddot + w * w * a - np.float_power(phi_dot[1:-1], 2) * a)

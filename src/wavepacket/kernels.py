@@ -239,8 +239,9 @@ def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> Co
     summed as a chirp-z transform (see the module docstring).
 
     x_out must be uniform.  If the input grid holds less than
-    1 - COVERAGE_TOL of the probability mass the result is tagged with a
-    coverage warning rather than rejected.
+    1 - COVERAGE_TOL of the probability mass, or the kernel phase turns by
+    more than pi between neighbouring input points somewhere on the grids,
+    the result is tagged with a warning rather than rejected.
     """
     dx_out = uniform_step(x_out, "x_out")
     x_out = np.asarray(x_out, dtype=float)
@@ -267,6 +268,16 @@ def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> Co
         prefactor, coef = kernel.prefactor, kernel.coef
         a_out, d_in = kernel.a, kernel.d
         u0, du, v0, dv = x_min_out, step_out, psi_in.x_min / s, psi_in.dx / s
+
+    # the trapezoid sum resolves the kernel only while its phase turns by
+    # less than pi per input step; the phase's v-gradient 2*coef*(d_in*v - u)
+    # is linear, so its largest size over the two grids is at their ends
+    turn = dv * max(abs(2.0 * coef * (d_in * v - u))
+                    for u in (u0, u0 + du * (n_out - 1))
+                    for v in (v0, v0 + dv * (n_in - 1)))
+    if turn > math.pi:
+        warnings += (f"kernel phase turns by up to {turn:.3g} rad per input step, "
+                     "more than pi: the quadrature does not resolve it",)
 
     # -2*u_i*v_j = -2*u0*v_j - 2*v0*du*i - du*dv*(i^2 + j^2 - (i - j)^2)
     w = coef * du * dv

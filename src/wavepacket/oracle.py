@@ -18,11 +18,11 @@ in dt.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .core import SystemSpec, omega_at
+from .core import SystemSpec
 from .kernels import ComplexGrid, phase_aligned_l2
 from .errors import DivergenceError, GridMismatchError, ResolutionError, ValidationError
 
@@ -31,15 +31,24 @@ FINITE_CHECK_EVERY = 64  # steps between scans of the state for non-finite value
 
 @dataclass(frozen=True)
 class GridState:
-    """A wavefunction on a grid at a time instant; L2 norm must be 1."""
+    """A wavefunction on a grid at a time instant.
+
+    An input state must have unit L2 norm within 1e-8 (ValidationError
+    otherwise).  split_step builds its result with check_norm=False: once
+    mass reaches the periodic boundary the trapezoid norm of the propagated
+    state drifts, and that is a finding about the result, which the caller
+    reports, not a bad input.
+    """
 
     grid: ComplexGrid
     t: float
+    check_norm: InitVar[bool] = True
 
-    def __post_init__(self):
-        norm = self.grid.norm()
-        if abs(norm - 1.0) > 1e-8:
-            raise ValidationError(f"state norm {norm!r} must be 1 within 1e-8")
+    def __post_init__(self, check_norm):
+        if check_norm:
+            norm = self.grid.norm()
+            if abs(norm - 1.0) > 1e-8:
+                raise ValidationError(f"state norm {norm!r} must be 1 within 1e-8")
 
 
 def _momentum_grid(n, dx, hbar):
@@ -106,28 +115,42 @@ def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> G
     grid = state.grid
     x = grid.x()
     p = _momentum_grid(grid.n, grid.dx, hbar)
-    kinetic = np.exp(-0.5j * dt * p * p / (m * hbar))
+    # the inverse FFT's 1/n is folded into the kinetic factor; for the
+    # power-of-two n of a config that scaling is exact, so the result is
+    # bit for bit that of a normalized ifft
+    kinetic = np.exp(-0.5j * dt * p * p / (m * hbar)) / grid.n
     # exp(w2 * quarter_phase) is the half-step potential factor for w^2 = w2
     quarter_phase = (-0.25j * dt * m / hbar) * (x * x)
 
-    def omega_squared(t_mid):
-        w = omega_at(system, t_mid)
-        return w * w  # overflows to inf, never raises, so divergence is reported
+    def squared_omegas():
+        """w^2 at every step's midpoint t_k + dt/2, with t_k summed one dt at
+        a time as the loop sums t; the law is evaluated once per block of
+        FINITE_CHECK_EVERY steps."""
+        t_k = state.t
+        for start in range(0, steps, FINITE_CHECK_EVERY):
+            starts = np.cumsum([t_k] + [dt] * (min(FINITE_CHECK_EVERY, steps - start) - 1))
+            t_k = starts[-1] + dt
+            w = system.frequency_law.omega(starts + 0.5 * dt)
+            # w*w overflows to inf, never raises, so divergence is reported
+            with np.errstate(over="ignore"):
+                block = (w * w).tolist()
+            yield from block
 
     weights = np.full(grid.n, grid.dx)
     warnings = grid.warnings
     t = state.t
-    w2 = omega_squared(t + 0.5 * dt)
+    w2s = squared_omegas()
+    w2 = next(w2s)
     psi = np.exp(w2 * quarter_phase) * grid.values
     spectrum = np.empty_like(psi)
     pair, merged = None, None
     for k in range(1, steps + 1):  # V/2 . (T . V)^(steps-1) . T . V/2
         np.fft.fft(psi, out=spectrum)
         spectrum *= kinetic
-        np.fft.ifft(spectrum, out=psi)
+        np.fft.ifft(spectrum, norm="forward", out=psi)
         t += dt
         if k < steps:
-            w2_next = omega_squared(t + 0.5 * dt)
+            w2_next = next(w2s)
             if pair != (w2, w2_next):
                 pair = (w2, w2_next)
                 merged = np.exp((w2 + w2_next) * quarter_phase)
@@ -143,7 +166,8 @@ def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> G
         warnings = warnings + (
             "probability mass leaked outside the central half of the domain",)
 
-    return GridState(grid=ComplexGrid(grid.x_min, grid.dx, psi, warnings), t=t)
+    return GridState(grid=ComplexGrid(grid.x_min, grid.dx, psi, warnings), t=t,
+                     check_norm=False)
 
 
 def quadrature_moments(grid: ComplexGrid, hbar: float):

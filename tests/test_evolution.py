@@ -1,6 +1,7 @@
 """Tests for the lambda/classical integrator and closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              omega_at)
 from wavepacket.errors import CapabilityError, DivergenceError, ValidationError
 from wavepacket import evolution
-from wavepacket.evolution import (ClassicalState, closed_form_classical,
-                                  closed_form_lambda, ermakov_residual, initial_state,
-                                  solve_lambda)
+from wavepacket.evolution import (ClassicalState, Trajectory, closed_form_classical,
+                                  closed_form_lambda, ermakov_residual, solve_lambda)
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -23,6 +23,12 @@ HO = SystemSpec(C, ConstantOmega(1.0))
 
 def grid(t_end, n):
     return np.linspace(0.0, t_end, n + 1)
+
+
+def initial_state(packet: InitialPacket):
+    """The t = 0 LambdaState implied by the normalization convention."""
+    a0 = packet.alpha0
+    return evolution._make_state(0.0, complex(a0, 0.0), complex(0.0, 1.0 / a0), 0.0)
 
 
 def test_initial_conditions():
@@ -218,7 +224,7 @@ def test_trajectory_time_dependent_omega_follows_tabulated():
 
 
 # ---------------------------------------------------------------------------
-# The flat RK4 step against a tuple-per-stage reference
+# The scalar 7-component RK4 as the reference for the propagator products
 # ---------------------------------------------------------------------------
 
 def _rhs_reference(omega, t, y):
@@ -240,6 +246,85 @@ def _rk4_step_reference(omega, t, y, h):
         yi + (h / 6.0) * (a + 2.0 * (b + c) + d)
         for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
     )
+
+
+def _rk4_step_flat(omega, t, y, h):
+    """The tuple-per-stage step written out component by component, with w
+    evaluated once at t + h/2 for both k2 and k3; it rounds exactly as
+    _rk4_step_reference does."""
+    u, ud, z, zd, e, ed, phi = y
+    half = 0.5 * h
+
+    w = omega(t)
+    n1 = -(w * w)
+    au1, az1, ae1 = n1 * u, n1 * z, n1 * e
+    p1 = 1.0 / (u * u + z * z)
+    u2, ud2 = u + half * ud, ud + half * au1
+    z2, zd2 = z + half * zd, zd + half * az1
+    e2, ed2 = e + half * ed, ed + half * ae1
+
+    w = omega(t + half)
+    n2 = -(w * w)
+    au2, az2, ae2 = n2 * u2, n2 * z2, n2 * e2
+    p2 = 1.0 / (u2 * u2 + z2 * z2)
+    u3, ud3 = u + half * ud2, ud + half * au2
+    z3, zd3 = z + half * zd2, zd + half * az2
+    e3, ed3 = e + half * ed2, ed + half * ae2
+
+    au3, az3, ae3 = n2 * u3, n2 * z3, n2 * e3
+    p3 = 1.0 / (u3 * u3 + z3 * z3)
+    u4, ud4 = u + h * ud3, ud + h * au3
+    z4, zd4 = z + h * zd3, zd + h * az3
+    e4, ed4 = e + h * ed3, ed + h * ae3
+
+    w = omega(t + h)
+    n4 = -(w * w)
+    au4, az4, ae4 = n4 * u4, n4 * z4, n4 * e4
+    p4 = 1.0 / (u4 * u4 + z4 * z4)
+
+    c = h / 6.0
+    return (u + c * ((ud + 2.0 * (ud2 + ud3)) + ud4),
+            ud + c * ((au1 + 2.0 * (au2 + au3)) + au4),
+            z + c * ((zd + 2.0 * (zd2 + zd3)) + zd4),
+            zd + c * ((az1 + 2.0 * (az2 + az3)) + az4),
+            e + c * ((ed + 2.0 * (ed2 + ed3)) + ed4),
+            ed + c * ((ae1 + 2.0 * (ae2 + ae3)) + ae4),
+            phi + c * ((p1 + 2.0 * (p2 + p3)) + p4))
+
+
+def _scalar(law):
+    return lambda t: float(law.omega(t))
+
+
+def _solve_reference(system, packet, t_grid, dt=1e-3, step=_rk4_step_flat):
+    """The step-by-step solve: the same step grid as solve_lambda, one scalar
+    RK4 step at a time."""
+    omega = _scalar(system.frequency_law)
+    m = system.constants.mass
+    a0 = packet.alpha0
+    y = (a0, 0.0, 0.0, 1.0 / a0, packet.x0, packet.p0 / m, 0.0)
+    t_grid = [float(t) for t in t_grid]
+    states = [y]
+    t = 0.0
+    for t_next in t_grid[1:]:
+        span = t_next - t
+        n_sub = max(1, math.ceil(span / dt - 1e-12))
+        h = span / n_sub
+        for k in range(n_sub):
+            y = step(omega, t + k * h, y, h)
+        t = t_next
+        if not all(map(math.isfinite, y)):
+            raise DivergenceError(t)
+        states.append(y)
+    return Trajectory(system=system, packet=packet, times=tuple(t_grid),
+                      states=tuple(states))
+
+
+def _assert_rounding_close(states, reference):
+    """Every value within 1e-12*max(1, |reference value|)."""
+    got, ref = np.array(states), np.array(reference)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 EXACT_LAWS = [
@@ -277,7 +362,20 @@ _law = st.one_of(
        t=st.floats(0.0, 10.0, **_finite),
        h=st.floats(1e-6, 0.5, **_finite))
 def test_rk4_step_equals_tuple_reference(law, y, t, h):
-    assert evolution._rk4_step(law.omega, t, y, h) == _rk4_step_reference(law.omega, t, y, h)
+    """The scalar reference is the tuple-per-stage RK4 to the last bit, and
+    one step of the propagator 1 + E moves (u, u'), (z, z') and (eta, eta')
+    as it does, up to rounding."""
+    omega = _scalar(law)
+    reference = _rk4_step_reference(omega, t, y, h)
+    assert _rk4_step_flat(omega, t, y, h) == reference
+    e, _ = evolution._step_propagators(law.omega, np.array([t]), np.array([h]))
+    e = e[:, :, 0]
+    for k in (0, 2, 4):
+        q, p = y[k], y[k + 1]
+        moved = (q + (e[0, 0] * q + e[0, 1] * p), p + (e[1, 0] * q + e[1, 1] * p))
+        scale = max(1.0, abs(q), abs(p))
+        assert abs(moved[0] - reference[k]) <= 1e-13 * scale
+        assert abs(moved[1] - reference[k + 1]) <= 1e-13 * scale
 
 
 def _samples(traj):
@@ -286,14 +384,53 @@ def _samples(traj):
 
 
 @pytest.mark.parametrize("law", EXACT_LAWS, ids=lambda law: type(law).__name__)
-def test_solve_lambda_trajectory_equals_tuple_reference(monkeypatch, law):
+def test_solve_lambda_trajectory_equals_tuple_reference(law):
+    """The scalar solve loop gives the tuple-per-stage trajectory to the last
+    bit; solve_lambda gives it up to rounding."""
     system = SystemSpec(C, law)
     packet = InitialPacket(0.3, 0.9, 1.1)
     t_grid = [k * 0.1 for k in range(51)]
-    flat = solve_lambda(system, packet, t_grid)
-    monkeypatch.setattr(evolution, "_rk4_step", _rk4_step_reference)
-    reference = solve_lambda(system, packet, t_grid)
-    assert _samples(flat) == _samples(reference)
+    reference = _solve_reference(system, packet, t_grid)
+    assert _samples(reference) == _samples(
+        _solve_reference(system, packet, t_grid, step=_rk4_step_reference))
+    traj = solve_lambda(system, packet, t_grid)
+    assert traj.times == reference.times
+    _assert_rounding_close(traj.states, reference.states)
+
+
+@st.composite
+def _time_grids(draw):
+    """(t_grid, dt) of at most 5000 steps up to t = 10: float spans k*0.1
+    that take 101 substeps at dt = 1e-3, single-step intervals, and random
+    increasing grids with a random dt."""
+    kind = draw(st.sampled_from(("tenths", "single", "random")))
+    if kind == "tenths":
+        return [k * 0.1 for k in range(draw(st.integers(1, 50)) + 1)], 1e-3
+    if kind == "single":
+        dt = draw(st.floats(2e-3, 0.05, **_finite))
+        return [k * dt for k in range(draw(st.integers(1, int(10.0 / dt))) + 1)], dt
+    gaps = draw(st.lists(st.floats(1e-3, 1.0, **_finite), min_size=1, max_size=40))
+    t_grid = [0.0]
+    for gap in gaps:
+        if t_grid[-1] + gap <= 10.0:
+            t_grid.append(t_grid[-1] + gap)
+    span = max(b - a for a, b in zip(t_grid, t_grid[1:]))
+    dt = draw(st.floats(max(span / 200.0, t_grid[-1] / 5000.0), 0.5, **_finite))
+    return t_grid, dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_law, grid_dt=_time_grids(),
+       packet=st.builds(InitialPacket, st.floats(-2.0, 2.0, **_finite),
+                        st.floats(-2.0, 2.0, **_finite), st.floats(0.3, 3.0, **_finite)))
+def test_solve_lambda_agrees_with_scalar_reference(law, grid_dt, packet):
+    """Every law, with tabulated knots falling inside steps: the propagator
+    products give the scalar RK4 trajectory up to rounding."""
+    t_grid, dt = grid_dt
+    system = SystemSpec(C, law)
+    reference = _solve_reference(system, packet, t_grid, dt=dt)
+    _assert_rounding_close(solve_lambda(system, packet, t_grid, dt=dt).states,
+                           reference.states)
 
 
 @pytest.mark.parametrize("law", EXACT_LAWS, ids=lambda law: type(law).__name__)
@@ -311,17 +448,68 @@ def test_samples_are_built_from_stored_states_and_cached(law):
     for s, cl in traj.samples:
         for value in (s.t, s.alpha, s.alpha_dot, s.phi, s.phi_dot, cl.eta, cl.eta_dot):
             assert type(value) is float   # repr in trajectory.csv needs plain floats
+    assert type(traj.times) is tuple and type(traj.states) is tuple
+    for state in traj.states:
+        assert type(state) is tuple and len(state) == 7
+        assert all(type(value) is float for value in state)
     assert traj.samples is traj.samples
     assert traj[-1] is traj.samples[-1]
 
 
-def test_overflowing_ramp_diverges_at_reference_time(monkeypatch):
+def test_overflowing_ramp_diverges_at_reference_time():
     """w*w overflows to inf and the state goes non-finite, as before."""
     system = SystemSpec(C, RampOmega(1.0, 1e200))
     packet = InitialPacket(0.0, 1.0, 1.0)
-    with pytest.raises(DivergenceError) as flat:
+    with pytest.raises(DivergenceError) as products:
         solve_lambda(system, packet, grid(1.0, 10))
-    monkeypatch.setattr(evolution, "_rk4_step", _rk4_step_reference)
     with pytest.raises(DivergenceError) as reference:
-        solve_lambda(system, packet, grid(1.0, 10))
-    assert flat.value.t == reference.value.t == 0.1
+        _solve_reference(system, packet, grid(1.0, 10))
+    assert products.value.t == reference.value.t == 0.1
+
+
+@pytest.mark.parametrize("law, t_grid, dt", [
+    (TabulatedOmega((0.0, 10.0), (1e300, 1e300)), [k * 0.1 for k in range(11)], 1e-3),
+    # h*w passes RK4's stability limit at t = 2.8e-3 and the state then
+    # grows until it overflows near t = 0.3
+    (RampOmega(0.0, 3e4), [k * 0.01 for k in range(101)], 1e-3),
+    # h*w = 100 is far outside RK4's stability region: the state grows by
+    # about 4e6 per step and overflows after some 47 steps
+    (ConstantOmega(1e5), [k * 0.01 for k in range(11)], 1e-3),
+    (ConstantOmega(1e5), [k * 1e-3 for k in range(101)], 1e-3),
+    (ModulatedOmega(3e4, 0.5, 7.0), [k * 0.003 for k in range(400)], 1e-3),
+], ids=["tabulated", "ramp", "constant", "constant-every-step", "modulated"])
+def test_divergence_time_equals_reference(law, t_grid, dt):
+    system = SystemSpec(C, law)
+    packet = InitialPacket(0.2, 1.0, 1.7)
+    with pytest.raises(DivergenceError) as products:
+        solve_lambda(system, packet, t_grid, dt=dt)
+    with pytest.raises(DivergenceError) as reference:
+        _solve_reference(system, packet, t_grid, dt=dt)
+    assert products.value.t == reference.value.t
+
+
+def test_divergence_is_silent(recwarn):
+    """Overflow is reported by the DivergenceError, not by numpy warnings."""
+    with pytest.raises(DivergenceError):
+        solve_lambda(SystemSpec(C, RampOmega(1.0, 1e200)),
+                     InitialPacket(0.0, 1.0, 1.0), grid(1.0, 10))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _peak_bytes(t_grid, dt):
+    tracemalloc.start()
+    try:
+        solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_step_count():
+    """10^6 steps sampled every 1000 need no more memory than 10^4 steps
+    at the same 1001 samples: the steps live in fixed-size blocks."""
+    samples = [float(k) for k in range(1001)]
+    few = _peak_bytes(samples, 0.1)           # 10 steps per sample
+    many = _peak_bytes(samples, 1e-3)         # 1000 steps per sample
+    assert many <= few + 64 * 1024
+    assert many <= 4 * 1024 * 1024            # 56 MB if every step were kept

@@ -15,8 +15,8 @@ from wavepacket.evolution import Trajectory, closed_form_lambda, solve_lambda
 from wavepacket.invariants import (canonical_coordinates,
                                    det_as_ermakov, energy_partition,
                                    ermakov_invariant, euler_lagrange_residuals,
-                                   frozen_width_matrix, matrix_from_classical,
-                                   matrix_from_state, uncertainty_hamiltonian)
+                                   frozen_width_matrix, matrix_from_state,
+                                   uncertainty_hamiltonian)
 from wavepacket.packet import Moments, moments_from_lambda
 from wavepacket.wigner import wigner_gaussian, wigner_pointmap
 
@@ -27,6 +27,27 @@ HO = SystemSpec(C, ConstantOmega(1.0))
 
 def entries(m):
     return m.a, m.b, m.c, m.d
+
+
+def matrix_from_classical(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0):
+    """The matrix written via (eta, eta', alpha, alpha'):
+
+        M = (m/(alpha0*p0)) * ((eta', -eta),
+                               (-eta'*alpha'*alpha + eta*(alpha'^2 + 1/alpha^2),
+                                eta'*alpha^2 - eta*alpha'*alpha)),
+
+    valid for releases from eta(0) = 0 with p0 != 0, where
+    z = (m/(alpha0*p0))*eta.
+    """
+    s = mass / (alpha0 * p0)
+    return TransformMatrix(
+        a=s * eta_dot,
+        b=-s * eta,
+        c=s * (-eta_dot * alpha_dot * alpha
+               + eta * (alpha_dot * alpha_dot + 1.0 / (alpha * alpha))),
+        d=s * (eta_dot * alpha * alpha - eta * alpha_dot * alpha),
+        alpha0=alpha0,
+    )
 
 
 def solve(system, packet, t_end=10.0, n=100, dt=1e-3):

@@ -185,6 +185,35 @@ def test_apply_kernel_coverage_warning():
     assert any("mass" in w for w in out.warnings)
 
 
+def _largest_phase_step(kernel, x_in, x_out):
+    """max |phase(x, x'_{j+1}) - phase(x, x'_j)| over the grids, by brute
+    force on the unwrapped phase of the record."""
+    def phase(x, x_prime):
+        y = x_prime / (kernel.scale or 1.0)
+        return kernel.coef * (kernel.a * x * x - 2.0 * x * y + kernel.d * y * y)
+
+    x, x_prime = x_out[:, None], x_in[None, :]
+    values = -phase(x_prime, x) if kernel.adjoint else phase(x, x_prime)
+    return float(np.abs(np.diff(values, axis=1)).max())
+
+
+@pytest.mark.parametrize("matrix, resolved", [
+    (TransformMatrix(1.0, -2.0, 0.0, 1.0, alpha0=1.0), True),       # free flight, t = 2
+    (TransformMatrix(0.9, 0.02, -0.5, 1.1, alpha0=0.9), False),     # z = -0.02
+])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_apply_kernel_flags_unresolved_phase(matrix, resolved, inverse):
+    """The warning fires exactly when the kernel phase turns by more than pi
+    between neighbouring input points (far from the threshold here, where
+    the closed-form gradient bound and the brute-force step agree)."""
+    x = np.linspace(-8.0, 8.0, 256)
+    kernel = kernel_td(matrix, C, inverse=inverse)
+    out = apply_kernel(kernel, gaussian_grid(x), x)
+    flagged = [w for w in out.warnings if "kernel phase" in w]
+    assert (_largest_phase_step(kernel, x, x) <= math.pi) is resolved
+    assert len(flagged) == (0 if resolved else 1)
+
+
 def test_complex_grid_validation():
     with pytest.raises(ValidationError):
         ComplexGrid(0.0, -0.1, np.ones(4, dtype=complex))
