@@ -23,6 +23,7 @@ Outputs (all LF line endings, full double precision via repr):
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,14 +34,12 @@ import numpy as np
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
                    RampOmega, SystemSpec, TabulatedOmega, TransformMatrix,
-                   is_free_motion, omega_at)
+                   is_free_motion)
 from .errors import (CapabilityError, ConfigError, DivergenceError,
                      ResolutionError, ValidationError)
-from .evolution import ermakov_residual, solve_lambda
-from .invariants import (canonical_coordinates, det_as_ermakov, energy_partition,
-                         ermakov_invariant, euler_lagrange_residuals,
-                         frozen_width_matrix, matrix_from_state,
-                         uncertainty_hamiltonian)
+from .evolution import solve_lambda
+from .invariants import (euler_lagrange_residuals, frozen_width_matrix,
+                         matrix_from_state, record_columns, require_finite)
 from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
                       satisfies_kernel_odes)
 from .oracle import GridState, compare_states, split_step
@@ -159,8 +158,8 @@ class ScenarioConfig:
         return self.dt * self.sample_every
 
     def sample_times(self):
-        n = round(self.t_end / self.sample_step)
-        return [k * self.sample_step for k in range(n + 1)]
+        # k * step for each k, to the bit
+        return np.arange(round(self.t_end / self.sample_step) + 1) * self.sample_step
 
     def x_grid(self):
         return np.linspace(self.x_min, self.x_max, self.n_points)
@@ -294,26 +293,15 @@ def load_config(source) -> ScenarioConfig:
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def _sample_records(config, traj):
-    c = config.constants
-    records = []
-    for state, cl in traj.samples:
-        moments = moments_from_lambda(state, c)
-        i_l = ermakov_invariant(cl.eta, cl.eta_dot, state.alpha, state.alpha_dot)
-        p_phi = canonical_coordinates(state, c).p_phi
-        e_cl, e_tilde = energy_partition(cl, state, config.system)
-        records.append({
-            "t": state.t,
-            "eta": cl.eta, "eta_dot": cl.eta_dot,
-            "alpha": state.alpha, "alpha_dot": state.alpha_dot, "phi": state.phi,
-            "var_x": moments.var_x, "var_p": moments.var_p, "corr": moments.corr,
-            "det_M": state.wronskian, "I_L": i_l, "p_phi": p_phi,
-            "invariant_uncertainty_product": moments.uncertainty_determinant(),
-            "E_cl": e_cl, "E_tilde": e_tilde,
-            "ermakov_residual": ermakov_residual(
-                state, omega_at(config.system, state.t)),
-        })
-    return records
+# the keys of a sample record, in report order
+RECORD_FIELDS = ("t", "eta", "eta_dot", "alpha", "alpha_dot", "phi", "var_x", "var_p",
+                 "corr", "det_M", "I_L", "p_phi", "invariant_uncertainty_product",
+                 "E_cl", "E_tilde", "ermakov_residual")
+
+
+def _sample_records(columns):
+    rows = zip(*(columns[name].tolist() for name in RECORD_FIELDS))
+    return [dict(zip(RECORD_FIELDS, row)) for row in rows]
 
 
 def _check(value, tolerance):
@@ -321,75 +309,46 @@ def _check(value, tolerance):
     return {"value": value, "tolerance": tolerance, "pass": bool(value <= tolerance)}
 
 
-def _invariant_summary(config, traj, records, tol):
-    c = config.constants
-    det_drift = max(abs(r["det_M"] - 1.0) for r in records)
-    i_l0 = records[0]["I_L"]
-    if i_l0 != 0.0:
-        ermakov_drift = max(abs(r["I_L"] - i_l0) / abs(i_l0) for r in records)
-    else:
-        ermakov_drift = max(abs(r["I_L"] - i_l0) for r in records)
-    p_phi_dev = max(abs(r["p_phi"] - 0.5 * c.hbar) for r in records)
-    iup_dev = max(abs(r["invariant_uncertainty_product"] - 0.25 * c.hbar ** 2)
-                  for r in records)
-
-    det_vs_ermakov = None
-    if config.packet.p0 != 0.0 and config.packet.x0 == 0.0:
-        det_vs_ermakov = 0.0
-        for r in records:
-            val = det_as_ermakov(r["eta"], r["eta_dot"], r["alpha"], r["alpha_dot"],
-                                 config.packet.alpha0, config.packet.p0, c.mass)
-            det_vs_ermakov = max(det_vs_ermakov, abs(val - r["det_M"]))
-
+def _invariant_summary(config, maxima, tol):
     # Euler-Lagrange residuals are O(h^2) finite-difference diagnostics, so
     # they run on a short trajectory sampled at the integrator step itself
     el_span = min(config.t_end, 2.0)
     n_fine = round(el_span / config.dt)
     fine = solve_lambda(config.system, config.packet,
-                        [k * config.dt for k in range(n_fine + 1)], dt=config.dt)
+                        np.arange(n_fine + 1) * config.dt, dt=config.dt)
     res_phi, res_alpha = euler_lagrange_residuals(fine)
     el_phi = float(res_phi.max(initial=0.0))
     el_alpha = float(res_alpha.max(initial=0.0))
 
-    energy_vs_hamiltonian = 0.0
-    for (state, _), r in zip(traj.samples, records):
-        uc = canonical_coordinates(state, c)
-        w = omega_at(config.system, state.t)
-        energy_vs_hamiltonian = max(
-            energy_vs_hamiltonian,
-            abs(uncertainty_hamiltonian(uc, w, c) - r["E_tilde"]))
-
     el_tol = tol["el_residual_factor"] * config.dt * config.dt
     checks = {
-        "ermakov_residual_max": _check(
-            max(r["ermakov_residual"] for r in records), 1e-9),
-        "det_M_drift": _check(det_drift, tol["det_drift"]),
-        "ermakov_rel_drift": _check(ermakov_drift, tol["ermakov_rel_drift"]),
-        "p_phi_abs_dev": _check(p_phi_dev, tol["p_phi_abs_dev"]),
-        "iup_abs_dev": _check(iup_dev, tol["iup_abs_dev"]),
+        "ermakov_residual_max": _check(maxima["ermakov_residual_max"], 1e-9),
+        "det_M_drift": _check(maxima["det_M_drift"], tol["det_drift"]),
+        "ermakov_rel_drift": _check(maxima["ermakov_rel_drift"], tol["ermakov_rel_drift"]),
+        "p_phi_abs_dev": _check(maxima["p_phi_abs_dev"], tol["p_phi_abs_dev"]),
+        "iup_abs_dev": _check(maxima["iup_abs_dev"], tol["iup_abs_dev"]),
         "euler_lagrange_phi": _check(el_phi, el_tol),
         "euler_lagrange_alpha": _check(el_alpha, el_tol),
-        "uncertainty_hamiltonian_vs_energy": _check(energy_vs_hamiltonian, 1e-10),
+        "uncertainty_hamiltonian_vs_energy": _check(
+            maxima["uncertainty_hamiltonian_vs_energy"], 1e-10),
     }
-    if det_vs_ermakov is not None:
-        checks["det_vs_ermakov_identity"] = _check(det_vs_ermakov, 1e-9)
+    if "det_vs_ermakov_identity" in maxima:
+        checks["det_vs_ermakov_identity"] = _check(maxima["det_vs_ermakov_identity"], 1e-9)
     return checks
 
 
-def _frozen_width_block(config, records):
-    samples = []
-    worst = 0.0
-    for r in records:
-        t = r["t"]
-        m = frozen_width_matrix(config.system, config.packet.alpha0, t)
-        closed = 1.0 + (t / config.packet.alpha0 ** 2) ** 2
-        worst = max(worst, abs(m.det - closed))
-        samples.append({"t": t, "det": m.det})
+def _frozen_width_block(config, times):
+    alpha0 = config.packet.alpha0
+    with np.errstate(all="ignore"):
+        det = frozen_width_matrix(config.system, alpha0, times).det
+        closed = 1.0 + np.float_power(times / alpha0 ** 2, 2)
+        err = np.abs(det - closed)
+    require_finite(times, {"frozen_width det": det, "frozen_width closed form": closed})
     return {
         "non_canonical": True,
         "note": "width frozen at alpha0; det = 1 + (t/alpha0^2)^2, not 1",
-        "samples": samples,
-        "closed_form_max_abs_err": worst,
+        "samples": [{"t": t, "det": d} for t, d in zip(times.tolist(), det.tolist())],
+        "closed_form_max_abs_err": float(err.max()),
     }
 
 
@@ -511,9 +470,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
         raise ConfigError(f"unknown tolerance profile {tolerance_profile!r}")
     tol = TOLERANCE_PROFILES[tolerance_profile]
 
-    t_grid = config.sample_times()
-    traj = solve_lambda(config.system, config.packet, t_grid, dt=config.dt)
-    records = _sample_records(config, traj)
+    traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt)
+    columns, maxima = record_columns(traj)
+    records = _sample_records(columns)
 
     report = {
         "scenario": config.name,
@@ -526,11 +485,11 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     wigner_grids = []
 
     if "invariants" in config.tasks:
-        checks = _invariant_summary(config, traj, records, tol)
+        checks = _invariant_summary(config, maxima, tol)
         report["invariants"] = {"checks": checks}
         if is_free_motion(config.system.frequency_law):
             report["invariants"]["frozen_width"] = _frozen_width_block(
-                config, records)
+                config, traj.times)
 
     if "wigner" in config.tasks:
         outputs = _wigner_task(config, traj, [0, len(traj) - 1])
@@ -605,7 +564,10 @@ def emit_outputs(report, wigner_grids, output_dir, write_trajectory=True):
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main() call parses as a fresh one would."""
     parser = argparse.ArgumentParser(
         prog="wavepacket",
         description="Gaussian wave-packet dynamics scenario runner.",

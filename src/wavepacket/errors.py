@@ -17,12 +17,14 @@ class DeltaLimitError(CapabilityError):
 
 
 class DivergenceError(Exception):
-    """The numerical state became non-finite during integration.
+    """The numerical state, or a quantity derived from it, became non-finite.
 
     t is when that was detected: for solve_lambda the end of the sample
     interval in which the RK4 state went non-finite, for split_step the end
     of the block of oracle.FINITE_CHECK_EVERY steps in which the grid state
-    did.
+    did, and for the per-sample report quantities (invariants.require_finite)
+    the first sample time at which one of them overflowed while the state
+    was still finite.
     """
 
     def __init__(self, t, message=None):

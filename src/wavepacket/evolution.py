@@ -80,19 +80,61 @@ class ClassicalState:
     eta_dot: float
 
 
+def _polar(u, ud, z, zd):
+    """(alpha, alpha', phi') of lambda = u + i*z with derivative ud + i*zd.
+
+    alpha = |lambda| is hypot(u, z), as abs of a complex number is, and
+    alpha' and phi' are Re and Im of lambda'*conj(lambda), written out as
+    CPython's complex product forms them, over alpha and alpha^2.  Works on
+    floats and on arrays.
+    """
+    alpha = np.hypot(u, z)
+    alpha_dot = (ud * u - zd * -z) / alpha
+    phi_dot = (ud * -z + zd * u) / (alpha * alpha)
+    return alpha, alpha_dot, phi_dot
+
+
+@dataclass(frozen=True)
+class SampleColumns:
+    """The samples of a Trajectory as columns, one array per quantity.
+
+    The attribute names are those of LambdaState and ClassicalState, so a
+    function written for one state, such as ermakov_residual or
+    moments_from_lambda, computes the same formula on every sample at once.
+    """
+
+    t: np.ndarray
+    u_hat: np.ndarray
+    u_hat_dot: np.ndarray
+    z_hat: np.ndarray
+    z_hat_dot: np.ndarray
+    eta: np.ndarray
+    eta_dot: np.ndarray
+    phi: np.ndarray
+    alpha: np.ndarray
+    alpha_dot: np.ndarray
+    phi_dot: np.ndarray
+
+    # the same property object, so det M has one body
+    wronskian = LambdaState.wronskian
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled joint evolution of lambda, eta and phi.
 
-    `states` holds the integrator's raw state (u, u', z, z', eta, eta', phi)
-    at each of `times`; indexing and `samples` give the
-    (LambdaState, ClassicalState) pairs, built on first use.
+    `times` is a read-only float64 array of shape (n,) and `states` a
+    read-only float64 array of shape (n, 7) of the integrator's raw state
+    (u, u', z, z', eta, eta', phi) at each time.  `columns` gives them
+    together with the polar quantities as SampleColumns, and indexing and
+    `samples` give the (LambdaState, ClassicalState) pairs of plain floats;
+    both are built on first use.
     """
 
     system: SystemSpec
     packet: InitialPacket
-    times: tuple
-    states: tuple
+    times: np.ndarray
+    states: np.ndarray
 
     def __len__(self):
         return len(self.states)
@@ -101,21 +143,22 @@ class Trajectory:
         return self.samples[index]
 
     @cached_property
+    def columns(self):
+        u, ud, z, zd, eta, eta_dot, phi = self.states.T
+        return SampleColumns(self.times, u, ud, z, zd, eta, eta_dot, phi,
+                             *_polar(u, ud, z, zd))
+
+    @cached_property
     def samples(self):
+        s = self.columns
+        rows = zip(*(column.tolist() for column in (
+            s.t, s.u_hat, s.u_hat_dot, s.z_hat, s.z_hat_dot, s.eta, s.eta_dot,
+            s.phi, s.alpha, s.alpha_dot, s.phi_dot)))
         return tuple(
-            (_make_state(t, complex(u, z), complex(ud, zd), phi),
+            (LambdaState(t=t, lam=complex(u, z), lam_dot=complex(ud, zd),
+                         alpha=a, alpha_dot=ad, phi=phi, phi_dot=pd),
              ClassicalState(t=t, eta=e, eta_dot=ed))
-            for t, (u, ud, z, zd, e, ed, phi) in zip(self.times, self.states))
-
-
-def _make_state(t, lam, lam_dot, phi):
-    alpha = abs(lam)
-    cross = lam_dot * lam.conjugate()
-    alpha_dot = cross.real / alpha
-    phi_dot = cross.imag / (alpha * alpha)
-    return LambdaState(t=t, lam=lam, lam_dot=lam_dot,
-                       alpha=alpha, alpha_dot=alpha_dot,
-                       phi=phi, phi_dot=phi_dot)
+            for t, u, ud, z, zd, e, ed, phi, a, ad, pd in rows)
 
 
 # RK4 steps per block of the prefix-product scan: memory is O(BLOCK_STEPS)
@@ -199,21 +242,22 @@ def _packet_states(packet, mass, fundamental):
 
 
 def _validated_times(t_grid, dt):
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid or t_grid[0] != 0.0:
+    times = np.array(t_grid, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValidationError("t_grid must be one-dimensional")
+    if not len(times) or times[0] != 0.0:
         raise ValidationError("t_grid must start at 0")
-    times = np.array(t_grid)
     finite = np.isfinite(times)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValidationError(f"t_grid[{i}] must be finite, got {t_grid[i]!r}")
+        raise ValidationError(f"t_grid[{i}] must be finite, got {float(times[i])!r}")
     if np.any(times[1:] <= times[:-1]):
         raise ValidationError("t_grid must be strictly increasing")
     if not math.isfinite(dt):
         raise ValidationError(f"dt must be finite, got {dt!r}")
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
-    return t_grid, times
+    return times
 
 
 def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> Trajectory:
@@ -230,10 +274,11 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
     block to block; lambda and eta are read off it, and phi sums the RK4
     increment h/6*(p1 + 2*(p2 + p3) + p4), p = 1/|lambda|^2 at the stage
     states, in step order.  Raises DivergenceError at the first sample whose
-    state is non-finite.  The Trajectory keeps the raw state tuple at each
-    sample time.
+    state is non-finite.  t_grid may be a sequence or an array; the
+    Trajectory keeps a read-only float64 copy of it and the raw states as a
+    read-only (n, 7) array, with no per-sample Python objects.
     """
-    t_grid, times = _validated_times(t_grid, dt)
+    times = _validated_times(t_grid, dt)
     spans = np.diff(times)
     n_sub = np.maximum(1, np.ceil(spans / dt - 1e-12)).astype(np.int64)
     h_sub = spans / n_sub
@@ -277,9 +322,9 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
             states[rows, 6] = phases[local]
             finite = np.isfinite(states[rows]).all(axis=1)
             if not finite.all():
-                raise DivergenceError(t_grid[rows[np.argmin(finite)]])
-    return Trajectory(system=system, packet=packet, times=tuple(t_grid),
-                      states=tuple(map(tuple, states.tolist())))
+                raise DivergenceError(float(times[rows[np.argmin(finite)]]))
+    times.flags.writeable = states.flags.writeable = False
+    return Trajectory(system=system, packet=packet, times=times, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +370,10 @@ def closed_form_lambda(system: SystemSpec, packet: InitialPacket, t: float) -> L
     """
     u, ud, z, zd, _, _ = _packet_states(packet, system.constants.mass,
                                         _closed_form_fundamental(system, t))
-    lam, lam_dot = complex(u, z), complex(ud, zd)
-    phi = _closed_form_phi(system, packet, t)
-    state = _make_state(t, lam, lam_dot, 0.0)
-    return LambdaState(t=t, lam=lam, lam_dot=lam_dot, alpha=state.alpha,
-                       alpha_dot=state.alpha_dot, phi=phi, phi_dot=state.phi_dot)
+    alpha, alpha_dot, phi_dot = map(float, _polar(u, ud, z, zd))
+    return LambdaState(t=t, lam=complex(u, z), lam_dot=complex(ud, zd), alpha=alpha,
+                       alpha_dot=alpha_dot, phi=_closed_form_phi(system, packet, t),
+                       phi_dot=phi_dot)
 
 
 def closed_form_classical(system: SystemSpec, packet: InitialPacket, t: float) -> ClassicalState:
@@ -339,17 +383,23 @@ def closed_form_classical(system: SystemSpec, packet: InitialPacket, t: float) -
     return ClassicalState(t=t, eta=eta, eta_dot=eta_dot)
 
 
-def ermakov_residual(state: LambdaState, omega: float) -> float:
+def ermakov_residual(state, omega):
     """|alpha'' + w^2*alpha - 1/alpha^3| with alpha'' evaluated from lambda.
 
     lambda'' = -w^2*lambda along solutions, so
     alpha'' = (|lambda'|^2 + Re(lambda''*conj(lambda)))/alpha - alpha'^2/alpha.
-    Vanishes identically on true solutions of the equation of motion.
+    Vanishes identically on true solutions of the equation of motion.  state
+    is a LambdaState and omega a float, or SampleColumns and the array of w
+    at its times.
     """
-    lam, lam_dot = state.lam, state.lam_dot
+    u, ud, z, zd = state.u_hat, state.u_hat_dot, state.z_hat, state.z_hat_dot
     alpha, alpha_dot = state.alpha, state.alpha_dot
-    lam_ddot = -(omega * omega) * lam
-    speed2 = (lam_dot * lam_dot.conjugate()).real
-    alpha_ddot = (speed2 + (lam_ddot * lam.conjugate()).real) / alpha \
-        - alpha_dot * alpha_dot / alpha
-    return abs(alpha_ddot + omega * omega * alpha - 1.0 / alpha ** 3)
+    w2 = omega * omega
+    # the complex products as CPython forms them; lambda'' = -w^2*lambda
+    # drops only 0.0*z and 0.0*u terms, which can change nothing but the
+    # sign of a zero that |lambda'|^2 > 0 then absorbs
+    speed2 = ud * ud - zd * -zd
+    accel = (-w2 * u) * u - (-w2 * z) * -z
+    alpha_ddot = (speed2 + accel) / alpha - alpha_dot * alpha_dot / alpha
+    # x ** 3 on a float is libm pow, and so is float_power
+    return abs(alpha_ddot + w2 * alpha - 1.0 / np.float_power(alpha, 3))

@@ -17,15 +17,22 @@ The width dynamics itself derives from a Lagrangian in (alpha, phi); its
 canonical momenta are p_alpha = (hbar/2)*alpha' and
 p_phi = (hbar/2)*alpha^2*phi' = hbar/2, and the uncertainty product is
 <x~^2><p~^2> = p_phi^2 + (alpha*p_alpha)^2.
+
+Each formula has one body, which takes floats or arrays: a state argument
+is a LambdaState or the SampleColumns of a whole trajectory.  `x ** 2` is
+libm pow on a float but x*x on an array, and the two differ in the last
+bit now and then, so the bodies use np.float_power, which calls pow for
+both; record_columns gives each sample the value a single LambdaState gets.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constants, SystemSpec, TransformMatrix, is_free_motion, omega_at
-from .evolution import ClassicalState, LambdaState, Trajectory
-from .errors import CapabilityError, ValidationError
+from .core import Constants, SystemSpec, TransformMatrix, is_free_motion
+from .evolution import LambdaState, Trajectory, ermakov_residual
+from .errors import CapabilityError, DivergenceError, ValidationError
+from .packet import moments_from_lambda
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ def frozen_width_matrix(system: SystemSpec, alpha0: float, t: float) -> Transfor
     """The would-be free-motion matrix with the width frozen at alpha0.
 
     det = 1 + (t/alpha0^2)^2, not 1; the matrix is tagged non-canonical and
-    is rejected by the Wigner point map.
+    is rejected by the Wigner point map.  t may be an array of times.
     """
     if not is_free_motion(system.frequency_law):
         raise CapabilityError("frozen-width matrix is defined for free motion only")
@@ -56,12 +63,13 @@ def frozen_width_matrix(system: SystemSpec, alpha0: float, t: float) -> Transfor
                            d=alpha0, alpha0=alpha0, canonical=False)
 
 
-def ermakov_invariant(eta, eta_dot, alpha, alpha_dot) -> float:
+def ermakov_invariant(eta, eta_dot, alpha, alpha_dot):
     """I_L = (1/2)*[(eta'*alpha - eta*alpha')^2 + (eta/alpha)^2]."""
-    return 0.5 * ((eta_dot * alpha - eta * alpha_dot) ** 2 + (eta / alpha) ** 2)
+    return 0.5 * (np.float_power(eta_dot * alpha - eta * alpha_dot, 2)
+                  + np.float_power(eta / alpha, 2))
 
 
-def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0) -> float:
+def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0):
     """The determinant of the classically parametrized matrix,
 
         (m/(alpha0*p0))^2 * [(eta'*alpha - alpha'*eta)^2 + (eta/alpha)^2],
@@ -70,30 +78,28 @@ def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0) -> floa
     if p0 == 0.0:
         raise ValidationError("classical parametrization requires p0 != 0")
     s = mass / (alpha0 * p0)
-    return s * s * ((eta_dot * alpha - alpha_dot * eta) ** 2
-                    + (eta / alpha) ** 2)
+    return s * s * (np.float_power(eta_dot * alpha - alpha_dot * eta, 2)
+                    + np.float_power(eta / alpha, 2))
 
 
-def energy_partition(classical: ClassicalState, state: LambdaState,
-                     system: SystemSpec):
+def energy_partition(classical, state, omega, constants: Constants):
     """(E_cl, E_tilde): the classical energy of the mean trajectory and the
     fluctuation energy
 
-        E_tilde = (hbar/4)*(alpha'^2 + alpha^2*phi'^2 + w^2*alpha^2).
+        E_tilde = (hbar/4)*(alpha'^2 + alpha^2*phi'^2 + w^2*alpha^2),
 
-    Their sum is the mean of the Hamiltonian; it is conserved only for
-    time-independent w.
+    with w = omega at the state's time.  Their sum is the mean of the
+    Hamiltonian; it is conserved only for time-independent w.
     """
-    c = system.constants
-    w = omega_at(system, state.t)
-    e_cl = 0.5 * c.mass * classical.eta_dot ** 2 \
-        + 0.5 * c.mass * w * w * classical.eta ** 2
+    m = constants.mass
+    e_cl = 0.5 * m * np.float_power(classical.eta_dot, 2) \
+        + 0.5 * m * omega * omega * np.float_power(classical.eta, 2)
     a, ad, pd = state.alpha, state.alpha_dot, state.phi_dot
-    e_tilde = 0.25 * c.hbar * (ad * ad + a * a * pd * pd + w * w * a * a)
+    e_tilde = 0.25 * constants.hbar * (ad * ad + a * a * pd * pd + omega * omega * a * a)
     return e_cl, e_tilde
 
 
-def canonical_coordinates(state: LambdaState, constants: Constants) -> UncertaintyCanonical:
+def canonical_coordinates(state, constants: Constants) -> UncertaintyCanonical:
     """(alpha, p_alpha, phi, p_phi) with p_alpha = (hbar/2)*alpha' and
     p_phi = (hbar/2)*alpha^2*phi'."""
     hbar = constants.hbar
@@ -105,16 +111,85 @@ def canonical_coordinates(state: LambdaState, constants: Constants) -> Uncertain
     )
 
 
-def uncertainty_hamiltonian(uc: UncertaintyCanonical, omega: float,
-                            constants: Constants) -> float:
+def uncertainty_hamiltonian(uc: UncertaintyCanonical, omega, constants: Constants):
     """H~ = p_alpha^2/hbar + p_phi^2/(hbar*alpha^2) + (hbar/4)*w^2*alpha^2.
 
     Numerically equal to the fluctuation energy E_tilde.
     """
     hbar = constants.hbar
-    return (uc.p_alpha ** 2 / hbar
-            + uc.p_phi ** 2 / (hbar * uc.alpha ** 2)
-            + 0.25 * hbar * omega * omega * uc.alpha ** 2)
+    alpha2 = np.float_power(uc.alpha, 2)
+    return (np.float_power(uc.p_alpha, 2) / hbar
+            + np.float_power(uc.p_phi, 2) / (hbar * alpha2)
+            + 0.25 * hbar * omega * omega * alpha2)
+
+
+def require_finite(times, columns):
+    """Raise DivergenceError at the first of `times` where one of the named
+    `columns` is not finite, naming the first such column there."""
+    finite = np.isfinite(np.stack(list(columns.values())))
+    if finite.all():
+        return
+    i = int(np.argmin(finite.all(axis=0)))
+    name = list(columns)[int(np.argmin(finite[:, i]))]
+    t = float(times[i])
+    raise DivergenceError(t, f"non-finite {name} at t={t!r}")
+
+
+def record_columns(traj: Trajectory):
+    """Every per-sample quantity of the invariant report, on all samples at once.
+
+    Returns (columns, maxima).  `columns` maps each record field to an array
+    over traj.times: t, eta, eta_dot, alpha, alpha_dot, phi, the moments
+    var_x, var_p and corr, det_M (the Wronskian), I_L, p_phi, the invariant
+    uncertainty product, E_cl, E_tilde and the Ermakov residual.  `maxima`
+    maps the invariant summary's checks to the largest deviation over the
+    samples, as floats: ermakov_residual_max, det_M_drift (|det M - 1|),
+    ermakov_rel_drift (|I_L - I_L(0)|, relative unless I_L(0) = 0),
+    p_phi_abs_dev (from hbar/2), iup_abs_dev (from hbar^2/4) and
+    uncertainty_hamiltonian_vs_energy (|H~ - E_tilde|), and for a release
+    from x0 = 0 with p0 != 0 also det_vs_ermakov_identity.
+
+    w is evaluated once, on traj.times.  Each value rounds as the formula
+    rounds it for a single LambdaState.  Raises DivergenceError at the first
+    sample time where a column or a deviation is not finite, naming it.
+    """
+    s = traj.columns
+    packet, c = traj.packet, traj.system.constants
+    with np.errstate(all="ignore"):
+        w = traj.system.frequency_law.omega(s.t)
+        moments = moments_from_lambda(s, c)
+        uc = canonical_coordinates(s, c)
+        e_cl, e_tilde = energy_partition(s, s, w, c)
+        residual = ermakov_residual(s, w)
+        columns = {
+            "t": s.t, "eta": s.eta, "eta_dot": s.eta_dot,
+            "alpha": s.alpha, "alpha_dot": s.alpha_dot, "phi": s.phi,
+            "var_x": moments.var_x, "var_p": moments.var_p, "corr": moments.corr,
+            "det_M": s.wronskian,
+            "I_L": ermakov_invariant(s.eta, s.eta_dot, s.alpha, s.alpha_dot),
+            "p_phi": uc.p_phi,
+            "invariant_uncertainty_product": moments.uncertainty_determinant(),
+            "E_cl": e_cl, "E_tilde": e_tilde,
+            "ermakov_residual": residual,
+        }
+        i_l = columns["I_L"]
+        drift = np.abs(i_l - i_l[0])
+        deviations = {
+            "ermakov_residual_max": residual,
+            "det_M_drift": np.abs(s.wronskian - 1.0),
+            "ermakov_rel_drift": drift / abs(i_l[0]) if i_l[0] != 0.0 else drift,
+            "p_phi_abs_dev": np.abs(uc.p_phi - 0.5 * c.hbar),
+            "iup_abs_dev": np.abs(columns["invariant_uncertainty_product"]
+                                  - 0.25 * c.hbar ** 2),
+            "uncertainty_hamiltonian_vs_energy": np.abs(
+                uncertainty_hamiltonian(uc, w, c) - e_tilde),
+        }
+        if packet.p0 != 0.0 and packet.x0 == 0.0:
+            deviations["det_vs_ermakov_identity"] = np.abs(
+                det_as_ermakov(s.eta, s.eta_dot, s.alpha, s.alpha_dot,
+                               packet.alpha0, packet.p0, c.mass) - s.wronskian)
+    require_finite(s.t, columns | deviations)
+    return columns, {name: float(d.max()) for name, d in deviations.items()}
 
 
 def euler_lagrange_residuals(traj: Trajectory):
@@ -126,11 +201,10 @@ def euler_lagrange_residuals(traj: Trajectory):
 
     Returns the arrays (res_phi, res_alpha), empty for fewer than 3 samples.
     Accuracy is O(h^2) in the sample spacing h, which must be uniform
-    (ValidationError otherwise).  alpha, phi' and p_phi are formed from the
-    raw states in the operation order of LambdaState and
-    canonical_coordinates, so every value rounds as it does there.
+    (ValidationError otherwise).  alpha, phi' and p_phi are the trajectory's
+    columns, so every value rounds as it does for a single LambdaState.
     """
-    times = np.array(traj.times)
+    times = traj.times
     if len(times) < 3:
         return np.empty(0), np.empty(0)
     h1 = times[1:-1] - times[:-2]
@@ -139,18 +213,13 @@ def euler_lagrange_residuals(traj: Trajectory):
         raise ValidationError("centered differences need uniform sample spacing")
     h = 0.5 * (h1 + h2)
 
-    u, ud, z, zd, *_ = np.array(traj.states).T
-    # abs(lambda) is hypot, and Im(lambda'*conj(lambda)) is the imaginary
-    # part of CPython's complex product
-    alpha = np.hypot(u, z)
-    phi_dot = (ud * -z + zd * u) / (alpha * alpha)
-    p_phi = 0.5 * traj.system.constants.hbar * alpha * alpha * phi_dot
+    s = traj.columns
+    p_phi = canonical_coordinates(s, traj.system.constants).p_phi
     res_phi = np.abs((p_phi[2:] - p_phi[:-2]) / (2.0 * h))
 
+    alpha = s.alpha
     a = alpha[1:-1]
     alpha_ddot = (alpha[2:] - 2.0 * a + alpha[:-2]) / (h * h)
     w = traj.system.frequency_law.omega(times[1:-1])
-    # x ** 2 on a float is libm pow, which is not always x * x to the last
-    # bit; float_power calls pow too
-    res_alpha = np.abs(alpha_ddot + w * w * a - np.float_power(phi_dot[1:-1], 2) * a)
+    res_alpha = np.abs(alpha_ddot + w * w * a - np.float_power(s.phi_dot[1:-1], 2) * a)
     return res_phi, res_alpha

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Constants
-from .evolution import LambdaState, Trajectory
+from .evolution import Trajectory
 from .kernels import ComplexGrid, uniform_step
 from .errors import ValidationError
 
@@ -126,14 +126,20 @@ def evaluate_wavefunction(packet: GaussianPacket, x_grid) -> ComplexGrid:
     return grid
 
 
-def moments_from_lambda(state: LambdaState, constants: Constants) -> Moments:
+def moments_from_lambda(state, constants: Constants) -> Moments:
     """Second moments from lambda:
 
     <x~^2> = (hbar/2m)*|lambda|^2,  <p~^2> = (hbar*m/2)*|lambda'|^2,
     <[x~,p~]_+> = hbar*alpha*alpha'.
+
+    state is a LambdaState, or the SampleColumns of a trajectory, for which
+    the moments are arrays.  |lambda|^2 is Re(lambda*conj(lambda)) written
+    out as CPython's complex product forms it.
     """
     hbar, m = constants.hbar, constants.mass
-    var_x = (hbar / (2.0 * m)) * (state.lam * state.lam.conjugate()).real
-    var_p = (hbar * m / 2.0) * (state.lam_dot * state.lam_dot.conjugate()).real
+    u, z = state.u_hat, state.z_hat
+    ud, zd = state.u_hat_dot, state.z_hat_dot
+    var_x = (hbar / (2.0 * m)) * (u * u - z * -z)
+    var_p = (hbar * m / 2.0) * (ud * ud - zd * -zd)
     corr = hbar * state.alpha_dot * state.alpha
     return Moments(var_x=var_x, var_p=var_p, corr=corr)

@@ -224,6 +224,32 @@ def test_exit_code_divergence(tmp_path):
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("overrides, quantity, t", [
+    # parametric resonance: the state is finite at t = 270 and its moments
+    # overflow there; the Ermakov invariant's square overflowed soon after
+    ({"system": {"type": "modulated", "omega0": 2.0, "epsilon": 0.9, "gamma": 4.0},
+      "packet": {"x0": 0.5, "p0": 1.0, "alpha0": 1.0},
+      "time": {"t_end": 300.0, "dt": 0.01, "sample_every": 1000}},
+     "invariant_uncertainty_product", 270.0),
+    # the scale (m/(alpha0*p0))^2 of the det-vs-Ermakov identity overflows
+    ({"packet": {"x0": 0.0, "p0": 6.5e-280, "alpha0": 1.0}},
+     "det_vs_ermakov_identity", 0.0),
+    # (t/alpha0^2)^2 overflows; with hbar = 1e-30 every record stays finite
+    ({"constants": {"hbar": 1e-30, "mass": 1.0},
+      "packet": {"x0": 0.5, "p0": 1.0, "alpha0": 1e-80}},
+     "frozen_width det", 0.1),
+], ids=["resonance", "tiny-p0", "frozen-width"])
+def test_overflowing_sample_quantity_exits_3(tmp_path, capsys, overrides, quantity, t):
+    """A derived quantity that is not finite is a divergence (exit 3) that
+    names the quantity and the first sample time; no inf or NaN reaches
+    report.json."""
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical divergence: non-finite {quantity} at t={t!r}" in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_exit_code_delta_limit(tmp_path):
     data = dict(SMALL_CONFIG,
                 time={"t_end": 1e-10, "dt": 1e-10, "sample_every": 1},
@@ -403,6 +429,47 @@ def test_describe(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data == BUILTIN_SCENARIOS["free-spread"]
     assert main(["describe", "nope"]) == 2
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys):
+    """The parser is built once per process; a call through the reused
+    parser gives what a call through a newly built one gives, whatever ran
+    before it."""
+    from wavepacket import cli
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    commands = [
+        ["run", cfg, "--output-dir", str(tmp_path / "out"),
+         "--tolerance-profile", "strict"],
+        ["describe", "ho-breathing"],
+        ["run"],
+        ["list-scenarios"],
+        ["run", cfg, "--tolerance-profile", "lenient"],
+        ["frobnicate"],
+        ["run", cfg, "--output-dir", str(tmp_path / "out")],
+        ["describe", "nope"],
+    ]
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+        fresh.append((tmp_path / "out" / "report.json").read_bytes())
+    assert cli._build_parser() is cli._build_parser()
+    reused = []
+    for argv in commands:
+        reused.append(_outcome(capsys, argv))
+        reused.append((tmp_path / "out" / "report.json").read_bytes())
+    assert reused == fresh
+    codes = [outcome[0] for outcome in fresh[::2]]
+    assert codes == [0, 0, "SystemExit(2)", 0, "SystemExit(2)", "SystemExit(2)", 0, 2]
 
 
 def test_console_entry_point():

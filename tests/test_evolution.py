@@ -13,8 +13,10 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              omega_at)
 from wavepacket.errors import CapabilityError, DivergenceError, ValidationError
 from wavepacket import evolution
-from wavepacket.evolution import (ClassicalState, Trajectory, closed_form_classical,
+from wavepacket.evolution import (Trajectory, closed_form_classical,
                                   closed_form_lambda, ermakov_residual, solve_lambda)
+
+import scalar_reference
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -28,7 +30,7 @@ def grid(t_end, n):
 def initial_state(packet: InitialPacket):
     """The t = 0 LambdaState implied by the normalization convention."""
     a0 = packet.alpha0
-    return evolution._make_state(0.0, complex(a0, 0.0), complex(0.0, 1.0 / a0), 0.0)
+    return scalar_reference.make_state(0.0, complex(a0, 0.0), complex(0.0, 1.0 / a0), 0.0)
 
 
 def test_initial_conditions():
@@ -198,6 +200,8 @@ def test_t_grid_validation():
         solve_lambda(FREE, packet, [0.0, 1.0, 1.0])
     with pytest.raises(ValidationError):
         solve_lambda(FREE, packet, [0.0, 1.0], dt=0.0)
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        solve_lambda(FREE, packet, [[0.0, 1.0]])
 
 
 @pytest.mark.parametrize("t_grid, dt, field", [
@@ -316,8 +320,8 @@ def _solve_reference(system, packet, t_grid, dt=1e-3, step=_rk4_step_flat):
         if not all(map(math.isfinite, y)):
             raise DivergenceError(t)
         states.append(y)
-    return Trajectory(system=system, packet=packet, times=tuple(t_grid),
-                      states=tuple(states))
+    return Trajectory(system=system, packet=packet, times=np.array(t_grid),
+                      states=np.array(states))
 
 
 def _assert_rounding_close(states, reference):
@@ -394,7 +398,7 @@ def test_solve_lambda_trajectory_equals_tuple_reference(law):
     assert _samples(reference) == _samples(
         _solve_reference(system, packet, t_grid, step=_rk4_step_reference))
     traj = solve_lambda(system, packet, t_grid)
-    assert traj.times == reference.times
+    assert traj.times.tolist() == t_grid
     _assert_rounding_close(traj.states, reference.states)
 
 
@@ -435,23 +439,24 @@ def test_solve_lambda_agrees_with_scalar_reference(law, grid_dt, packet):
 
 @pytest.mark.parametrize("law", EXACT_LAWS, ids=lambda law: type(law).__name__)
 def test_samples_are_built_from_stored_states_and_cached(law):
-    traj = solve_lambda(SystemSpec(C, law), InitialPacket(0.3, 0.9, 1.1),
-                        [k * 0.1 for k in range(51)])
+    t_grid = np.arange(51) * 0.1
+    traj = solve_lambda(SystemSpec(C, law), InitialPacket(0.3, 0.9, 1.1), t_grid)
     assert len(traj) == len(traj.states) == len(traj.times) == 51
-    assert "samples" not in vars(traj)
-    expected = tuple(
-        (evolution._make_state(t, complex(u, z), complex(ud, zd), phi),
-         ClassicalState(t=t, eta=e, eta_dot=ed))
-        for t, (u, ud, z, zd, e, ed, phi) in zip(traj.times, traj.states))
+    assert "samples" not in vars(traj) and "columns" not in vars(traj)
+    expected = scalar_reference.samples(traj)
     assert traj.samples == expected   # dataclass == compares every field
     assert traj.samples[0][0] == initial_state(traj.packet)
     for s, cl in traj.samples:
         for value in (s.t, s.alpha, s.alpha_dot, s.phi, s.phi_dot, cl.eta, cl.eta_dot):
             assert type(value) is float   # repr in trajectory.csv needs plain floats
-    assert type(traj.times) is tuple and type(traj.states) is tuple
-    for state in traj.states:
-        assert type(state) is tuple and len(state) == 7
-        assert all(type(value) is float for value in state)
+    for array, shape in ((traj.times, (51,)), (traj.states, (51, 7))):
+        assert type(array) is np.ndarray and array.dtype == np.float64
+        assert array.shape == shape
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert traj.times is not t_grid and t_grid.flags.writeable
+    assert traj.times.tolist() == t_grid.tolist()
     assert traj.samples is traj.samples
     assert traj[-1] is traj.samples[-1]
 

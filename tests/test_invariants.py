@@ -175,7 +175,7 @@ def test_energy_partition_free():
     packet = InitialPacket(0.0, 1.0, 1.0)
     traj = solve(FREE, packet, t_end=1.0, n=10)
     for s, cl in traj.samples:
-        e_cl, e_tilde = energy_partition(cl, s, FREE)
+        e_cl, e_tilde = energy_partition(cl, s, 0.0, C)
         assert e_cl == pytest.approx(0.5, abs=1e-12)
         assert e_tilde == pytest.approx(0.25, abs=1e-12)
 
@@ -184,7 +184,7 @@ def test_energy_partition_ho_ground_state():
     packet = InitialPacket(0.0, 0.0, 1.0)  # at rest, constant width
     traj = solve(HO, packet, t_end=2.0, n=20)
     for s, cl in traj.samples:
-        e_cl, e_tilde = energy_partition(cl, s, HO)
+        e_cl, e_tilde = energy_partition(cl, s, 1.0, C)
         assert e_cl == pytest.approx(0.0, abs=1e-15)
         assert e_tilde == pytest.approx(0.5, abs=1e-12)  # hbar*omega/2
 
@@ -192,12 +192,13 @@ def test_energy_partition_ho_ground_state():
 def test_energy_total_conserved_for_static_omega_only():
     packet = InitialPacket(0.0, 1.0, 1.5)
     traj = solve(HO, packet, t_end=5.0, n=50)
-    totals = [sum(energy_partition(cl, s, HO)) for s, cl in traj.samples]
+    totals = [sum(energy_partition(cl, s, 1.0, C)) for s, cl in traj.samples]
     assert max(abs(e - totals[0]) for e in totals) <= 1e-10
 
     ramp = SystemSpec(C, RampOmega(1.0, 0.25))
     traj = solve(ramp, packet, t_end=5.0, n=50)
-    totals = [sum(energy_partition(cl, s, ramp)) for s, cl in traj.samples]
+    totals = [sum(energy_partition(cl, s, omega_at(ramp, s.t), C))
+              for s, cl in traj.samples]
     assert max(abs(e - totals[0]) for e in totals) > 1e-3  # driven system
 
 
@@ -237,7 +238,7 @@ def test_uncertainty_hamiltonian_equals_fluctuation_energy():
     for s, cl in traj.samples:
         w = law.omega(s.t)
         h_tilde = uncertainty_hamiltonian(canonical_coordinates(s, C), w, C)
-        _, e_tilde = energy_partition(cl, s, system)
+        _, e_tilde = energy_partition(cl, s, w, C)
         assert abs(h_tilde - e_tilde) <= 1e-12
 
 
