@@ -74,12 +74,15 @@ def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0):
 
         (m/(alpha0*p0))^2 * [(eta'*alpha - alpha'*eta)^2 + (eta/alpha)^2],
 
-    which is 2*(m/(alpha0*p0))^2 * I_L by construction."""
+    which is 2*(m/(alpha0*p0))^2 * I_L by construction.  It is summed as
+    (s*A)^2 + (s*B)^2 with s = m/(alpha0*p0): s^2 alone overflows once
+    |p0| is below about 1e-154*m/alpha0, where the identity is still of
+    order 1."""
     if p0 == 0.0:
         raise ValidationError("classical parametrization requires p0 != 0")
     s = mass / (alpha0 * p0)
-    return s * s * (np.float_power(eta_dot * alpha - alpha_dot * eta, 2)
-                    + np.float_power(eta / alpha, 2))
+    return (np.float_power(s * (eta_dot * alpha - alpha_dot * eta), 2)
+            + np.float_power(s * (eta / alpha), 2))
 
 
 def energy_partition(classical, state, omega, constants: Constants):

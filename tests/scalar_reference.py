@@ -46,8 +46,7 @@ def ermakov_invariant(eta, eta_dot, alpha, alpha_dot):
 
 def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass):
     s = mass / (alpha0 * p0)
-    return s * s * ((eta_dot * alpha - alpha_dot * eta) ** 2
-                    + (eta / alpha) ** 2)
+    return (s * (eta_dot * alpha - alpha_dot * eta)) ** 2 + (s * (eta / alpha)) ** 2
 
 
 def energy_partition(classical, state, system):

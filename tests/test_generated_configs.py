@@ -1,0 +1,72 @@
+"""Every valid config gives a report or a documented numerical exit.
+
+Configs are drawn over all five law types, grids of 64-256 points that may
+be too coarse for the packet or cut into it, short runs and any subset of
+tasks.  An example must write report.json (exit 0), or stop with exit 3
+(divergence) or 4 (capability) and that class's message.  A config error
+(exit 2) of a config that parse_config accepted is an internal check
+escaping as the user's fault, and an uncaught exception or numpy warning
+(exit 1) is a crash; both fail.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from wavepacket.cli import TASKS, main, parse_config
+
+from strategies import FINITE, law
+
+MESSAGES = {3: "error: numerical divergence: ", 4: "error: capability: "}
+
+
+@st.composite
+def _configs(draw):
+    dt = draw(st.floats(1e-3, 0.02, **FINITE))
+    sample_every = draw(st.integers(1, 20))
+    t_end = draw(st.integers(1, 8)) * dt * sample_every
+    half_width = draw(st.floats(1.0, 20.0, **FINITE))
+    centre = draw(st.floats(-5.0, 5.0, **FINITE))
+    return {
+        "constants": {"hbar": draw(st.floats(0.3, 3.0, **FINITE)),
+                      "mass": draw(st.floats(0.3, 3.0, **FINITE))},
+        "system": law(draw, t_end),
+        "packet": {"x0": draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0, **FINITE))),
+                   "p0": draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0, **FINITE))),
+                   "alpha0": draw(st.floats(0.3, 3.0, **FINITE))},
+        "time": {"t_end": t_end, "dt": dt, "sample_every": sample_every},
+        "grid": {"x_min": centre - half_width, "x_max": centre + half_width,
+                 "n_points": draw(st.sampled_from((64, 128, 256)))},
+        "phase_space_grid": {"nx": draw(st.integers(16, 48)),
+                             "np": draw(st.integers(16, 48)),
+                             "span_sigmas": draw(st.floats(2.0, 10.0, **FINITE))},
+        "tasks": draw(st.lists(st.sampled_from(TASKS), min_size=1, unique=True)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_configs())
+def test_valid_config_reports_or_exits_documented(data):
+    config = parse_config(data)
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(data))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["run", str(cfg), "--output-dir", str(out)])
+        message = stderr.getvalue()
+        if code == 0:
+            report = json.loads((out / "report.json").read_text())
+            assert report["tasks"] == list(config.tasks)
+            for task in ("wigner", "kernel_check", "oracle_compare"):
+                assert (task in report) == (task in config.tasks)
+            assert message == ""
+        else:
+            assert code in MESSAGES, message
+            assert message.startswith(MESSAGES[code]) and message.count("\n") == 1, message
+            assert not (out / "report.json").exists()

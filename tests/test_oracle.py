@@ -46,12 +46,86 @@ def reference_split_step(state, system, dt, steps):
     return psi, t
 
 
+def merged_strang_reference(state, system, dt, steps):
+    """The merged Strang loop through np.fft, V/2 . (T . V)^(steps-1) . T . V/2,
+    with w^2 listed for every step midpoint and no one-factor rule."""
+    c = system.constants
+    grid = state.grid
+    x = grid.x()
+    p = 2.0 * math.pi * c.hbar * np.fft.fftfreq(grid.n, d=grid.dx)
+    kinetic = np.exp(-0.5j * dt * p * p / (c.mass * c.hbar)) / grid.n
+    quarter_phase = (-0.25j * dt * c.mass / c.hbar) * (x * x)
+    w2s = []
+    t_k = state.t
+    for start in range(0, steps, FINITE_CHECK_EVERY):
+        starts = np.cumsum([t_k] + [dt] * (min(FINITE_CHECK_EVERY, steps - start) - 1))
+        t_k = starts[-1] + dt
+        w = system.frequency_law.omega(starts + 0.5 * dt)
+        w2s.extend((w * w).tolist())
+    t = state.t
+    psi = np.exp(w2s[0] * quarter_phase) * grid.values
+    spectrum = np.empty_like(psi)
+    pair, merged = None, None
+    for k in range(1, steps + 1):
+        np.fft.fft(psi, out=spectrum)
+        spectrum *= kinetic
+        np.fft.ifft(spectrum, norm="forward", out=psi)
+        t += dt
+        if k < steps:
+            if pair != (w2s[k - 1], w2s[k]):
+                pair = (w2s[k - 1], w2s[k])
+                merged = np.exp((w2s[k - 1] + w2s[k]) * quarter_phase)
+            psi *= merged
+        else:
+            psi *= np.exp(w2s[k - 1] * quarter_phase)
+    return psi, t
+
+
 @pytest.mark.parametrize("law", [
     ConstantOmega(1.0),
     RampOmega(1.0, 0.25),
     # constant on [0, 0.4], so merged factors are reused there, then ramps
     TabulatedOmega((0.0, 0.4, 0.7, 1.0), (1.2, 1.2, 0.8, 1.5)),
-], ids=["constant", "ramp", "tabulated"])
+    # w = 0 for the first 75 steps, a whole block and more, then not: no
+    # one-factor rule
+    TabulatedOmega((0.0, 0.15, 0.7, 1.0), (0.0, 0.0, 0.8, 1.5)),
+], ids=["constant", "ramp", "tabulated", "tabulated-zero-start"])
+@pytest.mark.parametrize("steps", [2 * FINITE_CHECK_EVERY, 4 * FINITE_CHECK_EVERY + 5])
+def test_split_step_equals_merged_strang_loop(law, steps):
+    """The direct gufunc calls leave every bit of the merged loop unchanged."""
+    system = SystemSpec(C, law)
+    _, s0, _ = analytic_states(system, InitialPacket(0.3, 1.0, 1.2), 0.0)
+    expected, t_end = merged_strang_reference(s0, system, 2e-3, steps)
+    out = split_step(s0, system, 2e-3, steps)
+    assert out.t == t_end
+    assert np.array_equal(out.grid.values, expected)
+
+
+def test_zero_frequency_is_one_kinetic_factor():
+    """w^2 = 0 at every midpoint, whatever the law's type, gives T^steps as
+    one factor; t is still summed one dt at a time."""
+    _, s0, _ = analytic_states(FREE, InitialPacket(0.3, 1.0, 1.2), 0.0)
+    dt, steps = 2e-3, 3 * FINITE_CHECK_EVERY + 5
+    out = split_step(s0, FREE, dt, steps)
+    p = 2.0 * math.pi * C.hbar * np.fft.fftfreq(s0.grid.n, d=s0.grid.dx)
+    span_kinetic = np.exp(-0.5j * (steps * dt) * p * p / (C.mass * C.hbar)) / s0.grid.n
+    one_factor = np.fft.ifft(np.fft.fft(s0.grid.values) * span_kinetic, norm="forward")
+    assert np.array_equal(out.grid.values, one_factor)
+    zero = split_step(s0, SystemSpec(C, ConstantOmega(0.0)), dt, steps)
+    assert np.array_equal(zero.grid.values, out.grid.values)
+    t = 0.0
+    for _ in range(steps):
+        t += dt
+    assert out.t == zero.t == t
+
+
+@pytest.mark.parametrize("law", [
+    Free(),
+    ConstantOmega(1.0),
+    RampOmega(1.0, 0.25),
+    # constant on [0, 0.4], so merged factors are reused there, then ramps
+    TabulatedOmega((0.0, 0.4, 0.7, 1.0), (1.2, 1.2, 0.8, 1.5)),
+], ids=["free", "constant", "ramp", "tabulated"])
 def test_split_step_matches_per_step_strang_loop(law):
     system = SystemSpec(C, law)
     _, s0, _ = analytic_states(system, InitialPacket(0.3, 1.0, 1.2), 0.0)
@@ -62,7 +136,6 @@ def test_split_step_matches_per_step_strang_loop(law):
     assert np.max(np.abs(out.grid.values - expected)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("steps", [10, 3 * FINITE_CHECK_EVERY + 5])
 def test_overflowing_law_raises_divergence(steps):
     """w^2 overflows to inf on the first step; the state goes non-finite and
