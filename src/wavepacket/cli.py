@@ -10,11 +10,13 @@ Exit codes: 0 success, 2 config error, 3 numerical divergence,
 4 capability/delta-limit error, 5 I/O error.  A report whose checks fail
 its tolerances still exits 0; pass/fail lives in report.json.
 
-Outputs (all LF line endings, full double precision via repr):
+Outputs (all LF line endings; repr, the shortest round-tripping form, for
+every number except the .dat values):
     trajectory.csv   one row per sample, header
                      t,eta,eta_dot,alpha,alpha_dot,phi,var_x,var_p,corr,det_M,I_L,p_phi,E_cl,E_tilde
     wigner_t<id>.dat matrix (rows = p index, columns = x index) preceded by
-                     '#' metadata lines
+                     '#' metadata lines; each value as '%.17e' (18 significant
+                     digits, exponent e+XX or e+XXX), one space between values
     report.json      invariant report with per-sample records, summaries and
                      pass/fail against the configured tolerances; each
                      wigner, kernel_check and oracle_compare section lists
@@ -44,6 +46,7 @@ from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
                       satisfies_kernel_odes)
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analytic
+from .rowformat import write_rows
 from .wigner import wigner_numeric
 
 TASKS = ("evolve", "wigner", "kernel_check", "invariants", "oracle_compare")
@@ -473,7 +476,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
     tol = TOLERANCE_PROFILES[tolerance_profile]
 
     traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt)
-    columns, maxima = record_columns(traj)
+    columns, maxima = record_columns(traj, summary="invariants" in config.tasks)
     records = _sample_records(columns)
 
     report = {
@@ -544,15 +547,12 @@ def emit_outputs(report, wigner_grids, output_dir, write_trajectory=True):
     for entry in wigner_grids:
         grid = entry["grid"]
         path = out / f"wigner_t{entry['index']}.dat"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("# wavepacket Wigner function samples\n")
-            fh.write(f"# t = {entry['t']!r}\n")
-            fh.write(f"# x_min = {grid.x_min!r}  dx = {grid.dx!r}  nx = {grid.n_x}\n")
-            fh.write(f"# p_min = {grid.p_min!r}  dp = {grid.dp!r}  np = {grid.n_p}\n")
-            fh.write("# rows: p index, columns: x index\n")
-            row_format = " ".join(["%.17e"] * grid.n_x) + "\n"
-            for row in grid.values:
-                fh.write(row_format % tuple(row.tolist()))
+        with open(path, "wb") as fh:
+            fh.write(f"# wavepacket Wigner function samples\n# t = {entry['t']!r}\n"
+                     f"# x_min = {grid.x_min!r}  dx = {grid.dx!r}  nx = {grid.n_x}\n"
+                     f"# p_min = {grid.p_min!r}  dp = {grid.dp!r}  np = {grid.n_p}\n"
+                     "# rows: p index, columns: x index\n".encode())
+            write_rows(fh, grid.values)
         written.append(path)
 
     path = out / "report.json"

@@ -138,13 +138,14 @@ def require_finite(times, columns):
     raise DivergenceError(t, f"non-finite {name} at t={t!r}")
 
 
-def record_columns(traj: Trajectory):
+def record_columns(traj: Trajectory, summary=True):
     """Every per-sample quantity of the invariant report, on all samples at once.
 
     Returns (columns, maxima).  `columns` maps each record field to an array
     over traj.times: t, eta, eta_dot, alpha, alpha_dot, phi, the moments
     var_x, var_p and corr, det_M (the Wronskian), I_L, p_phi, the invariant
     uncertainty product, E_cl, E_tilde and the Ermakov residual.  `maxima`
+    is None unless `summary`, which only the invariants task needs; it
     maps the invariant summary's checks to the largest deviation over the
     samples, as floats: ermakov_residual_max, det_M_drift (|det M - 1|),
     ermakov_rel_drift (|I_L - I_L(0)|, relative unless I_L(0) = 0),
@@ -154,7 +155,8 @@ def record_columns(traj: Trajectory):
 
     w is evaluated once, on traj.times.  Each value rounds as the formula
     rounds it for a single LambdaState.  Raises DivergenceError at the first
-    sample time where a column or a deviation is not finite, naming it.
+    sample time where a column, or with `summary` a deviation, is not finite,
+    naming it.
     """
     s = traj.columns
     packet, c = traj.packet, traj.system.constants
@@ -175,6 +177,9 @@ def record_columns(traj: Trajectory):
             "E_cl": e_cl, "E_tilde": e_tilde,
             "ermakov_residual": residual,
         }
+        if not summary:
+            require_finite(s.t, columns)
+            return columns, None
         i_l = columns["I_L"]
         drift = np.abs(i_l - i_l[0])
         deviations = {

@@ -1,7 +1,8 @@
 """The per-sample scalar formulas and report loop that the column pipeline
-replaced, kept as its bit-exact reference.
+replaced, and the row-template .dat writer that wavepacket.rowformat
+replaced, kept as their bit-exact references.
 
-Each function works on one sample of Python floats and complex numbers,
+Each formula works on one sample of Python floats and complex numbers,
 with `**` for powers and CPython's complex products, exactly as the
 runner computed its records and invariant summary one sample at a time.
 """
@@ -167,3 +168,18 @@ def frozen_width(config, records):
         out.append({"t": t, "det": m.det})
     return out, worst
 
+
+
+def write_wigner_dat(path, entry):
+    """wigner_t<id>.dat of one Wigner output entry, every row formatted
+    through a template of '%.17e' fields, as the runner wrote it."""
+    grid = entry["grid"]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# wavepacket Wigner function samples\n")
+        fh.write(f"# t = {entry['t']!r}\n")
+        fh.write(f"# x_min = {grid.x_min!r}  dx = {grid.dx!r}  nx = {grid.n_x}\n")
+        fh.write(f"# p_min = {grid.p_min!r}  dp = {grid.dp!r}  np = {grid.n_p}\n")
+        fh.write("# rows: p index, columns: x index\n")
+        row_format = " ".join(["%.17e"] * grid.n_x) + "\n"
+        for row in grid.values:
+            fh.write(row_format % tuple(row.tolist()))

@@ -268,6 +268,19 @@ def test_exit_code_delta_limit(tmp_path):
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 4
 
 
+def test_unreported_invariant_deviation_does_not_stop_evolve(tmp_path):
+    """At x0 = 0 and a subnormal p0, m/(alpha0*p0) overflows, so the
+    det_vs_ermakov_identity deviation is not finite; only the invariants
+    task reports it, and a run without that task completes."""
+    data = dict(SMALL_CONFIG, packet={"x0": 0.0, "p0": 2.2250738585e-313, "alpha0": 1.0},
+                tasks=["evolve"])
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert "invariants" not in report
+    assert len(report["samples"]) == 6
+
+
 def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
     """Two samples leave no interior point for the centered differences."""
     data = dict(SMALL_CONFIG, time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})
@@ -393,6 +406,23 @@ def test_kernel_check_compares_with_analytic_packet(tmp_path):
         check = kernel["checks"]["kernel_vs_analytic_l2"]
         assert check["tolerance"] == tolerance
         assert check["value"] == kernel["kernel_vs_analytic_l2"] <= 1e-12
+
+
+def test_cli_never_imports_fractions_or_decimal(tmp_path):
+    """The .dat writer builds its exact powers of ten from Python ints; an
+    import of fractions or decimal would add to every run's start-up."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from wavepacket.cli import emit_outputs\n"
+            "from wavepacket.wigner import PhaseSpaceGrid\n"
+            "grid = PhaseSpaceGrid(x_min=0.0, dx=1.0, p_min=0.0, dp=1.0,\n"
+            "                      values=np.full((2, 3), 0.5))\n"
+            f"emit_outputs({{}}, [{{'grid': grid, 'index': 0, 't': 0.0}}], {str(tmp_path)!r},\n"
+            "             write_trajectory=False)\n"
+            "assert 'fractions' not in sys.modules, 'fractions'\n"
+            "assert 'decimal' not in sys.modules, 'decimal'\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_builtin_run_never_imports_scipy(tmp_path):
