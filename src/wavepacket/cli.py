@@ -46,7 +46,7 @@ from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
                       satisfies_kernel_odes)
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analytic
-from .rowformat import write_rows
+from .rowformat import write_records, write_report, write_rows
 from .wigner import wigner_numeric
 
 TASKS = ("evolve", "wigner", "kernel_check", "invariants", "oracle_compare")
@@ -296,30 +296,13 @@ def load_config(source) -> ScenarioConfig:
 # Pipelines
 # ---------------------------------------------------------------------------
 
-# the keys of a sample record, in report order
-RECORD_FIELDS = ("t", "eta", "eta_dot", "alpha", "alpha_dot", "phi", "var_x", "var_p",
-                 "corr", "det_M", "I_L", "p_phi", "invariant_uncertainty_product",
-                 "E_cl", "E_tilde", "ermakov_residual")
-
-
-def _sample_records(columns):
-    rows = zip(*(columns[name].tolist() for name in RECORD_FIELDS))
-    return [dict(zip(RECORD_FIELDS, row)) for row in rows]
-
-
 def _check(value, tolerance):
     """One report check entry; the key order is part of report.json."""
     return {"value": value, "tolerance": tolerance, "pass": bool(value <= tolerance)}
 
 
-def _invariant_summary(config, maxima, tol):
-    # Euler-Lagrange residuals are O(h^2) finite-difference diagnostics, so
-    # they run on a short trajectory sampled at the integrator step itself
-    el_span = min(config.t_end, 2.0)
-    n_fine = round(el_span / config.dt)
-    fine = solve_lambda(config.system, config.packet,
-                        np.arange(n_fine + 1) * config.dt, dt=config.dt)
-    res_phi, res_alpha = euler_lagrange_residuals(fine)
+def _invariant_summary(config, maxima, steps, tol):
+    res_phi, res_alpha = euler_lagrange_residuals(steps)
     el_phi = float(res_phi.max(initial=0.0))
     el_alpha = float(res_alpha.max(initial=0.0))
 
@@ -355,6 +338,22 @@ def _frozen_width_block(config, times):
     }
 
 
+# the least step of a Wigner window, in spacings of doubles at its centre:
+# rounding its points to doubles then moves each by under 1e-6 of a step
+WINDOW_STEP_ULPS = 1e6
+
+
+def _require_resolvable_window(width, n, centre, t):
+    """ResolutionError unless n points spread over `width` around `centre`
+    are WINDOW_STEP_ULPS spacings of doubles apart."""
+    ulp = float(np.spacing(abs(centre)))
+    if not width / (n - 1) >= WINDOW_STEP_ULPS * ulp:   # also for width = inf
+        raise ResolutionError(
+            f"phase_space_grid: the Wigner window at t={t!r} is {width!r} wide "
+            f"around x={centre!r}, where doubles are {ulp!r} apart; its {n} points "
+            f"need a width of at least {WINDOW_STEP_ULPS * ulp * (n - 1)!r}")
+
+
 def _wigner_task(config, traj, indices):
     c = config.constants
     outputs = []
@@ -370,8 +369,9 @@ def _wigner_task(config, traj, indices):
         # offset integral is not truncated inside it; odd point count keeps
         # the mean on the grid
         n_wide = 2 * math.ceil(0.75 * config.ps_nx) + 1
-        x_wide = np.linspace(mean_x - 1.5 * span * sx, mean_x + 1.5 * span * sx,
-                             n_wide)
+        width = 3.0 * span * sx
+        _require_resolvable_window(width, n_wide, mean_x, state.t)
+        x_wide = np.linspace(mean_x - 0.5 * width, mean_x + 0.5 * width, n_wide)
         psi = evaluate_wavefunction(propagate_analytic(traj, idx), x_wide)
 
         n_p = config.ps_np
@@ -470,14 +470,22 @@ def _oracle_task(config, traj, tol):
 
 def run_scenario(config: ScenarioConfig, output_dir=None,
                  tolerance_profile="default"):
-    """Execute the configured tasks; returns (report_dict, wigner_grids)."""
+    """Execute the configured tasks; returns (report_dict, wigner_grids).
+
+    report["samples"] maps each record field to its column over the sample
+    times, in report order; emit_outputs writes it as one record per sample.
+    """
     if tolerance_profile not in TOLERANCE_PROFILES:
         raise ConfigError(f"unknown tolerance profile {tolerance_profile!r}")
     tol = TOLERANCE_PROFILES[tolerance_profile]
 
-    traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt)
-    columns, maxima = record_columns(traj, summary="invariants" in config.tasks)
-    records = _sample_records(columns)
+    invariants = "invariants" in config.tasks
+    # the Euler-Lagrange residuals are O(h^2) finite-difference diagnostics,
+    # so they read the integrator's own steps over the first min(t_end, 2)
+    el_steps = round(min(config.t_end, 2.0) / config.dt) if invariants else 0
+    traj, steps = solve_lambda(config.system, config.packet, config.sample_times(),
+                               dt=config.dt, keep_steps=el_steps)
+    columns, maxima = record_columns(traj, summary=invariants)
 
     report = {
         "scenario": config.name,
@@ -485,12 +493,12 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
         "time": {"t_end": config.t_end, "dt": config.dt,
                  "sample_every": config.sample_every},
         "tasks": list(config.tasks),
-        "samples": records,
+        "samples": columns,
     }
     wigner_grids = []
 
-    if "invariants" in config.tasks:
-        checks = _invariant_summary(config, maxima, tol)
+    if invariants:
+        checks = _invariant_summary(config, maxima, steps, tol)
         report["invariants"] = {"checks": checks}
         if is_free_motion(config.system.frequency_law):
             report["invariants"]["frozen_width"] = _frozen_width_block(
@@ -531,17 +539,20 @@ CSV_FIELDS = ("t", "eta", "eta_dot", "alpha", "alpha_dot", "phi", "var_x",
 
 
 def emit_outputs(report, wigner_grids, output_dir, write_trajectory=True):
-    """Write trajectory.csv, wigner_t<id>.dat and report.json; returns paths."""
+    """Write trajectory.csv, wigner_t<id>.dat and report.json; returns paths.
+
+    Every sample value is turned into its repr once, for both files.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    reprs = {name: list(map(float.__repr__, column.tolist()))
+             for name, column in report.get("samples", {}).items()}
 
     if write_trajectory:
         path = out / "trajectory.csv"
         with open(path, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in report["samples"]:
-                fh.write(",".join(repr(r[f]) for f in CSV_FIELDS) + "\n")
+            write_records(fh, CSV_HEADER, [reprs[name] for name in CSV_FIELDS])
         written.append(path)
 
     for entry in wigner_grids:
@@ -557,7 +568,7 @@ def emit_outputs(report, wigner_grids, output_dir, write_trajectory=True):
 
     path = out / "report.json"
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(report, indent=2) + "\n")
+        write_report(fh, report, reprs)
     written.append(path)
     return written
 

@@ -260,13 +260,25 @@ def _validated_times(t_grid, dt):
     return times
 
 
-def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> Trajectory:
+def _substeps(spans, dt):
+    """RK4 steps per sample interval: k for a span within a relative 1e-9 of
+    k*dt, the tolerance of the config's own multiple check, else
+    ceil(span/dt); at least 1."""
+    ratio = spans / dt
+    k = np.rint(ratio)
+    n = np.where(np.abs(ratio - k) <= 1e-9 * k, k, np.ceil(ratio))
+    return np.maximum(1, n).astype(np.int64)
+
+
+def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
+                 keep_steps=None):
     """Integrate lambda, eta and phi over t_grid with classic fixed-step RK4.
 
     t_grid must start at 0, be finite and increase strictly, and dt must be
     finite and positive (ValidationError otherwise).  Each sample interval
-    [t, t_next] is covered by n = ceil(span/dt - 1e-12) uniform steps of
-    h = span/n starting at t + k*h, so sample times are hit exactly.
+    [t, t_next] is covered by n uniform steps of h = span/n starting at
+    t + k*h, so sample times are hit exactly: n = k for a span within a
+    relative 1e-9 of k*dt, else ceil(span/dt).
 
     RK4 is linear on y'' + w^2 y = 0, so each step is a 2x2 matrix R_k and
     the fundamental matrix after k steps is R_k ... R_1.  It is built per
@@ -277,10 +289,16 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
     state is non-finite.  t_grid may be a sequence or an array; the
     Trajectory keeps a read-only float64 copy of it and the raw states as a
     read-only (n, 7) array, with no per-sample Python objects.
+
+    With keep_steps = k, returns (trajectory, steps): `steps` is a second
+    Trajectory of the state at t = 0 and after each of the first k steps
+    (all of them, if there are fewer), at the step ends t + h, as the
+    blocks form them.  Its states are finite whenever the samples are:
+    a non-finite fundamental matrix stays non-finite.
     """
     times = _validated_times(t_grid, dt)
     spans = np.diff(times)
-    n_sub = np.maximum(1, np.ceil(spans / dt - 1e-12)).astype(np.int64)
+    n_sub = _substeps(spans, dt)
     h_sub = spans / n_sub
     ends = np.cumsum(n_sub)          # steps taken at each sample after t = 0
     firsts = ends - n_sub
@@ -292,6 +310,10 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
     states[0] = (*_packet_states(packet, mass, fundamental), 0.0)
     phase = 0.0
     total = int(ends[-1]) if len(ends) else 0
+    kept = min(keep_steps or 0, total)
+    step_times = np.zeros(kept + 1)
+    step_states = np.empty((kept + 1, 7))
+    step_states[0] = states[0]
     with np.errstate(all="ignore"):
         for start in range(0, total, BLOCK_STEPS):
             steps = np.arange(start, min(start + BLOCK_STEPS, total))
@@ -323,8 +345,21 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3) -> 
             finite = np.isfinite(states[rows]).all(axis=1)
             if not finite.all():
                 raise DivergenceError(float(times[rows[np.argmin(finite)]]))
+
+            n_kept = max(0, min(kept - start, len(steps)))
+            if n_kept:
+                kept_rows = slice(start + 1, start + 1 + n_kept)
+                step_times[kept_rows] = (t + h)[:n_kept]
+                step_states[kept_rows, :6] = np.transpose(
+                    _packet_states(packet, mass, after[:, :, :n_kept]))
+                step_states[kept_rows, 6] = phases[:n_kept]
     times.flags.writeable = states.flags.writeable = False
-    return Trajectory(system=system, packet=packet, times=times, states=states)
+    traj = Trajectory(system=system, packet=packet, times=times, states=states)
+    if keep_steps is None:
+        return traj
+    step_times.flags.writeable = step_states.flags.writeable = False
+    return traj, Trajectory(system=system, packet=packet, times=step_times,
+                            states=step_states)
 
 
 # ---------------------------------------------------------------------------

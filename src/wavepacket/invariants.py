@@ -32,6 +32,7 @@ import numpy as np
 from .core import Constants, SystemSpec, TransformMatrix, is_free_motion
 from .evolution import LambdaState, Trajectory, ermakov_residual
 from .errors import CapabilityError, DivergenceError, ValidationError
+from .kernels import UNIFORM_ULPS
 from .packet import moments_from_lambda
 
 
@@ -209,7 +210,9 @@ def euler_lagrange_residuals(traj: Trajectory):
 
     Returns the arrays (res_phi, res_alpha), empty for fewer than 3 samples.
     Accuracy is O(h^2) in the sample spacing h, which must be uniform
-    (ValidationError otherwise).  alpha, phi' and p_phi are the trajectory's
+    (ValidationError otherwise): adjacent spacings may differ by 1e-12 of
+    the larger plus UNIFORM_ULPS ulps of the last time, the rounding of
+    times t + h far from 0.  alpha, phi' and p_phi are the trajectory's
     columns, so every value rounds as it does for a single LambdaState.
     """
     times = traj.times
@@ -217,7 +220,8 @@ def euler_lagrange_residuals(traj: Trajectory):
         return np.empty(0), np.empty(0)
     h1 = times[1:-1] - times[:-2]
     h2 = times[2:] - times[1:-1]
-    if np.any(np.abs(h1 - h2) > 1e-12 * np.maximum(h1, h2)):
+    atol = UNIFORM_ULPS * np.spacing(times[-1])
+    if np.any(np.abs(h1 - h2) > 1e-12 * np.maximum(h1, h2) + atol):
         raise ValidationError("centered differences need uniform sample spacing")
     h = 0.5 * (h1 + h2)
 

@@ -1,4 +1,9 @@
-"""Rows of numbers in '%.17e' form, formatted a block at a time with numpy.
+"""Rows of numbers written a block at a time: the Wigner .dat rows in
+'%.17e' form, formatted with numpy, and the sample records of
+trajectory.csv and report.json in repr form, formatted once per value.
+
+write_records(fh, header, reprs) and write_report(fh, report, sample_reprs)
+take the samples as columns of strings; see their docstrings.
 
 write_rows(fh, values) writes each row of a 2-D float64 array as the bytes
 of " ".join("%.17e" % v for v in row) + "\\n": an optional '-' (also for
@@ -25,10 +30,12 @@ the working memory does not grow with the number of rows.
 """
 
 import functools
+import json
 
 import numpy as np
 
 BLOCK_VALUES = 4096
+RECORDS_PER_PIECE = 256
 
 # one value's slot: sign, d0, '.', d1, d2..d17 as four groups of four, 'e',
 # exponent sign, hundreds digit, padding, tens and units, separator, padding
@@ -162,3 +169,50 @@ def write_rows(fh, values):
     step = max(1, BLOCK_VALUES // values.shape[1])
     for start in range(0, values.shape[0], step):
         fh.write(_format_block(values[start:start + step]))
+
+
+def _pieces(template, reprs, sep=""):
+    """template % row for each row of the columns `reprs`, joined by sep,
+    in strings of RECORDS_PER_PIECE rows each."""
+    n = len(reprs[0]) if reprs else 0
+    for lo in range(0, n, RECORDS_PER_PIECE):
+        rows = zip(*(column[lo:lo + RECORDS_PER_PIECE] for column in reprs))
+        yield sep.join(template % row for row in rows)
+
+
+def write_records(fh, header, reprs):
+    """Write the text file fh: the header line, then one line per row of
+    the columns `reprs` (lists of strings), its values joined by commas."""
+    fh.write(header + "\n")
+    template = ",".join(["%s"] * len(reprs)) + "\n"
+    for piece in _pieces(template, reprs):
+        fh.write(piece)
+
+
+def write_report(fh, report, sample_reprs):
+    """Write to the text file fh the bytes of json.dumps(report, indent=2)
+    and a newline, where report["samples"], when present, stands for the
+    list of one {name: value} record per sample, and sample_reprs holds
+    those values as columns, {name: [repr of each value]}; for a finite
+    float, repr is the form json.dumps writes.
+
+    Every other top-level value is json.dumps(value, indent=2) with its
+    lines indented by two more spaces, as the one-shot encoder nests it
+    (a JSON string holds no raw newline); each record is one template of
+    the field names with a slot per value.
+    """
+    fh.write("{")
+    for j, (key, value) in enumerate(report.items()):
+        fh.write(("," if j else "") + "\n  " + json.dumps(key) + ": ")
+        if key != "samples":
+            fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        sep = ",\n    "
+        template = "{" + ",".join(
+            f"\n      {json.dumps(name)}: %s" for name in sample_reprs) + "\n    }"
+        opening = "[\n    "
+        for piece in _pieces(template, list(sample_reprs.values()), sep):
+            fh.write(opening + piece)
+            opening = sep
+        fh.write("[]" if opening != sep else "\n  ]")
+    fh.write("\n}\n" if report else "}\n")

@@ -1,12 +1,16 @@
 """The per-sample scalar formulas and report loop that the column pipeline
-replaced, and the row-template .dat writer that wavepacket.rowformat
-replaced, kept as their bit-exact references.
+replaced, and the row-template .dat writer and per-record trajectory.csv
+writer that wavepacket.rowformat replaced, kept as their bit-exact
+references; and the fine re-solve that the Euler-Lagrange residuals ran
+before they read the integrator's own steps, kept as their reference to
+rounding.
 
 Each formula works on one sample of Python floats and complex numbers,
 with `**` for powers and CPython's complex products, exactly as the
 runner computed its records and invariant summary one sample at a time.
 """
 
+from wavepacket.cli import CSV_FIELDS, CSV_HEADER
 from wavepacket.core import omega_at
 from wavepacket.evolution import ClassicalState, LambdaState, solve_lambda
 from wavepacket.invariants import euler_lagrange_residuals, frozen_width_matrix
@@ -107,7 +111,8 @@ def sample_records(config, traj):
 
 
 def invariant_checks(config, traj, records):
-    """{check name: value} of the invariant summary, one sample at a time."""
+    """{check name: value} of the invariant summary, one sample at a time;
+    fine_euler_lagrange gives the Euler-Lagrange values."""
     c = config.constants
     det_drift = max(abs(r["det_M"] - 1.0) for r in records)
     i_l0 = records[0]["I_L"]
@@ -127,12 +132,6 @@ def invariant_checks(config, traj, records):
                                  config.packet.alpha0, config.packet.p0, c.mass)
             det_vs_ermakov = max(det_vs_ermakov, abs(val - r["det_M"]))
 
-    el_span = min(config.t_end, 2.0)
-    n_fine = round(el_span / config.dt)
-    fine = solve_lambda(config.system, config.packet,
-                        [k * config.dt for k in range(n_fine + 1)], dt=config.dt)
-    res_phi, res_alpha = euler_lagrange_residuals(fine)
-
     energy_vs_hamiltonian = 0.0
     for (state, _), r in zip(samples(traj), records):
         uc = canonical_coordinates(state, c)
@@ -147,13 +146,34 @@ def invariant_checks(config, traj, records):
         "ermakov_rel_drift": ermakov_drift,
         "p_phi_abs_dev": p_phi_dev,
         "iup_abs_dev": iup_dev,
-        "euler_lagrange_phi": float(res_phi.max(initial=0.0)),
-        "euler_lagrange_alpha": float(res_alpha.max(initial=0.0)),
         "uncertainty_hamiltonian_vs_energy": energy_vs_hamiltonian,
     }
     if det_vs_ermakov is not None:
         checks["det_vs_ermakov_identity"] = det_vs_ermakov
     return checks
+
+
+EPS = 2.2e-16
+
+
+def fine_euler_lagrange(config):
+    """(euler_lagrange_phi, euler_lagrange_alpha, phi bound, alpha bound)
+    of a second solve of the first min(t_end, 2), sampled every dt.
+
+    Its steps differ from the run's own at rounding, so the two differ by
+    the rounding noise of alpha and p_phi that the centered differences
+    divide by dt^2 and dt: within 100*EPS*max|p_phi|/dt for phi and
+    100*EPS*max|alpha|/dt^2 for alpha, the bounds returned.
+    """
+    dt = config.dt
+    n_fine = round(min(config.t_end, 2.0) / dt)
+    fine = solve_lambda(config.system, config.packet,
+                        [k * dt for k in range(n_fine + 1)], dt=dt)
+    res_phi, res_alpha = euler_lagrange_residuals(fine)
+    p_phi = 0.5 * config.constants.hbar * fine.columns.alpha ** 2 * fine.columns.phi_dot
+    return (float(res_phi.max(initial=0.0)), float(res_alpha.max(initial=0.0)),
+            100.0 * EPS * float(abs(p_phi).max()) / dt,
+            100.0 * EPS * float(fine.columns.alpha.max()) / (dt * dt))
 
 
 def frozen_width(config, records):
@@ -183,3 +203,12 @@ def write_wigner_dat(path, entry):
         row_format = " ".join(["%.17e"] * grid.n_x) + "\n"
         for row in grid.values:
             fh.write(row_format % tuple(row.tolist()))
+
+
+def write_trajectory_csv(path, records):
+    """trajectory.csv of a list of sample records, one record at a time,
+    as the runner wrote it."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in records:
+            fh.write(",".join(repr(r[f]) for f in CSV_FIELDS) + "\n")

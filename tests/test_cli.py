@@ -281,6 +281,20 @@ def test_unreported_invariant_deviation_does_not_stop_evolve(tmp_path):
     assert len(report["samples"]) == 6
 
 
+def test_wigner_window_below_double_resolution_exits_4(tmp_path, capsys):
+    """At hbar = m = 1e-150, p0 = 1 is a speed of 1e150: at t = 10 the
+    Wigner window of +-12 sigma_x lies near x = -5.4e149, where doubles are
+    about 1e134 apart, so it cannot be sampled.  That is a resolution
+    limit, named with its field, not a config error."""
+    data = dict(BUILTIN_SCENARIOS["ho-breathing"], tasks=["evolve", "wigner"],
+                constants={"hbar": 1e-150, "mass": 1e-150})
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: capability: phase_space_grid: ") and err.count("\n") == 1
+    assert "t=10.0" in err and "wide around x=-5.44" in err and "doubles are" in err
+
+
 def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
     """Two samples leave no interior point for the centered differences."""
     data = dict(SMALL_CONFIG, time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})

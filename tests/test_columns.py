@@ -2,23 +2,35 @@
 
 run_scenario computes every record and invariant-summary value on whole
 columns; tests/scalar_reference.py keeps the loop that computed them one
-sample at a time.  Both must give the same floats to the last bit.
+sample at a time.  Both must give the same floats to the last bit, except
+the Euler-Lagrange residuals, which read the run's own integrator steps
+and agree with the reference's second solve to rounding.  emit_outputs
+writes the columns as the json module and the per-record writer wrote
+the records.
 """
 
+import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavepacket.cli import CSV_FIELDS, emit_outputs, parse_config, run_scenario
+from wavepacket import cli, rowformat
+from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, emit_outputs, main,
+                            parse_config, run_scenario)
 from wavepacket.core import ModulatedOmega, is_free_motion
 from wavepacket.evolution import solve_lambda
-from wavepacket.invariants import record_columns
+from wavepacket.invariants import euler_lagrange_residuals, record_columns
+from wavepacket.rowformat import write_report
 
 import scalar_reference
 from strategies import FINITE, law
+
+EL_CHECKS = ("euler_lagrange_phi", "euler_lagrange_alpha")
 
 
 
@@ -58,15 +70,23 @@ def test_columns_equal_scalar_reference(data):
             assert type(value) is float
 
     records = scalar_reference.sample_records(config, traj)
-    assert report["samples"] == records
-    for record in report["samples"]:
-        assert all(type(value) is float for value in record.values())
-    # == cannot tell -0.0 from 0.0, the file can
-    assert json.dumps(report["samples"]) == json.dumps(records)
+    columns = report["samples"]
+    assert list(columns) == list(records[0])
+    for name, column in columns.items():
+        assert column.dtype == np.float64
+        # == cannot tell -0.0 from 0.0, the file can
+        assert json.dumps(column.tolist()) == json.dumps([r[name] for r in records])
 
     checks = {name: entry["value"]
               for name, entry in report["invariants"]["checks"].items()}
-    assert checks == scalar_reference.invariant_checks(config, traj, records)
+    assert {k: v for k, v in checks.items() if k not in EL_CHECKS} == (
+        scalar_reference.invariant_checks(config, traj, records))
+    _, steps = solve_lambda(config.system, config.packet, config.sample_times(),
+                            dt=config.dt, keep_steps=round(min(config.t_end, 2.0) / config.dt))
+    res_phi, res_alpha = euler_lagrange_residuals(steps)
+    assert checks["euler_lagrange_phi"] == float(res_phi.max(initial=0.0))
+    assert checks["euler_lagrange_alpha"] == float(res_alpha.max(initial=0.0))
+    _assert_el_close(config, checks)
     assert ("det_vs_ermakov_identity" in checks) == (
         config.packet.p0 != 0.0 and config.packet.x0 == 0.0)
     if is_free_motion(config.system.frequency_law):
@@ -77,9 +97,11 @@ def test_columns_equal_scalar_reference(data):
 
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(report, [], out)
-        lines = (Path(out) / "trajectory.csv").read_text().splitlines()[1:]
-    assert not any("np.float64" in line for line in lines)
-    assert lines == [",".join(repr(r[f]) for f in CSV_FIELDS) for r in records]
+        scalar_reference.write_trajectory_csv(Path(out) / "reference.csv", records)
+        csv = (Path(out) / "trajectory.csv").read_bytes()
+        assert csv == (Path(out) / "reference.csv").read_bytes()
+        raw = (Path(out) / "report.json").read_text()
+    assert raw == json.dumps(report | {"samples": records}, indent=2) + "\n"
 
 
 def test_record_columns_evaluate_omega_once(monkeypatch):
@@ -97,3 +119,92 @@ def test_record_columns_evaluate_omega_once(monkeypatch):
                         lambda self, t: calls.append(np.shape(t)) or omega(self, t))
     record_columns(traj)
     assert calls == [(len(traj),)]
+
+
+def _assert_el_close(config, checks):
+    """The run's Euler-Lagrange values against the reference's second solve,
+    within its rounding bounds."""
+    el_phi, el_alpha, phi_bound, alpha_bound = scalar_reference.fine_euler_lagrange(config)
+    assert abs(checks["euler_lagrange_phi"] - el_phi) <= phi_bound
+    assert abs(checks["euler_lagrange_alpha"] - el_alpha) <= alpha_bound
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_run_solves_once_and_writes_reference_bytes(name, tmp_path, monkeypatch):
+    """A run integrates once; its Euler-Lagrange values agree with the
+    second solve they once ran; report.json is the json module's bytes
+    and trajectory.csv the per-record writer's."""
+    calls = []
+    solve = cli.solve_lambda
+    monkeypatch.setattr(cli, "solve_lambda",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    out = tmp_path / "out"
+    assert main(["run", name, "--output-dir", str(out)]) == 0
+    assert len(calls) == 1
+
+    raw = (out / "report.json").read_text()
+    report = json.loads(raw)
+    assert raw == json.dumps(report, indent=2) + "\n"
+    checks = {k: v["value"] for k, v in report["invariants"]["checks"].items()}
+    _assert_el_close(cli.load_config(name), checks)
+    scalar_reference.write_trajectory_csv(tmp_path / "reference.csv", report["samples"])
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# floats whose repr takes each of its forms: signed zeros, subnormals down
+# to 5e-324, exponent forms from 1e16 up and below 1e-4, integral values
+_REPR_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+                     -1e16, 1e-4, 9.999999999999999e-05, 1.0, -3.0, 1.7976931348623157e308)),
+    st.floats(-1e-300, 1e-300, **FINITE),
+    st.floats(1e15, 1e300, **FINITE),
+    st.floats(1e-320, 1e-4, **FINITE),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.floats(**FINITE),
+)
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(**FINITE),
+              st.text(max_size=5)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _reports(draw):
+    """A report with a samples block of columns, the trajectory.csv fields
+    among them in any order, and the same report with one record per
+    sample in that block."""
+    names = draw(st.permutations(CSV_FIELDS + ("ermakov_residual",)))
+    n = draw(st.integers(0, 12))
+    columns = {name: np.array(draw(st.lists(_REPR_FLOATS, min_size=n, max_size=n)),
+                              dtype=np.float64)
+               for name in names}
+    before = draw(st.dictionaries(_NAMES, _JSON, max_size=3))
+    after = draw(st.dictionaries(_NAMES.filter(lambda k: k not in before), _JSON,
+                                 max_size=3))
+    report = before | {"samples": columns} | after
+    records = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    return report, report | {"samples": records}
+
+
+@settings(max_examples=40, deadline=None)
+@given(reports=_reports(), piece=st.integers(1, 5))
+def test_writers_give_json_and_per_record_bytes(reports, piece):
+    """Pieces of a few records, so that a dozen samples span several."""
+    report, reference = reports
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(rowformat, "RECORDS_PER_PIECE", piece):
+        emit_outputs(report, [], out)
+        scalar_reference.write_trajectory_csv(Path(out) / "reference.csv",
+                                              reference["samples"])
+        csv = (Path(out) / "trajectory.csv").read_bytes()
+        assert csv == (Path(out) / "reference.csv").read_bytes()
+        raw = (Path(out) / "report.json").read_text()
+    assert raw == json.dumps(reference, indent=2) + "\n"
+
+    without = {k: v for k, v in report.items() if k != "samples"}
+    fh = io.StringIO()
+    write_report(fh, without, {})
+    assert fh.getvalue() == json.dumps(without, indent=2) + "\n"

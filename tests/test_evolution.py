@@ -312,7 +312,8 @@ def _solve_reference(system, packet, t_grid, dt=1e-3, step=_rk4_step_flat):
     t = 0.0
     for t_next in t_grid[1:]:
         span = t_next - t
-        n_sub = max(1, math.ceil(span / dt - 1e-12))
+        k = round(span / dt)
+        n_sub = max(1, k if abs(span / dt - k) <= 1e-9 * k else math.ceil(span / dt))
         h = span / n_sub
         for k in range(n_sub):
             y = step(omega, t + k * h, y, h)
@@ -405,8 +406,9 @@ def test_solve_lambda_trajectory_equals_tuple_reference(law):
 @st.composite
 def _time_grids(draw):
     """(t_grid, dt) of at most 5000 steps up to t = 10: float spans k*0.1
-    that take 101 substeps at dt = 1e-3, single-step intervals, and random
-    increasing grids with a random dt."""
+    that the step rule takes in 100 substeps at dt = 1e-3 (ceil(span/dt)
+    gives 101 for some), single-step intervals, and random increasing grids
+    with a random dt."""
     kind = draw(st.sampled_from(("tenths", "single", "random")))
     if kind == "tenths":
         return [k * 0.1 for k in range(draw(st.integers(1, 50)) + 1)], 1e-3
@@ -518,3 +520,48 @@ def test_memory_does_not_grow_with_step_count():
     many = _peak_bytes(samples, 1e-3)         # 1000 steps per sample
     assert many <= few + 64 * 1024
     assert many <= 4 * 1024 * 1024            # 56 MB if every step were kept
+
+
+def _steps_taken(monkeypatch, *args, **kwargs):
+    """(result, RK4 steps) of a solve_lambda call, counted as the step start
+    times handed to _step_propagators."""
+    taken = []
+    propagators = evolution._step_propagators
+    monkeypatch.setattr(evolution, "_step_propagators",
+                        lambda omega, t, h: taken.append(len(t)) or propagators(omega, t, h))
+    return solve_lambda(*args, **kwargs), sum(taken)
+
+
+@pytest.mark.parametrize("t_grid, dt, steps", [
+    # ceil(span/dt - 1e-12) took 10 004: four spans (k+1)*0.1 - k*0.1 exceed
+    # 100*dt by more than 1e-12 of dt
+    (np.arange(101) * 0.1, 1e-3, 10000),
+    (np.arange(2001) * 1e-3, 1e-4, 20000),
+    (np.arange(20001) * 1e-4, 1e-4, 20000),
+    ([0.0, 0.25, 0.3], 0.1, 4),          # 2.5 and 0.5 steps: ceil
+    ([0.0, 1.0], 2.0, 1),
+])
+def test_step_rule_takes_whole_multiples_exactly(monkeypatch, t_grid, dt, steps):
+    _, taken = _steps_taken(monkeypatch, HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
+    assert taken == steps
+
+
+@pytest.mark.parametrize("keep", [0, 1, 2047, 2048, 2049, 2500, 10**6])
+def test_kept_steps_are_the_states_of_the_same_solve(monkeypatch, keep):
+    """keep_steps adds no integration: the kept states at step ends that
+    are sample times are the samples, bit for bit."""
+    system = SystemSpec(C, ModulatedOmega(1.0, 0.2, 2.1))
+    t_grid = np.arange(51) * 0.05
+    traj, taken = _steps_taken(monkeypatch, system, InitialPacket(0.3, 0.9, 1.1),
+                               t_grid, dt=1e-3)
+    (same, steps), taken_keep = _steps_taken(monkeypatch, system,
+                                             InitialPacket(0.3, 0.9, 1.1), t_grid,
+                                             dt=1e-3, keep_steps=keep)
+    assert taken == taken_keep == 2500
+    assert same.states.tobytes() == traj.states.tobytes()
+    n = min(keep, 2500)
+    assert steps.states.shape == (n + 1, 7) and steps.times.shape == (n + 1,)
+    assert not steps.states.flags.writeable and not steps.times.flags.writeable
+    shared = np.arange(0, n + 1, 50)
+    assert steps.states[shared].tobytes() == traj.states[shared // 50].tobytes()
+    assert np.all(np.abs(steps.times - np.arange(n + 1) * 1e-3) <= 1e-15)

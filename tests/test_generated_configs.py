@@ -1,9 +1,11 @@
 """Every valid config gives a report or a documented numerical exit.
 
 Configs are drawn over all five law types, grids of 64-256 points that may
-be too coarse for the packet or cut into it, short runs and any subset of
-tasks.  An example must write report.json (exit 0), or stop with exit 3
-(divergence) or 4 (capability) and that class's message.  A config error
+be too coarse for the packet or cut into it, short runs with dt from 1e-4
+and 1-100 steps per sample, and the invariants task with any subset of the
+others, so that the Euler-Lagrange residuals read the run's own steps.  An
+example must write report.json (exit 0), or stop with exit 3 (divergence)
+or 4 (capability) and that class's message.  A config error
 (exit 2) of a config that parse_config accepted is an internal check
 escaping as the user's fault, and an uncaught exception or numpy warning
 (exit 1) is a crash; both fail.
@@ -12,6 +14,7 @@ escaping as the user's fault, and an uncaught exception or numpy warning
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -26,9 +29,11 @@ MESSAGES = {3: "error: numerical divergence: ", 4: "error: capability: "}
 
 @st.composite
 def _configs(draw):
-    dt = draw(st.floats(1e-3, 0.02, **FINITE))
-    sample_every = draw(st.integers(1, 20))
-    t_end = draw(st.integers(1, 8)) * dt * sample_every
+    dt = draw(st.one_of(st.sampled_from((1e-4, 1e-3)), st.floats(1e-4, 0.02, **FINITE)))
+    sample_every = draw(st.integers(1, 100))
+    # at most 800 steps: with dt = 1e-4 the residuals read every step of the
+    # run, and from dt = 2.5e-3 on they may read a prefix of it
+    t_end = draw(st.integers(1, max(1, 800 // sample_every))) * dt * sample_every
     half_width = draw(st.floats(1.0, 20.0, **FINITE))
     centre = draw(st.floats(-5.0, 5.0, **FINITE))
     return {
@@ -44,7 +49,8 @@ def _configs(draw):
         "phase_space_grid": {"nx": draw(st.integers(16, 48)),
                              "np": draw(st.integers(16, 48)),
                              "span_sigmas": draw(st.floats(2.0, 10.0, **FINITE))},
-        "tasks": draw(st.lists(st.sampled_from(TASKS), min_size=1, unique=True)),
+        "tasks": ["invariants"] + draw(st.lists(
+            st.sampled_from([t for t in TASKS if t != "invariants"]), unique=True)),
     }
 
 
@@ -57,6 +63,13 @@ def _configs(draw):
                "time": {"t_end": 0.01, "dt": 0.001, "sample_every": 10},
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
                "tasks": ["evolve"]})
+# step ends near t = 2 round to doubles 4.4e-16 apart, more than 1e-12 of
+# a 1e-4 step: the residuals' uniform-spacing check must allow for that
+@example(data={"system": {"type": "constant", "omega": 1.0},
+               "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
+               "time": {"t_end": 2.0, "dt": 0.0001, "sample_every": 10},
+               "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
+               "tasks": ["evolve", "invariants"]})
 def test_valid_config_reports_or_exits_documented(data):
     config = parse_config(data)
     stderr = io.StringIO()
@@ -72,6 +85,10 @@ def test_valid_config_reports_or_exits_documented(data):
             assert report["tasks"] == list(config.tasks)
             for task in ("wigner", "kernel_check", "oracle_compare"):
                 assert (task in report) == (task in config.tasks)
+            if "invariants" in config.tasks:
+                checks = report["invariants"]["checks"]
+                assert math.isfinite(checks["euler_lagrange_phi"]["value"])
+                assert math.isfinite(checks["euler_lagrange_alpha"]["value"])
             assert message == ""
         else:
             assert code in MESSAGES, message

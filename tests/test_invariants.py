@@ -12,6 +12,7 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              TransformMatrix, omega_at)
 from wavepacket.errors import CapabilityError, ValidationError
 from wavepacket.evolution import Trajectory, closed_form_lambda, solve_lambda
+from wavepacket.kernels import UNIFORM_ULPS
 from wavepacket.invariants import (canonical_coordinates,
                                    det_as_ermakov, energy_partition,
                                    ermakov_invariant, euler_lagrange_residuals,
@@ -267,6 +268,19 @@ def test_canonical_matrix_rejects_wrong_determinant():
         TransformMatrix(1.0, 0.0, 0.0, 1.0, alpha0=0.0)
 
 
+@pytest.mark.parametrize("dt, sample_every", [(1e-4, 1), (1e-4, 10), (3e-4, 7)])
+def test_residuals_take_the_steps_of_a_fine_run(dt, sample_every):
+    """Step ends t + h, rounded to doubles near t = 2, are uniform to
+    within the rounding of those times, which exceeds 1e-12 of a 1e-4 step."""
+    step = dt * sample_every
+    t_grid = np.arange(math.ceil(2.0 / step) + 1) * step   # past t = 2
+    _, steps = solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt,
+                            keep_steps=round(2.0 / dt))
+    assert len(steps) == round(2.0 / dt) + 1
+    res_phi, res_alpha = euler_lagrange_residuals(steps)
+    assert res_phi.max() <= 1e-10 and res_alpha.max() <= 10.0 * dt * dt
+
+
 def test_residuals_need_interior_uniform_samples():
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0, 0.1, 0.2, 0.4])
     with pytest.raises(ValidationError, match="uniform"):
@@ -288,7 +302,8 @@ def _uncertainty_dynamics_residuals_reference(traj: Trajectory, index: int):
     nxt, _ = traj[index + 1]
     h1 = here.t - prev.t
     h2 = nxt.t - here.t
-    if abs(h1 - h2) > 1e-12 * max(h1, h2):
+    atol = UNIFORM_ULPS * float(np.spacing(traj.times[-1]))
+    if abs(h1 - h2) > 1e-12 * max(h1, h2) + atol:
         raise ValidationError("centered differences need uniform sample spacing")
     h = 0.5 * (h1 + h2)
 

@@ -197,7 +197,8 @@ def test_builtin_wigner_windows_match_closed_form(name):
     report, outputs = run_scenario(config)
     assert len(outputs) == 2
     for out in outputs:
-        sample = report["samples"][out["index"]]
+        sample = {name: float(column[out["index"]])
+                  for name, column in report["samples"].items()}
         closed = wigner_gaussian(Moments(sample["var_x"], sample["var_p"], sample["corr"]),
                                  sample["eta"], C.mass * sample["eta_dot"], C)
         grid = out["grid"]
