@@ -8,12 +8,10 @@ serves as a brute-force oracle against all of them.
 """
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
-                   RampOmega, SystemSpec, TabulatedOmega, TransformMatrix,
-                   omega_at)
+                   RampOmega, SystemSpec, TabulatedOmega, TransformMatrix)
 from .errors import (CapabilityError, ConfigError, DeltaLimitError, DivergenceError,
                      GridMismatchError, ResolutionError, ValidationError)
-from .evolution import (ClassicalState, LambdaState, Trajectory, closed_form_classical,
-                        closed_form_lambda, ermakov_residual, solve_lambda)
+from .evolution import Trajectory, ermakov_residual, solve_lambda
 from .invariants import (UncertaintyCanonical, canonical_coordinates,
                          det_as_ermakov, energy_partition, ermakov_invariant,
                          euler_lagrange_residuals, frozen_width_matrix,

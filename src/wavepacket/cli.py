@@ -12,7 +12,7 @@ its tolerances still exits 0; pass/fail lives in report.json.
 
 Outputs (all LF line endings; repr, the shortest round-tripping form, for
 every number except the .dat values):
-    trajectory.csv   one row per sample, header
+    trajectory.csv   one row per sample, written by every run, header
                      t,eta,eta_dot,alpha,alpha_dot,phi,var_x,var_p,corr,det_M,I_L,p_phi,E_cl,E_tilde
     wigner_t<id>.dat matrix (rows = p index, columns = x index) preceded by
                      '#' metadata lines; each value as '%.17e' (18 significant
@@ -49,6 +49,8 @@ from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analyt
 from .rowformat import write_records, write_report, write_rows
 from .wigner import wigner_numeric
 
+# every run integrates and writes trajectory.csv, so "evolve" adds nothing;
+# it stays a valid task so that configs which list it still parse
 TASKS = ("evolve", "wigner", "kernel_check", "invariants", "oracle_compare")
 
 TOLERANCE_PROFILES = {
@@ -84,58 +86,33 @@ KERNEL_CHECK_LATTICE = tuple(
     for b in (0.2, 0.7, 1.3, 2.5)
 )
 
-BUILTIN_SCENARIOS = {
-    "free-spread": {
+
+def _builtin(name, system, t_end, tasks, alpha0=1.0):
+    """A built-in scenario config: its own law, duration, tasks and width on
+    the constants, packet, step, grid and phase-space grid all share."""
+    return {
         "constants": {"hbar": 1.0, "mass": 1.0},
-        "system": {"type": "free"},
-        "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
-        "time": {"t_end": 2.0, "dt": 0.001, "sample_every": 100},
+        "system": system,
+        "packet": {"x0": 0.0, "p0": 1.0, "alpha0": alpha0},
+        "time": {"t_end": t_end, "dt": 0.001, "sample_every": 100},
         "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 1024},
         "phase_space_grid": {"nx": 256, "np": 257, "span_sigmas": 8.0},
-        "tasks": ["evolve", "invariants", "wigner", "kernel_check", "oracle_compare"],
-        "output_dir": "out/free-spread",
-    },
-    "ho-constant-width": {
-        "constants": {"hbar": 1.0, "mass": 1.0},
-        "system": {"type": "constant", "omega": 1.0},
-        "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
-        "time": {"t_end": 10.0, "dt": 0.001, "sample_every": 100},
-        "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 1024},
-        "phase_space_grid": {"nx": 256, "np": 257, "span_sigmas": 8.0},
-        "tasks": ["evolve", "invariants", "wigner", "kernel_check", "oracle_compare"],
-        "output_dir": "out/ho-constant-width",
-    },
-    "ho-breathing": {
-        "constants": {"hbar": 1.0, "mass": 1.0},
-        "system": {"type": "constant", "omega": 1.0},
-        "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.5},
-        "time": {"t_end": 10.0, "dt": 0.001, "sample_every": 100},
-        "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 1024},
-        "phase_space_grid": {"nx": 256, "np": 257, "span_sigmas": 8.0},
-        "tasks": ["evolve", "invariants", "wigner", "oracle_compare"],
-        "output_dir": "out/ho-breathing",
-    },
-    "omega-ramp": {
-        "constants": {"hbar": 1.0, "mass": 1.0},
-        "system": {"type": "ramp", "omega0": 1.0, "slope": 0.25},
-        "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
-        "time": {"t_end": 5.0, "dt": 0.001, "sample_every": 100},
-        "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 1024},
-        "phase_space_grid": {"nx": 256, "np": 257, "span_sigmas": 8.0},
-        "tasks": ["evolve", "invariants", "oracle_compare"],
-        "output_dir": "out/omega-ramp",
-    },
-    "frozen-width-demo": {
-        "constants": {"hbar": 1.0, "mass": 1.0},
-        "system": {"type": "free"},
-        "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
-        "time": {"t_end": 2.0, "dt": 0.001, "sample_every": 100},
-        "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 1024},
-        "phase_space_grid": {"nx": 256, "np": 257, "span_sigmas": 8.0},
-        "tasks": ["evolve", "invariants"],
-        "output_dir": "out/frozen-width-demo",
-    },
-}
+        "tasks": list(tasks),
+        "output_dir": f"out/{name}",
+    }
+
+
+_EVERY_TASK = ("evolve", "invariants", "wigner", "kernel_check", "oracle_compare")
+
+BUILTIN_SCENARIOS = {name: _builtin(name, *differences) for name, *differences in (
+    ("free-spread", {"type": "free"}, 2.0, _EVERY_TASK),
+    ("ho-constant-width", {"type": "constant", "omega": 1.0}, 10.0, _EVERY_TASK),
+    ("ho-breathing", {"type": "constant", "omega": 1.0}, 10.0,
+     ("evolve", "invariants", "wigner", "oracle_compare"), 1.5),
+    ("omega-ramp", {"type": "ramp", "omega0": 1.0, "slope": 0.25}, 5.0,
+     ("evolve", "invariants", "oracle_compare")),
+    ("frozen-width-demo", {"type": "free"}, 2.0, ("evolve", "invariants")),
+)}
 
 
 @dataclass(frozen=True)
@@ -216,6 +193,19 @@ def _parse_system(data, constants):
     return SystemSpec(constants, law)
 
 
+def _table_for_run(law, t_end, step):
+    """The tabulated law a run to t_end reads.  ConfigError unless its
+    points cover [0, t_end]; the last w is held for one sample step past
+    t_end, up to where the run's time grid may round."""
+    if law.times[0] > 0.0 or law.times[-1] < t_end:
+        raise ConfigError(
+            f"'system.points' must cover [0, t_end] = [0, {t_end!r}]; "
+            f"they span [{law.times[0]!r}, {law.times[-1]!r}]")
+    if law.times[-1] >= t_end + step:
+        return law
+    return TabulatedOmega(law.times + (t_end + step,), law.omegas + law.omegas[-1:])
+
+
 def parse_config(data, name="") -> ScenarioConfig:
     """Validate a config dict; ConfigError messages name the offending field."""
     if not isinstance(data, dict):
@@ -243,6 +233,9 @@ def parse_config(data, name="") -> ScenarioConfig:
     if abs(n_samples - round(n_samples)) > 1e-9:
         raise ConfigError(
             "'time.t_end' must be an integer multiple of dt*sample_every")
+    if isinstance(system.frequency_law, TabulatedOmega):
+        system = SystemSpec(constants, _table_for_run(
+            system.frequency_law, t_end, dt * sample_every))
 
     x_min = _get(data, "grid.x_min", float)
     x_max = _get(data, "grid.x_max", float)
@@ -359,11 +352,11 @@ def _wigner_task(config, traj, indices):
     outputs = []
     span = config.ps_span_sigmas
     for idx in indices:
-        state, cl = traj[idx]
+        state = traj[idx]
         moments = moments_from_lambda(state, c)
         sx = math.sqrt(moments.var_x)
         sp = math.sqrt(moments.var_p)
-        mean_x, mean_p = cl.eta, c.mass * cl.eta_dot
+        mean_x, mean_p = state.eta, c.mass * state.eta_dot
 
         # wavefunction sampled 1.5x wider than the requested window so the
         # offset integral is not truncated inside it; odd point count keeps
@@ -405,7 +398,7 @@ def _kernel_check_task(config, traj, tol):
         r1, r2 = satisfies_kernel_odes(matrix, c)
         worst = max(worst, r1, r2)
 
-    state, _ = traj[-1]
+    state = traj[-1]
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
     psi_t = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
@@ -538,22 +531,20 @@ CSV_FIELDS = ("t", "eta", "eta_dot", "alpha", "alpha_dot", "phi", "var_x",
               "var_p", "corr", "det_M", "I_L", "p_phi", "E_cl", "E_tilde")
 
 
-def emit_outputs(report, wigner_grids, output_dir, write_trajectory=True):
+def emit_outputs(report, wigner_grids, output_dir):
     """Write trajectory.csv, wigner_t<id>.dat and report.json; returns paths.
 
     Every sample value is turned into its repr once, for both files.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     reprs = {name: list(map(float.__repr__, column.tolist()))
-             for name, column in report.get("samples", {}).items()}
+             for name, column in report["samples"].items()}
 
-    if write_trajectory:
-        path = out / "trajectory.csv"
-        with open(path, "w", newline="\n") as fh:
-            write_records(fh, CSV_HEADER, [reprs[name] for name in CSV_FIELDS])
-        written.append(path)
+    path = out / "trajectory.csv"
+    with open(path, "w", newline="\n") as fh:
+        write_records(fh, CSV_HEADER, [reprs[name] for name in CSV_FIELDS])
+    written = [path]
 
     for entry in wigner_grids:
         grid = entry["grid"]
@@ -624,8 +615,7 @@ def main(argv=None):
             config, tolerance_profile=args.tolerance_profile)
         out_dir = args.output_dir or config.output_dir
         try:
-            written = emit_outputs(report, wigner_grids, out_dir,
-                                   write_trajectory="evolve" in config.tasks)
+            written = emit_outputs(report, wigner_grids, out_dir)
         except OSError as exc:
             print(f"error: I/O failure at {getattr(exc, 'filename', out_dir)}: {exc}",
                   file=sys.stderr)
@@ -643,9 +633,6 @@ def main(argv=None):
     except (CapabilityError, ResolutionError) as exc:
         print(f"error: capability: {exc}", file=sys.stderr)
         return 4
-    except ValidationError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -45,8 +45,7 @@ class Constants:
 #
 # Each law's omega(t) takes a float or an ndarray of times and returns w at
 # each of them, in one body that broadcasts over t (0.0*t where w does not
-# depend on t): the integrator evaluates a whole block of steps per call,
-# and omega_at turns a single value into a Python float.
+# depend on t): the integrator evaluates a whole block of steps per call.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -160,15 +159,6 @@ class SystemSpec:
 
     constants: Constants = field(default_factory=Constants)
     frequency_law: FrequencyLaw = field(default_factory=Free)
-
-
-def omega_at(system: SystemSpec, t: float) -> float:
-    """Evaluate w(t) for the system's frequency law.
-
-    Tabulated laws interpolate linearly and reject t outside their range.
-    """
-    _require_finite("t", t)
-    return float(system.frequency_law.omega(t))
 
 
 # ---------------------------------------------------------------------------

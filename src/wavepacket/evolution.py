@@ -17,67 +17,20 @@ packet:
     lambda = alpha0*C + i*S/alpha0,      eta = x0*C + (p0/m)*S.
 
 solve_lambda builds it by classic fixed-step RK4, as a product of per-step
-2x2 propagators; the closed forms know it analytically for free motion and
-constant w.  The polar decomposition lambda = alpha*exp(i*phi) gives the
+2x2 propagators.  The polar decomposition lambda = alpha*exp(i*phi) gives the
 width alpha = |lambda| and a phase that obeys phi' = 1/alpha^2; phi is
 integrated alongside the trajectory rather than recovered from
 principal-value angles, so it stays continuous across wraps."""
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .core import InitialPacket, SystemSpec, ConstantOmega, is_free_motion
-from .errors import CapabilityError, DivergenceError, ValidationError
-
-
-@dataclass(frozen=True)
-class LambdaState:
-    """lambda, its derivative, and the polar quantities at one instant.
-
-    phi is the continuously unwrapped phase; phi_dot is the dynamical phase
-    velocity Im(lambda'*conj(lambda))/alpha^2, which equals 1/alpha^2 as long
-    as the Wronskian stays at 1.
-    """
-
-    t: float
-    lam: complex
-    lam_dot: complex
-    alpha: float
-    alpha_dot: float
-    phi: float
-    phi_dot: float
-
-    @property
-    def u_hat(self):
-        return self.lam.real
-
-    @property
-    def z_hat(self):
-        return self.lam.imag
-
-    @property
-    def u_hat_dot(self):
-        return self.lam_dot.real
-
-    @property
-    def z_hat_dot(self):
-        return self.lam_dot.imag
-
-    @property
-    def wronskian(self):
-        return self.z_hat_dot * self.u_hat - self.u_hat_dot * self.z_hat
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    """Classical trajectory point (eta, eta_dot)."""
-
-    t: float
-    eta: float
-    eta_dot: float
+from .core import InitialPacket, SystemSpec
+from .errors import DivergenceError, ValidationError
 
 
 def _polar(u, ud, z, zd):
@@ -96,11 +49,15 @@ def _polar(u, ud, z, zd):
 
 @dataclass(frozen=True)
 class SampleColumns:
-    """The samples of a Trajectory as columns, one array per quantity.
+    """The samples of a Trajectory as columns, one array per quantity, or
+    one sample of it as plain floats (traj[i]).
 
-    The attribute names are those of LambdaState and ClassicalState, so a
-    function written for one state, such as ermakov_residual or
-    moments_from_lambda, computes the same formula on every sample at once.
+    lambda = u_hat + i*z_hat and eta are the raw state; alpha = |lambda|
+    and phi is its continuously unwrapped phase; phi_dot is the dynamical
+    phase velocity Im(lambda'*conj(lambda))/alpha^2, which equals 1/alpha^2
+    as long as the Wronskian stays at 1.  A formula written over these
+    names, such as ermakov_residual or moments_from_lambda, computes the
+    same value for one sample and for every sample at once.
     """
 
     t: np.ndarray
@@ -115,8 +72,10 @@ class SampleColumns:
     alpha_dot: np.ndarray
     phi_dot: np.ndarray
 
-    # the same property object, so det M has one body
-    wronskian = LambdaState.wronskian
+    @property
+    def wronskian(self):
+        """z_hat'*u_hat - u_hat'*z_hat, which is det M and 1 on exact solutions."""
+        return self.z_hat_dot * self.u_hat - self.u_hat_dot * self.z_hat
 
 
 @dataclass(frozen=True)
@@ -126,9 +85,9 @@ class Trajectory:
     `times` is a read-only float64 array of shape (n,) and `states` a
     read-only float64 array of shape (n, 7) of the integrator's raw state
     (u, u', z, z', eta, eta', phi) at each time.  `columns` gives them
-    together with the polar quantities as SampleColumns, and indexing and
-    `samples` give the (LambdaState, ClassicalState) pairs of plain floats;
-    both are built on first use.
+    together with the polar quantities as SampleColumns, built on first
+    use, and traj[i] gives sample i as SampleColumns of plain floats; i
+    must be an integer, and slicing is not supported (slice traj.columns).
     """
 
     system: SystemSpec
@@ -140,25 +99,16 @@ class Trajectory:
         return len(self.states)
 
     def __getitem__(self, index):
-        return self.samples[index]
+        index = operator.index(index)   # one sample; a slice is a TypeError
+        columns = self.columns
+        return SampleColumns(*(float(getattr(columns, f.name)[index])
+                               for f in fields(SampleColumns)))
 
     @cached_property
     def columns(self):
         u, ud, z, zd, eta, eta_dot, phi = self.states.T
         return SampleColumns(self.times, u, ud, z, zd, eta, eta_dot, phi,
                              *_polar(u, ud, z, zd))
-
-    @cached_property
-    def samples(self):
-        s = self.columns
-        rows = zip(*(column.tolist() for column in (
-            s.t, s.u_hat, s.u_hat_dot, s.z_hat, s.z_hat_dot, s.eta, s.eta_dot,
-            s.phi, s.alpha, s.alpha_dot, s.phi_dot)))
-        return tuple(
-            (LambdaState(t=t, lam=complex(u, z), lam_dot=complex(ud, zd),
-                         alpha=a, alpha_dot=ad, phi=phi, phi_dot=pd),
-             ClassicalState(t=t, eta=e, eta_dot=ed))
-            for t, u, ud, z, zd, e, ed, phi, a, ad, pd in rows)
 
 
 # RK4 steps per block of the prefix-product scan: memory is O(BLOCK_STEPS)
@@ -362,70 +312,14 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
                             states=step_states)
 
 
-# ---------------------------------------------------------------------------
-# Closed forms (free motion and constant frequency only)
-# ---------------------------------------------------------------------------
-
-def _closed_form_fundamental(system, t):
-    """The fundamental matrix ((C, S), (C', S')) at t, known analytically."""
-    law = system.frequency_law
-    if is_free_motion(law):
-        return (1.0, t), (0.0, 1.0)
-    if isinstance(law, ConstantOmega):
-        w = law.omega0
-        return ((math.cos(w * t), math.sin(w * t) / w),
-                (-w * math.sin(w * t), math.cos(w * t)))
-    raise CapabilityError(
-        f"no closed form for frequency law {type(law).__name__}"
-    )
-
-
-def _closed_form_phi(system, packet, t):
-    """Unwrapped phase of lambda(t) for the closed-form laws.
-
-    Free motion never wraps; for constant w the phase gains exactly pi per
-    half period, and within each half period lambda stays in one half plane,
-    so the principal angle can be re-based on k*pi.
-    """
-    a0 = packet.alpha0
-    law = system.frequency_law
-    if isinstance(law, ConstantOmega) and law.omega0 > 0.0:
-        w = law.omega0
-        k = math.floor(w * t / math.pi)
-        r = w * t - k * math.pi
-        return k * math.pi + math.atan2(math.sin(r) / (a0 * w), a0 * math.cos(r))
-    return math.atan(t / (a0 * a0))
-
-
-def closed_form_lambda(system: SystemSpec, packet: InitialPacket, t: float) -> LambdaState:
-    """Exact lambda(t) for Free or ConstantOmega systems.
-
-    lambda = alpha0*cos(wt) + i*sin(wt)/(alpha0*w) for w > 0, and
-    alpha0 + i*t/alpha0 for free motion.
-    """
-    u, ud, z, zd, _, _ = _packet_states(packet, system.constants.mass,
-                                        _closed_form_fundamental(system, t))
-    alpha, alpha_dot, phi_dot = map(float, _polar(u, ud, z, zd))
-    return LambdaState(t=t, lam=complex(u, z), lam_dot=complex(ud, zd), alpha=alpha,
-                       alpha_dot=alpha_dot, phi=_closed_form_phi(system, packet, t),
-                       phi_dot=phi_dot)
-
-
-def closed_form_classical(system: SystemSpec, packet: InitialPacket, t: float) -> ClassicalState:
-    """Exact classical trajectory for Free or ConstantOmega systems."""
-    *_, eta, eta_dot = _packet_states(packet, system.constants.mass,
-                                      _closed_form_fundamental(system, t))
-    return ClassicalState(t=t, eta=eta, eta_dot=eta_dot)
-
-
 def ermakov_residual(state, omega):
     """|alpha'' + w^2*alpha - 1/alpha^3| with alpha'' evaluated from lambda.
 
     lambda'' = -w^2*lambda along solutions, so
     alpha'' = (|lambda'|^2 + Re(lambda''*conj(lambda)))/alpha - alpha'^2/alpha.
     Vanishes identically on true solutions of the equation of motion.  state
-    is a LambdaState and omega a float, or SampleColumns and the array of w
-    at its times.
+    is one sample, traj[i], and omega a float, or the SampleColumns of a
+    trajectory and the array of w at its times.
     """
     u, ud, z, zd = state.u_hat, state.u_hat_dot, state.z_hat, state.z_hat_dot
     alpha, alpha_dot = state.alpha, state.alpha_dot

@@ -19,10 +19,11 @@ p_phi = (hbar/2)*alpha^2*phi' = hbar/2, and the uncertainty product is
 <x~^2><p~^2> = p_phi^2 + (alpha*p_alpha)^2.
 
 Each formula has one body, which takes floats or arrays: a state argument
-is a LambdaState or the SampleColumns of a whole trajectory.  `x ** 2` is
-libm pow on a float but x*x on an array, and the two differ in the last
-bit now and then, so the bodies use np.float_power, which calls pow for
-both; record_columns gives each sample the value a single LambdaState gets.
+is one sample, traj[i], or the SampleColumns of a whole trajectory.
+`x ** 2` is libm pow on a float but x*x on an array, and the two differ in
+the last bit now and then, so the bodies use np.float_power, which calls
+pow for both; record_columns gives each sample the value the formula gives
+traj[i].
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Constants, SystemSpec, TransformMatrix, is_free_motion
-from .evolution import LambdaState, Trajectory, ermakov_residual
+from .evolution import SampleColumns, Trajectory, ermakov_residual
 from .errors import CapabilityError, DivergenceError, ValidationError
 from .kernels import UNIFORM_ULPS
 from .packet import moments_from_lambda
@@ -46,8 +47,8 @@ class UncertaintyCanonical:
     p_phi: float
 
 
-def matrix_from_state(state: LambdaState, alpha0: float) -> TransformMatrix:
-    """M = ((zd, -z), (-ud, u)) from a LambdaState; det is not checked."""
+def matrix_from_state(state: SampleColumns, alpha0: float) -> TransformMatrix:
+    """M = ((zd, -z), (-ud, u)) from one sample, traj[i]; det is not checked."""
     return TransformMatrix(a=state.z_hat_dot, b=-state.z_hat,
                            c=-state.u_hat_dot, d=state.u_hat, alpha0=alpha0)
 
@@ -86,9 +87,9 @@ def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0):
             + np.float_power(s * (eta / alpha), 2))
 
 
-def energy_partition(classical, state, omega, constants: Constants):
-    """(E_cl, E_tilde): the classical energy of the mean trajectory and the
-    fluctuation energy
+def energy_partition(state, omega, constants: Constants):
+    """(E_cl, E_tilde) of a sample, traj[i] or traj.columns: the classical
+    energy of the mean trajectory and the fluctuation energy
 
         E_tilde = (hbar/4)*(alpha'^2 + alpha^2*phi'^2 + w^2*alpha^2),
 
@@ -96,8 +97,8 @@ def energy_partition(classical, state, omega, constants: Constants):
     Hamiltonian; it is conserved only for time-independent w.
     """
     m = constants.mass
-    e_cl = 0.5 * m * np.float_power(classical.eta_dot, 2) \
-        + 0.5 * m * omega * omega * np.float_power(classical.eta, 2)
+    e_cl = 0.5 * m * np.float_power(state.eta_dot, 2) \
+        + 0.5 * m * omega * omega * np.float_power(state.eta, 2)
     a, ad, pd = state.alpha, state.alpha_dot, state.phi_dot
     e_tilde = 0.25 * constants.hbar * (ad * ad + a * a * pd * pd + omega * omega * a * a)
     return e_cl, e_tilde
@@ -155,9 +156,8 @@ def record_columns(traj: Trajectory, summary=True):
     from x0 = 0 with p0 != 0 also det_vs_ermakov_identity.
 
     w is evaluated once, on traj.times.  Each value rounds as the formula
-    rounds it for a single LambdaState.  Raises DivergenceError at the first
-    sample time where a column, or with `summary` a deviation, is not finite,
-    naming it.
+    rounds it for traj[i].  Raises DivergenceError at the first sample time
+    where a column, or with `summary` a deviation, is not finite, naming it.
     """
     s = traj.columns
     packet, c = traj.packet, traj.system.constants
@@ -165,7 +165,7 @@ def record_columns(traj: Trajectory, summary=True):
         w = traj.system.frequency_law.omega(s.t)
         moments = moments_from_lambda(s, c)
         uc = canonical_coordinates(s, c)
-        e_cl, e_tilde = energy_partition(s, s, w, c)
+        e_cl, e_tilde = energy_partition(s, w, c)
         residual = ermakov_residual(s, w)
         columns = {
             "t": s.t, "eta": s.eta, "eta_dot": s.eta_dot,
@@ -213,7 +213,7 @@ def euler_lagrange_residuals(traj: Trajectory):
     (ValidationError otherwise): adjacent spacings may differ by 1e-12 of
     the larger plus UNIFORM_ULPS ulps of the last time, the rounding of
     times t + h far from 0.  alpha, phi' and p_phi are the trajectory's
-    columns, so every value rounds as it does for a single LambdaState.
+    columns, so every value rounds as it does for traj[i].
     """
     times = traj.times
     if len(times) < 3:

@@ -77,14 +77,13 @@ def classical_action(traj: Trajectory, index: int) -> float:
     for time-dependent frequencies as well.
     """
     m = traj.system.constants.mass
-    _, cl = traj[index]
-    _, cl0 = traj[0]
-    return 0.5 * m * (cl.eta * cl.eta_dot - cl0.eta * cl0.eta_dot)
+    s, s0 = traj[index], traj[0]
+    return 0.5 * m * (s.eta * s.eta_dot - s0.eta * s0.eta_dot)
 
 
 def propagate_analytic(traj: Trajectory, index: int) -> GaussianPacket:
     """The analytic Gaussian packet at sample `index` of a trajectory."""
-    state, cl = traj[index]
+    state = traj[index]
     c = traj.system.constants
     if state.alpha <= 0.0:  # unreachable for valid lambda; guards 1/alpha
         raise ValidationError("alpha must be positive")
@@ -94,9 +93,10 @@ def propagate_analytic(traj: Trajectory, index: int) -> GaussianPacket:
     norm_phase = (m / (math.pi * hbar)) ** 0.25 * inv_sqrt_lam * action_phase
     return GaussianPacket(
         t=state.t,
-        mean_x=cl.eta,
-        mean_p=m * cl.eta_dot,
-        y_complex=state.lam_dot / state.lam,
+        mean_x=state.eta,
+        mean_p=m * state.eta_dot,
+        y_complex=(complex(state.u_hat_dot, state.z_hat_dot)
+                   / complex(state.u_hat, state.z_hat)),
         norm_phase=norm_phase,
         constants=c,
     )
@@ -132,8 +132,8 @@ def moments_from_lambda(state, constants: Constants) -> Moments:
     <x~^2> = (hbar/2m)*|lambda|^2,  <p~^2> = (hbar*m/2)*|lambda'|^2,
     <[x~,p~]_+> = hbar*alpha*alpha'.
 
-    state is a LambdaState, or the SampleColumns of a trajectory, for which
-    the moments are arrays.  |lambda|^2 is Re(lambda*conj(lambda)) written
+    state is one sample, traj[i], or the SampleColumns of a trajectory, for
+    which the moments are arrays.  |lambda|^2 is Re(lambda*conj(lambda)) written
     out as CPython's complex product forms it.
     """
     hbar, m = constants.hbar, constants.mass

@@ -90,10 +90,6 @@ class PhaseSpaceGrid:
         """integral W dp, one value per x column."""
         return np.trapezoid(self.values, dx=self.dp, axis=0)
 
-    def marginal_p(self):
-        """integral W dx, one value per p row."""
-        return np.trapezoid(self.values, dx=self.dx, axis=1)
-
     def column_window(self, start, count):
         """Sub-grid restricted to `count` x columns starting at `start`.
 

@@ -1,19 +1,148 @@
-"""The per-sample scalar formulas and report loop that the column pipeline
-replaced, and the row-template .dat writer and per-record trajectory.csv
-writer that wavepacket.rowformat replaced, kept as their bit-exact
-references; and the fine re-solve that the Euler-Lagrange residuals ran
-before they read the integrator's own steps, kept as their reference to
-rounding.
+"""The per-sample scalar states, formulas and report loop that the column
+pipeline replaced, and the row-template .dat writer and per-record
+trajectory.csv writer that wavepacket.rowformat replaced, kept as their
+bit-exact references; the fine re-solve that the Euler-Lagrange residuals
+ran before they read the integrator's own steps, kept as their reference to
+rounding; and the closed forms of lambda and eta for free motion and
+constant w, the scalar w(t) and the p marginal of a Wigner grid, which only
+the tests use.
 
 Each formula works on one sample of Python floats and complex numbers,
 with `**` for powers and CPython's complex products, exactly as the
 runner computed its records and invariant summary one sample at a time.
 """
 
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
 from wavepacket.cli import CSV_FIELDS, CSV_HEADER
-from wavepacket.core import omega_at
-from wavepacket.evolution import ClassicalState, LambdaState, solve_lambda
+from wavepacket.core import ConstantOmega, _require_finite, is_free_motion
+from wavepacket.errors import CapabilityError
+from wavepacket.evolution import _packet_states, _polar, solve_lambda
 from wavepacket.invariants import euler_lagrange_residuals, frozen_width_matrix
+
+
+@dataclass(frozen=True)
+class LambdaState:
+    """lambda, its derivative, and the polar quantities at one instant.
+
+    phi is the continuously unwrapped phase; phi_dot is the dynamical phase
+    velocity Im(lambda'*conj(lambda))/alpha^2, which equals 1/alpha^2 as long
+    as the Wronskian stays at 1.
+    """
+
+    t: float
+    lam: complex
+    lam_dot: complex
+    alpha: float
+    alpha_dot: float
+    phi: float
+    phi_dot: float
+
+    @property
+    def u_hat(self):
+        return self.lam.real
+
+    @property
+    def z_hat(self):
+        return self.lam.imag
+
+    @property
+    def u_hat_dot(self):
+        return self.lam_dot.real
+
+    @property
+    def z_hat_dot(self):
+        return self.lam_dot.imag
+
+    @property
+    def wronskian(self):
+        return self.z_hat_dot * self.u_hat - self.u_hat_dot * self.z_hat
+
+
+@dataclass(frozen=True)
+class ClassicalState:
+    """Classical trajectory point (eta, eta_dot)."""
+
+    t: float
+    eta: float
+    eta_dot: float
+
+
+def omega_at(system, t):
+    """w(t) of the system's law as a Python float; t must be finite, and a
+    tabulated law rejects t outside its range."""
+    _require_finite("t", t)
+    return float(system.frequency_law.omega(t))
+
+
+def marginal_p(grid):
+    """integral W dx of a PhaseSpaceGrid, one value per p row."""
+    return np.trapezoid(grid.values, dx=grid.dx, axis=1)
+
+
+def _closed_form_fundamental(system, t):
+    """The fundamental matrix ((C, S), (C', S')) at t, known analytically."""
+    law = system.frequency_law
+    if is_free_motion(law):
+        return (1.0, t), (0.0, 1.0)
+    if isinstance(law, ConstantOmega):
+        w = law.omega0
+        return ((math.cos(w * t), math.sin(w * t) / w),
+                (-w * math.sin(w * t), math.cos(w * t)))
+    raise CapabilityError(
+        f"no closed form for frequency law {type(law).__name__}"
+    )
+
+
+def _closed_form_phi(system, packet, t):
+    """Unwrapped phase of lambda(t) for the closed-form laws.
+
+    Free motion never wraps; for constant w the phase gains exactly pi per
+    half period, and within each half period lambda stays in one half plane,
+    so the principal angle can be re-based on k*pi.
+    """
+    a0 = packet.alpha0
+    law = system.frequency_law
+    if isinstance(law, ConstantOmega) and law.omega0 > 0.0:
+        w = law.omega0
+        k = math.floor(w * t / math.pi)
+        r = w * t - k * math.pi
+        return k * math.pi + math.atan2(math.sin(r) / (a0 * w), a0 * math.cos(r))
+    return math.atan(t / (a0 * a0))
+
+
+def closed_form_lambda(system, packet, t):
+    """Exact lambda(t) for Free or ConstantOmega systems, as a LambdaState.
+
+    lambda = alpha0*cos(wt) + i*sin(wt)/(alpha0*w) for w > 0, and
+    alpha0 + i*t/alpha0 for free motion.
+    """
+    u, ud, z, zd, _, _ = _packet_states(packet, system.constants.mass,
+                                        _closed_form_fundamental(system, t))
+    alpha, alpha_dot, phi_dot = map(float, _polar(u, ud, z, zd))
+    return LambdaState(t=t, lam=complex(u, z), lam_dot=complex(ud, zd), alpha=alpha,
+                       alpha_dot=alpha_dot, phi=_closed_form_phi(system, packet, t),
+                       phi_dot=phi_dot)
+
+
+def closed_form_classical(system, packet, t):
+    """Exact classical trajectory for Free or ConstantOmega systems."""
+    *_, eta, eta_dot = _packet_states(packet, system.constants.mass,
+                                      _closed_form_fundamental(system, t))
+    return ClassicalState(t=t, eta=eta, eta_dot=eta_dot)
+
+
+def pair(sample):
+    """One sample of a trajectory, traj[i], as a (LambdaState, ClassicalState)
+    pair of the same floats."""
+    s = sample
+    return (LambdaState(t=s.t, lam=complex(s.u_hat, s.z_hat),
+                        lam_dot=complex(s.u_hat_dot, s.z_hat_dot), alpha=s.alpha,
+                        alpha_dot=s.alpha_dot, phi=s.phi, phi_dot=s.phi_dot),
+            ClassicalState(t=s.t, eta=s.eta, eta_dot=s.eta_dot))
 
 
 def make_state(t, lam, lam_dot, phi):

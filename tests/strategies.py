@@ -21,9 +21,9 @@ def law(draw, t_end):
         return {"type": "modulated", "omega0": draw(OMEGA),
                 "epsilon": draw(st.floats(-0.5, 0.5, **FINITE)),
                 "gamma": draw(st.floats(0.0, 5.0, **FINITE))}
-    # knots past t_end, so that the last step's end, which rounding may put
-    # just beyond t_end, is inside the table
-    end = 1.05 * t_end + 0.01
+    # the last knot at t_end, which the run's time grid may round past, or
+    # beyond it
+    end = draw(st.sampled_from((t_end, 1.05 * t_end + 0.01)))
     interior = sorted(draw(st.lists(st.floats(0.01, 0.99, **FINITE),
                                     unique=True, max_size=4)))
     times = [0.0, *(end * f for f in interior), end]

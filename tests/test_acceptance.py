@@ -15,7 +15,7 @@ import numpy as np
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              ModulatedOmega, SystemSpec, TransformMatrix)
-from wavepacket.evolution import closed_form_lambda, solve_lambda
+from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import (canonical_coordinates, det_as_ermakov,
                                    ermakov_invariant, frozen_width_matrix,
                                    matrix_from_state)
@@ -24,6 +24,8 @@ from wavepacket.oracle import GridState, compare_states, split_step
 from wavepacket.packet import evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
 from wavepacket.wigner import wigner_gaussian, wigner_numeric, wigner_pointmap
+
+from scalar_reference import closed_form_lambda
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -60,11 +62,11 @@ def test_criterion_01_free_spreading():
     started = time.perf_counter()
     packet = InitialPacket(0.0, 1.0, 1.0)
     traj = solve_lambda(FREE, packet, [0.0, 0.5, 1.0, 2.0])
-    var0 = moments_from_lambda(traj[0][0], C).var_x
+    var0 = moments_from_lambda(traj[0], C).var_x
     worst = 0.0
     for i, t in ((1, 0.5), (2, 1.0), (3, 2.0)):
         expected = var0 * (1.0 + (t / packet.alpha0 ** 2) ** 2)
-        got = moments_from_lambda(traj[i][0], C).var_x
+        got = moments_from_lambda(traj[i], C).var_x
         worst = max(worst, abs(got - expected) / expected)
     report("01", "free-motion spreading law", worst, 1e-9, started)
 
@@ -74,7 +76,7 @@ def test_criterion_02_symplecticity():
     worst = 0.0
     for name, (_, packet) in SWEEP.items():
         traj = sweep_trajectory(name)
-        for s, _ in traj.samples:
+        for s in traj:
             worst = max(worst, abs(matrix_from_state(s, packet.alpha0).det - 1.0))
     report("02", "det M = 1 over [0, 10], four systems", worst, 1e-9, started)
 
@@ -85,13 +87,13 @@ def test_criterion_03_ermakov_invariant():
     worst_identity = 0.0
     for name, (_, packet) in SWEEP.items():
         traj = sweep_trajectory(name)
-        values = [ermakov_invariant(cl.eta, cl.eta_dot, s.alpha, s.alpha_dot)
-                  for s, cl in traj.samples]
+        values = [ermakov_invariant(s.eta, s.eta_dot, s.alpha, s.alpha_dot)
+                  for s in traj]
         i0 = values[0]
         worst_drift = max(worst_drift, max(abs(v - i0) / abs(i0) for v in values))
         scale = 2.0 * (C.mass / (packet.alpha0 * packet.p0)) ** 2
-        for (s, cl), i_l in zip(traj.samples, values):
-            det_eta = det_as_ermakov(cl.eta, cl.eta_dot, s.alpha, s.alpha_dot,
+        for s, i_l in zip(traj, values):
+            det_eta = det_as_ermakov(s.eta, s.eta_dot, s.alpha, s.alpha_dot,
                                      packet.alpha0, packet.p0, C.mass)
             det_lam = matrix_from_state(s, packet.alpha0).det
             worst_identity = max(worst_identity,
@@ -117,7 +119,7 @@ def test_criterion_05_invariant_uncertainty_product():
     worst = 0.0
     for name in SWEEP:
         traj = sweep_trajectory(name)
-        for s, _ in traj.samples:
+        for s in traj:
             iup = moments_from_lambda(s, C).uncertainty_determinant()
             p_phi = canonical_coordinates(s, C).p_phi
             worst = max(worst, abs(iup - 0.25 * C.hbar ** 2),
@@ -136,7 +138,7 @@ def test_criterion_06_representation_triangle():
         psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
         analytic = GridState(evaluate_wavefunction(propagate_analytic(traj, 1), x), 1.0)
 
-        matrix = matrix_from_state(traj[1][0], packet.alpha0)
+        matrix = matrix_from_state(traj[1], packet.alpha0)
         kernel = GridState(apply_kernel(kernel_td(matrix, C), psi0, x),
                            1.0)
         oracle = split_step(GridState(psi0, 0.0), system, 1e-3, 1000)
@@ -153,10 +155,10 @@ def test_criterion_07_wigner_transport():
     for system in (FREE, HO):
         packet = InitialPacket(0.0, 1.0, 1.0)
         traj = solve_lambda(system, packet, [0.0, 1.0])
-        s, cl = traj[1]
+        s = traj[1]
         m = moments_from_lambda(s, C)
         sx, sp = math.sqrt(m.var_x), math.sqrt(m.var_p)
-        mean_x, mean_p = cl.eta, C.mass * cl.eta_dot
+        mean_x, mean_p = s.eta, C.mass * s.eta_dot
 
         # 256x256 window spanning +-8 sigma; psi sampled 1.5x wider
         n_wide = 385
@@ -170,7 +172,7 @@ def test_criterion_07_wigner_transport():
 
         X, P = np.meshgrid(window.x(), window.p())
         closed = wigner_gaussian(m, mean_x, mean_p, C)(X, P)
-        w0 = wigner_gaussian(moments_from_lambda(traj[0][0], C),
+        w0 = wigner_gaussian(moments_from_lambda(traj[0], C),
                              packet.x0, packet.p0, C)
         mapped = wigner_pointmap(w0, matrix_from_state(s, packet.alpha0), X, P, C)
 

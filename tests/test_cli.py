@@ -1,5 +1,6 @@
 """Tests for the scenario runner: config parsing, outputs, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -8,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_HEADER, emit_outputs, load_config,
-                            main, parse_config)
+from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, emit_outputs,
+                            load_config, main, parse_config)
 from wavepacket.errors import ConfigError
 from wavepacket.wigner import PhaseSpaceGrid
 
@@ -128,8 +129,8 @@ def test_wigner_dat_rows_match_per_value_format(tmp_path):
     values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
     values[0, :3] = (0.0, -0.0, 5e-324)
     grid = PhaseSpaceGrid(x_min=-1.0, dx=0.25, p_min=-2.0, dp=0.5, values=values)
-    emit_outputs({}, [{"grid": grid, "index": 3, "t": 0.5}], tmp_path,
-                 write_trajectory=False)
+    emit_outputs({"samples": {name: np.empty(0) for name in CSV_FIELDS}},
+                 [{"grid": grid, "index": 3, "t": 0.5}], tmp_path)
     rows = [ln for ln in (tmp_path / "wigner_t3.dat").read_text().splitlines(True)
             if not ln.startswith("#")]
     assert rows == [" ".join(f"{v:.17e}" for v in row) + "\n" for row in grid.values]
@@ -198,6 +199,41 @@ def test_exit_code_malformed_json(tmp_path, capsys):
 def test_exit_code_bad_field(tmp_path):
     cfg = write_config(tmp_path, dict(SMALL_CONFIG, tasks=["nothing"]))
     assert main(["run", cfg]) == 2
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 1.0], [0.4, 1.0]],                  # ends before t_end = 0.5
+    [[0.1, 1.0], [1.0, 1.0]],                  # starts after t = 0
+    [[0.0, 1.0], [math.nextafter(0.5, 0.0), 1.0]],
+])
+def test_exit_code_uncovered_tabulated_law(tmp_path, capsys, points):
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG,
+                                      system={"type": "tabulated", "points": points}))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: 'system.points' must cover [0, t_end] = [0, 0.5]")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("time", [
+    # the last step ends at 0.007300000000000001, past the sample time 0.0073
+    {"t_end": 0.0073, "dt": 1e-4, "sample_every": 73},
+    # the last sample time is 3 * 0.097 = 0.29100000000000004
+    {"t_end": 0.291, "dt": 0.001, "sample_every": 97},
+])
+def test_tabulated_law_ending_at_t_end_runs(tmp_path, time):
+    """A table that reaches t_end covers the run, though its time grid
+    rounds past t_end; values inside the table are unchanged."""
+    table = {"type": "tabulated", "points": [[0.0, 1.0], [time["t_end"], 1.5]]}
+    law = parse_config(dict(SMALL_CONFIG, system=table, time=time)).system.frequency_law
+    assert law.times[:2] == (0.0, time["t_end"]) and law.omegas == (1.0, 1.5, 1.5)
+    assert law.times[2] == time["t_end"] + time["dt"] * time["sample_every"]
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, system=table, time=time,
+                                      tasks=["evolve", "invariants", "kernel_check"]))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    wide = dict(table, points=[[0.0, 1.0], [1.0, 1.5]])
+    assert parse_config(dict(SMALL_CONFIG, system=wide, time=time)).system.frequency_law \
+        == parse_config(dict(SMALL_CONFIG, system=wide)).system.frequency_law
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -427,12 +463,12 @@ def test_cli_never_imports_fractions_or_decimal(tmp_path):
     import of fractions or decimal would add to every run's start-up."""
     code = ("import sys\n"
             "import numpy as np\n"
-            "from wavepacket.cli import emit_outputs\n"
+            "from wavepacket.cli import CSV_FIELDS, emit_outputs\n"
             "from wavepacket.wigner import PhaseSpaceGrid\n"
             "grid = PhaseSpaceGrid(x_min=0.0, dx=1.0, p_min=0.0, dp=1.0,\n"
             "                      values=np.full((2, 3), 0.5))\n"
-            f"emit_outputs({{}}, [{{'grid': grid, 'index': 0, 't': 0.0}}], {str(tmp_path)!r},\n"
-            "             write_trajectory=False)\n"
+            "report = {'samples': {name: np.empty(0) for name in CSV_FIELDS}}\n"
+            f"emit_outputs(report, [{{'grid': grid, 'index': 0, 't': 0.0}}], {str(tmp_path)!r})\n"
             "assert 'fractions' not in sys.modules, 'fractions'\n"
             "assert 'decimal' not in sys.modules, 'decimal'\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -501,6 +537,39 @@ def test_describe(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data == BUILTIN_SCENARIOS["free-spread"]
     assert main(["describe", "nope"]) == 2
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("free-spread", "15dde22911d455cd"),
+    ("ho-constant-width", "be06bfd58e8c4770"),
+    ("ho-breathing", "16a36159a580feb5"),
+    ("omega-ramp", "3b4be4a789551d4c"),
+    ("frozen-width-demo", "4caca36a2d78f4da"),
+])
+def test_describe_output_is_pinned(capsys, name, digest):
+    """The built-in configs, keys in order, as the first 16 hex digits of
+    the sha256 of `describe`'s stdout."""
+    assert main(["describe", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_builtin_scenarios_share_no_dict():
+    """Each built-in is its own nested dicts, so changing one cannot change
+    another."""
+    dicts = [id(node) for config in BUILTIN_SCENARIOS.values()
+             for node in (config, *config.values()) if isinstance(node, (dict, list))]
+    assert len(dicts) == len(set(dicts))
+
+
+def test_every_run_writes_the_trajectory(tmp_path):
+    """"evolve" adds nothing: a run that does not list it writes the same
+    trajectory.csv as one that does."""
+    for tasks in (["invariants"], ["evolve", "invariants"]):
+        cfg = write_config(tmp_path, dict(SMALL_CONFIG, tasks=tasks))
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "+".join(tasks))]) == 0
+    assert (tmp_path / "invariants" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "evolve+invariants" / "trajectory.csv").read_bytes()
 
 
 def _outcome(capsys, argv):

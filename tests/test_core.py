@@ -6,9 +6,10 @@ import random
 import pytest
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
-                             ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
-                             omega_at)
+                             ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega)
 from wavepacket.errors import ValidationError
+
+from scalar_reference import omega_at
 
 
 def validate_packet(packet, constants):

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
-                             ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
-                             omega_at)
+                             ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega)
 from wavepacket.errors import CapabilityError, DivergenceError, ValidationError
 from wavepacket import evolution
-from wavepacket.evolution import (Trajectory, closed_form_classical,
-                                  closed_form_lambda, ermakov_residual, solve_lambda)
+from wavepacket.evolution import SampleColumns, Trajectory, ermakov_residual, solve_lambda
 
 import scalar_reference
+from scalar_reference import closed_form_classical, closed_form_lambda, omega_at
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -44,19 +43,20 @@ def test_initial_conditions():
 
 def test_free_unit_packet_at_t1():
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), grid(1.0, 10))
-    s, cl = traj[-1]
-    assert s.lam == pytest.approx(1.0 + 1.0j, abs=1e-12)
-    assert s.lam_dot == pytest.approx(1.0j, abs=1e-12)
-    assert cl.eta == pytest.approx(1.0, abs=1e-12)
-    assert cl.eta_dot == pytest.approx(1.0, abs=1e-12)
+    s = traj[-1]
+    assert (s.u_hat, s.z_hat) == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert (s.u_hat_dot, s.z_hat_dot) == pytest.approx((0.0, 1.0), abs=1e-12)
+    assert s.eta == pytest.approx(1.0, abs=1e-12)
+    assert s.eta_dot == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ho_ground_width_circles():
     """alpha0 = 1 is the constant-width branch of the unit oscillator."""
     traj = solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), grid(6.0, 60))
-    for s, _ in traj.samples:
+    for s in traj:
         assert s.alpha == pytest.approx(1.0, abs=1e-10)
-        assert s.lam == pytest.approx(complex(math.cos(s.t), math.sin(s.t)), abs=1e-9)
+        assert (s.u_hat, s.z_hat) == pytest.approx((math.cos(s.t), math.sin(s.t)),
+                                                   abs=1e-9)
 
 
 def test_closed_form_free():
@@ -100,15 +100,15 @@ def test_classical_free_exact():
 def test_numeric_matches_closed_form(system, alpha0):
     packet = InitialPacket(0.0, 1.0, alpha0)
     traj = solve_lambda(system, packet, grid(10.0, 100))
-    for s, cl in traj.samples:
+    for s in traj:
         ref = closed_form_lambda(system, packet, s.t)
         ref_cl = closed_form_classical(system, packet, s.t)
-        assert abs(s.lam.real - ref.lam.real) <= 1e-8
-        assert abs(s.lam.imag - ref.lam.imag) <= 1e-8
-        assert abs(s.lam_dot.real - ref.lam_dot.real) <= 1e-8
-        assert abs(s.lam_dot.imag - ref.lam_dot.imag) <= 1e-8
+        assert abs(s.u_hat - ref.u_hat) <= 1e-8
+        assert abs(s.z_hat - ref.z_hat) <= 1e-8
+        assert abs(s.u_hat_dot - ref.u_hat_dot) <= 1e-8
+        assert abs(s.z_hat_dot - ref.z_hat_dot) <= 1e-8
         assert abs(s.phi - ref.phi) <= 1e-8
-        assert abs(cl.eta - ref_cl.eta) <= 1e-8
+        assert abs(s.eta - ref_cl.eta) <= 1e-8
 
 
 @pytest.mark.parametrize("law", [
@@ -119,15 +119,15 @@ def test_numeric_matches_closed_form(system, alpha0):
 def test_wronskian_conserved(law):
     system = SystemSpec(C, law)
     traj = solve_lambda(system, InitialPacket(0.0, 1.0, 1.2), grid(10.0, 100))
-    worst = max(abs(s.wronskian - 1.0) for s, _ in traj.samples)
+    worst = max(abs(s.wronskian - 1.0) for s in traj)
     assert worst <= 1e-9
 
 
 def test_lambda_state_polar_invariants():
     traj = solve_lambda(SystemSpec(C, ModulatedOmega(1.0, 0.2, 2.0)),
                         InitialPacket(0.0, 1.0, 1.5), grid(10.0, 100))
-    for s, _ in traj.samples:
-        assert abs(s.alpha - abs(s.lam)) <= 1e-12 * s.alpha
+    for s in traj:
+        assert abs(s.alpha - abs(complex(s.u_hat, s.z_hat))) <= 1e-12 * s.alpha
         assert abs(s.phi_dot - 1.0 / s.alpha ** 2) <= 1e-10 / s.alpha ** 2
 
 
@@ -140,9 +140,9 @@ def test_phase_law_against_quadrature(law):
     dt = 1e-3
     t_grid = [k * dt for k in range(2001)]
     traj = solve_lambda(system, InitialPacket(0.0, 1.0, 1.5), t_grid, dt=dt)
-    inv_alpha2 = np.array([1.0 / s.alpha ** 2 for s, _ in traj.samples])
+    inv_alpha2 = np.array([1.0 / s.alpha ** 2 for s in traj])
     phi_quad = simpson(inv_alpha2, dx=dt)
-    phi_end = traj.samples[-1][0].phi
+    phi_end = traj[-1].phi
     assert abs(phi_end - phi_quad) <= 1e-9
 
 
@@ -178,7 +178,7 @@ def test_phi_unwraps_beyond_pi():
     packet = InitialPacket(0.0, 1.0, 1.0)
     t_end = 4.0 * math.pi
     traj = solve_lambda(HO, packet, grid(t_end, 200))
-    phis = [s.phi for s, _ in traj.samples]
+    phis = [s.phi for s in traj]
     assert all(b > a for a, b in zip(phis, phis[1:]))
     assert phis[-1] == pytest.approx(t_end, abs=1e-8)  # alpha = 1 branch
     ref = closed_form_lambda(HO, packet, t_end)
@@ -221,9 +221,9 @@ def test_trajectory_time_dependent_omega_follows_tabulated():
     packet = InitialPacket(0.0, 1.0, 1.0)
     traj_tab = solve_lambda(table, packet, grid(2.0, 20))
     traj_ho = solve_lambda(HO, packet, grid(2.0, 20))
-    s_tab, _ = traj_tab[-1]
-    s_ho, _ = traj_ho[-1]
-    assert abs(s_tab.lam - s_ho.lam) <= 1e-12
+    s_tab, s_ho = traj_tab[-1], traj_ho[-1]
+    assert abs(complex(s_tab.u_hat, s_tab.z_hat)
+               - complex(s_ho.u_hat, s_ho.z_hat)) <= 1e-12
     assert omega_at(table, 1.3) == 1.0
 
 
@@ -384,8 +384,8 @@ def test_rk4_step_equals_tuple_reference(law, y, t, h):
 
 
 def _samples(traj):
-    return [(s.t, s.lam, s.lam_dot, s.alpha, s.alpha_dot, s.phi, s.phi_dot,
-             cl.eta, cl.eta_dot) for s, cl in traj.samples]
+    return [(s.t, s.u_hat, s.u_hat_dot, s.z_hat, s.z_hat_dot, s.alpha, s.alpha_dot,
+             s.phi, s.phi_dot, s.eta, s.eta_dot) for s in traj]
 
 
 @pytest.mark.parametrize("law", EXACT_LAWS, ids=lambda law: type(law).__name__)
@@ -444,12 +444,14 @@ def test_samples_are_built_from_stored_states_and_cached(law):
     t_grid = np.arange(51) * 0.1
     traj = solve_lambda(SystemSpec(C, law), InitialPacket(0.3, 0.9, 1.1), t_grid)
     assert len(traj) == len(traj.states) == len(traj.times) == 51
-    assert "samples" not in vars(traj) and "columns" not in vars(traj)
+    assert "columns" not in vars(traj)
     expected = scalar_reference.samples(traj)
-    assert traj.samples == expected   # dataclass == compares every field
-    assert traj.samples[0][0] == initial_state(traj.packet)
-    for s, cl in traj.samples:
-        for value in (s.t, s.alpha, s.alpha_dot, s.phi, s.phi_dot, cl.eta, cl.eta_dot):
+    # dataclass == compares every field
+    assert [scalar_reference.pair(s) for s in traj] == list(expected)
+    assert scalar_reference.pair(traj[0])[0] == initial_state(traj.packet)
+    for s in traj:
+        assert type(s) is SampleColumns
+        for value in vars(s).values():
             assert type(value) is float   # repr in trajectory.csv needs plain floats
     for array, shape in ((traj.times, (51,)), (traj.states, (51, 7))):
         assert type(array) is np.ndarray and array.dtype == np.float64
@@ -459,8 +461,11 @@ def test_samples_are_built_from_stored_states_and_cached(law):
             array[0] = 1.0
     assert traj.times is not t_grid and t_grid.flags.writeable
     assert traj.times.tolist() == t_grid.tolist()
-    assert traj.samples is traj.samples
-    assert traj[-1] is traj.samples[-1]
+    assert traj.columns is traj.columns
+    assert traj[-1] == traj[len(traj) - 1] == traj[np.int64(50)]
+    for index in (slice(1, 3), slice(0, 1), 1.0):
+        with pytest.raises(TypeError):
+            traj[index]
 
 
 def test_overflowing_ramp_diverges_at_reference_time():

@@ -70,6 +70,13 @@ def _configs(draw):
                "time": {"t_end": 2.0, "dt": 0.0001, "sample_every": 10},
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
                "tasks": ["evolve", "invariants"]})
+# the table ends at t_end, and the last step ends at 0.007300000000000001,
+# beyond it: the law is evaluated there, as at any other step end
+@example(data={"system": {"type": "tabulated", "points": [[0.0, 1.0], [0.0073, 1.5]]},
+               "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
+               "time": {"t_end": 0.0073, "dt": 0.0001, "sample_every": 73},
+               "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
+               "tasks": ["invariants", "wigner", "kernel_check"]})
 def test_valid_config_reports_or_exits_documented(data):
     config = parse_config(data)
     stderr = io.StringIO()

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
-                             TransformMatrix, omega_at)
+                             TransformMatrix)
 from wavepacket.errors import CapabilityError, ValidationError
-from wavepacket.evolution import Trajectory, closed_form_lambda, solve_lambda
+from wavepacket.evolution import Trajectory, solve_lambda
 from wavepacket.kernels import UNIFORM_ULPS
 from wavepacket.invariants import (canonical_coordinates,
                                    det_as_ermakov, energy_partition,
@@ -20,6 +20,8 @@ from wavepacket.invariants import (canonical_coordinates,
                                    uncertainty_hamiltonian)
 from wavepacket.packet import Moments, moments_from_lambda
 from wavepacket.wigner import wigner_gaussian, wigner_pointmap
+
+from scalar_reference import closed_form_lambda, omega_at
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -134,9 +136,9 @@ def test_classical_matrix_matches_lambda_matrix():
     """For x0 = 0 releases, the (eta, alpha) matrix is the lambda matrix."""
     packet = InitialPacket(0.0, 1.0, 1.5)
     traj = solve(HO, packet, t_end=5.0, n=50)
-    for s, cl in traj.samples:
+    for s in traj:
         m_lam = matrix_from_state(s, packet.alpha0)
-        m_cl = matrix_from_classical(cl.eta, cl.eta_dot, s.alpha, s.alpha_dot,
+        m_cl = matrix_from_classical(s.eta, s.eta_dot, s.alpha, s.alpha_dot,
                                      packet.alpha0, packet.p0, C.mass)
         for a, b in zip(entries(m_lam), entries(m_cl)):
             assert abs(a - b) <= 1e-9
@@ -150,9 +152,9 @@ def test_det_constant_and_ermakov_drift(law, alpha0):
     packet = InitialPacket(0.0, 1.0, alpha0)
     traj = solve(SystemSpec(C, law), packet)
     i_l0 = None
-    for s, cl in traj.samples:
+    for s in traj:
         assert abs(matrix_from_state(s, alpha0).det - 1.0) <= 1e-9
-        i_l = ermakov_invariant(cl.eta, cl.eta_dot, s.alpha, s.alpha_dot)
+        i_l = ermakov_invariant(s.eta, s.eta_dot, s.alpha, s.alpha_dot)
         if i_l0 is None:
             i_l0 = i_l
         assert abs(i_l - i_l0) <= 1e-8 * abs(i_l0)
@@ -167,7 +169,7 @@ def test_invariant_uncertainty_product_values():
 def test_invariant_uncertainty_product_breathing_branch():
     packet = InitialPacket(0.0, 1.0, 1.7)  # oscillating width
     traj = solve(HO, packet)
-    for s, _ in traj.samples:
+    for s in traj:
         iup = moments_from_lambda(s, C).uncertainty_determinant()
         assert abs(iup - 0.25) <= 1e-10
 
@@ -175,8 +177,8 @@ def test_invariant_uncertainty_product_breathing_branch():
 def test_energy_partition_free():
     packet = InitialPacket(0.0, 1.0, 1.0)
     traj = solve(FREE, packet, t_end=1.0, n=10)
-    for s, cl in traj.samples:
-        e_cl, e_tilde = energy_partition(cl, s, 0.0, C)
+    for s in traj:
+        e_cl, e_tilde = energy_partition(s, 0.0, C)
         assert e_cl == pytest.approx(0.5, abs=1e-12)
         assert e_tilde == pytest.approx(0.25, abs=1e-12)
 
@@ -184,8 +186,8 @@ def test_energy_partition_free():
 def test_energy_partition_ho_ground_state():
     packet = InitialPacket(0.0, 0.0, 1.0)  # at rest, constant width
     traj = solve(HO, packet, t_end=2.0, n=20)
-    for s, cl in traj.samples:
-        e_cl, e_tilde = energy_partition(cl, s, 1.0, C)
+    for s in traj:
+        e_cl, e_tilde = energy_partition(s, 1.0, C)
         assert e_cl == pytest.approx(0.0, abs=1e-15)
         assert e_tilde == pytest.approx(0.5, abs=1e-12)  # hbar*omega/2
 
@@ -193,20 +195,19 @@ def test_energy_partition_ho_ground_state():
 def test_energy_total_conserved_for_static_omega_only():
     packet = InitialPacket(0.0, 1.0, 1.5)
     traj = solve(HO, packet, t_end=5.0, n=50)
-    totals = [sum(energy_partition(cl, s, 1.0, C)) for s, cl in traj.samples]
+    totals = [sum(energy_partition(s, 1.0, C)) for s in traj]
     assert max(abs(e - totals[0]) for e in totals) <= 1e-10
 
     ramp = SystemSpec(C, RampOmega(1.0, 0.25))
     traj = solve(ramp, packet, t_end=5.0, n=50)
-    totals = [sum(energy_partition(cl, s, omega_at(ramp, s.t), C))
-              for s, cl in traj.samples]
+    totals = [sum(energy_partition(s, omega_at(ramp, s.t), C)) for s in traj]
     assert max(abs(e - totals[0]) for e in totals) > 1e-3  # driven system
 
 
 def test_p_phi_is_half_hbar():
     for law in (Free(), ConstantOmega(1.0), ModulatedOmega(1.0, 0.2, 2.0)):
         traj = solve(SystemSpec(C, law), InitialPacket(0.0, 1.0, 1.3), t_end=5.0, n=50)
-        for s, _ in traj.samples:
+        for s in traj:
             assert abs(canonical_coordinates(s, C).p_phi - 0.5) <= 1e-10
 
 
@@ -218,14 +219,14 @@ def test_euler_lagrange_residuals_at_integrator_resolution():
     assert len(res_phi) == len(res_alpha) == len(traj) - 2
     assert res_phi.max() <= 1e-6
     assert res_alpha.max() <= 1e-6
-    for s, _ in traj.samples[1:-1:100]:
+    for s in (traj[i] for i in range(1, len(traj) - 1, 100)):
         assert canonical_coordinates(s, C).p_phi == pytest.approx(0.5, abs=1e-10)
 
 
 def test_uncertainty_product_identity():
     """U = p_phi^2 + (alpha*p_alpha)^2 equals <x~^2><p~^2>."""
     traj = solve(HO, InitialPacket(0.0, 1.0, 1.7), t_end=5.0, n=50)
-    for s, _ in traj.samples:
+    for s in traj:
         uc = canonical_coordinates(s, C)
         u = uc.p_phi ** 2 + (uc.alpha * uc.p_alpha) ** 2
         m = moments_from_lambda(s, C)
@@ -236,10 +237,10 @@ def test_uncertainty_hamiltonian_equals_fluctuation_energy():
     law = ModulatedOmega(1.0, 0.2, 2.0)
     system = SystemSpec(C, law)
     traj = solve(system, InitialPacket(0.0, 1.0, 1.3), t_end=5.0, n=50)
-    for s, cl in traj.samples:
+    for s in traj:
         w = law.omega(s.t)
         h_tilde = uncertainty_hamiltonian(canonical_coordinates(s, C), w, C)
-        _, e_tilde = energy_partition(cl, s, w, C)
+        _, e_tilde = energy_partition(s, w, C)
         assert abs(h_tilde - e_tilde) <= 1e-12
 
 
@@ -297,9 +298,7 @@ def _uncertainty_dynamics_residuals_reference(traj: Trajectory, index: int):
     if not 0 < index < len(traj) - 1:
         raise ValidationError("index must be interior for centered differences")
     c = traj.system.constants
-    prev, _ = traj[index - 1]
-    here, _ = traj[index]
-    nxt, _ = traj[index + 1]
+    prev, here, nxt = traj[index - 1], traj[index], traj[index + 1]
     h1 = here.t - prev.t
     h2 = nxt.t - here.t
     atol = UNIFORM_ULPS * float(np.spacing(traj.times[-1]))

@@ -121,7 +121,7 @@ def test_td_kernel_reproduces_analytic_packet(system, packet, x=None):
     traj = solve_lambda(system, packet, [0.0, 1.0])
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
     psi1 = evaluate_wavefunction(propagate_analytic(traj, 1), x)
-    matrix = matrix_from_state(traj[1][0], packet.alpha0)
+    matrix = matrix_from_state(traj[1], packet.alpha0)
     out = apply_kernel(kernel_td(matrix, C), psi0, x)
     assert l2(out.values, psi1.values, psi0.dx) <= 1e-6
 
@@ -150,7 +150,7 @@ def test_td_forward_inverse_roundtrip():
     packet = InitialPacket(0.0, 1.0, 1.3)
     traj = solve_lambda(system, packet, [0.0, 1.0])
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-    matrix = matrix_from_state(traj[1][0], packet.alpha0)
+    matrix = matrix_from_state(traj[1], packet.alpha0)
     forward = apply_kernel(kernel_td(matrix, C), psi0, x)
     back = apply_kernel(kernel_td(matrix, C, inverse=True),
                         forward, x)

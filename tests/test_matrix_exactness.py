@@ -3,7 +3,7 @@ Wigner point map as they were computed from separate per-use types.
 
 The references below keep that earlier code: the time-dependent kernel read
 from its own (z_hat, z_hat_dot, u_hat, u_hat_dot, alpha0, direction) record
-built from a LambdaState, the time-independent kernel of an (a, b, c, d)
+built from one sample of a trajectory, the time-independent kernel of an (a, b, c, d)
 record, and the point map through the scaled column vector
 (x'/alpha0, -alpha0*p'/m) and back.  The record's own Wronskian-within-1e-9
 check is left out: it raised instead of evaluating and is not part of the
@@ -139,7 +139,7 @@ _points = st.lists(st.floats(-6.0, 6.0, **_finite), min_size=1, max_size=6)
        xs=_points, xps=_points)
 def test_td_kernel_and_pointmap_equal_references(law, constants, packet, t, inverse,
                                                  xs, xps):
-    state = solve_lambda(SystemSpec(constants, law), packet, [0.0, t])[1][0]
+    state = solve_lambda(SystemSpec(constants, law), packet, [0.0, t])[1]
     assume(abs(state.z_hat) > 1e-8)
     matrix = matrix_from_state(state, packet.alpha0)
     params = _TDKernelParams.from_lambda_state(

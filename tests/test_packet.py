@@ -7,9 +7,11 @@ import pytest
 
 from wavepacket.core import Constants, ConstantOmega, Free, InitialPacket, SystemSpec
 from wavepacket.errors import ValidationError
-from wavepacket.evolution import solve_lambda, closed_form_lambda
+from wavepacket.evolution import solve_lambda
 from wavepacket.packet import (GaussianPacket, evaluate_wavefunction,
                                moments_from_lambda, propagate_analytic)
+
+from scalar_reference import closed_form_lambda
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -72,7 +74,7 @@ def test_free_t1_density_peak_and_variance():
 ])
 def test_wavefunction_normalized(system, packet, t):
     traj, p = packet_at(system, packet, t)
-    sigma = math.sqrt(moments_from_lambda(traj[-1][0], C).var_x)
+    sigma = math.sqrt(moments_from_lambda(traj[-1], C).var_x)
     grid = evaluate_wavefunction(p, centered_grid(p.mean_x, sigma))
     assert abs(grid.norm() ** 2 - 1.0) <= 1e-6
     assert grid.warnings == ()
@@ -89,21 +91,21 @@ def test_spreading_law():
     alpha0 = 1.3
     packet = InitialPacket(0.0, 1.0, alpha0)
     traj = solve_lambda(FREE, packet, np.linspace(0.0, 10.0, 101))
-    var0 = moments_from_lambda(traj[0][0], C).var_x
-    for s, _ in traj.samples:
+    var0 = moments_from_lambda(traj[0], C).var_x
+    for s in traj:
         expected = var0 * (1.0 + (s.t / alpha0 ** 2) ** 2)
         assert abs(moments_from_lambda(s, C).var_x - expected) <= 1e-9 * expected
 
 
 def test_momentum_variance_constant_for_free():
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), np.linspace(0.0, 10.0, 101))
-    for s, _ in traj.samples:
+    for s in traj:
         assert abs(moments_from_lambda(s, C).var_p - 0.5) <= 1e-10
 
 
 def test_correlation_vanishes_on_constant_width_branch():
     traj = solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), np.linspace(0.0, 10.0, 101))
-    for s, _ in traj.samples:
+    for s in traj:
         assert abs(moments_from_lambda(s, C).corr) <= 1e-12
 
 
@@ -145,7 +147,7 @@ def test_width_rate_imaginary_part_is_inverse_alpha_squared():
     traj = solve_lambda(HO, InitialPacket(0.0, 1.0, 1.5), np.linspace(0.0, 5.0, 51))
     for i in range(len(traj)):
         p = propagate_analytic(traj, i)
-        s, _ = traj[i]
+        s = traj[i]
         assert abs(p.y_complex.imag - 1.0 / s.alpha ** 2) <= 1e-10
 
 

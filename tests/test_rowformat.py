@@ -112,7 +112,7 @@ def test_every_power_of_ten_and_edge(shape):
 def test_builtin_dat_files_equal_row_template_writer(tmp_path, name):
     config = parse_config(dict(BUILTIN_SCENARIOS[name], tasks=["wigner"]), name=name)
     report, grids = run_scenario(config)
-    emit_outputs(report, grids, tmp_path / "run", write_trajectory=False)
+    emit_outputs(report, grids, tmp_path / "run")
     assert len(grids) == 2
     for entry in grids:
         filename = f"wigner_t{entry['index']}.dat"

@@ -18,6 +18,8 @@ from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambd
 from wavepacket.wigner import (PhaseSpaceGrid, _half_step_refine, wigner_gaussian,
                                wigner_numeric, wigner_pointmap)
 
+from scalar_reference import marginal_p
+
 C = Constants()
 FREE = SystemSpec(C, Free())
 HO = SystemSpec(C, ConstantOmega(1.0))
@@ -28,10 +30,10 @@ def transform_setup(system, packet, t, nx=256, n_p=257, span=8.0, pad=1.5):
     +-span sigmas, and the matching closed-form evaluator."""
     traj = solve_lambda(system, packet, [0.0, t] if t > 0 else [0.0])
     idx = len(traj) - 1
-    state, cl = traj[idx]
+    state = traj[idx]
     m = moments_from_lambda(state, C)
     sx, sp = math.sqrt(m.var_x), math.sqrt(m.var_p)
-    mean_x, mean_p = cl.eta, C.mass * cl.eta_dot
+    mean_x, mean_p = state.eta, C.mass * state.eta_dot
 
     n_wide = 2 * math.ceil(pad * nx / 2.0) + 1
     x = np.linspace(mean_x - pad * span * sx, mean_x + pad * span * sx, n_wide)
@@ -63,7 +65,7 @@ def test_momentum_marginal_matches_fourier_density():
     p = full.p()
     to_momentum = TransformMatrix(0.0, -1.0, 1.0, 0.0)
     psi_tilde = apply_kernel(kernel_ti(to_momentum, C), psi, p)
-    assert np.max(np.abs(full.marginal_p() - np.abs(psi_tilde.values) ** 2)) <= 1e-5
+    assert np.max(np.abs(marginal_p(full) - np.abs(psi_tilde.values) ** 2)) <= 1e-5
 
 
 def test_free_evolved_wigner_matches_closed_form():
@@ -100,8 +102,8 @@ def test_gaussian_rejects_inconsistent_moments():
 def test_pointmap_identity_at_t0():
     packet = InitialPacket(0.0, 1.0, 1.4)
     traj = solve_lambda(FREE, packet, [0.0])
-    matrix = matrix_from_state(traj[0][0], packet.alpha0)
-    m0 = moments_from_lambda(traj[0][0], C)
+    matrix = matrix_from_state(traj[0], packet.alpha0)
+    m0 = moments_from_lambda(traj[0], C)
     w0 = wigner_gaussian(m0, packet.x0, packet.p0, C)
     for x, p in ((0.0, 0.0), (0.7, -0.4), (-1.2, 2.0)):
         assert wigner_pointmap(w0, matrix, x, p, C) == pytest.approx(w0(x, p), rel=1e-12)
@@ -111,10 +113,10 @@ def test_pointmap_matches_closed_form_free_t1():
     """Algebraic identity checked on a 64x64 grid at 1e-10."""
     packet = InitialPacket(0.0, 1.0, 1.0)
     traj = solve_lambda(FREE, packet, [0.0, 1.0])
-    s, cl = traj[1]
+    s = traj[1]
     matrix = matrix_from_state(s, packet.alpha0)
-    w0 = wigner_gaussian(moments_from_lambda(traj[0][0], C), packet.x0, packet.p0, C)
-    wt = wigner_gaussian(moments_from_lambda(s, C), cl.eta, cl.eta_dot, C)
+    w0 = wigner_gaussian(moments_from_lambda(traj[0], C), packet.x0, packet.p0, C)
+    wt = wigner_gaussian(moments_from_lambda(s, C), s.eta, s.eta_dot, C)
     xs = np.linspace(-3.0, 5.0, 64)
     ps = np.linspace(-2.0, 4.0, 64)
     X, P = np.meshgrid(xs, ps)
@@ -127,7 +129,7 @@ def test_pointmap_is_rigid_rotation_for_constant_width():
     packet = InitialPacket(0.0, 1.0, 1.0)
     t = 1.1
     traj = solve_lambda(HO, packet, [0.0, t])
-    matrix = matrix_from_state(traj[1][0], packet.alpha0)
+    matrix = matrix_from_state(traj[1], packet.alpha0)
     ct, st = math.cos(t), math.sin(t)
     for x, p in ((0.3, -0.8), (1.5, 0.2)):
         # an "initial Wigner function" that returns its arguments exposes the map
@@ -147,8 +149,8 @@ def test_transport_equivalence(system, t):
     closed_vals = closed(X, P)
     assert np.max(np.abs(window.values - closed_vals)) <= 1e-5
 
-    w0 = wigner_gaussian(moments_from_lambda(traj[0][0], C), packet.x0, packet.p0, C)
-    matrix = matrix_from_state(traj[-1][0], packet.alpha0)
+    w0 = wigner_gaussian(moments_from_lambda(traj[0], C), packet.x0, packet.p0, C)
+    matrix = matrix_from_state(traj[-1], packet.alpha0)
     mapped = wigner_pointmap(w0, matrix, X, P, C)
     assert np.max(np.abs(window.values - mapped)) <= 1e-5
     assert np.max(np.abs(mapped - closed_vals)) <= 1e-9
