@@ -41,7 +41,8 @@ from .errors import (CapabilityError, ConfigError, DivergenceError,
                      ResolutionError, ValidationError)
 from .evolution import solve_lambda
 from .invariants import (euler_lagrange_residuals, frozen_width_matrix,
-                         matrix_from_state, record_columns, require_finite)
+                         invariant_maxima, matrix_from_state, record_columns,
+                         require_finite)
 from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
                       satisfies_kernel_odes)
 from .oracle import GridState, compare_states, split_step
@@ -49,24 +50,30 @@ from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analyt
 from .rowformat import write_records, write_report, write_rows
 from .wigner import wigner_numeric
 
-# every run integrates and writes trajectory.csv, so "evolve" adds nothing;
-# it stays a valid task so that configs which list it still parse
-TASKS = ("evolve", "wigner", "kernel_check", "invariants", "oracle_compare")
+# each check's tolerance is the profile entry of its name, these ones alike
+# in every profile; the Euler-Lagrange residuals get el_residual_factor * dt^2
+_FIXED_TOLERANCES = {
+    "ermakov_residual_max": 1e-9,
+    "uncertainty_hamiltonian_vs_energy": 1e-10,
+    "det_vs_ermakov_identity": 1e-9,
+    # the input tolerance of GridState, applied to the oracle's result
+    "oracle_norm_defect": 1e-8,
+}
 
 TOLERANCE_PROFILES = {
-    "default": {
-        "det_drift": 1e-9,
+    "default": _FIXED_TOLERANCES | {
+        "det_M_drift": 1e-9,
         "ermakov_rel_drift": 1e-8,
         "p_phi_abs_dev": 1e-10,
         "iup_abs_dev": 1e-10,
-        "el_residual_factor": 10.0,  # times dt^2
+        "el_residual_factor": 10.0,
         "oracle_aligned_l2": 1e-5,
         "kernel_ode_residual": 1e-5,
         "kernel_roundtrip_l2": 1e-5,
         "kernel_vs_analytic_l2": 1e-5,
     },
-    "strict": {
-        "det_drift": 1e-10,
+    "strict": _FIXED_TOLERANCES | {
+        "det_M_drift": 1e-10,
         "ermakov_rel_drift": 1e-9,
         "p_phi_abs_dev": 1e-11,
         "iup_abs_dev": 1e-11,
@@ -133,26 +140,27 @@ class ScenarioConfig:
     output_dir: str
     name: str = ""
 
-    @property
-    def sample_step(self):
-        return self.dt * self.sample_every
-
     def sample_times(self):
         # k * step for each k, to the bit
-        return np.arange(round(self.t_end / self.sample_step) + 1) * self.sample_step
+        step = self.dt * self.sample_every
+        return np.arange(round(self.t_end / step) + 1) * step
 
     def x_grid(self):
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
-def _get(data, path, expected, default=None, required=True):
+def _get(data, path, expected, default=None):
+    """The value at the dotted `path`, of type `expected`, or `default` if it
+    is absent; ConfigError if it has none, or a parent is not an object."""
     node = data
-    seen = []
-    for key in path.split("."):
-        seen.append(key)
-        if not isinstance(node, dict) or key not in node:
-            if required and default is None:
-                raise ConfigError(f"missing config field '{'.'.join(seen)}'")
+    keys = path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise ConfigError(
+                f"config field '{'.'.join(keys[:i])}' must be an object, got {node!r}")
+        if key not in node:
+            if default is None:
+                raise ConfigError(f"missing config field '{'.'.join(keys[:i + 1])}'")
             return default
         node = node[key]
     if expected is float and isinstance(node, int) and not isinstance(node, bool):
@@ -211,8 +219,8 @@ def parse_config(data, name="") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     try:
-        constants = Constants(_get(data, "constants.hbar", float, 1.0, required=False),
-                              _get(data, "constants.mass", float, 1.0, required=False))
+        constants = Constants(_get(data, "constants.hbar", float, 1.0),
+                              _get(data, "constants.mass", float, 1.0))
         packet = InitialPacket(_get(data, "packet.x0", float),
                                _get(data, "packet.p0", float),
                                _get(data, "packet.alpha0", float))
@@ -222,7 +230,7 @@ def parse_config(data, name="") -> ScenarioConfig:
 
     t_end = _get(data, "time.t_end", float)
     dt = _get(data, "time.dt", float)
-    sample_every = _get(data, "time.sample_every", int, 1, required=False)
+    sample_every = _get(data, "time.sample_every", int, 1)
     if t_end <= 0.0:
         raise ConfigError("'time.t_end' must be > 0")
     if dt <= 0.0:
@@ -245,9 +253,9 @@ def parse_config(data, name="") -> ScenarioConfig:
     if n_points < 64 or n_points & (n_points - 1):
         raise ConfigError("'grid.n_points' must be a power of two >= 64")
 
-    ps_nx = _get(data, "phase_space_grid.nx", int, 256, required=False)
-    ps_np = _get(data, "phase_space_grid.np", int, 257, required=False)
-    span = _get(data, "phase_space_grid.span_sigmas", float, 8.0, required=False)
+    ps_nx = _get(data, "phase_space_grid.nx", int, 256)
+    ps_np = _get(data, "phase_space_grid.np", int, 257)
+    span = _get(data, "phase_space_grid.span_sigmas", float, 8.0)
     if ps_nx < 16 or ps_np < 16 or span <= 0.0:
         raise ConfigError("'phase_space_grid' must have nx, np >= 16 and span > 0")
 
@@ -258,7 +266,7 @@ def parse_config(data, name="") -> ScenarioConfig:
         if t not in TASKS:
             raise ConfigError(f"unknown task {t!r}; valid tasks: {', '.join(TASKS)}")
 
-    output_dir = _get(data, "output_dir", str, "out", required=False)
+    output_dir = _get(data, "output_dir", str, "out")
     return ScenarioConfig(
         constants=constants, system=system, packet=packet,
         t_end=t_end, dt=dt, sample_every=sample_every,
@@ -294,41 +302,36 @@ def _check(value, tolerance):
     return {"value": value, "tolerance": tolerance, "pass": bool(value <= tolerance)}
 
 
-def _invariant_summary(config, maxima, steps, tol):
+def _checks(values, tol):
+    """A check entry per value, against the profile entry of its name."""
+    return {name: _check(value, tol[name]) for name, value in values.items()}
+
+
+def _invariants_stage(config, traj, steps, columns, tol):
+    """The invariant checks; free motion adds the frozen-width diagnostic."""
+    checks = _checks(invariant_maxima(traj, columns), tol)
+    # in report order the Euler-Lagrange pair comes before these
+    tail = {name: checks.pop(name) for name in list(checks)
+            if name in ("uncertainty_hamiltonian_vs_energy", "det_vs_ermakov_identity")}
     res_phi, res_alpha = euler_lagrange_residuals(steps)
-    el_phi = float(res_phi.max(initial=0.0))
-    el_alpha = float(res_alpha.max(initial=0.0))
-
     el_tol = tol["el_residual_factor"] * config.dt * config.dt
-    checks = {
-        "ermakov_residual_max": _check(maxima["ermakov_residual_max"], 1e-9),
-        "det_M_drift": _check(maxima["det_M_drift"], tol["det_drift"]),
-        "ermakov_rel_drift": _check(maxima["ermakov_rel_drift"], tol["ermakov_rel_drift"]),
-        "p_phi_abs_dev": _check(maxima["p_phi_abs_dev"], tol["p_phi_abs_dev"]),
-        "iup_abs_dev": _check(maxima["iup_abs_dev"], tol["iup_abs_dev"]),
-        "euler_lagrange_phi": _check(el_phi, el_tol),
-        "euler_lagrange_alpha": _check(el_alpha, el_tol),
-        "uncertainty_hamiltonian_vs_energy": _check(
-            maxima["uncertainty_hamiltonian_vs_energy"], 1e-10),
-    }
-    if "det_vs_ermakov_identity" in maxima:
-        checks["det_vs_ermakov_identity"] = _check(maxima["det_vs_ermakov_identity"], 1e-9)
-    return checks
-
-
-def _frozen_width_block(config, times):
-    alpha0 = config.packet.alpha0
+    checks["euler_lagrange_phi"] = _check(float(res_phi.max(initial=0.0)), el_tol)
+    checks["euler_lagrange_alpha"] = _check(float(res_alpha.max(initial=0.0)), el_tol)
+    section = {"checks": checks | tail}
+    if not is_free_motion(config.system.frequency_law):
+        return section
+    times, alpha0 = traj.times, config.packet.alpha0
     with np.errstate(all="ignore"):
         det = frozen_width_matrix(config.system, alpha0, times).det
         closed = 1.0 + np.float_power(times / alpha0 ** 2, 2)
-        err = np.abs(det - closed)
     require_finite(times, {"frozen_width det": det, "frozen_width closed form": closed})
-    return {
+    section["frozen_width"] = {
         "non_canonical": True,
         "note": "width frozen at alpha0; det = 1 + (t/alpha0^2)^2, not 1",
         "samples": [{"t": t, "det": d} for t, d in zip(times.tolist(), det.tolist())],
-        "closed_form_max_abs_err": float(err.max()),
+        "closed_form_max_abs_err": float(np.abs(det - closed).max()),
     }
+    return section
 
 
 # the least step of a Wigner window, in spacings of doubles at its centre:
@@ -347,11 +350,12 @@ def _require_resolvable_window(width, n, centre, t):
             f"need a width of at least {WINDOW_STEP_ULPS * ulp * (n - 1)!r}")
 
 
-def _wigner_task(config, traj, indices):
+def _wigner_stage(config, traj, steps, columns, tol):
+    """One entry per end sample; its "grid" goes to the .dat file."""
     c = config.constants
     outputs = []
     span = config.ps_span_sigmas
-    for idx in indices:
+    for idx in (0, len(traj) - 1):
         state = traj[idx]
         moments = moments_from_lambda(state, c)
         sx = math.sqrt(moments.var_x)
@@ -390,7 +394,7 @@ def _wigner_task(config, traj, indices):
     return outputs
 
 
-def _kernel_check_task(config, traj, tol):
+def _kernel_check_stage(config, traj, steps, columns, tol):
     c = config.constants
     worst = 0.0
     for matrix in KERNEL_CHECK_LATTICE:
@@ -398,11 +402,10 @@ def _kernel_check_task(config, traj, tol):
         r1, r2 = satisfies_kernel_odes(matrix, c)
         worst = max(worst, r1, r2)
 
-    state = traj[-1]
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
     psi_t = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
-    matrix = matrix_from_state(state, config.packet.alpha0)
+    matrix = matrix_from_state(traj[-1], config.packet.alpha0)
     forward = apply_kernel(kernel_td(matrix, c), psi0, x)
     back = apply_kernel(kernel_td(matrix, c, inverse=True), forward, x)
     roundtrip = math.sqrt(float(np.trapezoid(
@@ -419,66 +422,72 @@ def _kernel_check_task(config, traj, tol):
         "td_unitarity_defect": unitarity,
         "kernel_vs_analytic_l2": vs_analytic,
         "warnings": list(back.warnings + psi_t.warnings),
-        "checks": {
-            "kernel_ode_residual": _check(worst, tol["kernel_ode_residual"]),
-            "kernel_roundtrip_l2": _check(roundtrip, tol["kernel_roundtrip_l2"]),
-            "kernel_vs_analytic_l2": _check(vs_analytic, tol["kernel_vs_analytic_l2"]),
-        },
+        "checks": _checks({"kernel_ode_residual": worst,
+                           "kernel_roundtrip_l2": roundtrip,
+                           "kernel_vs_analytic_l2": vs_analytic}, tol),
     }
 
 
-def _oracle_task(config, traj, tol):
+def _oracle_stage(config, traj, steps, columns, tol):
     c = config.constants
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-    steps = round(config.t_end / config.dt)
+    n_steps = round(config.t_end / config.dt)
     # the packet sampled on the configured grid, and the reference sampled
     # at t_end, are results too: on a grid that cuts their tails their norm
     # is off, which their coverage warnings and oracle_norm_defect report
     evolved = split_step(GridState(psi0, 0.0, check_norm=False),
-                         config.system, config.dt, steps)
+                         config.system, config.dt, n_steps)
     analytic = GridState(evaluate_wavefunction(
         propagate_analytic(traj, len(traj) - 1), x), config.t_end, check_norm=False)
     l2, aligned, moment_errors = compare_states(evolved, analytic, hbar=c.hbar)
     norm = evolved.grid.norm()
     return {
         "t": config.t_end,
-        "steps": steps,
+        "steps": n_steps,
         "l2_error": l2,
         "phase_aligned_l2_error": aligned,
-        "moment_errors": {
-            "mean_x": moment_errors[0], "mean_p": moment_errors[1],
-            "var_x": moment_errors[2], "var_p": moment_errors[3],
-            "corr": moment_errors[4],
-        },
+        "moment_errors": dict(zip(("mean_x", "mean_p", "var_x", "var_p", "corr"),
+                                  moment_errors)),
         "norm": norm,
         "warnings": list(evolved.grid.warnings + analytic.grid.warnings),
-        "checks": {
-            "oracle_aligned_l2": _check(aligned, tol["oracle_aligned_l2"]),
-            # the input tolerance of GridState, applied to the result
-            "oracle_norm_defect": _check(abs(norm - 1.0), 1e-8),
-        },
+        "checks": _checks({"oracle_aligned_l2": aligned,
+                           "oracle_norm_defect": abs(norm - 1.0)}, tol),
     }
 
 
-def run_scenario(config: ScenarioConfig, output_dir=None,
-                 tolerance_profile="default"):
+# the stages a run may add, in report order: each returns its report section
+STAGES = {
+    "invariants": _invariants_stage,
+    "wigner": _wigner_stage,
+    "kernel_check": _kernel_check_stage,
+    "oracle_compare": _oracle_stage,
+}
+
+# every run integrates and writes trajectory.csv, so "evolve" adds nothing;
+# it stays a valid task so that configs which list it still parse
+TASKS = ("evolve", *STAGES)
+
+
+def run_scenario(config: ScenarioConfig, tolerance_profile="default"):
     """Execute the configured tasks; returns (report_dict, wigner_grids).
 
     report["samples"] maps each record field to its column over the sample
     times, in report order; emit_outputs writes it as one record per sample.
+    Each configured stage adds its section.  `pass` is the AND of every
+    check of every section, and `warned_sections` counts the sections with
+    warnings, each wigner entry as one.
     """
     if tolerance_profile not in TOLERANCE_PROFILES:
         raise ConfigError(f"unknown tolerance profile {tolerance_profile!r}")
     tol = TOLERANCE_PROFILES[tolerance_profile]
 
-    invariants = "invariants" in config.tasks
     # the Euler-Lagrange residuals are O(h^2) finite-difference diagnostics,
     # so they read the integrator's own steps over the first min(t_end, 2)
-    el_steps = round(min(config.t_end, 2.0) / config.dt) if invariants else 0
+    el_steps = round(min(config.t_end, 2.0) / config.dt) if "invariants" in config.tasks else 0
     traj, steps = solve_lambda(config.system, config.packet, config.sample_times(),
                                dt=config.dt, keep_steps=el_steps)
-    columns, maxima = record_columns(traj, summary=invariants)
+    columns = record_columns(traj)
 
     report = {
         "scenario": config.name,
@@ -488,36 +497,19 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
         "tasks": list(config.tasks),
         "samples": columns,
     }
-    wigner_grids = []
+    sections = []
+    for task, stage in STAGES.items():
+        if task in config.tasks:
+            report[task] = stage(config, traj, steps, columns, tol)
+            sections += report[task] if isinstance(report[task], list) else [report[task]]
+    report["pass"] = all(entry["pass"] for section in sections
+                         for entry in section.get("checks", {}).values())
+    report["warned_sections"] = sum(1 for section in sections if section.get("warnings"))
 
-    if invariants:
-        checks = _invariant_summary(config, maxima, steps, tol)
-        report["invariants"] = {"checks": checks}
-        if is_free_motion(config.system.frequency_law):
-            report["invariants"]["frozen_width"] = _frozen_width_block(
-                config, traj.times)
-
-    if "wigner" in config.tasks:
-        outputs = _wigner_task(config, traj, [0, len(traj) - 1])
-        report["wigner"] = [
-            {k: v for k, v in out.items() if k != "grid"} for out in outputs]
-        wigner_grids = outputs
-
-    if "kernel_check" in config.tasks:
-        report["kernel_check"] = _kernel_check_task(config, traj, tol)
-
-    if "oracle_compare" in config.tasks:
-        report["oracle_compare"] = _oracle_task(config, traj, tol)
-
-    all_checks = {}
-    for section in ("invariants", "kernel_check", "oracle_compare"):
-        if section in report and "checks" in report[section]:
-            for name, entry in report[section]["checks"].items():
-                all_checks[name] = entry["pass"]
-    report["pass"] = bool(all(all_checks.values())) if all_checks else True
-    sections = report.get("wigner", []) + [
-        report[name] for name in ("kernel_check", "oracle_compare") if name in report]
-    report["warned_sections"] = sum(1 for section in sections if section["warnings"])
+    wigner_grids = report.get("wigner", [])
+    if wigner_grids:
+        report["wigner"] = [{k: v for k, v in out.items() if k != "grid"}
+                            for out in wigner_grids]
     return report, wigner_grids
 
 
@@ -525,10 +517,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None,
 # Output files
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = ("t,eta,eta_dot,alpha,alpha_dot,phi,var_x,var_p,corr,"
-              "det_M,I_L,p_phi,E_cl,E_tilde")
 CSV_FIELDS = ("t", "eta", "eta_dot", "alpha", "alpha_dot", "phi", "var_x",
               "var_p", "corr", "det_M", "I_L", "p_phi", "E_cl", "E_tilde")
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 def emit_outputs(report, wigner_grids, output_dir):
@@ -578,7 +569,8 @@ def _build_parser():
         epilog="Exit codes: 0 success, 2 config error, 3 numerical divergence, "
                "4 capability/delta-limit error, 5 I/O error.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
+    sub.required = True
 
     run = sub.add_parser("run", help="run a scenario config (file or built-in name)")
     run.add_argument("config", help="path to a JSON config, or a built-in scenario name")

@@ -140,65 +140,68 @@ def require_finite(times, columns):
     raise DivergenceError(t, f"non-finite {name} at t={t!r}")
 
 
-def record_columns(traj: Trajectory, summary=True):
+def record_columns(traj: Trajectory):
     """Every per-sample quantity of the invariant report, on all samples at once.
 
-    Returns (columns, maxima).  `columns` maps each record field to an array
-    over traj.times: t, eta, eta_dot, alpha, alpha_dot, phi, the moments
-    var_x, var_p and corr, det_M (the Wronskian), I_L, p_phi, the invariant
-    uncertainty product, E_cl, E_tilde and the Ermakov residual.  `maxima`
-    is None unless `summary`, which only the invariants task needs; it
-    maps the invariant summary's checks to the largest deviation over the
-    samples, as floats: ermakov_residual_max, det_M_drift (|det M - 1|),
-    ermakov_rel_drift (|I_L - I_L(0)|, relative unless I_L(0) = 0),
-    p_phi_abs_dev (from hbar/2), iup_abs_dev (from hbar^2/4) and
-    uncertainty_hamiltonian_vs_energy (|H~ - E_tilde|), and for a release
-    from x0 = 0 with p0 != 0 also det_vs_ermakov_identity.
+    Maps each record field to an array over traj.times: t, eta, eta_dot,
+    alpha, alpha_dot, phi, the moments var_x, var_p and corr, det_M (the
+    Wronskian), I_L, p_phi, the invariant uncertainty product, E_cl,
+    E_tilde and the Ermakov residual.
 
     w is evaluated once, on traj.times.  Each value rounds as the formula
     rounds it for traj[i].  Raises DivergenceError at the first sample time
-    where a column, or with `summary` a deviation, is not finite, naming it.
-    """
+    where a column is not finite, naming it."""
     s = traj.columns
-    packet, c = traj.packet, traj.system.constants
+    c = traj.system.constants
     with np.errstate(all="ignore"):
         w = traj.system.frequency_law.omega(s.t)
         moments = moments_from_lambda(s, c)
-        uc = canonical_coordinates(s, c)
         e_cl, e_tilde = energy_partition(s, w, c)
-        residual = ermakov_residual(s, w)
         columns = {
             "t": s.t, "eta": s.eta, "eta_dot": s.eta_dot,
             "alpha": s.alpha, "alpha_dot": s.alpha_dot, "phi": s.phi,
             "var_x": moments.var_x, "var_p": moments.var_p, "corr": moments.corr,
             "det_M": s.wronskian,
             "I_L": ermakov_invariant(s.eta, s.eta_dot, s.alpha, s.alpha_dot),
-            "p_phi": uc.p_phi,
+            "p_phi": canonical_coordinates(s, c).p_phi,
             "invariant_uncertainty_product": moments.uncertainty_determinant(),
             "E_cl": e_cl, "E_tilde": e_tilde,
-            "ermakov_residual": residual,
+            "ermakov_residual": ermakov_residual(s, w),
         }
-        if not summary:
-            require_finite(s.t, columns)
-            return columns, None
+    require_finite(s.t, columns)
+    return columns
+
+
+def invariant_maxima(traj: Trajectory, columns):
+    """Each invariant check's largest deviation over the samples, as a float,
+    from the record_columns of `traj`: ermakov_residual_max, det_M_drift
+    (|det M - 1|), ermakov_rel_drift (|I_L - I_L(0)|, relative unless
+    I_L(0) = 0), p_phi_abs_dev (from hbar/2), iup_abs_dev (from hbar^2/4),
+    uncertainty_hamiltonian_vs_energy (|H~ - E_tilde|), and for a release
+    from x0 = 0 with p0 != 0 det_vs_ermakov_identity.  Raises
+    DivergenceError at the first sample time where one is not finite."""
+    s = traj.columns
+    packet, c = traj.packet, traj.system.constants
+    with np.errstate(all="ignore"):
+        w = traj.system.frequency_law.omega(s.t)
         i_l = columns["I_L"]
         drift = np.abs(i_l - i_l[0])
         deviations = {
-            "ermakov_residual_max": residual,
+            "ermakov_residual_max": columns["ermakov_residual"],
             "det_M_drift": np.abs(s.wronskian - 1.0),
             "ermakov_rel_drift": drift / abs(i_l[0]) if i_l[0] != 0.0 else drift,
-            "p_phi_abs_dev": np.abs(uc.p_phi - 0.5 * c.hbar),
+            "p_phi_abs_dev": np.abs(columns["p_phi"] - 0.5 * c.hbar),
             "iup_abs_dev": np.abs(columns["invariant_uncertainty_product"]
                                   - 0.25 * c.hbar ** 2),
-            "uncertainty_hamiltonian_vs_energy": np.abs(
-                uncertainty_hamiltonian(uc, w, c) - e_tilde),
+            "uncertainty_hamiltonian_vs_energy": np.abs(uncertainty_hamiltonian(
+                canonical_coordinates(s, c), w, c) - columns["E_tilde"]),
         }
         if packet.p0 != 0.0 and packet.x0 == 0.0:
             deviations["det_vs_ermakov_identity"] = np.abs(
                 det_as_ermakov(s.eta, s.eta_dot, s.alpha, s.alpha_dot,
                                packet.alpha0, packet.p0, c.mass) - s.wronskian)
-    require_finite(s.t, columns | deviations)
-    return columns, {name: float(d.max()) for name, d in deviations.items()}
+    require_finite(s.t, deviations)
+    return {name: float(d.max()) for name, d in deviations.items()}
 
 
 def euler_lagrange_residuals(traj: Trajectory):

@@ -82,7 +82,9 @@ def _nyquist_check(grid: ComplexGrid, system: SystemSpec):
     spectrum = np.abs(np.fft.fft(psi)) ** 2
     freqs = np.fft.fftfreq(grid.n, d=dx)
     outer = np.abs(freqs) >= 0.75 * np.abs(freqs).max()
-    outer_fraction = float(spectrum[outer].sum() / spectrum.sum())
+    total = spectrum.sum()
+    # a packet that samples to all zeros has nothing to alias
+    outer_fraction = float(spectrum[outer].sum() / total) if total else 0.0
     if outer_fraction > 1e-8:
         raise ResolutionError(
             f"{outer_fraction!r} of the spectral mass sits in the top quarter "
@@ -101,7 +103,9 @@ def _central_mass(values, weights):
     n = len(values)
     lo, hi = n // 4, 3 * n // 4
     prob = np.abs(values) ** 2 * weights
-    return float(np.sum(prob[lo:hi]) / np.sum(prob))
+    total = np.sum(prob)
+    # no mass at all has none outside the central half
+    return float(np.sum(prob[lo:hi]) / total) if total else 1.0
 
 
 def _squared_omegas(law, t0, dt, steps):

@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, emit_outputs,
-                            load_config, main, parse_config)
+from wavepacket import cli
+from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, STAGES, TASKS,
+                            TOLERANCE_PROFILES, emit_outputs, load_config, main,
+                            parse_config, run_scenario)
 from wavepacket.errors import ConfigError
 from wavepacket.wigner import PhaseSpaceGrid
 
@@ -54,13 +56,30 @@ def test_parse_config_rejects_bad_values():
                                               "n_points": 100}))
     with pytest.raises(ConfigError, match="tasks"):
         parse_config(dict(SMALL_CONFIG, tasks=[]))
-    with pytest.raises(ConfigError, match="unknown task"):
+    with pytest.raises(ConfigError, match="unknown task 'frobnicate'; valid tasks: "
+                       "evolve, invariants, wigner, kernel_check, oracle_compare$"):
         parse_config(dict(SMALL_CONFIG, tasks=["evolve", "frobnicate"]))
     with pytest.raises(ConfigError, match="integer multiple"):
         parse_config(dict(SMALL_CONFIG, time={"t_end": 0.55, "dt": 0.001,
                                               "sample_every": 100}))
     with pytest.raises(ConfigError, match="system.type"):
         parse_config(dict(SMALL_CONFIG, system={"type": "spring"}))
+
+
+@pytest.mark.parametrize("section, value", [
+    ("constants", 5),              # optional: hbar and mass default to 1
+    ("phase_space_grid", "big"),   # optional: nx, np and span have defaults
+    ("packet", [0.0, 1.0, 1.0]),   # required
+    ("time", None),                # required
+])
+def test_non_object_section_exits_2(tmp_path, capsys, section, value):
+    """A section that is present but not an object is refused, whether its
+    fields have defaults or not; it is never read as if it were absent."""
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, **{section: value}))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: config field '{section}' must be an object, got {value!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_builtin_scenarios_parse():
@@ -294,6 +313,27 @@ def test_tiny_p0_det_vs_ermakov_identity_is_finite(tmp_path):
         "invariants"]["checks"]["det_vs_ermakov_identity"]
     assert math.isfinite(check["value"])
     assert check["pass"]
+
+
+def test_oracle_on_a_grid_that_samples_no_mass(tmp_path, capsys):
+    """hbar = 4.28 and m = 1.3e6 make sigma_x about 2e-3: on 256 points over
+    [-15, 15] the packet samples to all zeros.  Zero mass has nothing
+    aliased and nothing leaked; the oracle's norm check fails, with no
+    warning on stderr."""
+    data = dict(SMALL_CONFIG, constants={"hbar": 4.28, "mass": 1.3e6},
+                system={"type": "constant", "omega": 0.904},
+                packet={"x0": 0.233, "p0": -99.2, "alpha0": 1.11},
+                time={"t_end": 0.1, "dt": 1e-3, "sample_every": 10},
+                tasks=list(TASKS))
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    oracle = report["oracle_compare"]
+    assert oracle["norm"] == 0.0
+    assert not any("leaked" in w for w in oracle["warnings"])
+    assert oracle["checks"]["oracle_norm_defect"]["pass"] is False
+    assert report["pass"] is False
 
 
 def test_exit_code_delta_limit(tmp_path):
@@ -618,3 +658,97 @@ def test_console_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "free-spread" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# the stage table
+# ---------------------------------------------------------------------------
+
+def test_tasks_are_evolve_and_the_stages_in_report_order():
+    assert TASKS == ("evolve", *STAGES)
+    assert list(STAGES) == ["invariants", "wigner", "kernel_check", "oracle_compare"]
+
+
+@pytest.fixture(scope="module")
+def free_spread():
+    return load_config("free-spread")
+
+
+def _failing_checks(report):
+    sections = [section for task in STAGES if task in report for section in (
+        report[task] if isinstance(report[task], list) else [report[task]])]
+    return {name for section in sections
+            for name, check in section.get("checks", {}).items() if not check["pass"]}
+
+
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_PROFILES["default"]))
+def test_each_check_reads_its_profile_entry(monkeypatch, free_spread, entry):
+    """free-spread reports every check, and passes them all.  With one
+    profile entry at -1, the check of that name, and no other, fails and
+    fails the run; el_residual_factor scales both Euler-Lagrange
+    tolerances."""
+    monkeypatch.setitem(TOLERANCE_PROFILES["default"], entry, -1.0)
+    report, _ = run_scenario(free_spread)
+    expected = ({"euler_lagrange_phi", "euler_lagrange_alpha"}
+                if entry == "el_residual_factor" else {entry})
+    assert _failing_checks(report) == expected
+    assert report["pass"] is False
+
+
+def test_profiles_name_the_same_entries():
+    assert TOLERANCE_PROFILES["default"].keys() == TOLERANCE_PROFILES["strict"].keys()
+
+
+def test_pass_and_warnings_read_every_wigner_entry(monkeypatch, free_spread):
+    """A check or a warning in a wigner entry reaches `pass` and
+    `warned_sections` with no change to run_scenario."""
+    wigner = STAGES["wigner"]
+
+    def checked(*args):
+        entries = wigner(*args)
+        entries[-1]["checks"] = {"made_up": {"value": 1.0, "tolerance": 0.0, "pass": False}}
+        entries[-1]["warnings"] = ["made up"]
+        return entries
+
+    report, _ = run_scenario(free_spread)
+    assert report["pass"] is True and report["warned_sections"] == 1
+    monkeypatch.setitem(STAGES, "wigner", checked)
+    report, grids = run_scenario(free_spread)
+    assert report["pass"] is False and report["warned_sections"] == 2
+    assert "grid" not in report["wigner"][-1] and "grid" in grids[-1]
+
+
+def test_run_without_invariants_neither_computes_nor_checks_them(monkeypatch):
+    """Deviations and Euler-Lagrange residuals belong to the invariants stage
+    alone; a run without it keeps no integrator steps for them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called without the invariants task")
+
+    monkeypatch.setattr(cli, "invariant_maxima", forbidden)
+    monkeypatch.setattr(cli, "euler_lagrange_residuals", forbidden)
+    solve = cli.solve_lambda
+    kept = []
+    monkeypatch.setattr(cli, "solve_lambda", lambda *args, keep_steps, **kwargs: (
+        kept.append(keep_steps) or solve(*args, keep_steps=keep_steps, **kwargs)))
+    report, _ = run_scenario(parse_config(dict(SMALL_CONFIG, tasks=["evolve", "wigner"])))
+    assert "invariants" not in report and report["pass"] is True
+    assert kept == [0]
+
+
+def test_layer_functions_are_looked_up_in_cli_at_call_time(monkeypatch, free_spread):
+    """The benchmark times each layer by rebinding its name in wavepacket.cli;
+    a run must call every one of them through that name."""
+    calls = dict.fromkeys(("solve_lambda", "split_step", "apply_kernel",
+                           "wigner_numeric", "compare_states"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    run_scenario(free_spread)
+    assert calls == {"solve_lambda": 1, "split_step": 1, "apply_kernel": 2,
+                     "wigner_numeric": 2, "compare_states": 1}

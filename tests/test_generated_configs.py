@@ -1,8 +1,9 @@
 """Every valid config gives a report or a documented numerical exit.
 
-Configs are drawn over all five law types, grids of 64-256 points that may
-be too coarse for the packet or cut into it, short runs with dt from 1e-4
-and 1-100 steps per sample, and the invariants task with any subset of the
+Configs are drawn over all five law types, hbar and m over 16 decades,
+alpha0 over 6 and |p0| up to 1e6, grids of 64-256 points that may be too
+coarse for the packet or cut into it, short runs with dt from 1e-4 and
+1-100 steps per sample, and the invariants task with any subset of the
 others, so that the Euler-Lagrange residuals read the run's own steps.  An
 example must write report.json (exit 0), or stop with exit 3 (divergence)
 or 4 (capability) and that class's message.  A config error
@@ -27,6 +28,11 @@ from strategies import FINITE, law
 MESSAGES = {3: "error: numerical divergence: ", 4: "error: capability: "}
 
 
+def _log_uniform(lo, hi):
+    """Floats whose log10 is uniform over [log10(lo), log10(hi)]."""
+    return st.floats(math.log10(lo), math.log10(hi), **FINITE).map(lambda e: 10.0 ** e)
+
+
 @st.composite
 def _configs(draw):
     dt = draw(st.one_of(st.sampled_from((1e-4, 1e-3)), st.floats(1e-4, 0.02, **FINITE)))
@@ -37,12 +43,14 @@ def _configs(draw):
     half_width = draw(st.floats(1.0, 20.0, **FINITE))
     centre = draw(st.floats(-5.0, 5.0, **FINITE))
     return {
-        "constants": {"hbar": draw(st.floats(0.3, 3.0, **FINITE)),
-                      "mass": draw(st.floats(0.3, 3.0, **FINITE))},
+        "constants": {"hbar": draw(_log_uniform(1e-8, 1e8)),
+                      "mass": draw(_log_uniform(1e-8, 1e8))},
         "system": law(draw, t_end),
         "packet": {"x0": draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0, **FINITE))),
-                   "p0": draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0, **FINITE))),
-                   "alpha0": draw(st.floats(0.3, 3.0, **FINITE))},
+                   "p0": draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0, **FINITE),
+                                        st.builds(math.copysign, _log_uniform(1e-3, 1e6),
+                                                  st.sampled_from((1.0, -1.0))))),
+                   "alpha0": draw(_log_uniform(1e-3, 1e3))},
         "time": {"t_end": t_end, "dt": dt, "sample_every": sample_every},
         "grid": {"x_min": centre - half_width, "x_max": centre + half_width,
                  "n_points": draw(st.sampled_from((64, 128, 256)))},
@@ -77,6 +85,15 @@ def _configs(draw):
                "time": {"t_end": 0.0073, "dt": 0.0001, "sample_every": 73},
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
                "tasks": ["invariants", "wigner", "kernel_check"]})
+# the packet samples to all zeros on the oracle's grid: nothing is aliased
+# or leaked, and no 0/0 warning reaches stderr
+@example(data={"constants": {"hbar": 4.28, "mass": 1.3e6},
+               "system": {"type": "constant", "omega": 0.904},
+               "packet": {"x0": 0.233, "p0": -99.2, "alpha0": 1.11},
+               "time": {"t_end": 0.1, "dt": 1e-3, "sample_every": 10},
+               "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 256},
+               "tasks": ["evolve", "invariants", "wigner", "kernel_check",
+                         "oracle_compare"]})
 def test_valid_config_reports_or_exits_documented(data):
     config = parse_config(data)
     stderr = io.StringIO()
