@@ -46,7 +46,7 @@ from .invariants import (euler_lagrange_residuals, frozen_width_matrix,
 from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
                       satisfies_kernel_odes)
 from .oracle import GridState, compare_states, split_step
-from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analytic
+from .packet import evaluate_wavefunction, propagate_analytic
 from .rowformat import write_records, write_report, write_rows
 from .wigner import wigner_numeric
 
@@ -357,9 +357,8 @@ def _wigner_stage(config, traj, steps, columns, tol):
     span = config.ps_span_sigmas
     for idx in (0, len(traj) - 1):
         state = traj[idx]
-        moments = moments_from_lambda(state, c)
-        sx = math.sqrt(moments.var_x)
-        sp = math.sqrt(moments.var_p)
+        sx = math.sqrt(columns["var_x"][idx])
+        sp = math.sqrt(columns["var_p"][idx])
         mean_x, mean_p = state.eta, c.mass * state.eta_dot
 
         # wavefunction sampled 1.5x wider than the requested window so the
@@ -437,11 +436,10 @@ def _oracle_stage(config, traj, steps, columns, tol):
     # at t_end, are results too: on a grid that cuts their tails their norm
     # is off, which their coverage warnings and oracle_norm_defect report
     evolved = split_step(GridState(psi0, 0.0, check_norm=False),
-                         config.system, config.dt, n_steps)
-    analytic = GridState(evaluate_wavefunction(
-        propagate_analytic(traj, len(traj) - 1), x), config.t_end, check_norm=False)
-    l2, aligned, moment_errors = compare_states(evolved, analytic, hbar=c.hbar)
-    norm = evolved.grid.norm()
+                         config.system, config.dt, n_steps).grid
+    analytic = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
+    l2, aligned, moment_errors = compare_states(evolved, analytic, c.hbar)
+    norm = evolved.norm()
     return {
         "t": config.t_end,
         "steps": n_steps,
@@ -450,7 +448,7 @@ def _oracle_stage(config, traj, steps, columns, tol):
         "moment_errors": dict(zip(("mean_x", "mean_p", "var_x", "var_p", "corr"),
                                   moment_errors)),
         "norm": norm,
-        "warnings": list(evolved.grid.warnings + analytic.grid.warnings),
+        "warnings": list(evolved.warnings + analytic.warnings),
         "checks": _checks({"oracle_aligned_l2": aligned,
                            "oracle_norm_defect": abs(norm - 1.0)}, tol),
     }

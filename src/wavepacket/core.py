@@ -8,7 +8,8 @@ their mean position x0, mean momentum p0 and the dimensionless width
 parameter alpha0, with alpha0^2 = 2 m <x~^2>_0 / hbar.  Every linear
 phase-space map (the time-dependent transformation matrix, the matrices of
 the time-independent kernels, the frozen-width diagnostic) is one
-TransformMatrix.
+TransformMatrix, canonical exactly when its determinant is 1.  Whether a
+system is free motion is decided once, by is_free_motion.
 """
 
 import math
@@ -148,7 +149,10 @@ FrequencyLaw = Union[Free, ConstantOmega, RampOmega, ModulatedOmega, TabulatedOm
 
 
 def is_free_motion(law: FrequencyLaw) -> bool:
-    """True for the laws with w(t) = 0 identically: Free and ConstantOmega(0)."""
+    """True for the laws that are free motion by construction: Free and
+    ConstantOmega(0).  The frozen-width diagnostic and the oracle's
+    one-factor path both read it; a law of another type is not free motion
+    even where its parameters make w vanish."""
     return isinstance(law, Free) or (isinstance(law, ConstantOmega)
                                      and law.omega0 == 0.0)
 
@@ -195,10 +199,10 @@ class TransformMatrix:
     """Real 2x2 matrix ((a, b), (c, d)) acting on column vectors scaled by
     alpha0 (1 for the matrices of the time-independent kernels).
 
-    canonical=False tags the frozen-width diagnostic, whose determinant
-    deliberately differs from 1.  Construction never checks det: where a
-    unit determinant is a precondition, the consumer calls
-    require_symplectic.
+    The map is canonical exactly when det = 1 (Sp(2, R)).  Construction
+    never checks det, so the frozen-width diagnostic, whose determinant
+    deliberately differs from 1, is one too: where a unit determinant is a
+    precondition, the consumer calls require_symplectic.
     """
 
     a: float
@@ -206,7 +210,6 @@ class TransformMatrix:
     c: float
     d: float
     alpha0: float = 1.0
-    canonical: bool = True
 
     def __post_init__(self):
         if not self.alpha0 > 0.0:
@@ -228,6 +231,4 @@ class TransformMatrix:
             a=self.a * other.a + self.b * other.c,
             b=self.a * other.b + self.b * other.d,
             c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
-            alpha0=other.alpha0, canonical=self.canonical and other.canonical,
-        )
+            d=self.c * other.b + self.d * other.d, alpha0=other.alpha0)

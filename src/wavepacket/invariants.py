@@ -8,10 +8,12 @@ zd*u - ud*z, which is 1 on exact solutions; the integrator's drift from 1
 is reported by the caller, never raised here.  Written in terms of the
 classical trajectory eta and the width alpha, the same determinant is
 (m/(alpha0*p0))^2 * [(eta'*alpha - alpha'*eta)^2 + (eta/alpha)^2], i.e.
-2*(m/(alpha0*p0))^2 times the Ermakov invariant.  The frozen-width variant
-(alpha pinned at alpha0 for free motion) has determinant 1 + (t/alpha0^2)^2
-instead, which is exactly the packet-spreading factor: suppressing the
-width dynamics breaks canonicity.
+2*(m/(alpha0*p0))^2 times the Ermakov invariant, for a release from x0 = 0;
+the invariant summary checks it only where doubles carry it.  The
+frozen-width variant (alpha pinned at alpha0 for free motion, as
+core.is_free_motion decides it) has determinant 1 + (t/alpha0^2)^2 instead,
+which is exactly the packet-spreading factor: suppressing the width
+dynamics breaks canonicity, det = 1.
 
 The width dynamics itself derives from a Lagrangian in (alpha, phi); its
 canonical momenta are p_alpha = (hbar/2)*alpha' and
@@ -56,13 +58,14 @@ def matrix_from_state(state: SampleColumns, alpha0: float) -> TransformMatrix:
 def frozen_width_matrix(system: SystemSpec, alpha0: float, t: float) -> TransformMatrix:
     """The would-be free-motion matrix with the width frozen at alpha0.
 
-    det = 1 + (t/alpha0^2)^2, not 1; the matrix is tagged non-canonical and
-    is rejected by the Wigner point map.  t may be an array of times.
+    det = 1 + (t/alpha0^2)^2, not 1, so the matrix is not canonical, and
+    the Wigner point map rejects it wherever (t/alpha0^2)^2 exceeds its
+    det tolerance.  t may be an array of times.
     """
     if not is_free_motion(system.frequency_law):
         raise CapabilityError("frozen-width matrix is defined for free motion only")
     return TransformMatrix(a=1.0 / alpha0, b=-t / alpha0, c=t / alpha0 ** 3,
-                           d=alpha0, alpha0=alpha0, canonical=False)
+                           d=alpha0, alpha0=alpha0)
 
 
 def ermakov_invariant(eta, eta_dot, alpha, alpha_dot):
@@ -177,9 +180,12 @@ def invariant_maxima(traj: Trajectory, columns):
     from the record_columns of `traj`: ermakov_residual_max, det_M_drift
     (|det M - 1|), ermakov_rel_drift (|I_L - I_L(0)|, relative unless
     I_L(0) = 0), p_phi_abs_dev (from hbar/2), iup_abs_dev (from hbar^2/4),
-    uncertainty_hamiltonian_vs_energy (|H~ - E_tilde|), and for a release
-    from x0 = 0 with p0 != 0 det_vs_ermakov_identity.  Raises
-    DivergenceError at the first sample time where one is not finite."""
+    uncertainty_hamiltonian_vs_energy (|H~ - E_tilde|), and
+    det_vs_ermakov_identity where doubles carry it: a release from x0 = 0
+    with p0/m a normal double and s = m/(alpha0*p0) finite.  Otherwise the
+    identity, of order 1, is a ratio of subnormal eta and eta' or of an
+    infinite s, and it is left out.  Raises DivergenceError at the first
+    sample time where one is not finite."""
     s = traj.columns
     packet, c = traj.packet, traj.system.constants
     with np.errstate(all="ignore"):
@@ -196,7 +202,9 @@ def invariant_maxima(traj: Trajectory, columns):
             "uncertainty_hamiltonian_vs_energy": np.abs(uncertainty_hamiltonian(
                 canonical_coordinates(s, c), w, c) - columns["E_tilde"]),
         }
-        if packet.p0 != 0.0 and packet.x0 == 0.0:
+        scale = np.float64(c.mass) / (packet.alpha0 * packet.p0)
+        if (packet.x0 == 0.0 and np.isfinite(scale)
+                and abs(packet.p0 / c.mass) >= np.finfo(float).smallest_normal):
             deviations["det_vs_ermakov_identity"] = np.abs(
                 det_as_ermakov(s.eta, s.eta_dot, s.alpha, s.alpha_dot,
                                packet.alpha0, packet.p0, c.mass) - s.wronskian)

@@ -11,12 +11,12 @@ midpoint.  Over n steps the half-step potentials of adjacent steps k and
 k+1 merge exactly into one factor, exp(-i*dt*m*(w_k^2 + w_{k+1}^2)*x^2/(4*hbar)),
 so the product is V/2 . (T . V)^(n-1) . T . V/2; a merged factor is reused
 while (w_k^2, w_{k+1}^2) repeats, which for a time-independent law means it
-is built once.  When w^2 is exactly 0 at every midpoint, every potential
-factor is exactly 1 and the product is T^n: one kinetic factor for the
-whole span, exp(-i*(n*dt)*p^2/(2*m*hbar)), and one transform pair instead
-of n.  All factors are unitary, so the norm is conserved to rounding and a
-non-finite value never clears: the state is scanned for one once per block
-of steps rather than every step.  Accuracy is second order in dt.
+is built once.  For free motion (core.is_free_motion: the law is Free or
+ConstantOmega(0)) every potential factor is exactly 1 and the product is
+T^n: one kinetic factor for the whole span, exp(-i*(n*dt)*p^2/(2*m*hbar)),
+and one transform pair instead of n.  All factors are unitary, so the norm
+is conserved to rounding and a non-finite value never clears: the state is
+scanned for one once per block of steps rather than every step.  Accuracy is second order in dt.
 
 A step is two transforms and two products, so the transforms call the
 pocketfft gufuncs behind np.fft.fft and np.fft.ifft directly, with the
@@ -26,13 +26,12 @@ normalization, the axes= parsing of the gufunc call) costs about 2.7 us per
 transform, a fifth of a 1024-point step.
 """
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .core import SystemSpec
+from .core import SystemSpec, is_free_motion
 from .kernels import ComplexGrid, phase_aligned_l2
 from .errors import DivergenceError, GridMismatchError, ResolutionError, ValidationError
 
@@ -41,7 +40,8 @@ FINITE_CHECK_EVERY = 64  # steps between scans of the state for non-finite value
 
 @dataclass(frozen=True)
 class GridState:
-    """A wavefunction on a grid at a time instant.
+    """A wavefunction on a grid at a time instant: split_step's input and
+    its result.
 
     An input state must have unit L2 norm within 1e-8 (ValidationError
     otherwise).  split_step builds its result with check_norm=False: once
@@ -68,6 +68,15 @@ def _momentum_grid(n, dx, hbar):
     return 2.0 * math.pi * hbar * np.fft.fftfreq(n, d=dx)
 
 
+def _position_moments(grid: ComplexGrid):
+    """(<x>, <x~^2>) of |psi|^2 by trapezoid quadrature."""
+    x = grid.x()
+    prob = np.abs(grid.values) ** 2
+    mean_x = float(np.trapezoid(x * prob, dx=grid.dx))
+    var_x = float(np.trapezoid((x - mean_x) ** 2 * prob, dx=grid.dx))
+    return mean_x, var_x
+
+
 def _nyquist_check(grid: ComplexGrid, system: SystemSpec):
     """Require negligible spectral mass near the Nyquist edge (momentum
     resolved) and the position spread to fit in the box.
@@ -75,12 +84,8 @@ def _nyquist_check(grid: ComplexGrid, system: SystemSpec):
     The check is spectral because grid-space momentum estimates are
     themselves aliased exactly when the grid is too coarse.
     """
-    x = grid.x()
-    psi = grid.values
-    dx = grid.dx
-
-    spectrum = np.abs(np.fft.fft(psi)) ** 2
-    freqs = np.fft.fftfreq(grid.n, d=dx)
+    spectrum = np.abs(np.fft.fft(grid.values)) ** 2
+    freqs = np.fft.fftfreq(grid.n, d=grid.dx)
     outer = np.abs(freqs) >= 0.75 * np.abs(freqs).max()
     total = spectrum.sum()
     # a packet that samples to all zeros has nothing to alias
@@ -91,47 +96,34 @@ def _nyquist_check(grid: ComplexGrid, system: SystemSpec):
             "of the momentum band: grid too coarse for this state"
         )
 
-    prob = np.abs(psi) ** 2
-    mean_x = float(np.trapezoid(x * prob, dx=dx))
-    var_x = float(np.trapezoid((x - mean_x) ** 2 * prob, dx=dx))
+    x = grid.x()
+    mean_x, var_x = _position_moments(grid)
     span = x[-1] - x[0]
     if abs(mean_x - 0.5 * (x[0] + x[-1])) + 8.0 * math.sqrt(max(var_x, 0.0)) > 0.5 * span:
         raise ResolutionError("position content does not fit in the grid box")
 
 
-def _central_mass(values, weights):
+def _central_mass(values):
     n = len(values)
     lo, hi = n // 4, 3 * n // 4
-    prob = np.abs(values) ** 2 * weights
+    prob = np.abs(values) ** 2
     total = np.sum(prob)
     # no mass at all has none outside the central half
     return float(np.sum(prob[lo:hi]) / total) if total else 1.0
 
 
 def _squared_omegas(law, t0, dt, steps):
-    """w^2 at the midpoint t_k + dt/2 of every step as an iterator of floats,
-    or None when every one of them is exactly 0.
+    """w^2 at the midpoint t_k + dt/2 of every step, as floats.
 
     t_k is summed one dt at a time, as split_step sums t, and the law is
-    evaluated FINITE_CHECK_EVERY midpoints at a time.  Leading blocks of
-    zeros are counted, not listed; a NaN counts as nonzero.
+    evaluated FINITE_CHECK_EVERY midpoints at a time.
     """
-    def blocks():
-        t_k = t0
-        for start in range(0, steps, FINITE_CHECK_EVERY):
-            starts = np.cumsum([t_k] + [dt] * (min(FINITE_CHECK_EVERY, steps - start) - 1))
-            t_k = starts[-1] + dt
-            w = law.omega(starts + 0.5 * dt)
-            yield w * w
-
-    rest = blocks()
-    zeros = 0
-    for block in rest:
-        if block.any():
-            return itertools.chain(itertools.repeat(0.0, zeros), block.tolist(),
-                                   itertools.chain.from_iterable(b.tolist() for b in rest))
-        zeros += len(block)
-    return None
+    t_k = t0
+    for start in range(0, steps, FINITE_CHECK_EVERY):
+        starts = np.cumsum([t_k] + [dt] * (min(FINITE_CHECK_EVERY, steps - start) - 1))
+        t_k = starts[-1] + dt
+        w = law.omega(starts + 0.5 * dt)
+        yield from (w * w).tolist()
 
 
 def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> GridState:
@@ -140,14 +132,14 @@ def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> G
     Zero steps returns the input unchanged.  The state is checked for
     non-finite values once per FINITE_CHECK_EVERY steps and after the last
     step; a DivergenceError carries the time at the end of the block in
-    which the state went non-finite.  When w^2 is exactly 0 at every step
-    midpoint (free motion, or a law that is 0 throughout), the steps are
-    one kinetic factor for the whole span; t is still summed one dt at a
-    time.  Each transform is a direct call of the pocketfft gufunc
-    fft(psi, 1.0, out) or ifft(spectrum, 1.0, out), which skips the
-    argument handling of np.fft.  Periodic-boundary leakage is tracked
-    by requiring >= 1 - 1e-10 of the mass inside the central half of the
-    domain; violations attach a coverage warning to the result.
+    which the state went non-finite.  For free motion
+    (core.is_free_motion) the steps are one kinetic factor for the whole
+    span; t is still summed one dt at a time.  Each transform is a direct
+    call of the pocketfft gufunc fft(psi, 1.0, out) or
+    ifft(spectrum, 1.0, out), which skips the argument handling of np.fft.
+    Periodic-boundary leakage is tracked by requiring >= 1 - 1e-10 of the
+    mass inside the central half of the domain; violations attach a
+    coverage warning to the result.
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
@@ -170,9 +162,8 @@ def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> G
     # a diverging state goes to inf and NaN quietly and is reported by the
     # finiteness scans, not by numpy warnings
     with np.errstate(all="ignore"):
-        w2s = _squared_omegas(system.frequency_law, t, dt, steps)
         spectrum = np.empty_like(grid.values)
-        if w2s is None:  # every potential factor is 1: the product is T^steps
+        if is_free_motion(system.frequency_law):  # every potential factor is 1: T^steps
             fft(grid.values, 1.0, spectrum)
             spectrum *= np.exp(-0.5j * (steps * dt) * p * p / (m * hbar)) / grid.n
             psi = ifft(spectrum, 1.0, np.empty_like(spectrum))
@@ -185,6 +176,7 @@ def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> G
             kinetic = np.exp(-0.5j * dt * p * p / (m * hbar)) / grid.n
             # exp(w2 * quarter_phase) is the half-step potential factor for w^2 = w2
             quarter_phase = (-0.25j * dt * m / hbar) * (x * x)
+            w2s = _squared_omegas(system.frequency_law, t, dt, steps)
             w2 = next(w2s)
             psi = np.exp(w2 * quarter_phase) * grid.values
             pair, merged = None, None
@@ -209,7 +201,7 @@ def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> G
         raise DivergenceError(t)
 
     warnings = grid.warnings
-    if _central_mass(psi, np.full(grid.n, grid.dx)) < 1.0 - 1e-10:
+    if _central_mass(psi) < 1.0 - 1e-10:
         warnings = warnings + (
             "probability mass leaked outside the central half of the domain",)
 
@@ -227,10 +219,7 @@ def quadrature_moments(grid: ComplexGrid, hbar: float):
     x = grid.x()
     psi = grid.values
     dx = grid.dx
-    prob = np.abs(psi) ** 2
-
-    mean_x = float(np.trapezoid(x * prob, dx=dx))
-    var_x = float(np.trapezoid((x - mean_x) ** 2 * prob, dx=dx))
+    mean_x, var_x = _position_moments(grid)
 
     p = _momentum_grid(grid.n, dx, hbar)
     p_psi = np.fft.ifft(p * np.fft.fft(psi))
@@ -241,15 +230,14 @@ def quadrature_moments(grid: ComplexGrid, hbar: float):
     return mean_x, mean_p, var_x, var_p, corr
 
 
-def compare_states(a: GridState, b: GridState, hbar=1.0):
-    """(l2_error, phase_aligned_l2_error, moment_errors) between two states
-    on the same grid.
+def compare_states(ga: ComplexGrid, gb: ComplexGrid, hbar: float):
+    """(l2_error, phase_aligned_l2_error, moment_errors) between two
+    wavefunctions on the same grid.
 
     The phase-aligned error minimizes ||a - e^(i*theta)*b|| over the global
     phase theta; moment_errors are the absolute differences of the five
     quadrature moments (<x>, <p>, <x~^2>, <p~^2>, <[x~,p~]_+>).
     """
-    ga, gb = a.grid, b.grid
     if ga.n != gb.n or ga.x_min != gb.x_min or ga.dx != gb.dx:
         raise GridMismatchError("states must share a grid")
     diff = ga.values - gb.values

@@ -50,12 +50,6 @@ class GaussianPacket:
                 f"Im((2hbar/m)y) = {self.y_complex.imag!r} must be positive"
             )
 
-    @property
-    def var_x(self):
-        """<x~^2> = hbar/(2m Im(lambda'/lambda)) = hbar*alpha^2/(2m)."""
-        c = self.constants
-        return c.hbar / (2.0 * c.mass * self.y_complex.imag)
-
 
 @dataclass(frozen=True)
 class Moments:

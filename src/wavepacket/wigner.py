@@ -29,7 +29,8 @@ transformation matrix M = ((a, b), (c, d)) = ((zd, -z), (-ud, u)),
 i.e. the backward classical flow written in the width-aware parametrization
 (x'/alpha0, -alpha0*p'/m) = M (x, p/m), with both sign flips of the second
 component cancelled.  It is canonical exactly when det M = 1, which
-wigner_pointmap requires.
+wigner_pointmap requires within POINTMAP_DET_TOL; a matrix carries no other
+mark of canonicity.
 """
 
 import math
@@ -220,14 +221,11 @@ def wigner_pointmap(w0, matrix: TransformMatrix, x, p, constants: Constants):
     """Transport an initial Wigner function by the symplectic point map:
     W(x, p, t) = W0(x', p') with (x', p') mapped backward through `matrix`.
 
-    Rejects matrices that are not canonical (tagged so, like the
-    frozen-width diagnostic, or with |det - 1| > POINTMAP_DET_TOL), since
-    the point map is only measure-preserving for det = 1.
+    Rejects matrices that are not canonical, |det - 1| > POINTMAP_DET_TOL
+    (the frozen-width diagnostic wherever its det - 1 = (t/alpha0^2)^2
+    exceeds that), since the point map is only measure-preserving for
+    det = 1.
     """
-    if not matrix.canonical:
-        raise ValidationError(
-            "matrix is tagged non-canonical and cannot transport Wigner functions"
-        )
     matrix.require_symplectic(POINTMAP_DET_TOL)
     x, p = np.asarray(x), np.asarray(p)
     mm, a0 = constants.mass, matrix.alpha0

@@ -136,15 +136,14 @@ def test_criterion_06_representation_triangle():
         packet = InitialPacket(0.0, 1.0, 1.0)
         traj = solve_lambda(system, packet, [0.0, 1.0])
         psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-        analytic = GridState(evaluate_wavefunction(propagate_analytic(traj, 1), x), 1.0)
+        analytic = evaluate_wavefunction(propagate_analytic(traj, 1), x)
 
         matrix = matrix_from_state(traj[1], packet.alpha0)
-        kernel = GridState(apply_kernel(kernel_td(matrix, C), psi0, x),
-                           1.0)
-        oracle = split_step(GridState(psi0, 0.0), system, 1e-3, 1000)
+        kernel = apply_kernel(kernel_td(matrix, C), psi0, x)
+        oracle = split_step(GridState(psi0, 0.0), system, 1e-3, 1000).grid
 
         for a, b in ((analytic, kernel), (analytic, oracle), (kernel, oracle)):
-            _, aligned, _ = compare_states(a, b)
+            _, aligned, _ = compare_states(a, b, C.hbar)
             worst = max(worst, aligned)
     report("06", "analytic/kernel/oracle triangle at t=1", worst, 1e-5, started)
 
@@ -208,11 +207,11 @@ def test_criterion_09_oracle_convergence_order():
     x = np.linspace(-15.0, 15.0, 1024)
     traj = solve_lambda(HO, packet, [0.0, 1.0])
     psi0 = GridState(evaluate_wavefunction(propagate_analytic(traj, 0), x), 0.0)
-    ref = GridState(evaluate_wavefunction(propagate_analytic(traj, 1), x), 1.0)
+    ref = evaluate_wavefunction(propagate_analytic(traj, 1), x)
     errors = []
     for dt in (4e-3, 2e-3):
         out = split_step(psi0, HO, dt, round(1.0 / dt))
-        _, aligned, _ = compare_states(out, ref)
+        _, aligned, _ = compare_states(out.grid, ref, C.hbar)
         errors.append(aligned)
     ratio = errors[0] / errors[1]
     status = "PASS" if 3.5 <= ratio <= 4.5 else "FAIL"

@@ -315,6 +315,29 @@ def test_tiny_p0_det_vs_ermakov_identity_is_finite(tmp_path):
     assert check["pass"]
 
 
+@pytest.mark.parametrize("constants, packet", [
+    # s = m/(alpha0*p0) overflows and p0/m is subnormal
+    ({"hbar": 1.0, "mass": 1e8}, {"x0": 0.0, "p0": 1e-300, "alpha0": 1e-3}),
+    # s is finite, p0/m subnormal
+    ({"hbar": 1.0, "mass": 1.0}, {"x0": 0.0, "p0": 1e-310, "alpha0": 1e3}),
+    # alpha0*p0 underflows to 0, so s = m/(alpha0*p0) is a division by zero
+    ({"hbar": 1.0, "mass": 1.0}, {"x0": 0.0, "p0": 1e-300, "alpha0": 1e-30}),
+], ids=["infinite-scale", "subnormal-velocity", "zero-denominator"])
+def test_det_vs_ermakov_identity_needs_doubles_that_carry_it(tmp_path, capsys,
+                                                              constants, packet):
+    """The identity is of order 1, but with a subnormal eta' = p0/m or an
+    infinite scale s doubles cannot evaluate it: the invariants section
+    leaves it out, as for x0 != 0, and the run exits 0."""
+    data = dict(SMALL_CONFIG, constants=constants, packet=packet)
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())[
+        "invariants"]["checks"]
+    assert "det_vs_ermakov_identity" not in checks
+    assert "det_M_drift" in checks
+
+
 def test_oracle_on_a_grid_that_samples_no_mass(tmp_path, capsys):
     """hbar = 4.28 and m = 1.3e6 make sigma_x about 2e-3: on 256 points over
     [-15, 15] the packet samples to all zeros.  Zero mass has nothing
@@ -345,9 +368,9 @@ def test_exit_code_delta_limit(tmp_path):
 
 
 def test_unreported_invariant_deviation_does_not_stop_evolve(tmp_path):
-    """At x0 = 0 and a subnormal p0, m/(alpha0*p0) overflows, so the
-    det_vs_ermakov_identity deviation is not finite; only the invariants
-    task reports it, and a run without that task completes."""
+    """At x0 = 0 and a subnormal p0, m/(alpha0*p0) overflows, so doubles
+    cannot carry the det_vs_ermakov_identity deviation; a run without the
+    invariants task never reaches it and completes."""
     data = dict(SMALL_CONFIG, packet={"x0": 0.0, "p0": 2.2250738585e-313, "alpha0": 1.0},
                 tasks=["evolve"])
     cfg = write_config(tmp_path, data)

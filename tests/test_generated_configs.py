@@ -64,13 +64,21 @@ def _configs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(data=_configs())
-# the invariant summary's det_vs_ermakov_identity is not finite here, and
-# only the invariants task reports it
+# doubles cannot carry the invariant summary's det_vs_ermakov_identity
+# here, and only the invariants task would report it
 @example(data={"system": {"type": "free"},
                "packet": {"x0": 0.0, "p0": 2.2250738585e-313, "alpha0": 1.0},
                "time": {"t_end": 0.01, "dt": 0.001, "sample_every": 10},
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
                "tasks": ["evolve"]})
+# s = m/(alpha0*p0) overflows and p0/m is subnormal: doubles cannot carry
+# det_vs_ermakov_identity, and the invariants task leaves it out
+@example(data={"constants": {"hbar": 1.0, "mass": 1e8},
+               "system": {"type": "free"},
+               "packet": {"x0": 0.0, "p0": 1e-300, "alpha0": 1e-3},
+               "time": {"t_end": 0.01, "dt": 0.001, "sample_every": 10},
+               "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
+               "tasks": ["evolve", "invariants"]})
 # step ends near t = 2 round to doubles 4.4e-16 apart, more than 1e-12 of
 # a 1e-4 step: the residuals' uniform-spacing check must allow for that
 @example(data={"system": {"type": "constant", "omega": 1.0},

@@ -258,13 +258,12 @@ def test_small_omega_matrix_limit():
 
 def test_canonical_matrix_rejects_wrong_determinant():
     """Construction never checks det; the point map, which needs det = 1,
-    refuses the matrix, whether or not it is tagged canonical."""
+    refuses the matrix."""
     w0 = wigner_gaussian(Moments(0.5, 0.5, 0.0), 0.0, 0.0, C)
-    for canonical in (True, False):
-        m = TransformMatrix(1.0, 0.0, 0.0, 1.1, alpha0=1.0, canonical=canonical)
-        assert m.det == pytest.approx(1.1)
-        with pytest.raises(ValidationError):
-            wigner_pointmap(w0, m, 0.0, 0.0, C)
+    m = TransformMatrix(1.0, 0.0, 0.0, 1.1, alpha0=1.0)
+    assert m.det == pytest.approx(1.1)
+    with pytest.raises(ValidationError):
+        wigner_pointmap(w0, m, 0.0, 0.0, C)
     with pytest.raises(ValidationError, match="alpha0"):
         TransformMatrix(1.0, 0.0, 0.0, 1.0, alpha0=0.0)
 

@@ -91,7 +91,12 @@ def merged_strang_reference(state, system, dt, steps):
     # w = 0 for the first 75 steps, a whole block and more, then not: no
     # one-factor rule
     TabulatedOmega((0.0, 0.15, 0.7, 1.0), (0.0, 0.0, 0.8, 1.5)),
-], ids=["constant", "ramp", "tabulated", "tabulated-zero-start"])
+    # w = 0 at every midpoint, but only Free and ConstantOmega(0) are free
+    # motion: these take the steps too
+    RampOmega(0.0, 0.0),
+    TabulatedOmega((0.0, 0.5, 1.0), (0.0, 0.0, 0.0)),
+], ids=["constant", "ramp", "tabulated", "tabulated-zero-start", "ramp-zero",
+        "tabulated-zero"])
 @pytest.mark.parametrize("steps", [2 * FINITE_CHECK_EVERY, 4 * FINITE_CHECK_EVERY + 5])
 def test_split_step_equals_merged_strang_loop(law, steps):
     """The direct gufunc calls leave every bit of the merged loop unchanged."""
@@ -104,8 +109,8 @@ def test_split_step_equals_merged_strang_loop(law, steps):
 
 
 def test_zero_frequency_is_one_kinetic_factor():
-    """w^2 = 0 at every midpoint, whatever the law's type, gives T^steps as
-    one factor; t is still summed one dt at a time."""
+    """Free and ConstantOmega(0), the free-motion laws, give T^steps as one
+    factor; t is still summed one dt at a time."""
     _, s0, _ = analytic_states(FREE, InitialPacket(0.3, 1.0, 1.2), 0.0)
     dt, steps = 2e-3, 3 * FINITE_CHECK_EVERY + 5
     out = split_step(s0, FREE, dt, steps)
@@ -158,7 +163,7 @@ def test_zero_steps_returns_input():
 def test_free_packet_matches_analytic():
     _, s0, ref = analytic_states(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
     out = split_step(s0, FREE, 1e-3, 1000)
-    _, aligned, _ = compare_states(out, ref)
+    _, aligned, _ = compare_states(out.grid, ref.grid, C.hbar)
     assert aligned <= 1e-6
 
 
@@ -181,7 +186,7 @@ def test_second_order_convergence():
     errors = {}
     for dt in (4e-3, 2e-3):
         out = split_step(s0, HO, dt, round(1.0 / dt))
-        _, aligned, _ = compare_states(out, ref)
+        _, aligned, _ = compare_states(out.grid, ref.grid, C.hbar)
         errors[dt] = aligned
     ratio = errors[4e-3] / errors[2e-3]
     assert 3.5 <= ratio <= 4.5
@@ -195,7 +200,7 @@ def test_norm_preserved():
 
 def test_compare_identical_states():
     _, s0, _ = analytic_states(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
-    l2, aligned, moments = compare_states(s0, s0)
+    l2, aligned, moments = compare_states(s0.grid, s0.grid, C.hbar)
     assert l2 == 0.0
     assert aligned == 0.0
     assert all(m == 0.0 for m in moments)
@@ -206,18 +211,17 @@ def test_compare_small_perturbation():
     error delta*sqrt(<x~^2>) to first order: resolved, not rounded to 0."""
     _, s0, _ = analytic_states(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
     delta = 1e-9
-    perturbed = GridState(ComplexGrid(s0.grid.x_min, s0.grid.dx,
-                                      s0.grid.values * np.exp(1j * delta * X)), 0.0)
-    _, aligned, _ = compare_states(s0, perturbed)
+    perturbed = ComplexGrid(s0.grid.x_min, s0.grid.dx,
+                            s0.grid.values * np.exp(1j * delta * X))
+    _, aligned, _ = compare_states(s0.grid, perturbed, C.hbar)
     _, _, var_x, _, _ = quadrature_moments(s0.grid, C.hbar)
     assert aligned == pytest.approx(delta * math.sqrt(var_x), rel=1e-6)
 
 
 def test_compare_global_phase():
     _, s0, _ = analytic_states(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
-    rotated = GridState(ComplexGrid(s0.grid.x_min, s0.grid.dx,
-                                    s0.grid.values * np.exp(0.7j)), 0.0)
-    l2, aligned, _ = compare_states(s0, rotated)
+    rotated = ComplexGrid(s0.grid.x_min, s0.grid.dx, s0.grid.values * np.exp(0.7j))
+    l2, aligned, _ = compare_states(s0.grid, rotated, C.hbar)
     assert l2 > 0.1
     assert aligned <= 1e-12
 
@@ -226,7 +230,7 @@ def test_oracle_moments_match_analytic():
     packet = InitialPacket(0.0, 1.0, 1.0)
     traj, s0, ref = analytic_states(FREE, packet, 1.0)
     out = split_step(s0, FREE, 1e-3, 1000)
-    _, _, moment_errors = compare_states(out, ref)
+    _, _, moment_errors = compare_states(out.grid, ref.grid, C.hbar)
     assert all(err <= 1e-6 for err in moment_errors)
 
     # and the quadrature moments agree with the lambda-variable forms
@@ -272,7 +276,7 @@ def test_grid_mismatch_rejected():
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0])
     b = GridState(evaluate_wavefunction(propagate_analytic(traj, 0), other), 0.0)
     with pytest.raises(GridMismatchError):
-        compare_states(a, b)
+        compare_states(a.grid, b.grid, C.hbar)
 
 
 def test_grid_state_requires_unit_norm():
