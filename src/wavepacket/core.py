@@ -6,8 +6,8 @@ fixed entirely by the constants and the frequency law w(t) (w = 0 for free
 motion).  Initial states are minimum-uncertainty Gaussians parametrized by
 their mean position x0, mean momentum p0 and the dimensionless width
 parameter alpha0, with alpha0^2 = 2 m <x~^2>_0 / hbar.  Every linear
-phase-space map (the time-dependent transformation matrix, the matrices of
-the time-independent kernels, the frozen-width diagnostic) is one
+phase-space map (the time-dependent transformation matrix, the matrix of
+a kernel at alpha0 = 1, the frozen-width diagnostic) is one
 TransformMatrix, canonical exactly when its determinant is 1.  Whether a
 system is free motion is decided once, by is_free_motion.
 """
@@ -197,7 +197,8 @@ class InitialPacket:
 @dataclass(frozen=True)
 class TransformMatrix:
     """Real 2x2 matrix ((a, b), (c, d)) acting on column vectors scaled by
-    alpha0 (1 for the matrices of the time-independent kernels).
+    alpha0 (1 for the paper's time-independent kernels, the case
+    m = alpha0 = 1 of kernels.kernel_td).
 
     The map is canonical exactly when det = 1 (Sp(2, R)).  Construction
     never checks det, so the frozen-width diagnostic, whose determinant

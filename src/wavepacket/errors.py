@@ -1,19 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies.
+The CLI maps each class onto its own exit code; the message names the
+cause (a kernel at its caustic, two grids that differ, ...).
 """
 
 
 class CapabilityError(Exception):
-    """An operation was asked for outside its supported domain
-    (e.g. a closed form requested for a frequency law that has none)."""
-
-
-class DeltaLimitError(CapabilityError):
-    """A propagator kernel was evaluated at (or too close to) its caustic,
-    where it degenerates into a delta function.  Callers should switch to
-    the point-map representation instead of integrating the kernel."""
+    """An operation was asked for outside its supported domain (e.g. the
+    frozen-width matrix of a system that is not free motion, or a kernel at
+    its caustic, where it is a delta function and the point map applies)."""
 
 
 class DivergenceError(Exception):
@@ -38,11 +33,8 @@ class ResolutionError(Exception):
 
 class ValidationError(ValueError):
     """Input data violates a structural invariant (inconsistent moments,
-    non-symplectic matrix, malformed grids, ...)."""
-
-
-class GridMismatchError(ValidationError):
-    """Two gridded states that must share a grid do not."""
+    non-symplectic matrix, malformed grids, two states that must share a
+    grid and do not, ...)."""
 
 
 class ConfigError(ValueError):

@@ -1,32 +1,24 @@
 """Configuration-space propagator kernels and their quadrature application.
 
-Both kernels are the quadratic-phase kernel of one core.TransformMatrix
-M = ((a, b), (c, d)) (Littlejohn, Phys. Rep. 138, 193 (1986)), held as one
+The kernel of a linear canonical transformation M = ((a, b), (c, d))
+(core.TransformMatrix; Littlejohn, Phys. Rep. 138, 193 (1986)) is one
 QuadraticPhaseKernel record,
 
-    K(x, x') = prefactor * exp(i * coef * (A*x^2 - 2*x*y + D*y^2)),
+    K(x, x') = prefactor * exp(i * coef * (a*x^2 - 2*x*y + d*y^2)),
     y = x'/scale,
 
-and its adjoint conj(K(x', x)).  They differ in how they read M:
+or its adjoint conj(K(x', x)).  kernel_td builds it for the time-dependent
+matrix M = ((zd, -z), (-ud, u)) of invariants.matrix_from_state:
+y = x'/alpha0, coef = m/(2*hbar*z) with z = -b, and the physical prefactor
+(m/(2*pi*i*hbar*alpha0*z))^(1/2), which gives the evolved packet with its
+global phase.  At m = alpha0 = 1 it is the paper's time-independent kernel
+of a symplectic matrix, whose quoted prefactor (1/(2*pi*i*hbar*b))^(1/2)
+differs only by a global factor of +-i.  satisfies_kernel_odes checks its
+two defining differential equations.
 
-* kernel_ti, the time-independent kernel of a symplectic matrix:
-  A = a, D = d, y = x', coef = -1/(2*hbar*b) and the paper's prefactor
-  (1/(2*pi*i*hbar*b))^(1/2), with hbar inserted so the kernel is unitary
-  (the bare form quoted in the literature omits it);
-
-* kernel_td, the time-dependent kernel of M = ((zd, -z), (-ud, u)) from
-  invariants.matrix_from_state: A = zd = a, D = u = d, y = x'/alpha0,
-  coef = m/(2*hbar*z) with z = -b, and the physical prefactor
-  (m/(2*pi*i*hbar*alpha0*z))^(1/2).
-
-For the same phase the two prefactors differ by a factor of +-i, with the
-sign set by the sign of z (the square-root branch of 1/i), so they stay
-two conventions: the first is the paper's, the second gives the evolved
-packet with its global phase.
-
-Both are singular where b vanishes; for |b| <= B_MIN the kernel is a delta
+The kernel is singular where b vanishes; for |b| <= B_MIN it is a delta
 function and callers must use the point map instead, which is signalled by
-DeltaLimitError.
+CapabilityError.
 
 kernel_td(..., inverse=True) is the adjoint K_inv(x, x') = conj(K(x', x)).
 It is the exact functional inverse of the forward transform for every z:
@@ -52,12 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Constants, TransformMatrix
-from .errors import DeltaLimitError, ValidationError
+from .errors import CapabilityError, ValidationError
 
 B_MIN = 1e-8           # |b| at or below which a kernel is a delta function
 COVERAGE_TOL = 1e-8    # apply_kernel warns below 1 - COVERAGE_TOL input mass
-ODE_PROBE = np.linspace(-1.0, 1.0, 5)  # x and x' of the defining-equation check
-ODE_STEP = 1e-5        # its central-difference step
+ODE_STEP = 1e-3        # phase turn, in rad, of a defining-equation difference step
+ODE_STEP_ULPS = 1e3    # the least such step, in spacings of doubles at the probes
 UNIFORM_ULPS = 8       # uniform_step: spacing error allowed, in ulps of max|x|
 
 
@@ -140,7 +132,7 @@ def uniform_step(x, name):
 
 def _require_off_caustic(b):
     if abs(b) <= B_MIN:
-        raise DeltaLimitError(
+        raise CapabilityError(
             f"|b|={abs(b)!r} <= {B_MIN}: kernel is a delta function; "
             "apply the point map instead"
         )
@@ -149,8 +141,7 @@ def _require_off_caustic(b):
 @dataclass(frozen=True)
 class QuadraticPhaseKernel:
     """K(x, x') = prefactor * exp(i * coef * (a*x^2 - 2*x*y + d*y^2)) with
-    y = x'/scale (y = x' when scale is None), or, when adjoint is set, its
-    adjoint conj(K(x', x)).
+    y = x'/scale, or, when adjoint is set, its adjoint conj(K(x', x)).
 
     Calling it evaluates pointwise, vectorized over numpy arguments, in a
     fixed operation order; apply_kernel reads the fields instead.
@@ -160,58 +151,16 @@ class QuadraticPhaseKernel:
     coef: float
     a: float
     d: float
-    scale: float = None
+    scale: float
     adjoint: bool = False
 
     def __call__(self, x, x_prime):
         if self.adjoint:
             x, x_prime = x_prime, x
-        x, y = np.asarray(x), np.asarray(x_prime)
-        if self.scale is not None:
-            y = y / self.scale
+        x, y = np.asarray(x), np.asarray(x_prime) / self.scale
         values = self.prefactor * np.exp(
             1j * (self.coef * (self.a * x ** 2 - 2.0 * x * y + self.d * y ** 2)))
         return np.conjugate(values) if self.adjoint else values
-
-
-def kernel_ti(matrix: TransformMatrix, constants: Constants) -> QuadraticPhaseKernel:
-    """The symplectic-matrix kernel K(x, x').
-
-    Raises DeltaLimitError for |b| <= B_MIN: in that limit the kernel is the
-    delta-function point map x' = a*x and cannot be integrated numerically.
-    """
-    b = matrix.b
-    _require_off_caustic(b)
-    hbar = constants.hbar
-    return QuadraticPhaseKernel(prefactor=cmath.sqrt(1.0 / (2.0j * math.pi * hbar * b)),
-                                coef=-1.0 / (2.0 * hbar * b), a=matrix.a, d=matrix.d)
-
-
-def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants):
-    """Residuals of the two defining differential equations of the kernel,
-
-        (a*x + b*(hbar/i)*d/dx) K = x' K,
-        (c*x + d*(hbar/i)*d/dx) K = -(hbar/i) dK/dx',
-
-    evaluated by central finite differences (step ODE_STEP) on the ODE_PROBE
-    grid in x and x'.  Returns the two maximum absolute residuals,
-    normalized by the kernel magnitude.
-    """
-    x = ODE_PROBE[:, None]
-    xp = ODE_PROBE[None, :]
-    hbar = constants.hbar
-    h = ODE_STEP
-    kernel = kernel_ti(matrix, constants)
-
-    k0 = kernel(x, xp)
-    dk_dx = (kernel(x + h, xp) - kernel(x - h, xp)) / (2.0 * h)
-    dk_dxp = (kernel(x, xp + h) - kernel(x, xp - h)) / (2.0 * h)
-
-    scale = np.abs(k0)
-    res1 = np.abs(matrix.a * x * k0 + matrix.b * (hbar / 1j) * dk_dx - xp * k0)
-    res2 = np.abs(matrix.c * x * k0 + matrix.d * (hbar / 1j) * dk_dx
-                  + (hbar / 1j) * dk_dxp)
-    return float(np.max(res1 / scale)), float(np.max(res2 / scale))
 
 
 def kernel_td(matrix: TransformMatrix, constants: Constants,
@@ -223,7 +172,7 @@ def kernel_td(matrix: TransformMatrix, constants: Constants,
     inverse: the adjoint, conj(K_forward(x', x)), which undoes the forward
     transform exactly.
 
-    Raises DeltaLimitError for |z| <= B_MIN (the t -> 0 caustic where the
+    Raises CapabilityError for |z| <= B_MIN (the t -> 0 caustic where the
     kernel turns into a delta function).
     """
     _require_off_caustic(matrix.b)
@@ -232,6 +181,59 @@ def kernel_td(matrix: TransformMatrix, constants: Constants,
     return QuadraticPhaseKernel(prefactor=cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z)),
                                 coef=m / (2.0 * hbar * z), a=matrix.a, d=matrix.d,
                                 scale=a0, adjoint=inverse)
+
+
+def _difference_step(gradient, probes):
+    """The step over which a phase of this largest gradient turns by
+    ODE_STEP, or None where it is under ODE_STEP_ULPS spacings of doubles
+    at the probes (or not finite)."""
+    step = ODE_STEP / gradient if gradient > 0.0 else math.inf
+    least = ODE_STEP_ULPS * float(np.spacing(np.max(np.abs(probes))))
+    return step if least <= step < math.inf else None
+
+
+def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants, x, x_prime):
+    """Residuals of the two defining differential equations of
+    K = kernel_td(matrix, constants),
+
+        (alpha0*a*x + (alpha0*b/m)*(hbar/i)*d/dx) K = x' K,
+        (m/alpha0)*(c*x + (d/m)*(hbar/i)*d/dx) K = -(hbar/i) dK/dx',
+
+    at every pair of the 1-D probe coordinates x and x_prime.  At
+    m = alpha0 = 1 they are the paper's equations of the time-independent
+    kernel; the second holds only where det M = 1.
+
+    Each derivative is a central difference over the step in which the
+    kernel phase turns by at most ODE_STEP on the probes, divided by the
+    rounded width (x + h) - (x - h).  Each residual is the largest
+    |sum of the three terms| over the probes, relative to the largest
+    |term| over the probes, so a correct kernel reads about ODE_STEP^2/6.  Returns (r1, r2), or None where a step
+    is under ODE_STEP_ULPS spacings of doubles at its probes: x +- h then
+    rounds to within a few ulps of x, and no difference can be formed.
+    """
+    kernel = kernel_td(matrix, constants)
+    hbar, m, a0 = constants.hbar, constants.mass, matrix.alpha0
+    x = np.asarray(x, dtype=float)[:, None]
+    xp = np.asarray(x_prime, dtype=float)[None, :]
+    y = xp / kernel.scale
+    # the largest gradients of the phase coef*(a*x^2 - 2*x*y + d*y^2)
+    h = _difference_step(float(np.max(np.abs(2.0 * kernel.coef * (kernel.a * x - y)))), x)
+    hp = _difference_step(float(np.max(np.abs(2.0 * kernel.coef * (kernel.d * y - x))))
+                          / kernel.scale, xp)
+    if h is None or hp is None:
+        return None
+
+    k0 = kernel(x, xp)
+    dk_dx = (kernel(x + h, xp) - kernel(x - h, xp)) / ((x + h) - (x - h))
+    dk_dxp = (kernel(x, xp + hp) - kernel(x, xp - hp)) / ((xp + hp) - (xp - hp))
+    residuals = []
+    for terms in ((a0 * matrix.a * x * k0, (a0 * matrix.b / m) * (hbar / 1j) * dk_dx,
+                   -xp * k0),
+                  ((m * matrix.c / a0) * x * k0, (matrix.d / a0) * (hbar / 1j) * dk_dx,
+                   (hbar / 1j) * dk_dxp)):
+        largest = max(float(np.max(np.abs(t))) for t in terms)
+        residuals.append(float(np.max(np.abs(sum(terms)))) / largest if largest else 0.0)
+    return tuple(residuals)
 
 
 def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> ComplexGrid:
@@ -259,7 +261,7 @@ def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> Co
     # phase coef*(a_out*u^2 - 2*u*v + d_in*v^2) over output u_i = u0 + i*du and
     # input v_j = v0 + j*dv; the adjoint swaps the roles of a and d and of the
     # scaled coordinate, and conjugates
-    s = 1.0 if kernel.scale is None else kernel.scale
+    s = kernel.scale
     if kernel.adjoint:
         prefactor, coef = kernel.prefactor.conjugate(), -kernel.coef
         a_out, d_in = kernel.d, kernel.a

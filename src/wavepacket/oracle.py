@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import SystemSpec, is_free_motion
 from .kernels import ComplexGrid, phase_aligned_l2
-from .errors import DivergenceError, GridMismatchError, ResolutionError, ValidationError
+from .errors import DivergenceError, ResolutionError, ValidationError
 
 FINITE_CHECK_EVERY = 64  # steps between scans of the state for non-finite values
 
@@ -239,7 +239,7 @@ def compare_states(ga: ComplexGrid, gb: ComplexGrid, hbar: float):
     quadrature moments (<x>, <p>, <x~^2>, <p~^2>, <[x~,p~]_+>).
     """
     if ga.n != gb.n or ga.x_min != gb.x_min or ga.dx != gb.dx:
-        raise GridMismatchError("states must share a grid")
+        raise ValidationError("states must share a grid")
     diff = ga.values - gb.values
     l2 = math.sqrt(float(np.trapezoid(np.abs(diff) ** 2, dx=ga.dx)))
     aligned = phase_aligned_l2(ga, gb)

@@ -185,8 +185,8 @@ def _changes_by_key(new_items, old_items):
             continue
         pairs = list(zip(new[key], old[key]))
         numeric = [(a, b) for a, b in pairs if isinstance(a, float) and isinstance(b, float)]
-        if len(numeric) == len(pairs) and len(new[key]) == len(old[key]):
-            worst = max((_relative(a, b) for a, b in numeric), default=0.0)
+        if len(numeric) == len(pairs) == len(old[key]) == len(new[key]) > 1:
+            worst = max(_relative(a, b) for a, b in numeric)
             if worst:
                 lines.append(f"  {key}: largest relative change {worst:.3g}")
         elif new[key] != old[key]:

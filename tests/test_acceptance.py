@@ -192,10 +192,12 @@ def test_criterion_08_kernel_defining_equations():
                for b in (0.2, 0.7, 1.3, 2.5)]
     assert len(lattice) == 20
     assert all(abs(p.b) > 0.1 for p in lattice)
+    # the paper's time-independent kernels: kernel_td at m = alpha0 = 1
+    probe = np.linspace(-1.0, 1.0, 5)
     worst = 0.0
     for params in lattice:
         params.require_symplectic(1e-12)
-        r1, r2 = satisfies_kernel_odes(params, C)
+        r1, r2 = satisfies_kernel_odes(params, C, probe, probe)
         worst = max(worst, r1, r2)
     report("08", "kernel defining-equation residuals (20 sets)", worst, 1e-5,
            started)

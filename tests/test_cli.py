@@ -1,5 +1,6 @@
 """Tests for the scenario runner: config parsing, outputs, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavepacket import cli
+from wavepacket import cli, kernels
 from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, STAGES, TASKS,
                             TOLERANCE_PROFILES, emit_outputs, load_config, main,
                             parse_config, run_scenario)
@@ -421,7 +422,8 @@ def test_drifting_wronskian_fails_its_check_instead_of_exiting(tmp_path):
 
 def test_drifting_wronskian_does_not_stop_kernel_check(tmp_path):
     """The time-dependent kernel is evaluated whatever det M is; the drift
-    shows only in det_M_drift."""
+    fails det_M_drift.  The second defining equation needs det M = 1, so
+    kernel_ode_residual reads the drift too (1.0e-6), inside its 1e-5."""
     data = dict(BUILTIN_SCENARIOS["ho-breathing"],
                 time={"t_end": 50.0, "dt": 0.05, "sample_every": 10},
                 tasks=["evolve", "invariants", "kernel_check"])
@@ -519,6 +521,48 @@ def test_kernel_check_compares_with_analytic_packet(tmp_path):
         check = kernel["checks"]["kernel_vs_analytic_l2"]
         assert check["tolerance"] == tolerance
         assert check["value"] == kernel["kernel_vs_analytic_l2"] <= 1e-12
+
+
+def test_kernel_ode_residual_checks_the_runs_own_kernel(monkeypatch):
+    """A kernel_td whose d*y^2 term has the wrong sign fails the defining
+    equations of free-spread's kernel: a check of fixed matrices, which
+    never reads the run's kernel, passes it."""
+    real = kernels.kernel_td
+
+    def negated_d(*args, **kwargs):
+        kernel = real(*args, **kwargs)
+        return dataclasses.replace(kernel, d=-kernel.d)
+
+    monkeypatch.setattr(kernels, "kernel_td", negated_d)
+    monkeypatch.setattr(cli, "kernel_td", negated_d)
+    report, _ = run_scenario(load_config("free-spread"))
+    assert report["kernel_check"]["checks"]["kernel_ode_residual"]["pass"] is False
+
+
+# m = 8.33e-7 and p0 = -1e6 carry the packet to x = -3.4e11 by t_end, where
+# doubles are 6.1e-5 apart; a step that resolves the kernel phase there is
+# 1.1e-9, so x +- h rounds to x
+UNRESOLVABLE_KERNEL_STEP = {
+    "constants": {"hbar": 1.0, "mass": 8.33e-7},
+    "system": {"type": "constant", "omega": 1.288},
+    "packet": {"x0": 0.0, "p0": -1e6, "alpha0": 1.304},
+    "time": {"t_end": 0.288, "dt": 1e-3, "sample_every": 18},
+    "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
+    "phase_space_grid": {"nx": 32, "np": 32, "span_sigmas": 8.0},
+    "tasks": ["invariants", "wigner", "kernel_check"],
+}
+
+
+def test_kernel_ode_residual_needs_a_step_that_doubles_resolve(tmp_path):
+    """The check and its value are left out, and a warning names where."""
+    cfg = write_config(tmp_path, UNRESOLVABLE_KERNEL_STEP)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    kernel = json.loads((tmp_path / "o" / "report.json").read_text())["kernel_check"]
+    assert "td_ode_max_residual" not in kernel
+    assert set(kernel["checks"]) == {"kernel_roundtrip_l2", "kernel_vs_analytic_l2"}
+    assert kernel["warnings"][-1] == (
+        "kernel defining equations not checked: around x=-337863767610.36957 and "
+        "x'=0.0 a difference step that resolves the kernel phase rounds away in doubles")
 
 
 def test_cli_never_imports_fractions_or_decimal(tmp_path):

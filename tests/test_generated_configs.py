@@ -102,6 +102,15 @@ def _configs(draw):
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 256},
                "tasks": ["evolve", "invariants", "wigner", "kernel_check",
                          "oracle_compare"]})
+# the packet reaches x = -3.4e11, where x +- h of a step that resolves the
+# kernel phase rounds to x: kernel_check leaves its defining equations out
+@example(data={"constants": {"hbar": 1.0, "mass": 8.33e-7},
+               "system": {"type": "constant", "omega": 1.288},
+               "packet": {"x0": 0.0, "p0": -1e6, "alpha0": 1.304},
+               "time": {"t_end": 0.288, "dt": 1e-3, "sample_every": 18},
+               "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
+               "phase_space_grid": {"nx": 32, "np": 32, "span_sigmas": 8.0},
+               "tasks": ["invariants", "wigner", "kernel_check"]})
 def test_valid_config_reports_or_exits_documented(data):
     config = parse_config(data)
     stderr = io.StringIO()

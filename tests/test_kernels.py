@@ -1,6 +1,7 @@
 """Tests for the propagator kernels and their quadrature application."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,17 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
                              TransformMatrix)
-from wavepacket.errors import DeltaLimitError, ValidationError
+from wavepacket import kernels
+from wavepacket.errors import CapabilityError, ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import matrix_from_state
-from wavepacket.kernels import (ComplexGrid, apply_kernel, kernel_td, kernel_ti,
+from wavepacket.kernels import (ComplexGrid, apply_kernel, kernel_td,
                                 satisfies_kernel_odes, trapezoid_weights)
 from wavepacket.packet import evaluate_wavefunction, propagate_analytic
 
 C = Constants()
 FOURIER = TransformMatrix(0.0, 1.0, -1.0, 0.0)
+PROBE = np.linspace(-1.0, 1.0, 5)
 
-# same published lattice the scenario runner sweeps: c closes the determinant
+# the paper's time-independent case: kernel_td at m = alpha0 = 1 of a
+# published lattice of symplectic matrices, c closing the determinant
 LATTICE = tuple(
     TransformMatrix(a, b, (a * 0.8 - 1.0) / b, 0.8)
     for a in (-1.5, -0.5, 0.0, 0.5, 1.5)
@@ -45,38 +49,73 @@ def dense_apply(kernel, psi, x_out):
 
 
 def test_fourier_kernel_value():
-    # a=d=0, b=1, c=-1: K = (1/(2*pi*i))^(1/2) * exp(i*x*x')
+    # a=d=0, b=1, c=-1, z = -b: K = (1/(2*pi*i*z))^(1/2) * exp(i*x*x')
     for x, xp in ((0.3, -1.2), (2.0, 0.5)):
-        expected = cmath.sqrt(1.0 / (2.0j * math.pi)) * cmath.exp(1j * x * xp)
-        assert kernel_ti(FOURIER, C)(x, xp) == pytest.approx(expected, rel=1e-14)
+        expected = cmath.sqrt(1.0 / (2.0j * math.pi * -1.0)) * cmath.exp(1j * x * xp)
+        assert kernel_td(FOURIER, C)(x, xp) == pytest.approx(expected, rel=1e-14)
 
 
-def test_kernel_ti_delta_limit():
-    with pytest.raises(DeltaLimitError):
-        kernel_ti(TransformMatrix(1.0, 1e-10, -1.0, 1.0), C)
+def test_time_independent_case_delta_limit():
+    with pytest.raises(CapabilityError, match="delta function"):
+        kernel_td(TransformMatrix(1.0, 1e-10, -1.0, 1.0), C)
 
 
 def test_fourier_kernel_ode_residuals():
-    r1, r2 = satisfies_kernel_odes(FOURIER, C)
+    r1, r2 = satisfies_kernel_odes(FOURIER, C, PROBE, PROBE)
     assert r1 <= 1e-5 and r2 <= 1e-5
 
 
 @pytest.mark.parametrize("params", LATTICE)
 def test_lattice_kernel_ode_residuals(params):
     params.require_symplectic(1e-12)
-    r1, r2 = satisfies_kernel_odes(params, C)
+    r1, r2 = satisfies_kernel_odes(params, C, PROBE, PROBE)
     assert r1 <= 1e-5 and r2 <= 1e-5
 
 
 def test_non_symplectic_params_caught_by_validator():
     broken = TransformMatrix(1.0, 1.0, -0.1, 1.0)  # det = 1.1
     # the residual evaluation itself still runs ...
-    r1, r2 = satisfies_kernel_odes(broken, C)
+    r1, r2 = satisfies_kernel_odes(broken, C, PROBE, PROBE)
     assert math.isfinite(r1) and math.isfinite(r2)
     assert r2 > 1e-3  # the second defining equation needs det = 1
     # ... but the invariant check rejects the matrix
     with pytest.raises(ValidationError):
         broken.require_symplectic(1e-12)
+
+
+def _run_matrix(constants, packet, law, t):
+    traj = solve_lambda(SystemSpec(constants, law), packet, [0.0, t])
+    return matrix_from_state(traj[1], packet.alpha0)
+
+
+@pytest.mark.parametrize("mutant", [
+    None,
+    lambda k: dataclasses.replace(k, d=-k.d),
+    lambda k: dataclasses.replace(k, a=-k.a),
+    lambda k: dataclasses.replace(k, coef=-k.coef),
+    lambda k: dataclasses.replace(k, scale=1.0),
+], ids=["kernel_td", "negated-d", "negated-a", "negated-coef", "unscaled-y"])
+def test_defining_equations_see_a_wrong_kernel(monkeypatch, mutant):
+    """The equations of the run's own kernel, with hbar, m and alpha0 all
+    away from 1, hold for kernel_td and fail for each wrong-signed phase term
+    and for an x' left unscaled by alpha0."""
+    constants = Constants(0.7, 2.3)
+    matrix = _run_matrix(constants, InitialPacket(0.2, 1.0, 1.5), ConstantOmega(1.0), 3.0)
+    if mutant is not None:
+        real = kernels.kernel_td
+        monkeypatch.setattr(kernels, "kernel_td",
+                            lambda *args, **kwargs: mutant(real(*args, **kwargs)))
+    worst = max(satisfies_kernel_odes(matrix, constants, 2.0 * PROBE, 1.5 * PROBE))
+    assert (worst <= 1e-6) is (mutant is None), worst
+
+
+def test_defining_equations_need_a_step_that_doubles_resolve():
+    """Probes 1e12 from the origin with a kernel phase steep there: the step
+    that resolves the phase is far under the spacing of doubles at 1e12,
+    so no residual is formed."""
+    matrix = _run_matrix(C, InitialPacket(), Free(), 1.0)
+    assert satisfies_kernel_odes(matrix, C, PROBE, PROBE) is not None
+    assert satisfies_kernel_odes(matrix, C, 1e12 + PROBE, PROBE) is None
 
 
 def test_td_kernel_free_exponent_coefficient():
@@ -89,9 +128,9 @@ def test_td_kernel_free_exponent_coefficient():
 
 def test_td_kernel_delta_limit():
     matrix = TransformMatrix(a=1.0, b=-1e-10, c=0.0, d=1.0)
-    with pytest.raises(DeltaLimitError):
+    with pytest.raises(CapabilityError, match="delta function"):
         kernel_td(matrix, C)
-    with pytest.raises(DeltaLimitError):
+    with pytest.raises(CapabilityError, match="delta function"):
         kernel_td(matrix, C, inverse=True)
 
 
@@ -129,7 +168,7 @@ def test_td_kernel_reproduces_analytic_packet(system, packet, x=None):
 def test_fourier_of_gaussian_has_reciprocal_width():
     x = np.linspace(-15.0, 15.0, 1024)
     sigma = 1.4
-    out = apply_kernel(kernel_ti(FOURIER, C),
+    out = apply_kernel(kernel_td(FOURIER, C),
                        gaussian_grid(x, sigma), x)
     expected = (sigma ** 2 / math.pi) ** 0.25 * np.exp(-sigma ** 2 * x ** 2 / 2.0)
     assert np.max(np.abs(np.abs(out.values) - expected)) <= 1e-6
@@ -140,7 +179,7 @@ def test_apply_kernel_unitarity():
     x = np.linspace(-15.0, 15.0, 1024)
     psi = gaussian_grid(x)
     for matrix in (TransformMatrix(0.8, 1.1, (0.8 * 1.2 - 1) / 1.1, 1.2), FOURIER):
-        out = apply_kernel(kernel_ti(matrix, C), psi, x)
+        out = apply_kernel(kernel_td(matrix, C), psi, x)
         assert abs(out.norm() - psi.norm()) <= 1e-5
 
 
@@ -168,9 +207,9 @@ def test_group_property():
     product = m2.matmul(m1)
     assert abs(product.b) > 0.1
 
-    composed = apply_kernel(kernel_ti(m1, C),
-                            apply_kernel(kernel_ti(m2, C), psi, x), x)
-    direct = apply_kernel(kernel_ti(product, C), psi, x)
+    composed = apply_kernel(kernel_td(m1, C),
+                            apply_kernel(kernel_td(m2, C), psi, x), x)
+    direct = apply_kernel(kernel_td(product, C), psi, x)
 
     overlap = complex(np.trapezoid(np.conjugate(composed.values) * direct.values, dx=dx))
     aligned = math.sqrt(max(composed.norm() ** 2 + direct.norm() ** 2
@@ -181,7 +220,7 @@ def test_group_property():
 def test_apply_kernel_coverage_warning():
     x_narrow = np.linspace(-1.0, 1.0, 256)
     psi = gaussian_grid(x_narrow)  # heavy tails outside
-    out = apply_kernel(kernel_ti(FOURIER, C), psi, x_narrow)
+    out = apply_kernel(kernel_td(FOURIER, C), psi, x_narrow)
     assert any("mass" in w for w in out.warnings)
 
 
@@ -189,7 +228,7 @@ def _largest_phase_step(kernel, x_in, x_out):
     """max |phase(x, x'_{j+1}) - phase(x, x'_j)| over the grids, by brute
     force on the unwrapped phase of the record."""
     def phase(x, x_prime):
-        y = x_prime / (kernel.scale or 1.0)
+        y = x_prime / kernel.scale
         return kernel.coef * (kernel.a * x * x - 2.0 * x * y + kernel.d * y * y)
 
     x, x_prime = x_out[:, None], x_in[None, :]
@@ -239,12 +278,14 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 def test_chirp_z_sum_equals_dense_quadrature(kind, a, d, b, alpha0, constants, n_in,
                                              n_out, half_in, centre, half_out, x0, p0,
                                              sigma):
-    """TI, TD forward and TD inverse kernels from one Gaussian grid onto an
-    output grid of another size, shifted and rescaled: the chirp-z sum is the
-    dense matrix-vector quadrature up to rounding."""
+    """The time-independent case (m = alpha0 = 1), TD forward and TD inverse
+    kernels from one Gaussian grid onto an output grid of another size,
+    shifted and rescaled: the chirp-z sum is the dense matrix-vector
+    quadrature up to rounding."""
+    if kind == "ti":
+        alpha0, constants = 1.0, Constants(constants.hbar, 1.0)
     matrix = TransformMatrix(a, b, (a * d - 1.0) / b, d, alpha0=alpha0)
-    kernel = (kernel_ti(matrix, constants) if kind == "ti"
-              else kernel_td(matrix, constants, inverse=kind == "td_inverse"))
+    kernel = kernel_td(matrix, constants, inverse=kind == "td_inverse")
     x = np.linspace(-half_in, half_in, n_in)
     psi = ComplexGrid(float(x[0]), float(x[1] - x[0]),
                       np.exp(-(x - x0) ** 2 / (2.0 * sigma ** 2)
@@ -280,7 +321,7 @@ def test_uniform_grids_accepted_at_any_size_and_perturbed_ones_rejected():
     traj = solve_lambda(SystemSpec(C, Free()), InitialPacket(0.0, 1.0, 1.0), [0.0])
     packet = propagate_analytic(traj, 0)
     psi = evaluate_wavefunction(packet, x)
-    kernel = kernel_ti(FOURIER, C)
+    kernel = kernel_td(FOURIER, C)
     assert apply_kernel(kernel, psi, x).n == 16384
 
     moved = x.copy()

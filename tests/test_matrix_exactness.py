@@ -4,7 +4,8 @@ Wigner point map as they were computed from separate per-use types.
 The references below keep that earlier code: the time-dependent kernel read
 from its own (z_hat, z_hat_dot, u_hat, u_hat_dot, alpha0, direction) record
 built from one sample of a trajectory, the time-independent kernel of an (a, b, c, d)
-record, and the point map through the scaled column vector
+record (now kernel_td at m = alpha0 = 1, so its reference carries kernel_td's
+prefactor), and the point map through the scaled column vector
 (x'/alpha0, -alpha0*p'/m) and back.  The record's own Wronskian-within-1e-9
 check is left out: it raised instead of evaluating and is not part of the
 kernel's value.
@@ -24,7 +25,7 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
 from wavepacket.errors import ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import matrix_from_state
-from wavepacket.kernels import kernel_td, kernel_ti
+from wavepacket.kernels import kernel_td
 from wavepacket.wigner import wigner_pointmap
 
 
@@ -67,8 +68,9 @@ def _kernel_td_reference(params, x, x_prime, constants):
 
 
 def _kernel_ti_reference(a, b, d, x, x_prime, constants):
+    """The time-independent kernel, with kernel_td's prefactor at z = -b."""
     hbar = constants.hbar
-    prefactor = cmath.sqrt(1.0 / (2.0j * math.pi * hbar * b))
+    prefactor = cmath.sqrt(1.0 / (2.0j * math.pi * hbar * -b))
     phase = (-1.0 / (2.0 * hbar * b)) * (
         a * np.asarray(x) ** 2
         - 2.0 * np.asarray(x) * np.asarray(x_prime)
@@ -175,7 +177,8 @@ def test_ti_kernel_equals_reference(a, b, d, constants, xs, xps):
     matrix = TransformMatrix(a, b, (a * d - 1.0) / b, d)
     x = np.array(xs)[:, None]
     xp = np.array(xps)[None, :]
-    kernel = kernel_ti(matrix, constants)
+    # the paper's time-independent kernel is kernel_td at m = alpha0 = 1
+    kernel = kernel_td(matrix, Constants(constants.hbar, 1.0))
     assert np.array_equal(kernel(x, xp),
                           _kernel_ti_reference(a, b, d, x, xp, constants))
     assert np.array_equal(kernel(xs[0], xps[0]),

@@ -7,8 +7,7 @@ import pytest
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              RampOmega, SystemSpec, TabulatedOmega)
-from wavepacket.errors import (DivergenceError, GridMismatchError, ResolutionError,
-                               ValidationError)
+from wavepacket.errors import DivergenceError, ResolutionError, ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.kernels import ComplexGrid
 from wavepacket.oracle import (FINITE_CHECK_EVERY, GridState, compare_states,
@@ -275,7 +274,7 @@ def test_grid_mismatch_rejected():
     other = np.linspace(-10.0, 10.0, 1024)
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0])
     b = GridState(evaluate_wavefunction(propagate_analytic(traj, 0), other), 0.0)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValidationError, match="share a grid"):
         compare_states(a.grid, b.grid, C.hbar)
 
 

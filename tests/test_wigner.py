@@ -12,7 +12,7 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, Syst
 from wavepacket.errors import ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import frozen_width_matrix, matrix_from_state
-from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_ti
+from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_td
 from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
 from wavepacket.wigner import (PhaseSpaceGrid, _half_step_refine, wigner_gaussian,
@@ -64,7 +64,7 @@ def test_momentum_marginal_matches_fourier_density():
     _, psi, full, _, _ = transform_setup(HO, InitialPacket(0.0, 1.0, 1.0), 1.0)
     p = full.p()
     to_momentum = TransformMatrix(0.0, -1.0, 1.0, 0.0)
-    psi_tilde = apply_kernel(kernel_ti(to_momentum, C), psi, p)
+    psi_tilde = apply_kernel(kernel_td(to_momentum, C), psi, p)
     assert np.max(np.abs(marginal_p(full) - np.abs(psi_tilde.values) ** 2)) <= 1e-5
 
 
