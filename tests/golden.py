@@ -143,10 +143,6 @@ def build_manifest(root, paths):
     }
 
 
-def dump(manifest):
-    return json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Largest changes against the outputs of another revision
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         new_root = Path(tmp) / "new"
         manifest = build_manifest(new_root, write_outputs(new_root))
-        MANIFEST.write_text(dump(manifest))
+        MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         moved = sorted(path for path, entry in manifest["files"].items()
                        if old["files"].get(path, {}).get("sha256") != entry["sha256"])
         gone = sorted(set(old["files"]) - set(manifest["files"]))
