@@ -47,7 +47,14 @@ from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, propagate_analytic
 from .rowformat import write_records, write_report, write_rows
-from .wigner import wigner_numeric
+from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
+
+# the working set that parse_config admits for each size a config sets,
+# where nothing streams: the Wigner stage's is wigner_working_set, and
+# kernel_check and oracle_compare need under GRID_POINT_BYTES per grid point
+# (tracemalloc peaks of run_scenario at 2^17 points: 154 to 186)
+MEMORY_BUDGET = 1 << 30
+GRID_POINT_BYTES = 256
 
 # each check's tolerance is the profile entry of its name, these ones alike
 # in every profile; the Euler-Lagrange residuals get el_residual_factor * dt^2
@@ -242,12 +249,21 @@ def parse_config(data, name="") -> ScenarioConfig:
         raise ConfigError("'grid.x_max' must exceed 'grid.x_min'")
     if n_points < 64 or n_points & (n_points - 1):
         raise ConfigError("'grid.n_points' must be a power of two >= 64")
+    if GRID_POINT_BYTES * n_points > MEMORY_BUDGET:
+        raise ConfigError(
+            f"'grid.n_points' = {n_points} needs about {GRID_POINT_BYTES} bytes per "
+            f"point, over the working-set budget of {MEMORY_BUDGET} bytes")
 
     ps_nx = _get(data, "phase_space_grid.nx", int, 256)
     ps_np = _get(data, "phase_space_grid.np", int, 257)
     span = _get(data, "phase_space_grid.span_sigmas", float, 8.0)
     if ps_nx < 16 or ps_np < 16 or span <= 0.0:
         raise ConfigError("'phase_space_grid' must have nx, np >= 16 and span > 0")
+    working_set = wigner_working_set(ps_nx, ps_np)
+    if working_set > MEMORY_BUDGET:
+        raise ConfigError(
+            f"'phase_space_grid' nx x np = {ps_nx} x {ps_np} needs {working_set} "
+            f"bytes, over the working-set budget of {MEMORY_BUDGET} bytes")
 
     tasks = _get(data, "tasks", list)
     if not tasks:
@@ -340,43 +356,56 @@ def _require_resolvable_window(width, n, centre, t):
             f"need a width of at least {WINDOW_STEP_ULPS * ulp * (n - 1)!r}")
 
 
+def _wide_points(nx):
+    """Points of psi's grid for an nx-column Wigner window: 1.5x as many, so
+    the offset integral is not truncated inside the window, and odd, so the
+    mean is on the grid."""
+    return 2 * math.ceil(0.75 * nx) + 1
+
+
+def wigner_working_set(nx, n_p):
+    """Bytes the Wigner stage holds at most: both entries' nx x n_p windows,
+    8 bytes per cell each, and one transform's blocks."""
+    return 16 * nx * n_p + WIGNER_BLOCK_BYTES * (_wide_points(nx) + n_p)
+
+
+def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
+    """The Wigner transform's input at sample idx of spreads sx, sp: psi on
+    a grid 1.5x as wide as the nx-column window of +-span sx, the p grid of
+    n_p momenta over +-span sp, and the window's columns (start, nx) of
+    psi's grid."""
+    state = traj[idx]
+    mean_x, mean_p = state.eta, constants.mass * state.eta_dot
+    n_wide = _wide_points(nx)
+    width = 3.0 * span * sx
+    _require_resolvable_window(width, n_wide, mean_x, state.t)
+    x_wide = np.linspace(mean_x - 0.5 * width, mean_x + 0.5 * width, n_wide)
+    psi = evaluate_wavefunction(propagate_analytic(traj, idx), x_wide)
+    p_grid = (mean_p - span * sp, 2.0 * span * sp / (n_p - 1), n_p)
+    return psi, p_grid, ((n_wide - nx) // 2, nx)
+
+
 def _wigner_stage(config, traj, steps, columns, tol):
-    """One entry per end sample; its "grid" goes to the .dat file."""
+    """One entry per end sample; its "grid" goes to the .dat file.  The
+    integral covers psi's whole grid, the marginal error the window."""
     c = config.constants
     outputs = []
-    span = config.ps_span_sigmas
     for idx in (0, len(traj) - 1):
-        state = traj[idx]
-        sx = math.sqrt(columns["var_x"][idx])
-        sp = math.sqrt(columns["var_p"][idx])
-        mean_x, mean_p = state.eta, c.mass * state.eta_dot
-
-        # wavefunction sampled 1.5x wider than the requested window so the
-        # offset integral is not truncated inside it; odd point count keeps
-        # the mean on the grid
-        n_wide = 2 * math.ceil(0.75 * config.ps_nx) + 1
-        width = 3.0 * span * sx
-        _require_resolvable_window(width, n_wide, mean_x, state.t)
-        x_wide = np.linspace(mean_x - 0.5 * width, mean_x + 0.5 * width, n_wide)
-        psi = evaluate_wavefunction(propagate_analytic(traj, idx), x_wide)
-
-        n_p = config.ps_np
-        p_lo = mean_p - span * sp
-        dp = 2.0 * span * sp / (n_p - 1)
-        full = wigner_numeric(psi, (p_lo, dp, n_p), c)
-        start = (n_wide - config.ps_nx) // 2
-        grid = full.column_window(start, config.ps_nx)
-
+        psi, p_grid, window = wigner_window(
+            traj, idx, c, math.sqrt(columns["var_x"][idx]),
+            math.sqrt(columns["var_p"][idx]),
+            config.ps_nx, config.ps_np, config.ps_span_sigmas)
+        grid, marginal = wigner_numeric(psi, p_grid, c, window)
+        start, count = window
         marginal_err = float(np.max(np.abs(
-            grid.marginal_x()
-            - np.abs(psi.values[start:start + config.ps_nx]) ** 2)))
+            marginal[start:start + count] - np.abs(psi.values[start:start + count]) ** 2)))
         outputs.append({
             "index": idx,
-            "t": state.t,
+            "t": traj[idx].t,
             "grid": grid,
             "peak": float(grid.values.max()),
             "min": float(grid.values.min()),
-            "integral": full.integral(),
+            "integral": float(np.trapezoid(marginal, dx=psi.dx)),
             "marginal_x_max_err": marginal_err,
             "warnings": list(grid.warnings),
         })

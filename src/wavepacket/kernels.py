@@ -32,9 +32,10 @@ grids x_i = u0 + i*du and y_j = v0 + j*dv the cross term splits by
 i*j = (i^2 + j^2 - (i - j)^2)/2, so the sum is a chirp-z transform
 (Rabiner, Schafer and Rader, 1969): a pre-chirp on the weighted input, one
 linear convolution with the chirp exp(i*coef*du*dv*k^2), k = i - j, done by
-FFT at the next power of two >= n_in + n_out - 1 (Bluestein's algorithm),
-and a post-chirp.  It is the same quadrature sum up to rounding, in
-O((n_in + n_out) log(n_in + n_out)) time and O(n_in + n_out) memory.
+FFT at the next power of two >= n_in + n_out - 1 (Bluestein's algorithm, in
+chirp_convolution, which wigner_numeric shares), and a post-chirp.  It is
+the same quadrature sum up to rounding, in O((n_in + n_out) log(n_in +
+n_out)) time and O(n_in + n_out) memory.
 """
 
 import cmath
@@ -236,6 +237,28 @@ def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants, x, x_pr
     return tuple(residuals)
 
 
+def chirp_convolution(w, n_out, size):
+    """The linear convolution with the chirp exp(i*w*k^2), k = i - j, at the
+    outputs i < n_out, as a function of its input f: sum_j f[..., j] *
+    exp(i*w*(i - j)^2) along the last axis of f, which may be at most
+    size - n_out + 1 long.  It is one circular convolution of length `size`
+    by FFT (Bluestein's algorithm), done in `out` (size values along the
+    last axis) when that is given.
+    """
+    # lags k >= 0 sit at index k and k < 0 at size + k; the entries in
+    # between reach no output i < n_out
+    k = np.arange(size, dtype=float)
+    k[n_out:] -= size
+    chirp = np.fft.fft(np.exp(1j * (w * (k * k))))
+
+    def convolve(f, out=None):
+        spectrum = np.fft.fft(f, size, out=out)
+        spectrum *= chirp
+        return np.fft.ifft(spectrum, out=spectrum)[..., :n_out]
+
+    return convolve
+
+
 def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> ComplexGrid:
     """psi_out(x) = integral K(x, x') psi_in(x') dx' by trapezoid quadrature,
     summed as a chirp-z transform (see the module docstring).
@@ -290,14 +313,7 @@ def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> Co
     weighted = (np.exp(1j * (coef * (d_in * v * v - 2.0 * u0 * v) - w * j * j))
                 * (trapezoid_weights(n_in, psi_in.dx) * psi_in.values))
 
-    # circular convolution with exp(i*w*k^2), k = i - j; lags k >= 0 sit at
-    # index k and k < 0 at size + k, the entries in between reach no output
-    # i < n_out
-    size = 1 << (n_in + n_out - 2).bit_length()
-    k = np.arange(size, dtype=float)
-    k[n_out:] -= size
-    chirp = np.fft.fft(np.exp(1j * (w * (k * k))))
-    summed = np.fft.ifft(np.fft.fft(weighted, size) * chirp)[:n_out]
+    summed = chirp_convolution(w, n_out, 1 << (n_in + n_out - 2).bit_length())(weighted)
 
     values = prefactor * np.exp(1j * (coef * (a_out * u * u - 2.0 * v0 * du * i)
                                       - w * i * i)) * summed

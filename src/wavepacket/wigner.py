@@ -14,12 +14,19 @@ of its grid, as a Gaussian sampled to many widths is).  The correlation
 corr_j = conj(psi(x + y_j/2)) * psi(x - y_j/2) is Hermitian in j,
 corr_-j = conj(corr_j), so only j >= 0 is summed:
 
-    W(x_i, p) = (dx/(2*pi*hbar)) * (corr_0 + 2*Re sum_{j>=1} exp(i*p*y_j/hbar)*corr_j),
+    W(x_i, p) = (dx/(2*pi*hbar)) * (corr_0 + 2*Re sum_{j>=1} exp(i*p*y_j/hbar)*corr_j).
 
-and the real part of each complex product is one real dot product of
-(cos, sin) with (Re, -Im) of corr_j.  The sum over j is one BLAS product
-per fixed block of x rows, so the working memory is the
-(n_p x (n - 1)) complex phase matrix plus one block.
+On the p grid p_k = p_min + k*dp the sum over j is a chirp-z transform
+(Rabiner, Schafer and Rader, 1969): with theta = dp*dx/hbar,
+exp(i*p_k*y_j/hbar) = exp(i*p_min*y_j/hbar) * exp(i*theta*k*j), and
+k*j = (k^2 + j^2 - (k - j)^2)/2, so it is a pre-chirp on corr_j, one FFT
+convolution with exp(-i*theta*(k - j)^2/2) (kernels.chirp_convolution,
+which apply_kernel also runs) and a post-chirp.  The x rows go through it
+WIGNER_ROWS at a time, in O((n_p + n) log(n_p + n)) time per row.  Only
+the kept x columns of W are stored, with the p integral of every column,
+so the working memory is 8 bytes per kept cell plus one block: no
+n_p x n phase table or values grid is formed, and no sum passes through
+BLAS.
 
 Phase-space transport of Gaussian states uses the point map of the
 transformation matrix M = ((a, b), (c, d)) = ((zd, -z), (-ud, u)),
@@ -39,13 +46,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Constants, TransformMatrix
-from .kernels import ComplexGrid
+from .kernels import ComplexGrid, chirp_convolution
 from .packet import Moments
 from .errors import ValidationError
 
 GAUSSIAN_DET_TOL = 1e-6   # wigner_gaussian: |moment det - hbar^2/4| allowed
 POINTMAP_DET_TOL = 1e-9   # wigner_pointmap: |det M - 1| allowed
-WIGNER_BLOCK = 32         # wigner_numeric: x rows per BLAS product
+# wigner_numeric: x rows per chirp-z block; 8, 16 and 32 rows took about
+# the same time at 256 x 257, 16 the least at 2048 x 2049
+WIGNER_ROWS = 16
+# wigner_numeric allocates, besides 8 bytes per kept cell, under this many
+# bytes per point of psi's grid and of the p grid: its blocks and their FFT
+# buffers (tracemalloc: 960 at 385 + 257 points, 575 at 3073 + 2049)
+WIGNER_BLOCK_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,9 @@ class PhaseSpaceGrid:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValidationError("values must be a 2-D array (p rows, x columns)")
-        if not np.all(np.isfinite(values)):
+        # min and max carry any nan or inf, without a temporary per value
+        if values.size and not (math.isfinite(values.min())
+                                and math.isfinite(values.max())):
             raise ValidationError("values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -82,30 +97,6 @@ class PhaseSpaceGrid:
 
     def p(self):
         return self.p_min + self.dp * np.arange(self.n_p)
-
-    def integral(self):
-        return float(np.trapezoid(np.trapezoid(self.values, dx=self.dx, axis=1),
-                                  dx=self.dp))
-
-    def marginal_x(self):
-        """integral W dp, one value per x column."""
-        return np.trapezoid(self.values, dx=self.dp, axis=0)
-
-    def column_window(self, start, count):
-        """Sub-grid restricted to `count` x columns starting at `start`.
-
-        The transform's y integral is truncated near the edges of the input
-        grid, so accurate output needs the wavefunction sampled beyond the
-        window of interest; this selects that central window.
-        """
-        if start < 0 or start + count > self.n_x:
-            raise ValidationError("window outside grid")
-        return PhaseSpaceGrid(
-            x_min=self.x_min + self.dx * start, dx=self.dx,
-            p_min=self.p_min, dp=self.dp,
-            values=self.values[:, start:start + count],
-            warnings=self.warnings,
-        )
 
 
 def _half_step_refine(values):
@@ -124,14 +115,34 @@ def _half_step_refine(values):
     return 2.0 * np.fft.ifft(padded)[:2 * n - 1]
 
 
-def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpaceGrid:
+def _fft_length(n):
+    """The least 2^a * 3^b * 5^c >= n, a length pocketfft transforms fast:
+    the Wigner transform took 0.5x to 0.7x its time at the next power of
+    two, at 256 x 257 to 2048 x 2049."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = p35
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
     """Wigner transform of a gridded wavefunction.
 
-    p_grid is (p_min, dp, n_p).  The x grid of the output is the grid of
-    psi, which should extend far enough that psi is negligible at both ends
-    (the refinement treats psi as periodic).  Attaches warnings when psi is
-    not normalized to 1e-6 or when the requested momenta exceed what the y
-    sampling can resolve (Nyquist).
+    p_grid is (p_min, dp, n_p).  The x grid is the grid of psi, which should
+    extend far enough that psi is negligible at both ends (the refinement
+    treats psi as periodic).  columns = (start, count) is the run of x
+    columns to keep.  Returns the PhaseSpaceGrid of the kept columns and
+    the trapezoid integral of W over p at every x of psi's grid.  Attaches
+    warnings when psi is not normalized to 1e-6 or when the requested
+    momenta exceed what the y sampling can resolve (Nyquist).
     """
     p_min, dp, n_p = p_grid
     if dp <= 0.0 or n_p < 2:
@@ -139,6 +150,9 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpace
     hbar = constants.hbar
     n = psi.n
     dx = psi.dx
+    start, count = columns
+    if start < 0 or count < 1 or start + count > n:
+        raise ValidationError("columns outside the grid of psi")
 
     warnings = psi.warnings
     mass = psi.norm() ** 2
@@ -146,48 +160,59 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants) -> PhaseSpace
         warnings = warnings + (
             f"input wavefunction norm^2 = {mass!r}, expected 1 within 1e-6",)
 
-    p = p_min + dp * np.arange(n_p)
-    p_abs_max = float(np.max(np.abs(p)))
+    p_abs_max = max(abs(p_min), abs(p_min + dp * (n_p - 1)))
     if p_abs_max * dx / hbar > math.pi:
         warnings = warnings + (
             f"p grid extends to {p_abs_max!r}, beyond the hbar*pi/dy = "
             f"{hbar * math.pi / dx!r} the y sampling resolves (aliasing)",)
 
-    # phases[:, j-1] = exp(i*p*y_j/hbar) for y_j = j*dx, j = 1 .. m, read as
-    # real (n_p, 2m) with columns cos, sin interleaved; the sines slot holds
-    # the arguments first, so no other (n_p, m) array is allocated
-    m = n - 1
-    phases = np.empty((n_p, m), dtype=complex)
-    trig = phases.view(float)
-    np.multiply.outer(p / hbar, dx * np.arange(1, n), out=trig[:, 1::2])
-    np.cos(trig[:, 1::2], out=trig[:, 0::2])
-    np.sin(trig[:, 1::2], out=trig[:, 1::2])
-
     # psi_half padded by m zeros on each side: row i of `plus` holds
     # psi(x_i + y_j/2) and of `minus` psi(x_i - y_j/2), j = 1 .. m, as strided
     # views; offsets past either end of the grid read the zeros
+    m = n - 1
     padded = np.zeros(4 * n - 3, dtype=complex)
     padded[m:3 * n - 2] = _half_step_refine(psi.values)
     windows = np.lib.stride_tricks.sliding_window_view(padded, m)
     plus = windows[m + 1::2][:n]
     minus = windows[::2, ::-1][:n]
 
-    values = np.empty((n_p, n))
-    block = np.empty((WIGNER_BLOCK, m), dtype=complex)
-    for i0 in range(0, n, WIGNER_BLOCK):
-        i1 = min(i0 + WIGNER_BLOCK, n)
+    # p_k*y_j/hbar = p_min*y_j/hbar + theta*k*j with theta = dp*dx/hbar, and
+    # with c = j - 1, k*j = (k*(k + 2) + c^2 - (k - c)^2)/2: a pre-chirp over
+    # c, the convolution with exp(-i*theta*(k - c)^2/2) and a post-chirp
+    theta = dp * dx / hbar
+    c = np.arange(m, dtype=float)
+    pre = np.exp(1j * ((p_min / hbar) * (dx * (c + 1.0)) + (0.5 * theta) * (c * c)))
+    k = np.arange(n_p, dtype=float)
+    scale = dx / (2.0 * math.pi * hbar)
+    post = (2.0 * scale) * np.exp(1j * ((0.5 * theta) * (k * (k + 2.0))))
+    size = _fft_length(n_p + m - 1)
+    convolve = chirp_convolution(-0.5 * theta, n_p, size)
+
+    density = scale * np.abs(psi.values) ** 2
+    values = np.empty((n_p, count))
+    marginal = np.empty(n)
+    corr = np.empty((WIGNER_ROWS, m), dtype=complex)
+    spectrum = np.empty((WIGNER_ROWS, size), dtype=complex)
+    for i0 in range(0, n, WIGNER_ROWS):
+        i1 = min(i0 + WIGNER_ROWS, n)
         # no row of the block reaches beyond offset j_max
         j_max = min(2 * (i1 - 1), 2 * (n - 1 - i0), m)
-        conj_corr = block[:i1 - i0, :j_max]
-        np.conjugate(minus[i0:i1, :j_max], out=conj_corr)
-        conj_corr *= plus[i0:i1, :j_max]
-        np.matmul(trig[:, :2 * j_max], conj_corr.view(float).T, out=values[:, i0:i1])
-    values *= 2.0
-    values += np.abs(psi.values) ** 2
-    values *= dx / (2.0 * math.pi * hbar)
+        block = corr[:i1 - i0, :j_max]
+        np.conjugate(plus[i0:i1, :j_max], out=block)
+        block *= minus[i0:i1, :j_max]
+        block *= pre[:j_max]
+        sums = convolve(block, out=spectrum[:i1 - i0])
+        sums *= post
+        w = sums.real
+        w += density[i0:i1, None]
+        marginal[i0:i1] = np.trapezoid(w, dx=dp, axis=1)
+        a, b = max(i0, start), min(i1, start + count)
+        if a < b:
+            values[:, a - start:b - start] = w[a - i0:b - i0].T
 
-    return PhaseSpaceGrid(x_min=psi.x_min, dx=dx, p_min=float(p_min), dp=float(dp),
-                          values=values, warnings=warnings)
+    grid = PhaseSpaceGrid(x_min=psi.x_min + dx * start, dx=dx, p_min=float(p_min),
+                          dp=float(dp), values=values, warnings=warnings)
+    return grid, marginal
 
 
 def wigner_gaussian(moments: Moments, mean_x: float, mean_p: float,

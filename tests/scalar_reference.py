@@ -2,10 +2,11 @@
 pipeline replaced, and the row-template .dat writer and per-record
 trajectory.csv writer that wavepacket.rowformat replaced, kept as their
 bit-exact references; the fine re-solve that the Euler-Lagrange residuals
-ran before they read the integrator's own steps, kept as their reference to
-rounding; and the closed forms of lambda and eta for free motion and
-constant w, the scalar w(t) and the p marginal of a Wigner grid, which only
-the tests use.
+ran before they read the integrator's own steps, and the direct
+O(n_p * n^2) Wigner sum that the chirp-z transform replaced, kept as their
+references to rounding; and the closed forms of lambda and eta for free
+motion and constant w, the scalar w(t) and the p marginal of a Wigner grid,
+which only the tests use.
 
 Each formula works on one sample of Python floats and complex numbers,
 with `**` for powers and CPython's complex products, exactly as the
@@ -22,6 +23,7 @@ from wavepacket.core import ConstantOmega, _require_finite, is_free_motion
 from wavepacket.errors import CapabilityError
 from wavepacket.evolution import _packet_states, _polar, solve_lambda
 from wavepacket.invariants import euler_lagrange_residuals, frozen_width_matrix
+from wavepacket.wigner import _half_step_refine
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,25 @@ def omega_at(system, t):
 def marginal_p(grid):
     """integral W dx of a PhaseSpaceGrid, one value per p row."""
     return np.trapezoid(grid.values, dx=grid.dx, axis=1)
+
+
+def wigner_dense(psi, p_grid, hbar):
+    """W(x_i, p_k) on the whole grid of psi as the direct sum over offsets
+    that wigner_numeric transforms by chirp-z, one x row at a time:
+    (dx/(2*pi*hbar)) * (|psi_i|^2 + 2*Re sum_j exp(i*p_k*y_j/hbar)*corr_j)
+    with corr_j = conj(psi(x_i + y_j/2)) * psi(x_i - y_j/2), j = 1 .. the
+    last offset both half-step samples reach; O(n_p * n^2) time."""
+    p_min, dp, n_p = p_grid
+    n, dx = psi.n, psi.dx
+    half = _half_step_refine(psi.values)
+    p = p_min + dp * np.arange(n_p)
+    values = np.empty((n_p, n))
+    for i in range(n):
+        j = np.arange(1, min(2 * i, 2 * (n - 1 - i), n - 1) + 1)
+        corr = np.conjugate(half[2 * i + j]) * half[2 * i - j]
+        phases = np.exp(1j * (np.outer(p, j * dx) / hbar))
+        values[:, i] = abs(psi.values[i]) ** 2 + 2.0 * (phases * corr).sum(axis=1).real
+    return values * (dx / (2.0 * math.pi * hbar))
 
 
 def _closed_form_fundamental(system, t):

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from wavepacket.cli import wigner_window
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              ModulatedOmega, SystemSpec, TransformMatrix)
 from wavepacket.evolution import solve_lambda
@@ -156,17 +157,12 @@ def test_criterion_07_wigner_transport():
         traj = solve_lambda(system, packet, [0.0, 1.0])
         s = traj[1]
         m = moments_from_lambda(s, C)
-        sx, sp = math.sqrt(m.var_x), math.sqrt(m.var_p)
         mean_x, mean_p = s.eta, C.mass * s.eta_dot
 
-        # 256x256 window spanning +-8 sigma; psi sampled 1.5x wider
-        n_wide = 385
-        psi = evaluate_wavefunction(
-            propagate_analytic(traj, 1),
-            np.linspace(mean_x - 12.0 * sx, mean_x + 12.0 * sx, n_wide))
-        dp = 16.0 * sp / 255
-        full = wigner_numeric(psi, (mean_p - 8.0 * sp, dp, 256), C)
-        window = full.column_window((n_wide - 256) // 2, 256)
+        # the runner's 256x256 window spanning +-8 sigma; psi sampled 1.5x wider
+        psi, p_grid, (start, count) = wigner_window(
+            traj, 1, C, math.sqrt(m.var_x), math.sqrt(m.var_p), 256, 256, 8.0)
+        window, marginal = wigner_numeric(psi, p_grid, C, (start, count))
         assert window.values.shape == (256, 256)
 
         X, P = np.meshgrid(window.x(), window.p())
@@ -178,10 +174,9 @@ def test_criterion_07_wigner_transport():
         worst = max(worst, float(np.max(np.abs(window.values - closed))))
         worst = max(worst, float(np.max(np.abs(window.values - mapped))))
         # marginals and normalization at the same tolerance
-        start = (n_wide - 256) // 2
-        density = np.abs(psi.values[start:start + 256]) ** 2
-        worst = max(worst, float(np.max(np.abs(window.marginal_x() - density))))
-        worst = max(worst, abs(full.integral() - 1.0))
+        density = np.abs(psi.values[start:start + count]) ** 2
+        worst = max(worst, float(np.max(np.abs(marginal[start:start + count] - density))))
+        worst = max(worst, abs(np.trapezoid(marginal, dx=psi.dx) - 1.0))
     report("07", "Wigner transport equivalence at t=1", worst, 1e-5, started)
 
 

@@ -395,6 +395,49 @@ def test_wigner_window_below_double_resolution_exits_4(tmp_path, capsys):
     assert "t=10.0" in err and "wide around x=-5.44" in err and "doubles are" in err
 
 
+def _largest(admitted, lo, hi):
+    """The largest n in [lo, hi) with admitted(n), for admitted true at lo
+    and false at hi and past it."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+def test_memory_ceilings_refuse_one_step_past_the_budget(tmp_path, capsys):
+    """parse_config admits a phase_space_grid and a grid.n_points whose
+    working set is within cli.MEMORY_BUDGET (1 GiB), and refuses the next
+    size with a ConfigError (exit 2) naming the field and the bound.
+    Parsing allocates no grid, so nothing large is allocated here."""
+    budget = cli.MEMORY_BUDGET
+    assert budget == 1 << 30
+
+    def phase_grid(nx, n_p):
+        return dict(SMALL_CONFIG, phase_space_grid={"nx": nx, "np": n_p})
+
+    n_p = _largest(lambda k: cli.wigner_working_set(16, k) <= budget, 16, budget)
+    assert parse_config(phase_grid(16, n_p)).ps_np == n_p
+    with pytest.raises(ConfigError, match=rf"^'phase_space_grid' nx x np = 16 x {n_p + 1} "
+                                          rf"needs \d+ bytes, over .* {budget} bytes$"):
+        parse_config(phase_grid(16, n_p + 1))
+
+    side = _largest(lambda k: cli.wigner_working_set(k, k) <= budget, 16, budget)
+    assert 8000 < side < 8192
+    parse_config(phase_grid(side, side))
+    with pytest.raises(ConfigError, match="phase_space_grid"):
+        parse_config(phase_grid(side + 1, side + 1))
+
+    points = 1 << 22
+    assert cli.GRID_POINT_BYTES * points <= budget < cli.GRID_POINT_BYTES * 2 * points
+    grid = dict(SMALL_CONFIG["grid"], n_points=points)
+    assert parse_config(dict(SMALL_CONFIG, grid=grid)).n_points == points
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, grid=dict(grid, n_points=2 * points)))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"'grid.n_points' = {2 * points}" in err and f"{budget} bytes" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
     """Two samples leave no interior point for the centered differences."""
     data = dict(SMALL_CONFIG, time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})

@@ -1,7 +1,7 @@
 """The outputs of 82 fixed runs match tests/golden_outputs.json.
 
 See tests/golden.py for the runs and the manifest.  On a machine whose
-numpy, BLAS and CPU model are those recorded in the manifest, every file
+numpy version and CPU model are those recorded in the manifest, every file
 must match byte for byte.  Elsewhere each file must keep its text outside
 the numbers and its count of numbers, and its weighted sums must agree to
 golden.FALLBACK_RTOL of their magnitudes; the failure message says which

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavepacket.cli import BUILTIN_SCENARIOS, parse_config, run_scenario
+from wavepacket.cli import (BUILTIN_SCENARIOS, STAGES, _wide_points, parse_config,
+                            run_scenario, wigner_window, wigner_working_set)
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
                              TransformMatrix)
 from wavepacket.errors import ValidationError
@@ -15,69 +16,64 @@ from wavepacket.invariants import frozen_width_matrix, matrix_from_state
 from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_td
 from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
-from wavepacket.wigner import (PhaseSpaceGrid, _half_step_refine, wigner_gaussian,
-                               wigner_numeric, wigner_pointmap)
+from wavepacket.wigner import (WIGNER_BLOCK_BYTES, PhaseSpaceGrid, _half_step_refine,
+                               wigner_gaussian, wigner_numeric, wigner_pointmap)
 
-from scalar_reference import marginal_p
+from scalar_reference import marginal_p, wigner_dense
 
 C = Constants()
 FREE = SystemSpec(C, Free())
 HO = SystemSpec(C, ConstantOmega(1.0))
 
 
-def transform_setup(system, packet, t, nx=256, n_p=257, span=8.0, pad=1.5):
-    """Trajectory, wavefunction on a padded grid, Wigner grid windowed to
-    +-span sigmas, and the matching closed-form evaluator."""
+def transform_setup(system, packet, t, nx=256, n_p=257, span=8.0):
+    """Trajectory, the runner's wavefunction on its padded grid, the Wigner
+    grid of its +-span sigma window, the p integral at every x of psi's
+    grid, and the matching closed-form evaluator."""
     traj = solve_lambda(system, packet, [0.0, t] if t > 0 else [0.0])
     idx = len(traj) - 1
     state = traj[idx]
     m = moments_from_lambda(state, C)
-    sx, sp = math.sqrt(m.var_x), math.sqrt(m.var_p)
-    mean_x, mean_p = state.eta, C.mass * state.eta_dot
-
-    n_wide = 2 * math.ceil(pad * nx / 2.0) + 1
-    x = np.linspace(mean_x - pad * span * sx, mean_x + pad * span * sx, n_wide)
-    psi = evaluate_wavefunction(propagate_analytic(traj, idx), x)
-    dp = 2.0 * span * sp / (n_p - 1)
-    full = wigner_numeric(psi, (mean_p - span * sp, dp, n_p), C)
-    window = full.column_window((n_wide - nx) // 2, nx)
-    closed = wigner_gaussian(m, mean_x, mean_p, C)
-    return traj, psi, full, window, closed
+    psi, p_grid, window = wigner_window(traj, idx, C, math.sqrt(m.var_x),
+                                        math.sqrt(m.var_p), nx, n_p, span)
+    grid, marginal = wigner_numeric(psi, p_grid, C, window)
+    closed = wigner_gaussian(m, state.eta, C.mass * state.eta_dot, C)
+    return traj, psi, grid, marginal, closed
 
 
 def test_initial_packet_wigner_is_symmetric_gaussian():
     """alpha0 = 1, means at the origin: W0 = exp(-x^2 - p^2)/pi."""
-    _, _, _, window, _ = transform_setup(FREE, InitialPacket(0.0, 0.0, 1.0), 0.0)
+    _, _, window, _, _ = transform_setup(FREE, InitialPacket(0.0, 0.0, 1.0), 0.0)
     X, P = np.meshgrid(window.x(), window.p())
     expected = np.exp(-X ** 2 - P ** 2) / math.pi
     assert np.max(np.abs(window.values - expected)) <= 1e-6
 
 
 def test_marginal_is_position_density():
-    _, psi, full, _, _ = transform_setup(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
+    _, psi, _, marginal, _ = transform_setup(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
     density = np.abs(psi.values) ** 2
-    assert np.max(np.abs(full.marginal_x() - density)) <= 1e-5
+    assert np.max(np.abs(marginal - density)) <= 1e-5
 
 
 def test_momentum_marginal_matches_fourier_density():
     """integral W dx equals the momentum density from the Fourier-type kernel."""
-    _, psi, full, _, _ = transform_setup(HO, InitialPacket(0.0, 1.0, 1.0), 1.0)
-    p = full.p()
+    _, psi, window, _, _ = transform_setup(HO, InitialPacket(0.0, 1.0, 1.0), 1.0)
+    full, _ = wigner_numeric(psi, (window.p_min, window.dp, window.n_p), C, (0, psi.n))
     to_momentum = TransformMatrix(0.0, -1.0, 1.0, 0.0)
-    psi_tilde = apply_kernel(kernel_td(to_momentum, C), psi, p)
+    psi_tilde = apply_kernel(kernel_td(to_momentum, C), psi, full.p())
     assert np.max(np.abs(marginal_p(full) - np.abs(psi_tilde.values) ** 2)) <= 1e-5
 
 
 def test_free_evolved_wigner_matches_closed_form():
-    _, _, _, window, closed = transform_setup(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
+    _, _, window, _, closed = transform_setup(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
     X, P = np.meshgrid(window.x(), window.p())
     assert np.max(np.abs(window.values - closed(X, P))) <= 1e-6
 
 
 def test_normalization_of_numeric_transform():
     for system in (FREE, HO):
-        _, _, full, _, _ = transform_setup(system, InitialPacket(0.0, 1.0, 1.2), 1.0)
-        assert abs(full.integral() - 1.0) <= 1e-5
+        _, psi, _, marginal, _ = transform_setup(system, InitialPacket(0.0, 1.0, 1.2), 1.0)
+        assert abs(np.trapezoid(marginal, dx=psi.dx) - 1.0) <= 1e-5
 
 
 def test_gaussian_closed_form_t0():
@@ -144,7 +140,7 @@ def test_transport_equivalence(system, t):
     """Numeric transform of the evolved packet equals both the closed form
     and the point-map transport of the initial Wigner function."""
     packet = InitialPacket(0.0, 1.0, 1.0)
-    traj, _, _, window, closed = transform_setup(system, packet, t)
+    traj, _, window, _, closed = transform_setup(system, packet, t)
     X, P = np.meshgrid(window.x(), window.p())
     closed_vals = closed(X, P)
     assert np.max(np.abs(window.values - closed_vals)) <= 1e-5
@@ -158,7 +154,7 @@ def test_transport_equivalence(system, t):
 
 def test_gaussian_states_nonnegative():
     for system, t in ((FREE, 1.0), (HO, 2.0)):
-        _, _, _, window, _ = transform_setup(system, InitialPacket(0.0, 1.0, 1.0), t)
+        _, _, window, _, _ = transform_setup(system, InitialPacket(0.0, 1.0, 1.0), t)
         assert window.values.min() >= -1e-9
 
 
@@ -175,7 +171,7 @@ def test_numeric_transform_warnings():
         propagate_analytic(solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0]), 0), x)
     # aliasing: momenta beyond hbar*pi/dx
     p_max = math.pi / psi.dx * 2.0
-    grid = wigner_numeric(psi, (-p_max, p_max / 16, 33), C)
+    grid, _ = wigner_numeric(psi, (-p_max, p_max / 16, 33), C, (0, psi.n))
     assert any("alias" in w for w in grid.warnings)
 
 
@@ -184,11 +180,17 @@ def test_phase_space_grid_validation():
         PhaseSpaceGrid(0.0, 0.1, 0.0, -0.1, np.zeros((4, 4)))
     with pytest.raises(ValidationError):
         PhaseSpaceGrid(0.0, 0.1, 0.0, 0.1, np.zeros(4))
-    grid = PhaseSpaceGrid(0.0, 0.1, 0.0, 0.1, np.zeros((4, 6)))
     with pytest.raises(ValidationError):
-        grid.column_window(4, 4)
-    sub = grid.column_window(1, 3)
-    assert sub.n_x == 3 and sub.x_min == pytest.approx(0.1)
+        PhaseSpaceGrid(0.0, 0.1, 0.0, 0.1, np.array([[0.0, np.nan], [0.0, 0.0]]))
+    with pytest.raises(ValidationError):
+        PhaseSpaceGrid(0.0, 0.1, 0.0, 0.1, np.array([[0.0, -np.inf], [0.0, 0.0]]))
+    grid = PhaseSpaceGrid(0.0, 0.1, 0.0, 0.1, np.zeros((4, 6)))
+    assert (grid.n_p, grid.n_x) == (4, 6)
+    psi = ComplexGrid(0.0, 0.1, np.ones(6))
+    with pytest.raises(ValidationError):
+        wigner_numeric(psi, (0.0, 0.1, 4), C, (4, 3))
+    sub, marginal = wigner_numeric(psi, (0.0, 0.1, 4), C, (1, 3))
+    assert sub.n_x == 3 and sub.x_min == pytest.approx(0.1) and len(marginal) == 6
 
 
 @pytest.mark.parametrize("name", ["free-spread", "ho-breathing"])
@@ -230,21 +232,83 @@ def test_half_step_refinement_is_the_trigonometric_interpolant(n):
     assert np.max(np.abs(refined - expected)) <= 1e-12 * np.max(np.abs(expected)) * n
 
 
-def test_wigner_memory_within_dense_phase_matrix():
-    """phase_space_grid.nx = 4096: the scenario runner samples psi on
-    2*ceil(0.75*nx) + 1 points.  Everything wigner_numeric allocates, its
-    output included, stays within the n_p x (2n - 1) complex phase matrix
-    that a dense row-by-row transform would build."""
-    n = 2 * math.ceil(0.75 * 4096) + 1
-    n_p = 257
-    x = np.linspace(-12.0, 12.0, n)
-    psi = ComplexGrid(float(x[0]), float(x[1] - x[0]),
-                      math.pi ** -0.25 * np.exp(-x * x / 2.0))
+def test_wigner_memory_is_the_kept_window_plus_blocks():
+    """phase_space_grid.nx = 4096: everything wigner_numeric allocates on
+    the runner's input, its output included, stays within 8 bytes per kept
+    cell plus WIGNER_BLOCK_BYTES per point of psi's grid and of the p grid;
+    a dense n_p x (n - 1) phase table alone would take 25 MB."""
+    nx, n_p = 4096, 257
+    traj = solve_lambda(FREE, InitialPacket(0.0, 0.0, 1.0), [0.0])
+    psi, p_grid, window = wigner_window(traj, 0, C, math.sqrt(0.5), math.sqrt(0.5),
+                                        nx, n_p, 8.0)
     tracemalloc.start()
     try:
-        grid = wigner_numeric(psi, (-8.0, 16.0 / (n_p - 1), n_p), C)
+        grid, marginal = wigner_numeric(psi, p_grid, C, window)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * n_p * (2 * n - 1)
-    assert abs(grid.integral() - 1.0) <= 1e-12
+    assert peak <= 8 * n_p * nx + WIGNER_BLOCK_BYTES * (psi.n + n_p)
+    assert grid.values.shape == (n_p, nx)
+    assert abs(np.trapezoid(marginal, dx=psi.dx) - 1.0) <= 1e-12
+
+
+def test_wigner_stage_memory_is_two_windows_plus_blocks(monkeypatch):
+    """At phase_space_grid 1024 x 1025 the stage keeps both entries'
+    windows, 8 bytes per cell each, and one transform's blocks at a time:
+    its tracemalloc peak stays within wigner_working_set, 2*8*nx*np plus
+    WIGNER_BLOCK_BYTES per point of psi's grid and of the p grid, where a
+    dense transform took 50.5 MiB."""
+    nx, n_p = 1024, 1025
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            entries = wigner_stage(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return entries
+
+    wigner_stage = STAGES["wigner"]
+    monkeypatch.setitem(STAGES, "wigner", traced)
+    data = dict(BUILTIN_SCENARIOS["free-spread"], tasks=["wigner"],
+                phase_space_grid={"nx": nx, "np": n_p, "span_sigmas": 8.0})
+    report, outputs = run_scenario(parse_config(data, name="free-spread"))
+    assert [out["grid"].values.shape for out in outputs] == [(n_p, nx)] * 2
+    assert all(abs(entry["integral"] - 1.0) <= 1e-12 for entry in report["wigner"])
+    psi_points = _wide_points(nx)
+    assert wigner_working_set(nx, n_p) == (
+        2 * 8 * nx * n_p + WIGNER_BLOCK_BYTES * (psi_points + n_p))
+    assert peaks[0] <= wigner_working_set(nx, n_p)
+
+
+def _gaussian_psi(x, x0, p0, sigma, hbar):
+    return ComplexGrid(float(x[0]), float(x[1] - x[0]),
+                       (math.pi * sigma ** 2) ** -0.25
+                       * np.exp(-(x - x0) ** 2 / (2.0 * sigma ** 2) + 1j * p0 * (x - x0) / hbar))
+
+
+@pytest.mark.parametrize("n, n_p, x0, p0, hbar, p_lo, dp", [
+    (101, 64, 0.0, 0.7, 1.0, -4.0, 0.15),       # odd n
+    (100, 63, 0.3, -0.4, 1.0, -4.5, 0.14),      # even n
+    (97, 2, 0.0, 1.0, 1.0, 0.2, 1.1),           # two momenta
+    (120, 40, 0.0, 12.0, 0.5, 10.0, 0.1),       # p_min*dx/hbar = 2.0: the pre-chirp turns 38 times
+    (96, 48, 1.0e4, -2.0, 1.0, -6.0, 0.17),     # a packet far from x = 0
+])
+def test_chirp_z_sum_equals_the_dense_sum(n, n_p, x0, p0, hbar, p_lo, dp):
+    """The chirp-z transform equals the direct sum over offsets on every
+    cell, to 1e-13 of max|W|, and its p integral is the trapezoid of W up to
+    the order of summation."""
+    x = x0 + np.linspace(-6.0, 6.0, n)
+    psi = _gaussian_psi(x, x0, p0, 0.8, hbar)
+    constants = Constants(hbar, 1.0)
+    dense = wigner_dense(psi, (p_lo, dp, n_p), hbar)
+    grid, marginal = wigner_numeric(psi, (p_lo, dp, n_p), constants, (0, n))
+    assert grid.values.shape == dense.shape and grid.warnings == ()
+    assert np.max(np.abs(grid.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+    trapezoid = np.trapezoid(grid.values, dx=dp, axis=0)
+    assert np.max(np.abs(marginal - trapezoid)) <= 1e-14 * np.max(np.abs(trapezoid))
+    start, count = n // 3, n // 2
+    window, _ = wigner_numeric(psi, (p_lo, dp, n_p), constants, (start, count))
+    assert np.array_equal(window.values, grid.values[:, start:start + count])
