@@ -50,11 +50,15 @@ from .rowformat import write_records, write_report, write_rows
 from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 
 # the working set that parse_config admits for each size a config sets,
-# where nothing streams: the Wigner stage's is wigner_working_set, and
+# where nothing streams: the Wigner stage's is wigner_working_set;
 # kernel_check and oracle_compare need under GRID_POINT_BYTES per grid point
-# (tracemalloc peaks of run_scenario at 2^17 points: 154 to 186)
+# (tracemalloc peaks of run_scenario at 2^17 points: 154 to 186); a run and
+# its outputs under SAMPLE_BYTES per sample (1229 to 1259 with evolve, 2020
+# with invariants under free motion) and KEPT_STEP_BYTES per kept step (152)
 MEMORY_BUDGET = 1 << 30
 GRID_POINT_BYTES = 256
+SAMPLE_BYTES = 2560
+KEPT_STEP_BYTES = 256
 
 # each check's tolerance is the profile entry of its name, these ones alike
 # in every profile; the Euler-Lagrange residuals get el_residual_factor * dt^2
@@ -145,6 +149,10 @@ class ScenarioConfig:
     def x_grid(self):
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
+    def kept_steps(self):
+        # the O(h^2) Euler-Lagrange residuals read the integrator's own steps
+        return round(min(self.t_end, 2.0) / self.dt) if "invariants" in self.tasks else 0
+
 
 def _get(data, path, expected, default=None):
     """The value at the dotted `path`, of type `expected`, or `default` if it
@@ -160,15 +168,19 @@ def _get(data, path, expected, default=None):
                 raise ConfigError(f"missing config field '{'.'.join(keys[:i + 1])}'")
             return default
         node = node[key]
-    if expected is float and isinstance(node, int) and not isinstance(node, bool):
-        node = float(node)
-    if not isinstance(node, expected) or isinstance(node, bool):
-        raise ConfigError(
-            f"config field '{path}' must be {expected.__name__}, got {node!r}"
-        )
-    if expected is float and not math.isfinite(node):
-        raise ConfigError(f"config field '{path}' must be finite, got {node!r}")
-    return node
+    return _typed(node, path, expected)
+
+
+def _typed(node, path, expected):
+    """node as `expected`, where an int is also a float; a bool is neither,
+    and a number must be a finite double."""
+    if isinstance(node, bool) or not isinstance(
+            node, (int, float) if expected is float else expected):
+        raise ConfigError(f"config field '{path}' must be {expected.__name__}, got {node!r}")
+    if expected in (int, float) and not abs(node) <= sys.float_info.max:
+        shown = f"an int of {node.bit_length()} bits" if isinstance(node, int) else repr(node)
+        raise ConfigError(f"config field '{path}' must be finite, got {shown}")
+    return float(node) if expected is float else node
 
 
 def _parse_system(data, constants):
@@ -187,14 +199,16 @@ def _parse_system(data, constants):
                                  _get(data, "system.gamma", float))
         elif kind == "tabulated":
             points = _get(data, "system.points", list)
-            law = TabulatedOmega(tuple(p[0] for p in points),
-                                 tuple(p[1] for p in points))
+            for i, point in enumerate(points):
+                if not (isinstance(point, list) and len(point) == 2):
+                    raise ConfigError(f"config field 'system.points[{i}]' must be "
+                                      f"a [t, omega] pair, got {point!r}")
+            law = TabulatedOmega(*zip(*([_typed(v, f"system.points[{i}]", float) for v in p]
+                                        for i, p in enumerate(points))))
         else:
             raise ConfigError(f"unknown system.type {kind!r}")
     except ValidationError as exc:
         raise ConfigError(f"invalid 'system': {exc}") from exc
-    except (TypeError, IndexError) as exc:
-        raise ConfigError(f"malformed 'system.points': {exc}") from exc
     return SystemSpec(constants, law)
 
 
@@ -209,6 +223,28 @@ def _table_for_run(law, t_end, step):
     if law.times[-1] >= t_end + step:
         return law
     return TabulatedOmega(law.times + (t_end + step,), law.omegas + law.omegas[-1:])
+
+
+# the least step of a grid or a Wigner window, in spacings of doubles at its
+# centre: rounding its points to doubles then moves each by under 1e-6 of a step
+WINDOW_STEP_ULPS = 1e6
+
+
+def _require_resolvable(what, width, n, centre, error):
+    """`error` naming `what` unless n points spread over `width` around
+    `centre` are WINDOW_STEP_ULPS spacings of doubles apart, width finite."""
+    ulp = float(np.spacing(abs(centre)))
+    if not (math.isfinite(width) and width / (n - 1) >= WINDOW_STEP_ULPS * ulp):
+        raise error(f"{what} is {width!r} wide around x={centre!r}, where doubles are "
+                    f"{ulp!r} apart; its {n} points need a finite width of at least "
+                    f"{WINDOW_STEP_ULPS * ulp * (n - 1)!r}")
+
+
+def _require_within_budget(what, needed):
+    """ConfigError naming `what` if its `needed` bytes exceed MEMORY_BUDGET."""
+    if needed > MEMORY_BUDGET:
+        raise ConfigError(f"{what} needs {needed} bytes, over the working-set "
+                          f"budget of {MEMORY_BUDGET} bytes")
 
 
 def parse_config(data, name="") -> ScenarioConfig:
@@ -234,10 +270,14 @@ def parse_config(data, name="") -> ScenarioConfig:
         raise ConfigError("'time.dt' must be > 0")
     if sample_every < 1:
         raise ConfigError("'time.sample_every' must be >= 1")
-    n_samples = t_end / (dt * sample_every)
-    if abs(n_samples - round(n_samples)) > 1e-9:
+    if t_end / dt >= 2.0 ** 63:   # the integrator counts steps in int64
+        raise ConfigError(f"'time.t_end' / 'time.dt' = {t_end / dt!r} steps, over 2^63 - 1")
+    intervals = t_end / (dt * sample_every)
+    if round(intervals) < 1 or abs(intervals - round(intervals)) > 1e-9:
         raise ConfigError(
-            "'time.t_end' must be an integer multiple of dt*sample_every")
+            "'time.t_end' must be a positive integer multiple of dt*sample_every")
+    samples = round(intervals) + 1
+    _require_within_budget(f"'time' with {samples} samples", SAMPLE_BYTES * samples)
     if isinstance(system.frequency_law, TabulatedOmega):
         system = SystemSpec(constants, _table_for_run(
             system.frequency_law, t_end, dt * sample_every))
@@ -249,21 +289,17 @@ def parse_config(data, name="") -> ScenarioConfig:
         raise ConfigError("'grid.x_max' must exceed 'grid.x_min'")
     if n_points < 64 or n_points & (n_points - 1):
         raise ConfigError("'grid.n_points' must be a power of two >= 64")
-    if GRID_POINT_BYTES * n_points > MEMORY_BUDGET:
-        raise ConfigError(
-            f"'grid.n_points' = {n_points} needs about {GRID_POINT_BYTES} bytes per "
-            f"point, over the working-set budget of {MEMORY_BUDGET} bytes")
+    _require_within_budget(f"'grid.n_points' = {n_points}", GRID_POINT_BYTES * n_points)
+    _require_resolvable(f"'grid' from {x_min!r} to {x_max!r}", x_max - x_min, n_points,
+                        0.5 * x_min + 0.5 * x_max, ConfigError)
 
     ps_nx = _get(data, "phase_space_grid.nx", int, 256)
     ps_np = _get(data, "phase_space_grid.np", int, 257)
     span = _get(data, "phase_space_grid.span_sigmas", float, 8.0)
     if ps_nx < 16 or ps_np < 16 or span <= 0.0:
         raise ConfigError("'phase_space_grid' must have nx, np >= 16 and span > 0")
-    working_set = wigner_working_set(ps_nx, ps_np)
-    if working_set > MEMORY_BUDGET:
-        raise ConfigError(
-            f"'phase_space_grid' nx x np = {ps_nx} x {ps_np} needs {working_set} "
-            f"bytes, over the working-set budget of {MEMORY_BUDGET} bytes")
+    _require_within_budget(f"'phase_space_grid' nx x np = {ps_nx} x {ps_np}",
+                           wigner_working_set(ps_nx, ps_np))
 
     tasks = _get(data, "tasks", list)
     if not tasks:
@@ -273,13 +309,17 @@ def parse_config(data, name="") -> ScenarioConfig:
             raise ConfigError(f"unknown task {t!r}; valid tasks: {', '.join(TASKS)}")
 
     output_dir = _get(data, "output_dir", str, "out")
-    return ScenarioConfig(
+    config = ScenarioConfig(
         constants=constants, system=system, packet=packet,
         t_end=t_end, dt=dt, sample_every=sample_every,
         x_min=x_min, x_max=x_max, n_points=n_points,
         ps_nx=ps_nx, ps_np=ps_np, ps_span_sigmas=span,
         tasks=tuple(tasks), output_dir=output_dir, name=name,
     )
+    steps = config.kept_steps()
+    _require_within_budget(f"'time.dt' = {dt!r} with {steps} kept Euler-Lagrange steps",
+                           KEPT_STEP_BYTES * steps)
+    return config
 
 
 def load_config(source) -> ScenarioConfig:
@@ -293,9 +333,9 @@ def load_config(source) -> ScenarioConfig:
             f"built-ins: {', '.join(sorted(BUILTIN_SCENARIOS))}"
         )
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(data, name=path.stem)
 
 
@@ -340,22 +380,6 @@ def _invariants_stage(config, traj, steps, columns, tol):
     return section
 
 
-# the least step of a Wigner window, in spacings of doubles at its centre:
-# rounding its points to doubles then moves each by under 1e-6 of a step
-WINDOW_STEP_ULPS = 1e6
-
-
-def _require_resolvable_window(width, n, centre, t):
-    """ResolutionError unless n points spread over `width` around `centre`
-    are WINDOW_STEP_ULPS spacings of doubles apart."""
-    ulp = float(np.spacing(abs(centre)))
-    if not width / (n - 1) >= WINDOW_STEP_ULPS * ulp:   # also for width = inf
-        raise ResolutionError(
-            f"phase_space_grid: the Wigner window at t={t!r} is {width!r} wide "
-            f"around x={centre!r}, where doubles are {ulp!r} apart; its {n} points "
-            f"need a width of at least {WINDOW_STEP_ULPS * ulp * (n - 1)!r}")
-
-
 def _wide_points(nx):
     """Points of psi's grid for an nx-column Wigner window: 1.5x as many, so
     the offset integral is not truncated inside the window, and odd, so the
@@ -378,7 +402,8 @@ def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
     mean_x, mean_p = state.eta, constants.mass * state.eta_dot
     n_wide = _wide_points(nx)
     width = 3.0 * span * sx
-    _require_resolvable_window(width, n_wide, mean_x, state.t)
+    _require_resolvable(f"phase_space_grid: the Wigner window at t={state.t!r}",
+                        width, n_wide, mean_x, ResolutionError)
     x_wide = np.linspace(mean_x - 0.5 * width, mean_x + 0.5 * width, n_wide)
     psi = evaluate_wavefunction(propagate_analytic(traj, idx), x_wide)
     p_grid = (mean_p - span * sp, 2.0 * span * sp / (n_p - 1), n_p)
@@ -508,11 +533,8 @@ def run_scenario(config: ScenarioConfig, tolerance_profile="default"):
         raise ConfigError(f"unknown tolerance profile {tolerance_profile!r}")
     tol = TOLERANCE_PROFILES[tolerance_profile]
 
-    # the Euler-Lagrange residuals are O(h^2) finite-difference diagnostics,
-    # so they read the integrator's own steps over the first min(t_end, 2)
-    el_steps = round(min(config.t_end, 2.0) / config.dt) if "invariants" in config.tasks else 0
     traj, steps = solve_lambda(config.system, config.packet, config.sample_times(),
-                               dt=config.dt, keep_steps=el_steps)
+                               dt=config.dt, keep_steps=config.kept_steps())
     columns = record_columns(traj)
 
     report = {

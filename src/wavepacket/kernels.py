@@ -26,16 +26,17 @@ It is the exact functional inverse of the forward transform for every z:
 coefficient m/(hbar*alpha0*z) of the phase, so the round trip holds
 whatever det M is.
 
+chirp_z sums S_k = sum_j f_j * exp(i*theta*k*j), k < n_out, as a chirp-z
+transform (Rabiner, Schafer and Rader, 1969): by k*j = (k^2 + j^2 -
+(k - j)^2)/2 it is a pre-chirp exp(i*theta*j^2/2), one convolution with
+exp(-i*theta*(k - j)^2/2) by FFT at the least 5-smooth length >= n_in +
+n_out - 1 (Bluestein's algorithm) and a post-chirp exp(i*theta*k^2/2), in
+O((n_in + n_out) log(n_in + n_out)) time and O(n_in + n_out) memory.
 apply_kernel sums K(x_i, x'_j) * w_j * psi(x'_j) over the trapezoid weights
-w_j of the input grid without forming the matrix K(x_i, x'_j).  On uniform
-grids x_i = u0 + i*du and y_j = v0 + j*dv the cross term splits by
-i*j = (i^2 + j^2 - (i - j)^2)/2, so the sum is a chirp-z transform
-(Rabiner, Schafer and Rader, 1969): a pre-chirp on the weighted input, one
-linear convolution with the chirp exp(i*coef*du*dv*k^2), k = i - j, done by
-FFT at the next power of two >= n_in + n_out - 1 (Bluestein's algorithm, in
-chirp_convolution, which wigner_numeric shares), and a post-chirp.  It is
-the same quadrature sum up to rounding, in O((n_in + n_out) log(n_in +
-n_out)) time and O(n_in + n_out) memory.
+w_j without forming the matrix K(x_i, x'_j): on uniform grids
+x_i = u0 + i*du and y_j = v0 + j*dv, -2*x_i*y_j = -2*u0*y_j - 2*v0*du*i -
+2*du*dv*i*j leaves chirp_z with theta = -2*coef*du*dv between a phase on
+the input and one on the output, the same sum up to rounding.
 """
 
 import cmath
@@ -237,31 +238,43 @@ def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants, x, x_pr
     return tuple(residuals)
 
 
-def chirp_convolution(w, n_out, size):
-    """The linear convolution with the chirp exp(i*w*k^2), k = i - j, at the
-    outputs i < n_out, as a function of its input f: sum_j f[..., j] *
-    exp(i*w*(i - j)^2) along the last axis of f, which may be at most
-    size - n_out + 1 long.  It is one circular convolution of length `size`
-    by FFT (Bluestein's algorithm), done in `out` (size values along the
-    last axis) when that is given.
-    """
-    # lags k >= 0 sit at index k and k < 0 at size + k; the entries in
-    # between reach no output i < n_out
-    k = np.arange(size, dtype=float)
-    k[n_out:] -= size
-    chirp = np.fft.fft(np.exp(1j * (w * (k * k))))
+def _fft_length(n):
+    """The least 2^a * 3^b * 5^c >= n, a length pocketfft transforms fast:
+    the Wigner transform took 0.5x to 0.7x its time at the next power of
+    two, at 256 x 257 to 2048 x 2049."""
+    bits = n.bit_length()
+    return min(3 ** b * 5 ** c << ((n - 1) // (3 ** b * 5 ** c)).bit_length()
+               for b in range(bits) for c in range(bits))
 
-    def convolve(f, out=None):
-        spectrum = np.fft.fft(f, size, out=out)
+
+def chirp_z(theta, n_in, n_out):
+    """The map f -> S_k = sum_j f[..., j] * exp(i*theta*k*j), k < n_out,
+    along the last axis of f, at most n_in long (see the module docstring).
+    It scales f, a complex array, in place by the pre-chirp and returns a
+    view of the FFT buffer it allocates."""
+    size = _fft_length(n_in + n_out - 1)
+    half = 0.5 * theta
+    pre, post = (np.exp(1j * (half * np.arange(n) ** 2)) for n in (n_in, n_out))
+    # lags k - j >= 0 sit at index k - j and k - j < 0 at size + k - j; the
+    # entries in between reach no output k < n_out
+    lags = np.arange(size, dtype=float)
+    lags[n_out:] -= size
+    chirp = np.fft.fft(np.exp(-1j * (half * (lags * lags))))
+
+    def transform(f):
+        f *= pre[:f.shape[-1]]
+        spectrum = np.fft.fft(f, size)
         spectrum *= chirp
-        return np.fft.ifft(spectrum, out=spectrum)[..., :n_out]
+        sums = np.fft.ifft(spectrum, out=spectrum)[..., :n_out]
+        sums *= post
+        return sums
 
-    return convolve
+    return transform
 
 
 def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> ComplexGrid:
     """psi_out(x) = integral K(x, x') psi_in(x') dx' by trapezoid quadrature,
-    summed as a chirp-z transform (see the module docstring).
+    summed by chirp_z (see the module docstring).
 
     x_out must be uniform.  If the input grid holds less than
     1 - COVERAGE_TOL of the probability mass, or the kernel phase turns by
@@ -304,18 +317,12 @@ def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> Co
         warnings += (f"kernel phase turns by up to {turn:.3g} rad per input step, "
                      "more than pi: the quadrature does not resolve it",)
 
-    # -2*u_i*v_j = -2*u0*v_j - 2*v0*du*i - du*dv*(i^2 + j^2 - (i - j)^2)
-    w = coef * du * dv
     i = np.arange(n_out, dtype=float)
-    j = np.arange(n_in, dtype=float)
+    v = v0 + dv * np.arange(n_in, dtype=float)
     u = u0 + du * i
-    v = v0 + dv * j
-    weighted = (np.exp(1j * (coef * (d_in * v * v - 2.0 * u0 * v) - w * j * j))
+    weighted = (np.exp(1j * (coef * (d_in * v * v - 2.0 * u0 * v)))
                 * (trapezoid_weights(n_in, psi_in.dx) * psi_in.values))
-
-    summed = chirp_convolution(w, n_out, 1 << (n_in + n_out - 2).bit_length())(weighted)
-
-    values = prefactor * np.exp(1j * (coef * (a_out * u * u - 2.0 * v0 * du * i)
-                                      - w * i * i)) * summed
+    summed = chirp_z(-2.0 * coef * du * dv, n_in, n_out)(weighted)
+    values = prefactor * np.exp(1j * (coef * (a_out * u * u - 2.0 * v0 * du * i))) * summed
     return ComplexGrid(x_min=x_min_out, dx=dx_out, values=values,
                        warnings=psi_in.warnings + warnings)

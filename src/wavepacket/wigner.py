@@ -16,17 +16,11 @@ corr_-j = conj(corr_j), so only j >= 0 is summed:
 
     W(x_i, p) = (dx/(2*pi*hbar)) * (corr_0 + 2*Re sum_{j>=1} exp(i*p*y_j/hbar)*corr_j).
 
-On the p grid p_k = p_min + k*dp the sum over j is a chirp-z transform
-(Rabiner, Schafer and Rader, 1969): with theta = dp*dx/hbar,
-exp(i*p_k*y_j/hbar) = exp(i*p_min*y_j/hbar) * exp(i*theta*k*j), and
-k*j = (k^2 + j^2 - (k - j)^2)/2, so it is a pre-chirp on corr_j, one FFT
-convolution with exp(-i*theta*(k - j)^2/2) (kernels.chirp_convolution,
-which apply_kernel also runs) and a post-chirp.  The x rows go through it
-WIGNER_ROWS at a time, in O((n_p + n) log(n_p + n)) time per row.  Only
-the kept x columns of W are stored, with the p integral of every column,
-so the working memory is 8 bytes per kept cell plus one block: no
-n_p x n phase table or values grid is formed, and no sum passes through
-BLAS.
+On the p grid p_k = p_min + k*dp, with theta = dp*dx/hbar,
+exp(i*p_k*y_j/hbar) = exp(i*p_min*y_j/hbar) * exp(i*theta*k*j), so the sum
+over j is kernels.chirp_z (a chirp-z transform at a 5-smooth FFT length)
+between those two phase factors, a block of x rows at a time.  Only the
+kept x columns of W are stored, with the p integral of every column.
 
 Phase-space transport of Gaussian states uses the point map of the
 transformation matrix M = ((a, b), (c, d)) = ((zd, -z), (-ud, u)),
@@ -46,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Constants, TransformMatrix
-from .kernels import ComplexGrid, chirp_convolution
+from .kernels import ComplexGrid, chirp_z
 from .packet import Moments
 from .errors import ValidationError
 
@@ -57,7 +51,7 @@ POINTMAP_DET_TOL = 1e-9   # wigner_pointmap: |det M - 1| allowed
 WIGNER_ROWS = 16
 # wigner_numeric allocates, besides 8 bytes per kept cell, under this many
 # bytes per point of psi's grid and of the p grid: its blocks and their FFT
-# buffers (tracemalloc: 960 at 385 + 257 points, 575 at 3073 + 2049)
+# buffers (tracemalloc: 819 at 385 + 257 points, 583 at 3073 + 2049)
 WIGNER_BLOCK_BYTES = 2048
 
 
@@ -115,24 +109,6 @@ def _half_step_refine(values):
     return 2.0 * np.fft.ifft(padded)[:2 * n - 1]
 
 
-def _fft_length(n):
-    """The least 2^a * 3^b * 5^c >= n, a length pocketfft transforms fast:
-    the Wigner transform took 0.5x to 0.7x its time at the next power of
-    two, at 256 x 257 to 2048 x 2049."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            length = p35
-            while length < n:
-                length *= 2
-            best = min(best, length)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
     """Wigner transform of a gridded wavefunction.
 
@@ -176,32 +152,25 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
     plus = windows[m + 1::2][:n]
     minus = windows[::2, ::-1][:n]
 
-    # p_k*y_j/hbar = p_min*y_j/hbar + theta*k*j with theta = dp*dx/hbar, and
-    # with c = j - 1, k*j = (k*(k + 2) + c^2 - (k - c)^2)/2: a pre-chirp over
-    # c, the convolution with exp(-i*theta*(k - c)^2/2) and a post-chirp
+    # the offsets y_j = j*dx, j = 1 .. m, sit at columns j - 1, and
+    # theta*k*j = theta*k + theta*k*(j - 1)
     theta = dp * dx / hbar
-    c = np.arange(m, dtype=float)
-    pre = np.exp(1j * ((p_min / hbar) * (dx * (c + 1.0)) + (0.5 * theta) * (c * c)))
-    k = np.arange(n_p, dtype=float)
+    pre = np.exp(1j * ((p_min / hbar) * (dx * np.arange(1.0, n))))
     scale = dx / (2.0 * math.pi * hbar)
-    post = (2.0 * scale) * np.exp(1j * ((0.5 * theta) * (k * (k + 2.0))))
-    size = _fft_length(n_p + m - 1)
-    convolve = chirp_convolution(-0.5 * theta, n_p, size)
+    post = (2.0 * scale) * np.exp(1j * (theta * np.arange(n_p, dtype=float)))
+    transform = chirp_z(theta, m, n_p)
 
     density = scale * np.abs(psi.values) ** 2
     values = np.empty((n_p, count))
     marginal = np.empty(n)
-    corr = np.empty((WIGNER_ROWS, m), dtype=complex)
-    spectrum = np.empty((WIGNER_ROWS, size), dtype=complex)
     for i0 in range(0, n, WIGNER_ROWS):
         i1 = min(i0 + WIGNER_ROWS, n)
         # no row of the block reaches beyond offset j_max
         j_max = min(2 * (i1 - 1), 2 * (n - 1 - i0), m)
-        block = corr[:i1 - i0, :j_max]
-        np.conjugate(plus[i0:i1, :j_max], out=block)
+        block = np.conjugate(plus[i0:i1, :j_max])
         block *= minus[i0:i1, :j_max]
         block *= pre[:j_max]
-        sums = convolve(block, out=spectrum[:i1 - i0])
+        sums = transform(block)
         sums *= post
         w = sums.real
         w += density[i0:i1, None]
@@ -209,6 +178,7 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
         a, b = max(i0, start), min(i1, start + count)
         if a < b:
             values[:, a - start:b - start] = w[a - i0:b - i0].T
+        del block, sums, w   # freed before the next block is allocated
 
     grid = PhaseSpaceGrid(x_min=psi.x_min + dx * start, dx=dx, p_min=float(p_min),
                           dp=float(dp), values=values, warnings=warnings)

@@ -438,6 +438,78 @@ def test_memory_ceilings_refuse_one_step_past_the_budget(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_and_kept_step_ceilings_refuse_one_step_past_the_budget():
+    """parse_config admits the largest sample count and, with invariants,
+    the largest kept Euler-Lagrange step count whose bytes are within
+    cli.MEMORY_BUDGET, and refuses one more of each, naming 'time'.  Parsing
+    allocates neither, so nothing large is allocated here."""
+    budget = cli.MEMORY_BUDGET
+    samples = budget // cli.SAMPLE_BYTES
+    assert cli.SAMPLE_BYTES * samples <= budget < cli.SAMPLE_BYTES * (samples + 1)
+    time = {"dt": 0.5, "sample_every": 1}
+    config = parse_config(dict(SMALL_CONFIG, time=dict(time, t_end=0.5 * (samples - 1))))
+    assert len(config.sample_times()) == samples
+    with pytest.raises(ConfigError, match=rf"^'time' with {samples + 1} samples needs "
+                                          rf"\d+ bytes, over .* {budget} bytes$"):
+        parse_config(dict(SMALL_CONFIG, time=dict(time, t_end=0.5 * samples)))
+
+    steps = budget // cli.KEPT_STEP_BYTES
+    assert cli.KEPT_STEP_BYTES * steps == budget
+
+    def kept(k, tasks=("evolve", "invariants")):
+        # two samples, t = 0 and t_end = 2, and k steps of 2/k between them
+        return dict(SMALL_CONFIG, time={"t_end": 2.0, "dt": 2.0 / k, "sample_every": k},
+                    tasks=list(tasks))
+
+    assert parse_config(kept(steps)).kept_steps() == steps
+    with pytest.raises(ConfigError, match=rf"^'time.dt' = .* with {steps + 1} kept "
+                                          rf"Euler-Lagrange steps needs \d+ bytes, over"):
+        parse_config(kept(steps + 1))
+    assert parse_config(kept(steps + 1, ["evolve"])).kept_steps() == 0
+
+
+NOT_UTF8 = b'{"system": {"type": "free"}, "output_dir": "\xff"}'
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"time": {"t_end": 0.5, "dt": 0.001, "sample_every": 10 ** 400}}, "'time.sample_every'"),
+    ({"phase_space_grid": {"nx": 10 ** 400, "np": 257}}, "'phase_space_grid.nx'"),
+    ({"system": {"type": "tabulated", "points": [["a", 1], [1, 1]]}}, "'system.points[0]'"),
+    ({"system": {"type": "tabulated", "points": [[10 ** 400, 1], [1, 1]]}},
+     "'system.points[0]'"),
+    ({"system": {"type": "tabulated", "points": [[0, 1], [2, True]]}}, "'system.points[1]'"),
+    ({"system": {"type": "tabulated", "points": [[0, 1, 2], [2, 1]]}}, "'system.points[0]'"),
+    ("directory", "config.json"),
+    ("not UTF-8", "config.json"),
+    # the width overflows, and the step is below the spacing of doubles
+    ({"grid": {"x_min": -1e308, "x_max": 1e308, "n_points": 256},
+      "tasks": ["evolve", "oracle_compare"]}, "'grid'"),
+    ({"grid": {"x_min": 1e18, "x_max": 1e18 + 1e4, "n_points": 256},
+      "tasks": ["evolve", "kernel_check"]}, "'grid'"),
+    # 5e299 steps and samples; 1e300 steps, past int64; a zero multiple of the step
+    ({"time": {"t_end": 0.5, "dt": 1e-300, "sample_every": 1}}, "'time.dt'"),
+    ({"time": {"t_end": 1e297, "dt": 0.001, "sample_every": 10 ** 300}}, "'time.dt'"),
+    ({"time": {"t_end": 0.5, "dt": 0.001, "sample_every": 10 ** 300}}, "'time.t_end'"),
+], ids=["sample_every-1e400", "nx-1e400", "point-str", "point-1e400", "point-bool",
+        "point-triple", "directory", "not-utf8", "grid-width-overflows",
+        "grid-step-below-doubles", "dt-1e-300", "steps-past-int64", "zero-multiple"])
+def test_unusable_config_exits_2_naming_its_field(tmp_path, capsys, overrides, named):
+    """A config value or file that cannot run as written exits 2 before any
+    output, naming its field or its path, instead of a traceback (exit 1)
+    or a run on a silently changed value."""
+    path = tmp_path / "config.json"
+    if overrides == "directory":
+        path.mkdir()
+    elif overrides == "not UTF-8":
+        path.write_bytes(NOT_UTF8)
+    else:
+        path.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
     """Two samples leave no interior point for the centered differences."""
     data = dict(SMALL_CONFIG, time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})

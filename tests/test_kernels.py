@@ -298,6 +298,24 @@ def test_chirp_z_sum_equals_dense_quadrature(kind, a, d, b, alpha0, constants, n
     assert np.max(np.abs(got.values - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("theta, shape, n_in, n_out", [
+    (0.37, (40,), 40, 17),       # fewer outputs than inputs
+    (-0.21, (17,), 17, 40),      # more outputs than inputs
+    (0.43, (3, 31), 31, 50),     # 2-D input: one transform per row
+    (0.9, (25,), 40, 33),        # an input shorter than n_in
+    (40.1, (6,), 6, 8),          # 6.4 turns between neighbouring terms
+])
+def test_chirp_z_equals_the_dense_sum(theta, shape, n_in, n_out):
+    """chirp_z is the sum S_k = sum_j f_j * exp(i*theta*k*j), k < n_out,
+    along the last axis, to 1e-13 of its largest value."""
+    rng = np.random.default_rng(1969)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dense = f @ np.exp(1j * theta * np.outer(np.arange(shape[-1]), np.arange(n_out)))
+    got = kernels.chirp_z(theta, n_in, n_out)(f.copy())
+    assert got.shape == dense.shape
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 def test_apply_kernel_memory_is_linear_in_grid_size():
     """n = 16384 in and out: the dense matrix alone would take 16*n^2 = 4 GiB."""
     x = np.linspace(-15.0, 15.0, 16384)
