@@ -9,8 +9,7 @@ serves as a brute-force oracle against all of them.
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
                    RampOmega, SystemSpec, TabulatedOmega, TransformMatrix)
-from .errors import (CapabilityError, ConfigError, DivergenceError, ResolutionError,
-                     ValidationError)
+from .errors import CapabilityError, ConfigError, DivergenceError, ValidationError
 from .evolution import Trajectory, ermakov_residual, solve_lambda
 from .invariants import (canonical_coordinates, det_as_ermakov, energy_partition,
                          ermakov_invariant, euler_lagrange_residuals,

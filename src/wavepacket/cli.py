@@ -7,7 +7,7 @@ Commands:
     describe <scenario>  print an embedded scenario config as JSON
 
 Exit codes: 0 success, 2 config error, 3 numerical divergence,
-4 capability/delta-limit error, 5 I/O error.  A report whose checks fail
+4 capability error, 5 I/O error.  A report whose checks fail
 its tolerances still exits 0; pass/fail lives in report.json.
 
 Outputs (all LF line endings; repr, the shortest round-tripping form, for
@@ -36,8 +36,7 @@ import numpy as np
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
                    RampOmega, SystemSpec, TabulatedOmega, is_free_motion)
-from .errors import (CapabilityError, ConfigError, DivergenceError,
-                     ResolutionError, ValidationError)
+from .errors import CapabilityError, ConfigError, DivergenceError, ValidationError
 from .evolution import solve_lambda
 from .invariants import (euler_lagrange_residuals, frozen_width_matrix,
                          invariant_maxima, matrix_from_state, record_columns,
@@ -49,16 +48,18 @@ from .packet import evaluate_wavefunction, propagate_analytic
 from .rowformat import write_records, write_report, write_rows
 from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 
-# the working set that parse_config admits for each size a config sets,
-# where nothing streams: the Wigner stage's is wigner_working_set;
-# kernel_check and oracle_compare need under GRID_POINT_BYTES per grid point
-# (tracemalloc peaks of run_scenario at 2^17 points: 154 to 186); a run and
-# its outputs under SAMPLE_BYTES per sample (1229 to 1259 with evolve, 2020
-# with invariants under free motion) and KEPT_STEP_BYTES per kept step (152)
+# parse_config holds a run's working set to MEMORY_BUDGET: SAMPLE_BYTES per
+# sample, SOLVE_BLOCK_BYTES and, as its tasks need, KEPT_STEP_BYTES per kept
+# step, GRID_POINT_BYTES per grid point and wigner_working_set (tracemalloc:
+# 1229 to 2020, 1.3 MiB, 152, 154 to 186); its steps to STEP_BUDGET and oracle
+# point-steps to POINT_STEP_BUDGET (0.5 to 0.7 us and 21 to 40 ns each, 2 cores)
 MEMORY_BUDGET = 1 << 30
-GRID_POINT_BYTES = 256
 SAMPLE_BYTES = 2560
+SOLVE_BLOCK_BYTES = 2 << 20
 KEPT_STEP_BYTES = 256
+GRID_POINT_BYTES = 256
+STEP_BUDGET = 1 << 32
+POINT_STEP_BUDGET = 1 << 36
 
 # each check's tolerance is the profile entry of its name, these ones alike
 # in every profile; the Euler-Lagrange residuals get el_residual_factor * dt^2
@@ -240,11 +241,26 @@ def _require_resolvable(what, width, n, centre, error):
                     f"{WINDOW_STEP_ULPS * ulp * (n - 1)!r}")
 
 
-def _require_within_budget(what, needed):
-    """ConfigError naming `what` if its `needed` bytes exceed MEMORY_BUDGET."""
-    if needed > MEMORY_BUDGET:
-        raise ConfigError(f"{what} needs {needed} bytes, over the working-set "
-                          f"budget of {MEMORY_BUDGET} bytes")
+def _require_within_budget(config):
+    """ConfigError naming what of the run is over its step or memory budget."""
+    steps, tasks, n = config.t_end / config.dt, config.tasks, config.n_points
+    if steps > STEP_BUDGET:
+        raise ConfigError(f"'time.t_end' / 'time.dt' = {steps!r} steps, over {STEP_BUDGET}")
+    if "oracle_compare" in tasks and round(steps) * n > POINT_STEP_BUDGET:
+        raise ConfigError(f"oracle_compare: {round(steps)} steps on {n} grid points, over "
+                          f"{POINT_STEP_BUDGET} point-steps")
+    samples = round(config.t_end / (config.dt * config.sample_every)) + 1
+    nx, n_p, kept = config.ps_nx, config.ps_np, config.kept_steps()
+    parts = {f"{samples} samples": SAMPLE_BYTES * samples, "solve_lambda": SOLVE_BLOCK_BYTES,
+             f"{kept} kept Euler-Lagrange steps": KEPT_STEP_BYTES * kept,
+             f"'grid.n_points' = {n}": GRID_POINT_BYTES * n
+             * ("kernel_check" in tasks or "oracle_compare" in tasks),
+             f"'phase_space_grid' {nx} x {n_p}":
+             wigner_working_set(nx, n_p) * ("wigner" in tasks)}
+    if sum(parts.values()) > MEMORY_BUDGET:
+        raise ConfigError(f"{sum(parts.values())} bytes, over the working-set budget of "
+                          f"{MEMORY_BUDGET}: " + ", ".join(
+                              f"{size} for {what}" for what, size in parts.items() if size))
 
 
 def parse_config(data, name="") -> ScenarioConfig:
@@ -270,14 +286,10 @@ def parse_config(data, name="") -> ScenarioConfig:
         raise ConfigError("'time.dt' must be > 0")
     if sample_every < 1:
         raise ConfigError("'time.sample_every' must be >= 1")
-    if t_end / dt >= 2.0 ** 63:   # the integrator counts steps in int64
-        raise ConfigError(f"'time.t_end' / 'time.dt' = {t_end / dt!r} steps, over 2^63 - 1")
     intervals = t_end / (dt * sample_every)
-    if round(intervals) < 1 or abs(intervals - round(intervals)) > 1e-9:
+    if not 0.5 < intervals < math.inf or abs(intervals - round(intervals)) > 1e-9:
         raise ConfigError(
             "'time.t_end' must be a positive integer multiple of dt*sample_every")
-    samples = round(intervals) + 1
-    _require_within_budget(f"'time' with {samples} samples", SAMPLE_BYTES * samples)
     if isinstance(system.frequency_law, TabulatedOmega):
         system = SystemSpec(constants, _table_for_run(
             system.frequency_law, t_end, dt * sample_every))
@@ -289,7 +301,6 @@ def parse_config(data, name="") -> ScenarioConfig:
         raise ConfigError("'grid.x_max' must exceed 'grid.x_min'")
     if n_points < 64 or n_points & (n_points - 1):
         raise ConfigError("'grid.n_points' must be a power of two >= 64")
-    _require_within_budget(f"'grid.n_points' = {n_points}", GRID_POINT_BYTES * n_points)
     _require_resolvable(f"'grid' from {x_min!r} to {x_max!r}", x_max - x_min, n_points,
                         0.5 * x_min + 0.5 * x_max, ConfigError)
 
@@ -298,8 +309,6 @@ def parse_config(data, name="") -> ScenarioConfig:
     span = _get(data, "phase_space_grid.span_sigmas", float, 8.0)
     if ps_nx < 16 or ps_np < 16 or span <= 0.0:
         raise ConfigError("'phase_space_grid' must have nx, np >= 16 and span > 0")
-    _require_within_budget(f"'phase_space_grid' nx x np = {ps_nx} x {ps_np}",
-                           wigner_working_set(ps_nx, ps_np))
 
     tasks = _get(data, "tasks", list)
     if not tasks:
@@ -316,9 +325,7 @@ def parse_config(data, name="") -> ScenarioConfig:
         ps_nx=ps_nx, ps_np=ps_np, ps_span_sigmas=span,
         tasks=tuple(tasks), output_dir=output_dir, name=name,
     )
-    steps = config.kept_steps()
-    _require_within_budget(f"'time.dt' = {dt!r} with {steps} kept Euler-Lagrange steps",
-                           KEPT_STEP_BYTES * steps)
+    _require_within_budget(config)
     return config
 
 
@@ -330,8 +337,7 @@ def load_config(source) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(
             f"{source!r} is neither a built-in scenario nor an existing file; "
-            f"built-ins: {', '.join(sorted(BUILTIN_SCENARIOS))}"
-        )
+            f"built-ins: {', '.join(sorted(BUILTIN_SCENARIOS))}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or not JSON
@@ -403,7 +409,7 @@ def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
     n_wide = _wide_points(nx)
     width = 3.0 * span * sx
     _require_resolvable(f"phase_space_grid: the Wigner window at t={state.t!r}",
-                        width, n_wide, mean_x, ResolutionError)
+                        width, n_wide, mean_x, CapabilityError)
     x_wide = np.linspace(mean_x - 0.5 * width, mean_x + 0.5 * width, n_wide)
     psi = evaluate_wavefunction(propagate_analytic(traj, idx), x_wide)
     p_grid = (mean_p - span * sp, 2.0 * span * sp / (n_p - 1), n_p)
@@ -615,7 +621,7 @@ def _build_parser():
         prog="wavepacket",
         description="Gaussian wave-packet dynamics scenario runner.",
         epilog="Exit codes: 0 success, 2 config error, 3 numerical divergence, "
-               "4 capability/delta-limit error, 5 I/O error.",
+               "4 capability error, 5 I/O error.",
     )
     sub = parser.add_subparsers(dest="command")
     sub.required = True
@@ -645,8 +651,7 @@ def main(argv=None):
             if args.scenario not in BUILTIN_SCENARIOS:
                 raise ConfigError(
                     f"unknown scenario {args.scenario!r}; "
-                    f"built-ins: {', '.join(sorted(BUILTIN_SCENARIOS))}"
-                )
+                    f"built-ins: {', '.join(sorted(BUILTIN_SCENARIOS))}")
             print(json.dumps(BUILTIN_SCENARIOS[args.scenario], indent=2))
             return 0
 
@@ -670,7 +675,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"error: numerical divergence: {exc}", file=sys.stderr)
         return 3
-    except (CapabilityError, ResolutionError) as exc:
+    except CapabilityError as exc:
         print(f"error: capability: {exc}", file=sys.stderr)
         return 4
 

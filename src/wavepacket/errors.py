@@ -6,9 +6,9 @@ cause (a kernel at its caustic, two grids that differ, ...).
 
 
 class CapabilityError(Exception):
-    """An operation was asked for outside its supported domain (e.g. the
-    frozen-width matrix of a system that is not free motion, or a kernel at
-    its caustic, where it is a delta function and the point map applies)."""
+    """An operation was asked for outside its supported domain (e.g. a kernel
+    at its caustic, where it is a delta function and the point map applies,
+    or a grid that cannot resolve the position or momentum of a state)."""
 
 
 class DivergenceError(Exception):
@@ -25,10 +25,6 @@ class DivergenceError(Exception):
     def __init__(self, t, message=None):
         self.t = t
         super().__init__(message or f"non-finite state at t={t!r}")
-
-
-class ResolutionError(Exception):
-    """A grid cannot resolve the position or momentum content of a state."""
 
 
 class ValidationError(ValueError):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import SystemSpec, is_free_motion
 from .kernels import ComplexGrid, phase_aligned_l2
-from .errors import DivergenceError, ResolutionError, ValidationError
+from .errors import CapabilityError, DivergenceError, ValidationError
 
 FINITE_CHECK_EVERY = 64  # steps between scans of the state for non-finite values
 
@@ -91,7 +91,7 @@ def _nyquist_check(grid: ComplexGrid, system: SystemSpec):
     # a packet that samples to all zeros has nothing to alias
     outer_fraction = float(spectrum[outer].sum() / total) if total else 0.0
     if outer_fraction > 1e-8:
-        raise ResolutionError(
+        raise CapabilityError(
             f"{outer_fraction!r} of the spectral mass sits in the top quarter "
             "of the momentum band: grid too coarse for this state"
         )
@@ -100,7 +100,7 @@ def _nyquist_check(grid: ComplexGrid, system: SystemSpec):
     mean_x, var_x = _position_moments(grid)
     span = x[-1] - x[0]
     if abs(mean_x - 0.5 * (x[0] + x[-1])) + 8.0 * math.sqrt(max(var_x, 0.0)) > 0.5 * span:
-        raise ResolutionError("position content does not fit in the grid box")
+        raise CapabilityError("position content does not fit in the grid box")
 
 
 def _central_mass(values):

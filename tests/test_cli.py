@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, STAGES, T
 from wavepacket.errors import ConfigError
 from wavepacket.wigner import PhaseSpaceGrid
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 SMALL_CONFIG = {
     "system": {"type": "free"},
     "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
@@ -24,6 +28,14 @@ SMALL_CONFIG = {
     "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 256},
     "tasks": ["evolve", "invariants"],
 }
+
+
+def run_python(*args):
+    """A child interpreter that imports the package from this checkout's
+    src/, whether or not PYTHONPATH names it."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -404,57 +416,72 @@ def _largest(admitted, lo, hi):
     return lo
 
 
+# two samples, one step: the least a run holds besides its tasks
+TWO_SAMPLES = dict(SMALL_CONFIG, time={"t_end": 0.5, "dt": 0.5, "sample_every": 1})
+
+
 def test_memory_ceilings_refuse_one_step_past_the_budget(tmp_path, capsys):
-    """parse_config admits a phase_space_grid and a grid.n_points whose
-    working set is within cli.MEMORY_BUDGET (1 GiB), and refuses the next
-    size with a ConfigError (exit 2) naming the field and the bound.
-    Parsing allocates no grid, so nothing large is allocated here."""
+    """parse_config admits a phase_space_grid with wigner, and a
+    grid.n_points with kernel_check, whose working set beside the least of
+    every other part (two samples and solve_lambda's block) is within
+    cli.MEMORY_BUDGET (1 GiB), and refuses the next size with a ConfigError
+    (exit 2) naming the field and the budget.  Parsing allocates no grid,
+    so nothing large is allocated here."""
     budget = cli.MEMORY_BUDGET
     assert budget == 1 << 30
+    room = budget - 2 * cli.SAMPLE_BYTES - cli.SOLVE_BLOCK_BYTES
 
     def phase_grid(nx, n_p):
-        return dict(SMALL_CONFIG, phase_space_grid={"nx": nx, "np": n_p})
+        return dict(TWO_SAMPLES, phase_space_grid={"nx": nx, "np": n_p},
+                    tasks=["evolve", "wigner"])
 
-    n_p = _largest(lambda k: cli.wigner_working_set(16, k) <= budget, 16, budget)
+    n_p = _largest(lambda k: cli.wigner_working_set(16, k) <= room, 16, budget)
     assert parse_config(phase_grid(16, n_p)).ps_np == n_p
-    with pytest.raises(ConfigError, match=rf"^'phase_space_grid' nx x np = 16 x {n_p + 1} "
-                                          rf"needs \d+ bytes, over .* {budget} bytes$"):
+    with pytest.raises(ConfigError, match=rf"^\d+ bytes, over the working-set budget of "
+                                          rf"{budget}: .* for 'phase_space_grid' 16 x "
+                                          rf"{n_p + 1}$"):
         parse_config(phase_grid(16, n_p + 1))
 
-    side = _largest(lambda k: cli.wigner_working_set(k, k) <= budget, 16, budget)
+    side = _largest(lambda k: cli.wigner_working_set(k, k) <= room, 16, budget)
     assert 8000 < side < 8192
     parse_config(phase_grid(side, side))
     with pytest.raises(ConfigError, match="phase_space_grid"):
         parse_config(phase_grid(side + 1, side + 1))
 
-    points = 1 << 22
-    assert cli.GRID_POINT_BYTES * points <= budget < cli.GRID_POINT_BYTES * 2 * points
+    points = 1 << 21
+    assert cli.GRID_POINT_BYTES * points <= room < cli.GRID_POINT_BYTES * 2 * points
     grid = dict(SMALL_CONFIG["grid"], n_points=points)
-    assert parse_config(dict(SMALL_CONFIG, grid=grid)).n_points == points
-    cfg = write_config(tmp_path, dict(SMALL_CONFIG, grid=dict(grid, n_points=2 * points)))
+    kernel = dict(TWO_SAMPLES, tasks=["evolve", "kernel_check"])
+    assert parse_config(dict(kernel, grid=grid)).n_points == points
+    cfg = write_config(tmp_path, dict(kernel, grid=dict(grid, n_points=2 * points)))
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"'grid.n_points' = {2 * points}" in err and f"{budget} bytes" in err
+    assert f"for 'grid.n_points' = {2 * points}" in err and f"budget of {budget}" in err
     assert not (tmp_path / "o").exists()
 
 
 def test_sample_and_kept_step_ceilings_refuse_one_step_past_the_budget():
     """parse_config admits the largest sample count and, with invariants,
-    the largest kept Euler-Lagrange step count whose bytes are within
-    cli.MEMORY_BUDGET, and refuses one more of each, naming 'time'.  Parsing
-    allocates neither, so nothing large is allocated here."""
+    the largest kept Euler-Lagrange step count whose bytes beside the least
+    of every other part are within cli.MEMORY_BUDGET, and refuses one more
+    of each, naming it.  Parsing allocates neither, so nothing large is
+    allocated here."""
     budget = cli.MEMORY_BUDGET
-    samples = budget // cli.SAMPLE_BYTES
-    assert cli.SAMPLE_BYTES * samples <= budget < cli.SAMPLE_BYTES * (samples + 1)
+    room = budget - cli.SOLVE_BLOCK_BYTES
+    samples = room // cli.SAMPLE_BYTES
+    assert cli.SAMPLE_BYTES * samples <= room < cli.SAMPLE_BYTES * (samples + 1)
     time = {"dt": 0.5, "sample_every": 1}
-    config = parse_config(dict(SMALL_CONFIG, time=dict(time, t_end=0.5 * (samples - 1))))
+    evolve = dict(SMALL_CONFIG, tasks=["evolve"])
+    config = parse_config(dict(evolve, time=dict(time, t_end=0.5 * (samples - 1))))
     assert len(config.sample_times()) == samples
-    with pytest.raises(ConfigError, match=rf"^'time' with {samples + 1} samples needs "
-                                          rf"\d+ bytes, over .* {budget} bytes$"):
-        parse_config(dict(SMALL_CONFIG, time=dict(time, t_end=0.5 * samples)))
+    with pytest.raises(ConfigError, match=rf"^\d+ bytes, over the working-set budget of "
+                                          rf"{budget}: \d+ for {samples + 1} samples, "
+                                          rf"{cli.SOLVE_BLOCK_BYTES} for solve_lambda$"):
+        parse_config(dict(evolve, time=dict(time, t_end=0.5 * samples)))
 
-    steps = budget // cli.KEPT_STEP_BYTES
-    assert cli.KEPT_STEP_BYTES * steps == budget
+    room -= 2 * cli.SAMPLE_BYTES
+    steps = room // cli.KEPT_STEP_BYTES
+    assert cli.KEPT_STEP_BYTES * steps <= room < cli.KEPT_STEP_BYTES * (steps + 1)
 
     def kept(k, tasks=("evolve", "invariants")):
         # two samples, t = 0 and t_end = 2, and k steps of 2/k between them
@@ -462,10 +489,51 @@ def test_sample_and_kept_step_ceilings_refuse_one_step_past_the_budget():
                     tasks=list(tasks))
 
     assert parse_config(kept(steps)).kept_steps() == steps
-    with pytest.raises(ConfigError, match=rf"^'time.dt' = .* with {steps + 1} kept "
-                                          rf"Euler-Lagrange steps needs \d+ bytes, over"):
+    with pytest.raises(ConfigError, match=rf"\d+ for {steps + 1} kept Euler-Lagrange "
+                                          rf"steps$"):
         parse_config(kept(steps + 1))
     assert parse_config(kept(steps + 1, ["evolve"])).kept_steps() == 0
+
+
+@pytest.mark.parametrize("overrides, named", [
+    # each part alone is within 1 GiB, and 3.62 GiB together
+    ({"time": {"t_end": 2.0, "dt": 2.0 / 2 ** 22, "sample_every": 16},
+      "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 2 ** 22},
+      "phase_space_grid": {"nx": 8033, "np": 8033},
+      "tasks": ["evolve", "invariants", "wigner", "kernel_check"]},
+     ["262145 samples", "4194304 kept Euler-Lagrange steps", "'grid.n_points' = 4194304",
+      "'phase_space_grid' 8033 x 8033"]),
+    # 1e15 RK4 steps for two samples
+    ({"time": {"t_end": 1e6, "dt": 1e-9, "sample_every": 10 ** 15}, "tasks": ["evolve"]},
+     ["'time.dt'"]),
+    # 1e8 steps of a 1024-point oracle: 1.02e11 point-steps
+    ({"time": {"t_end": 1e3, "dt": 1e-5, "sample_every": 10 ** 6},
+      "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 1024},
+      "tasks": ["evolve", "oracle_compare"]}, ["oracle_compare"]),
+    # sizes that no task of the run allocates
+    ({"phase_space_grid": {"nx": 9000, "np": 9000}, "tasks": ["evolve"]}, None),
+    ({"grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 2 ** 23}, "tasks": ["evolve"]},
+     None),
+], ids=["parts-summed", "rk4-steps", "oracle-point-steps", "phase-grid-without-wigner",
+        "grid-without-kernel-or-oracle"])
+def test_budget_counts_the_parts_the_runs_tasks_hold(tmp_path, capsys, overrides, named):
+    """A config is refused (exit 2, no output) when the working set its
+    tasks hold, summed, or its steps are over budget, naming each part or
+    the steps, and admitted when only a size its tasks never allocate is
+    large.  parse_config is asked first, so a config it wrongly admitted
+    fails here instead of running."""
+    data = dict(SMALL_CONFIG, **overrides)
+    if named is None:
+        assert parse_config(data).tasks == ("evolve",)
+        return
+    with pytest.raises(ConfigError):
+        parse_config(data)
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert all(name in err for name in named), err
+    assert not (tmp_path / "o").exists()
 
 
 NOT_UTF8 = b'{"system": {"type": "free"}, "output_dir": "\xff"}'
@@ -693,7 +761,7 @@ def test_cli_never_imports_fractions_or_decimal(tmp_path):
             f"emit_outputs(report, [{{'grid': grid, 'index': 0, 't': 0.0}}], {str(tmp_path)!r})\n"
             "assert 'fractions' not in sys.modules, 'fractions'\n"
             "assert 'decimal' not in sys.modules, 'decimal'\n")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
 
 
@@ -703,7 +771,7 @@ def test_builtin_run_never_imports_scipy(tmp_path):
             f"code = main(['run', 'free-spread', '--output-dir', {str(tmp_path)!r}])\n"
             "assert 'scipy' not in sys.modules\n"
             "sys.exit(code)\n")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
 
 
@@ -721,7 +789,7 @@ def test_run_without_transforms_never_imports_numpy_fft(tmp_path, system):
             f"code = main(['run', {source!r}, '--output-dir', {str(tmp_path / 'o')!r}])\n"
             "assert 'numpy.fft' not in sys.modules\n"
             "sys.exit(code)\n")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
 
 
@@ -836,8 +904,7 @@ def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys):
 
 
 def test_console_entry_point():
-    result = subprocess.run([sys.executable, "-m", "wavepacket", "list-scenarios"],
-                            capture_output=True, text=True)
+    result = run_python("-m", "wavepacket", "list-scenarios")
     assert result.returncode == 0
     assert "free-spread" in result.stdout
 

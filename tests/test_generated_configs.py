@@ -10,6 +10,10 @@ or 4 (capability) and that class's message.  A config error
 (exit 2) of a config that parse_config accepted is an internal check
 escaping as the user's fault, and an uncaught exception or numpy warning
 (exit 1) is a crash; both fail.
+
+A second property draws configs of any tasks and sizes up to 1000 steps,
+4096 grid points and 256 x 256 phase cells: the memory a run takes stays
+within the working set that parse_config budgets for it.
 """
 
 import contextlib
@@ -17,11 +21,16 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavepacket.cli import TASKS, main, parse_config
+from wavepacket import cli
+from wavepacket.cli import STAGES, TASKS, emit_outputs, main, parse_config, run_scenario
+from wavepacket.errors import CapabilityError, ConfigError, DivergenceError
 
 from strategies import FINITE, law
 
@@ -135,3 +144,61 @@ def test_valid_config_reports_or_exits_documented(data):
             assert code in MESSAGES, message
             assert message.startswith(MESSAGES[code]) and message.count("\n") == 1, message
             assert not (out / "report.json").exists()
+
+
+@st.composite
+def _budgeted_configs(draw):
+    dt = draw(st.sampled_from((1e-4, 1e-3, 1e-2)))
+    sample_every = draw(st.integers(1, 100))
+    # at most 1000 steps; with invariants at dt = 1e-4 every one is kept
+    t_end = draw(st.integers(1, 1000 // sample_every)) * dt * sample_every
+    return {
+        "system": law(draw, t_end),
+        "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
+        "time": {"t_end": t_end, "dt": dt, "sample_every": sample_every},
+        "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 2 ** draw(st.integers(6, 12))},
+        "phase_space_grid": {"nx": draw(st.integers(16, 256)),
+                             "np": draw(st.integers(16, 256))},
+        "tasks": ["evolve"] + draw(st.lists(st.sampled_from(list(STAGES)), unique=True)),
+    }
+
+
+def _working_set(config):
+    """The bytes parse_config budgets for a run: per sample, solve_lambda's
+    block, and what the run's tasks hold."""
+    tasks = config.tasks
+    grid = "kernel_check" in tasks or "oracle_compare" in tasks
+    return (cli.SAMPLE_BYTES * len(config.sample_times()) + cli.SOLVE_BLOCK_BYTES
+            + cli.KEPT_STEP_BYTES * config.kept_steps()
+            + cli.GRID_POINT_BYTES * config.n_points * grid
+            + cli.wigner_working_set(config.ps_nx, config.ps_np) * ("wigner" in tasks))
+
+
+def _run(config, out):
+    """run_scenario and emit_outputs as main calls them; a run that exits 3
+    or 4 (an oracle grid too coarse for the packet) stops where main would
+    stop it, and its peak up to there counts."""
+    with contextlib.suppress(CapabilityError, DivergenceError):
+        emit_outputs(*run_scenario(config), out)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=_budgeted_configs())
+def test_run_stays_within_its_budgeted_working_set(data):
+    """The tracemalloc peak of a run and its outputs is at most the working
+    set parse_config summed for it, with no allowance; the run is repeated
+    untraced first, so that imports and first-call caches are not counted."""
+    config = parse_config(data)
+    needed = _working_set(config)
+    with mock.patch.object(cli, "MEMORY_BUDGET", needed - 1), pytest.raises(
+            ConfigError, match=f"^{needed} bytes, over"):
+        parse_config(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        _run(config, Path(tmp) / "untraced")
+        tracemalloc.start()
+        try:
+            _run(config, Path(tmp) / "traced")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= needed

@@ -7,7 +7,7 @@ import pytest
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              RampOmega, SystemSpec, TabulatedOmega)
-from wavepacket.errors import DivergenceError, ResolutionError, ValidationError
+from wavepacket.errors import CapabilityError, DivergenceError, ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.kernels import ComplexGrid
 from wavepacket.oracle import (FINITE_CHECK_EVERY, GridState, compare_states,
@@ -265,7 +265,7 @@ def test_nyquist_violation_raises():
     psi = evaluate_wavefunction(propagate_analytic(traj, 0), coarse)
     values = psi.values / psi.norm()  # renormalize the coarse samples
     state = GridState(ComplexGrid(psi.x_min, psi.dx, values), 0.0)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(CapabilityError):
         split_step(state, FREE, 1e-3, 1)
 
 
