@@ -38,9 +38,8 @@ from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega
                    RampOmega, SystemSpec, TabulatedOmega, is_free_motion)
 from .errors import CapabilityError, ConfigError, DivergenceError, ValidationError
 from .evolution import solve_lambda
-from .invariants import (euler_lagrange_residuals, frozen_width_matrix,
-                         invariant_maxima, matrix_from_state, record_columns,
-                         require_finite)
+from .invariants import (EulerLagrangeMaxima, frozen_width_matrix, invariant_maxima,
+                         matrix_from_state, record_columns, require_finite)
 from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
                       satisfies_kernel_odes)
 from .oracle import GridState, compare_states, split_step
@@ -49,14 +48,13 @@ from .rowformat import write_records, write_report, write_rows
 from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 
 # parse_config holds a run's working set to MEMORY_BUDGET: SAMPLE_BYTES per
-# sample, SOLVE_BLOCK_BYTES and, as its tasks need, KEPT_STEP_BYTES per kept
-# step, GRID_POINT_BYTES per grid point and wigner_working_set (tracemalloc:
-# 1229 to 2020, 1.3 MiB, 152, 154 to 186); its steps to STEP_BUDGET and oracle
-# point-steps to POINT_STEP_BUDGET (0.5 to 0.7 us and 21 to 40 ns each, 2 cores)
+# sample, SOLVE_BLOCK_BYTES for solve_lambda's block, Euler-Lagrange reduction
+# included, and as its tasks need GRID_POINT_BYTES per grid point and
+# wigner_working_set (tracemalloc: 1229 to 2020, 0.61 MiB, 154 to 186); its steps
+# to STEP_BUDGET, oracle point-steps to POINT_STEP_BUDGET (0.5-0.7 us, 21-40 ns)
 MEMORY_BUDGET = 1 << 30
 SAMPLE_BYTES = 2560
 SOLVE_BLOCK_BYTES = 2 << 20
-KEPT_STEP_BYTES = 256
 GRID_POINT_BYTES = 256
 STEP_BUDGET = 1 << 32
 POINT_STEP_BUDGET = 1 << 36
@@ -149,10 +147,6 @@ class ScenarioConfig:
 
     def x_grid(self):
         return np.linspace(self.x_min, self.x_max, self.n_points)
-
-    def kept_steps(self):
-        # the O(h^2) Euler-Lagrange residuals read the integrator's own steps
-        return round(min(self.t_end, 2.0) / self.dt) if "invariants" in self.tasks else 0
 
 
 def _get(data, path, expected, default=None):
@@ -250,9 +244,8 @@ def _require_within_budget(config):
         raise ConfigError(f"oracle_compare: {round(steps)} steps on {n} grid points, over "
                           f"{POINT_STEP_BUDGET} point-steps")
     samples = round(config.t_end / (config.dt * config.sample_every)) + 1
-    nx, n_p, kept = config.ps_nx, config.ps_np, config.kept_steps()
+    nx, n_p = config.ps_nx, config.ps_np
     parts = {f"{samples} samples": SAMPLE_BYTES * samples, "solve_lambda": SOLVE_BLOCK_BYTES,
-             f"{kept} kept Euler-Lagrange steps": KEPT_STEP_BYTES * kept,
              f"'grid.n_points' = {n}": GRID_POINT_BYTES * n
              * ("kernel_check" in tasks or "oracle_compare" in tasks),
              f"'phase_space_grid' {nx} x {n_p}":
@@ -359,16 +352,16 @@ def _checks(values, tol):
     return {name: _check(value, tol[name]) for name, value in values.items()}
 
 
-def _invariants_stage(config, traj, steps, columns, tol):
-    """The invariant checks; free motion adds the frozen-width diagnostic."""
+def _invariants_stage(config, traj, columns, tol, el):
+    """The invariant checks, with the EulerLagrangeMaxima `el` of the
+    solve; free motion adds the frozen-width diagnostic."""
     checks = _checks(invariant_maxima(traj, columns), tol)
     # in report order the Euler-Lagrange pair comes before these
     tail = {name: checks.pop(name) for name in list(checks)
             if name in ("uncertainty_hamiltonian_vs_energy", "det_vs_ermakov_identity")}
-    res_phi, res_alpha = euler_lagrange_residuals(steps)
     el_tol = tol["el_residual_factor"] * config.dt * config.dt
-    checks["euler_lagrange_phi"] = _check(float(res_phi.max(initial=0.0)), el_tol)
-    checks["euler_lagrange_alpha"] = _check(float(res_alpha.max(initial=0.0)), el_tol)
+    checks["euler_lagrange_phi"] = _check(el.phi, el_tol)
+    checks["euler_lagrange_alpha"] = _check(el.alpha, el_tol)
     section = {"checks": checks | tail}
     if not is_free_motion(config.system.frequency_law):
         return section
@@ -416,7 +409,7 @@ def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
     return psi, p_grid, ((n_wide - nx) // 2, nx)
 
 
-def _wigner_stage(config, traj, steps, columns, tol):
+def _wigner_stage(config, traj, columns, tol):
     """One entry per end sample; its "grid" goes to the .dat file.  The
     integral covers psi's whole grid, the marginal error the window."""
     c = config.constants
@@ -443,7 +436,7 @@ def _wigner_stage(config, traj, steps, columns, tol):
     return outputs
 
 
-def _kernel_check_stage(config, traj, steps, columns, tol):
+def _kernel_check_stage(config, traj, columns, tol):
     """The run's kernel at the last sample: its defining equations on probes
     across the packet, x at t_end and x' at t = 0, and its quadrature."""
     c = config.constants
@@ -486,7 +479,7 @@ def _kernel_check_stage(config, traj, steps, columns, tol):
     }
 
 
-def _oracle_stage(config, traj, steps, columns, tol):
+def _oracle_stage(config, traj, columns, tol):
     c = config.constants
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
@@ -539,9 +532,12 @@ def run_scenario(config: ScenarioConfig, tolerance_profile="default"):
         raise ConfigError(f"unknown tolerance profile {tolerance_profile!r}")
     tol = TOLERANCE_PROFILES[tolerance_profile]
 
-    traj, steps = solve_lambda(config.system, config.packet, config.sample_times(),
-                               dt=config.dt, keep_steps=config.kept_steps())
+    # the O(h^2) Euler-Lagrange residuals read the solve's own first min(t_end, 2)
+    el = EulerLagrangeMaxima() if "invariants" in config.tasks else None
+    traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt,
+                        step_hook=el, hook_steps=round(min(config.t_end, 2.0) / config.dt))
     columns = record_columns(traj)
+    stages = STAGES | {"invariants": functools.partial(_invariants_stage, el=el)}
 
     report = {
         "scenario": config.name,
@@ -552,9 +548,9 @@ def run_scenario(config: ScenarioConfig, tolerance_profile="default"):
         "samples": columns,
     }
     sections = []
-    for task, stage in STAGES.items():
+    for task, stage in stages.items():
         if task in config.tasks:
-            report[task] = stage(config, traj, steps, columns, tol)
+            report[task] = stage(config, traj, columns, tol)
             sections += report[task] if isinstance(report[task], list) else [report[task]]
     report["pass"] = all(entry["pass"] for section in sections
                          for entry in section.get("checks", {}).values())

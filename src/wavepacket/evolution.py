@@ -116,35 +116,6 @@ class Trajectory:
 BLOCK_STEPS = 2048
 
 
-def _rk4_stages(q, p, n1, n2, n4, h):
-    """One classic RK4 step of q' = p, p' = n*q, with n = -w^2 taken at the
-    step start (n1), midpoint (n2, used by k2 and k3) and end (n4).
-
-    Returns (dq, dp, q2, q3, q4): the step is (q, p) -> (q + dq, p + dp),
-    and q2..q4 are the stage values of q.  The stage states are
-    yi + (0.5*h)*ki and yi + h*ki and the increment is
-    (h/6)*((k1 + 2*(k2 + k3)) + k4), in that operation order; the arguments
-    broadcast, so this builds the propagators of many steps at once.
-    """
-    half = 0.5 * h
-    a1 = n1 * q
-    q2, p2 = q + half * p, p + half * a1
-    a2 = n2 * q2
-    q3, p3 = q + half * p2, p + half * a2
-    a3 = n2 * q3
-    q4, p4 = q + h * p3, p + h * a3
-    a4 = n4 * q4
-    c = h / 6.0
-    return (c * ((p + 2.0 * (p2 + p3)) + p4),
-            c * ((a1 + 2.0 * (a2 + a3)) + a4),
-            q2, q3, q4)
-
-
-# the basis vectors (1, 0) and (0, 1), one per row, as (q, p)
-_BASIS_Q = np.array([[1.0], [0.0]])
-_BASIS_P = np.array([[0.0], [1.0]])
-
-
 def _step_propagators(omega, t, h):
     """Per-step RK4 propagators for steps starting at the times t with sizes h.
 
@@ -154,11 +125,26 @@ def _step_propagators(omega, t, h):
     identity, which it is O(h) away from: 1 + E rounded would carry the same
     rounding error into every step of a constant law.  w is evaluated at t,
     t + h/2 and t + h of each step, in step order, by one call of omega.
+    Each is one classic RK4 step of q' = p, p' = -w^2*q on both basis
+    vectors, with the stage states yi + (0.5*h)*ki and yi + h*ki and the
+    increment (h/6)*((k1 + 2*(k2 + k3)) + k4) in that operation order,
+    written straight into Q and E.
     """
-    w = omega(np.stack([t, t + 0.5 * h, t + h], axis=1))
-    n = -(w * w)
-    dq, dp, q2, q3, q4 = _rk4_stages(_BASIS_Q, _BASIS_P, n[:, 0], n[:, 1], n[:, 2], h)
-    return np.stack([dq, dp]), np.stack([q2, q3, q4])
+    n1, n2, n4 = (-np.square(omega(np.stack([t, t + 0.5 * h, t + h], axis=1)))).T
+    e, stages = np.empty((2, 2, len(t))), np.empty((3, 2, len(t)))
+    q, p = np.hsplit(np.eye(2), 2)      # the basis vectors (1, 0) and (0, 1)
+    half = 0.5 * h
+    a1 = n1 * q
+    q2, p2 = np.add(q, half * p, out=stages[0]), p + half * a1
+    a2 = n2 * q2
+    q3, p3 = np.add(q, half * p2, out=stages[1]), p + half * a2
+    a3 = n2 * q3
+    q4, p4 = np.add(q, h * p3, out=stages[2]), p + h * a3
+    a4 = n4 * q4
+    c = h / 6.0
+    np.multiply(c, (p + 2.0 * (p2 + p3)) + p4, out=e[0])
+    np.multiply(c, (a1 + 2.0 * (a2 + a3)) + a4, out=e[1])
+    return e, stages
 
 
 def _matmul(a, b):
@@ -221,7 +207,7 @@ def _substeps(spans, dt):
 
 
 def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
-                 keep_steps=None):
+                 step_hook=None, hook_steps=0):
     """Integrate lambda, eta and phi over t_grid with classic fixed-step RK4.
 
     t_grid must start at 0, be finite and increase strictly, and dt must be
@@ -240,11 +226,12 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
     Trajectory keeps a read-only float64 copy of it and the raw states as a
     read-only (n, 7) array, with no per-sample Python objects.
 
-    With keep_steps = k, returns (trajectory, steps): `steps` is a second
-    Trajectory of the state at t = 0 and after each of the first k steps
-    (all of them, if there are fewer), at the step ends t + h, as the
-    blocks form them.  Its states are finite whenever the samples are:
-    a non-finite fundamental matrix stays non-finite.
+    With step_hook, the first hook_steps steps (all, if fewer) are handed
+    over a block at a time, after the block's own arrays are released:
+    step_hook(steps, last) gets a Trajectory of the states at the block's
+    step ends t + h, led by the two rows handed over before (by the state at
+    t = 0 in the first block), and the last step end it will get.  They are
+    finite whenever the samples are, as a non-finite matrix stays so.
     """
     times = _validated_times(t_grid, dt)
     spans = np.diff(times)
@@ -253,63 +240,68 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
     ends = np.cumsum(n_sub)          # steps taken at each sample after t = 0
     firsts = ends - n_sub
 
-    omega = system.frequency_law.omega
-    mass = system.constants.mass
+    def step_times(steps):           # (start time, size) of each step
+        interval = np.searchsorted(ends, steps, side="right")
+        h = h_sub[interval]
+        return times[interval] + (steps - firsts[interval]) * h, h
+
+    omega, mass = system.frequency_law.omega, system.constants.mass
     states = np.empty((len(times), 7))
-    fundamental = np.eye(2)
-    states[0] = (*_packet_states(packet, mass, fundamental), 0.0)
-    phase = 0.0
+    states[0] = (*_packet_states(packet, mass, np.eye(2)), 0.0)
     total = int(ends[-1]) if len(ends) else 0
-    kept = min(keep_steps or 0, total)
-    step_times = np.zeros(kept + 1)
-    step_states = np.empty((kept + 1, 7))
-    step_states[0] = states[0]
+    handed = min(hook_steps, total) if step_hook else 0
+    last = np.add(*step_times(np.array([handed - 1])))[0] if handed else None
+
+    def block(start, fundamental, phase, front):
+        """The block of steps from `start`: writes its samples into `states`,
+        returns the matrix and phase at its end and, behind the rows `front`,
+        its steps among the first `handed`, or None; frees all else."""
+        steps = np.arange(start, min(start + BLOCK_STEPS, total))
+        t, h = step_times(steps)
+        e, stages = _step_propagators(omega, t, h)
+        _prefix_products(e)
+        after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
+
+        # stage states, linear in the state (u, u', z, z') at each step start
+        u, ud, z, zd = _packet_states(packet, mass, np.concatenate(
+            [fundamental[:, :, None], after[:, :, :-1]], axis=2))[:4]
+        us = stages[:, 0] * u + stages[:, 1] * ud
+        zs = stages[:, 0] * z + stages[:, 1] * zd
+        p1 = 1.0 / (u * u + z * z)
+        p2, p3, p4 = 1.0 / (us * us + zs * zs)
+        increments = (h / 6.0) * ((p1 + 2.0 * (p2 + p3)) + p4)
+        phases = np.cumsum(np.concatenate([[phase], increments]))[1:]
+        del e, stages, u, ud, z, zd, us, zs, p1, p2, p3, p4, increments
+
+        lo, hi = np.searchsorted(ends, [start, steps[-1] + 1], side="right")
+        rows = np.arange(lo, hi) + 1
+        local = ends[lo:hi] - 1 - start
+        states[rows, :6] = np.transpose(_packet_states(packet, mass, after[:, :, local]))
+        states[rows, 6] = phases[local]
+        finite = np.isfinite(states[rows]).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(float(times[rows[np.argmin(finite)]]))
+
+        n, m = min(handed - start, len(steps)), len(front[0])
+        if n <= 0:
+            return after[:, :, -1].copy(), phases[-1], None
+        kept_t, kept = np.concatenate([front[0], (t + h)[:n]]), np.empty((m + n, 7))
+        kept[:m] = front[1]
+        kept[m:, :6] = np.transpose(_packet_states(packet, mass, after[:, :, :n]))
+        kept[m:, 6] = phases[:n]
+        kept_t.flags.writeable = kept.flags.writeable = False
+        return after[:, :, -1].copy(), phases[-1], (kept_t, kept)
+
+    fundamental, phase, front = np.eye(2), 0.0, (np.zeros(1), states[:1])
     with np.errstate(all="ignore"):
         for start in range(0, total, BLOCK_STEPS):
-            steps = np.arange(start, min(start + BLOCK_STEPS, total))
-            interval = np.searchsorted(ends, steps, side="right")
-            h = h_sub[interval]
-            t = times[interval] + (steps - firsts[interval]) * h
-            e, stages = _step_propagators(omega, t, h)
-            _prefix_products(e)
-            after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
-            before = np.concatenate([fundamental[:, :, None], after[:, :, :-1]], axis=2)
-            fundamental = after[:, :, -1]
-
-            # stage states, linear in the state (u, u', z, z') at each step start
-            u, ud, z, zd, _, _ = _packet_states(packet, mass, before)
-            us = stages[:, 0] * u + stages[:, 1] * ud
-            zs = stages[:, 0] * z + stages[:, 1] * zd
-            p1 = 1.0 / (u * u + z * z)
-            p2, p3, p4 = 1.0 / (us * us + zs * zs)
-            increments = (h / 6.0) * ((p1 + 2.0 * (p2 + p3)) + p4)
-            phases = np.cumsum(np.concatenate([[phase], increments]))[1:]
-            phase = phases[-1]
-
-            lo, hi = np.searchsorted(ends, [start, steps[-1] + 1], side="right")
-            rows = np.arange(lo, hi) + 1
-            local = ends[lo:hi] - 1 - start
-            states[rows, :6] = np.transpose(
-                _packet_states(packet, mass, after[:, :, local]))
-            states[rows, 6] = phases[local]
-            finite = np.isfinite(states[rows]).all(axis=1)
-            if not finite.all():
-                raise DivergenceError(float(times[rows[np.argmin(finite)]]))
-
-            n_kept = max(0, min(kept - start, len(steps)))
-            if n_kept:
-                kept_rows = slice(start + 1, start + 1 + n_kept)
-                step_times[kept_rows] = (t + h)[:n_kept]
-                step_states[kept_rows, :6] = np.transpose(
-                    _packet_states(packet, mass, after[:, :, :n_kept]))
-                step_states[kept_rows, 6] = phases[:n_kept]
+            fundamental, phase, kept = block(start, fundamental, phase, front)
+            if kept:
+                front = kept[0][-2:].copy(), kept[1][-2:].copy()
+                step_hook(Trajectory(system, packet, *kept), last)
+            del kept        # released before the next block is built
     times.flags.writeable = states.flags.writeable = False
-    traj = Trajectory(system=system, packet=packet, times=times, states=states)
-    if keep_steps is None:
-        return traj
-    step_times.flags.writeable = step_states.flags.writeable = False
-    return traj, Trajectory(system=system, packet=packet, times=step_times,
-                            states=step_states)
+    return Trajectory(system=system, packet=packet, times=times, states=states)
 
 
 def ermakov_residual(state, omega):

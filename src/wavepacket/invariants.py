@@ -212,7 +212,7 @@ def invariant_maxima(traj: Trajectory, columns):
     return {name: float(d.max()) for name, d in deviations.items()}
 
 
-def euler_lagrange_residuals(traj: Trajectory):
+def euler_lagrange_residuals(traj: Trajectory, last=None):
     """Euler-Lagrange residuals of the width dynamics at every interior
     sample, by centered differences at the trajectory's own sample spacing:
 
@@ -222,16 +222,16 @@ def euler_lagrange_residuals(traj: Trajectory):
     Returns the arrays (res_phi, res_alpha), empty for fewer than 3 samples.
     Accuracy is O(h^2) in the sample spacing h, which must be uniform
     (ValidationError otherwise): adjacent spacings may differ by 1e-12 of
-    the larger plus UNIFORM_ULPS ulps of the last time, the rounding of
-    times t + h far from 0.  alpha, phi' and p_phi are the trajectory's
-    columns, so every value rounds as it does for traj[i].
+    the larger plus UNIFORM_ULPS ulps of `last`, by default the last time,
+    the rounding of times t + h far from 0.  alpha, phi' and p_phi are the
+    trajectory's columns, so every value rounds as it does for traj[i].
     """
     times = traj.times
     if len(times) < 3:
         return np.empty(0), np.empty(0)
     h1 = times[1:-1] - times[:-2]
     h2 = times[2:] - times[1:-1]
-    atol = UNIFORM_ULPS * np.spacing(times[-1])
+    atol = UNIFORM_ULPS * np.spacing(times[-1] if last is None else last)
     if np.any(np.abs(h1 - h2) > 1e-12 * np.maximum(h1, h2) + atol):
         raise ValidationError("centered differences need uniform sample spacing")
     h = 0.5 * (h1 + h2)
@@ -246,3 +246,15 @@ def euler_lagrange_residuals(traj: Trajectory):
     w = traj.system.frequency_law.omega(times[1:-1])
     res_alpha = np.abs(alpha_ddot + w * w * a - np.float_power(s.phi_dot[1:-1], 2) * a)
     return res_phi, res_alpha
+
+
+class EulerLagrangeMaxima:
+    """solve_lambda's step_hook for the invariants task: `phi` and `alpha`
+    are the largest euler_lagrange_residuals(steps, last) over the blocks
+    handed to it, and so over all their steps at once (0.0 for < 3)."""
+    phi = alpha = 0.0
+
+    def __call__(self, steps: Trajectory, last):
+        res_phi, res_alpha = euler_lagrange_residuals(steps, last)
+        self.phi = float(res_phi.max(initial=self.phi))
+        self.alpha = float(res_alpha.max(initial=self.alpha))

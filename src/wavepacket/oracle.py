@@ -77,7 +77,7 @@ def _position_moments(grid: ComplexGrid):
     return mean_x, var_x
 
 
-def _nyquist_check(grid: ComplexGrid, system: SystemSpec):
+def _nyquist_check(grid: ComplexGrid):
     """Require negligible spectral mass near the Nyquist edge (momentum
     resolved) and the position spread to fit in the box.
 
@@ -148,7 +148,7 @@ def split_step(state: GridState, system: SystemSpec, dt: float, steps: int) -> G
     if steps == 0:
         return state
 
-    _nyquist_check(state.grid, system)
+    _nyquist_check(state.grid)
     # imported here, not at module level: a run that never propagates
     # leaves numpy.fft unloaded
     from numpy.fft._pocketfft_umath import fft, ifft

@@ -1,7 +1,9 @@
 """The per-sample scalar states, formulas and report loop that the column
 pipeline replaced, and the row-template .dat writer and per-record
-trajectory.csv writer that wavepacket.rowformat replaced, kept as their
-bit-exact references; the fine re-solve that the Euler-Lagrange residuals
+trajectory.csv writer that wavepacket.rowformat replaced, and the
+assembly of every kept integrator step that solve_lambda's step_hook
+replaced, kept as their bit-exact references; the fine re-solve that the
+Euler-Lagrange residuals
 ran before they read the integrator's own steps, and the direct
 O(n_p * n^2) Wigner sum that the chirp-z transform replaced, kept as their
 references to rounding; and the closed forms of lambda and eta for free
@@ -21,7 +23,9 @@ import numpy as np
 from wavepacket.cli import CSV_FIELDS, CSV_HEADER
 from wavepacket.core import ConstantOmega, _require_finite, is_free_motion
 from wavepacket.errors import CapabilityError
-from wavepacket.evolution import _packet_states, _polar, solve_lambda
+from wavepacket.evolution import (BLOCK_STEPS, Trajectory, _matmul, _packet_states, _polar,
+                                  _prefix_products, _step_propagators, _substeps,
+                                  _validated_times, solve_lambda)
 from wavepacket.invariants import euler_lagrange_residuals, frozen_width_matrix
 from wavepacket.wigner import _half_step_refine
 
@@ -324,6 +328,55 @@ def fine_euler_lagrange(config):
     return (float(res_phi.max(initial=0.0)), float(res_alpha.max(initial=0.0)),
             100.0 * EPS * float(abs(p_phi).max()) / dt,
             100.0 * EPS * float(fine.columns.alpha.max()) / (dt * dt))
+
+
+def kept_steps(system, packet, t_grid, dt, keep):
+    """The state at t = 0 and after each of the first `keep` steps of
+    solve_lambda(system, packet, t_grid, dt) (all of them, if there are
+    fewer), at the step ends t + h, as one read-only Trajectory, assembled
+    block by block as the solve's blocks form them."""
+    times = _validated_times(t_grid, dt)
+    spans = np.diff(times)
+    n_sub = _substeps(spans, dt)
+    h_sub = spans / n_sub
+    ends = np.cumsum(n_sub)
+    firsts = ends - n_sub
+    omega, mass = system.frequency_law.omega, system.constants.mass
+    fundamental = np.eye(2)
+    phase = 0.0
+    total = int(ends[-1]) if len(ends) else 0
+    kept = min(keep, total)
+    step_times = np.zeros(kept + 1)
+    step_states = np.empty((kept + 1, 7))
+    step_states[0] = (*_packet_states(packet, mass, fundamental), 0.0)
+    with np.errstate(all="ignore"):
+        for start in range(0, kept, BLOCK_STEPS):
+            steps = np.arange(start, min(start + BLOCK_STEPS, total))
+            interval = np.searchsorted(ends, steps, side="right")
+            h = h_sub[interval]
+            t = times[interval] + (steps - firsts[interval]) * h
+            e, stages = _step_propagators(omega, t, h)
+            _prefix_products(e)
+            after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
+            before = np.concatenate([fundamental[:, :, None], after[:, :, :-1]], axis=2)
+            fundamental = after[:, :, -1]
+            u, ud, z, zd, _, _ = _packet_states(packet, mass, before)
+            us = stages[:, 0] * u + stages[:, 1] * ud
+            zs = stages[:, 0] * z + stages[:, 1] * zd
+            p1 = 1.0 / (u * u + z * z)
+            p2, p3, p4 = 1.0 / (us * us + zs * zs)
+            increments = (h / 6.0) * ((p1 + 2.0 * (p2 + p3)) + p4)
+            phases = np.cumsum(np.concatenate([[phase], increments]))[1:]
+            phase = phases[-1]
+
+            n_kept = min(kept - start, len(steps))
+            rows = slice(start + 1, start + 1 + n_kept)
+            step_times[rows] = (t + h)[:n_kept]
+            step_states[rows, :6] = np.transpose(
+                _packet_states(packet, mass, after[:, :, :n_kept]))
+            step_states[rows, 6] = phases[:n_kept]
+    step_times.flags.writeable = step_states.flags.writeable = False
+    return Trajectory(system, packet, step_times, step_states)
 
 
 def frozen_width(config, records):

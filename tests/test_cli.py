@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -461,11 +463,12 @@ def test_memory_ceilings_refuse_one_step_past_the_budget(tmp_path, capsys):
 
 
 def test_sample_and_kept_step_ceilings_refuse_one_step_past_the_budget():
-    """parse_config admits the largest sample count and, with invariants,
-    the largest kept Euler-Lagrange step count whose bytes beside the least
-    of every other part are within cli.MEMORY_BUDGET, and refuses one more
-    of each, naming it.  Parsing allocates neither, so nothing large is
-    allocated here."""
+    """parse_config admits the largest sample count whose bytes beside the
+    least of every other part are within cli.MEMORY_BUDGET, and refuses one
+    more, naming it.  Kept Euler-Lagrange steps have no ceiling of their
+    own: the invariants task reduces them block by block, so one more than
+    the 4186092 that 256 bytes each once admitted parses.  Parsing
+    allocates neither, so nothing large is allocated here."""
     budget = cli.MEMORY_BUDGET
     room = budget - cli.SOLVE_BLOCK_BYTES
     samples = room // cli.SAMPLE_BYTES
@@ -479,30 +482,21 @@ def test_sample_and_kept_step_ceilings_refuse_one_step_past_the_budget():
                                           rf"{cli.SOLVE_BLOCK_BYTES} for solve_lambda$"):
         parse_config(dict(evolve, time=dict(time, t_end=0.5 * samples)))
 
-    room -= 2 * cli.SAMPLE_BYTES
-    steps = room // cli.KEPT_STEP_BYTES
-    assert cli.KEPT_STEP_BYTES * steps <= room < cli.KEPT_STEP_BYTES * (steps + 1)
-
-    def kept(k, tasks=("evolve", "invariants")):
+    def kept(k):
         # two samples, t = 0 and t_end = 2, and k steps of 2/k between them
-        return dict(SMALL_CONFIG, time={"t_end": 2.0, "dt": 2.0 / k, "sample_every": k},
-                    tasks=list(tasks))
+        return dict(SMALL_CONFIG, time={"t_end": 2.0, "dt": 2.0 / k, "sample_every": k})
 
-    assert parse_config(kept(steps)).kept_steps() == steps
-    with pytest.raises(ConfigError, match=rf"\d+ for {steps + 1} kept Euler-Lagrange "
-                                          rf"steps$"):
-        parse_config(kept(steps + 1))
-    assert parse_config(kept(steps + 1, ["evolve"])).kept_steps() == 0
+    config = parse_config(kept(4186093))
+    assert "invariants" in config.tasks and round(2.0 / config.dt) == 4186093
 
 
 @pytest.mark.parametrize("overrides, named", [
-    # each part alone is within 1 GiB, and 3.62 GiB together
+    # each part alone is within 1 GiB, and 2.63 GiB together
     ({"time": {"t_end": 2.0, "dt": 2.0 / 2 ** 22, "sample_every": 16},
       "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 2 ** 22},
       "phase_space_grid": {"nx": 8033, "np": 8033},
       "tasks": ["evolve", "invariants", "wigner", "kernel_check"]},
-     ["262145 samples", "4194304 kept Euler-Lagrange steps", "'grid.n_points' = 4194304",
-      "'phase_space_grid' 8033 x 8033"]),
+     ["262145 samples", "'grid.n_points' = 4194304", "'phase_space_grid' 8033 x 8033"]),
     # 1e15 RK4 steps for two samples
     ({"time": {"t_end": 1e6, "dt": 1e-9, "sample_every": 10 ** 15}, "tasks": ["evolve"]},
      ["'time.dt'"]),
@@ -576,6 +570,31 @@ def test_unusable_config_exits_2_naming_its_field(tmp_path, capsys, overrides, n
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and named in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def _run_peak_bytes(config):
+    """tracemalloc peak of run_scenario and emit_outputs, after an untraced
+    run, so that imports and first-call caches are not counted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_outputs(*run_scenario(config), Path(tmp) / "untraced")
+        tracemalloc.start()
+        try:
+            emit_outputs(*run_scenario(config), Path(tmp) / "traced")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_euler_lagrange_memory_does_not_grow_with_the_steps():
+    """With invariants, the 200 000 steps of dt = 1e-5 to t = 2 peak within
+    1 MiB of the 2000 of dt = 1e-3, at the same 21 samples: the residuals
+    are reduced block by block, not over every step held at once."""
+    def config(dt):
+        return parse_config(dict(SMALL_CONFIG, system={"type": "constant", "omega": 1.0},
+                                 time={"t_end": 2.0, "dt": dt, "sample_every": round(0.1 / dt)}))
+
+    assert len(config(1e-5).sample_times()) == len(config(1e-3).sample_times()) == 21
+    assert _run_peak_bytes(config(1e-5)) <= _run_peak_bytes(config(1e-3)) + (1 << 20)
 
 
 def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
@@ -969,19 +988,18 @@ def test_pass_and_warnings_read_every_wigner_entry(monkeypatch, free_spread):
 
 def test_run_without_invariants_neither_computes_nor_checks_them(monkeypatch):
     """Deviations and Euler-Lagrange residuals belong to the invariants stage
-    alone; a run without it keeps no integrator steps for them."""
+    alone; a run without it hands no integrator steps to a hook."""
     def forbidden(*args, **kwargs):
         raise AssertionError("called without the invariants task")
 
     monkeypatch.setattr(cli, "invariant_maxima", forbidden)
-    monkeypatch.setattr(cli, "euler_lagrange_residuals", forbidden)
     solve = cli.solve_lambda
-    kept = []
-    monkeypatch.setattr(cli, "solve_lambda", lambda *args, keep_steps, **kwargs: (
-        kept.append(keep_steps) or solve(*args, keep_steps=keep_steps, **kwargs)))
+    hooks = []
+    monkeypatch.setattr(cli, "solve_lambda", lambda *args, step_hook, **kwargs: (
+        hooks.append(step_hook) or solve(*args, step_hook=step_hook, **kwargs)))
     report, _ = run_scenario(parse_config(dict(SMALL_CONFIG, tasks=["evolve", "wigner"])))
     assert "invariants" not in report and report["pass"] is True
-    assert kept == [0]
+    assert hooks == [None]
 
 
 def test_layer_functions_are_looked_up_in_cli_at_call_time(monkeypatch, free_spread):

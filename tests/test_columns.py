@@ -81,8 +81,8 @@ def test_columns_equal_scalar_reference(data):
               for name, entry in report["invariants"]["checks"].items()}
     assert {k: v for k, v in checks.items() if k not in EL_CHECKS} == (
         scalar_reference.invariant_checks(config, traj, records))
-    _, steps = solve_lambda(config.system, config.packet, config.sample_times(),
-                            dt=config.dt, keep_steps=round(min(config.t_end, 2.0) / config.dt))
+    steps = scalar_reference.kept_steps(config.system, config.packet, config.sample_times(),
+                                        config.dt, round(min(config.t_end, 2.0) / config.dt))
     res_phi, res_alpha = euler_lagrange_residuals(steps)
     assert checks["euler_lagrange_phi"] == float(res_phi.max(initial=0.0))
     assert checks["euler_lagrange_alpha"] == float(res_alpha.max(initial=0.0))

@@ -150,7 +150,8 @@ def test_valid_config_reports_or_exits_documented(data):
 def _budgeted_configs(draw):
     dt = draw(st.sampled_from((1e-4, 1e-3, 1e-2)))
     sample_every = draw(st.integers(1, 100))
-    # at most 1000 steps; with invariants at dt = 1e-4 every one is kept
+    # at most 1000 steps; with invariants at dt = 1e-4 every one is handed to
+    # the Euler-Lagrange reduction
     t_end = draw(st.integers(1, 1000 // sample_every)) * dt * sample_every
     return {
         "system": law(draw, t_end),
@@ -169,7 +170,6 @@ def _working_set(config):
     tasks = config.tasks
     grid = "kernel_check" in tasks or "oracle_compare" in tasks
     return (cli.SAMPLE_BYTES * len(config.sample_times()) + cli.SOLVE_BLOCK_BYTES
-            + cli.KEPT_STEP_BYTES * config.kept_steps()
             + cli.GRID_POINT_BYTES * config.n_points * grid
             + cli.wigner_working_set(config.ps_nx, config.ps_np) * ("wigner" in tasks))
 

@@ -13,7 +13,7 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
 from wavepacket.errors import CapabilityError, ValidationError
 from wavepacket.evolution import Trajectory, solve_lambda
 from wavepacket.kernels import UNIFORM_ULPS
-from wavepacket.invariants import (canonical_coordinates,
+from wavepacket.invariants import (EulerLagrangeMaxima, canonical_coordinates,
                                    det_as_ermakov, energy_partition,
                                    ermakov_invariant, euler_lagrange_residuals,
                                    frozen_width_matrix, matrix_from_state,
@@ -274,17 +274,29 @@ def test_residuals_take_the_steps_of_a_fine_run(dt, sample_every):
     within the rounding of those times, which exceeds 1e-12 of a 1e-4 step."""
     step = dt * sample_every
     t_grid = np.arange(math.ceil(2.0 / step) + 1) * step   # past t = 2
-    _, steps = solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt,
-                            keep_steps=round(2.0 / dt))
-    assert len(steps) == round(2.0 / dt) + 1
-    res_phi, res_alpha = euler_lagrange_residuals(steps)
-    assert res_phi.max() <= 1e-10 and res_alpha.max() <= 10.0 * dt * dt
+    el, handed = EulerLagrangeMaxima(), []
+
+    def hook(steps, last):
+        handed.append(len(steps))
+        el(steps, last)
+    solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt,
+                 step_hook=hook, hook_steps=round(2.0 / dt))
+    assert sum(handed) - 2 * (len(handed) - 1) == round(2.0 / dt) + 1
+    assert 0.0 < el.phi <= 1e-10 and 0.0 < el.alpha <= 10.0 * dt * dt
 
 
 def test_residuals_need_interior_uniform_samples():
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0, 0.1, 0.2, 0.4])
     with pytest.raises(ValidationError, match="uniform"):
         euler_lagrange_residuals(traj)
+    # spacings 5e-13 apart: past 1e-12 of the step and UNIFORM_ULPS ulps of
+    # the last time, within those ulps of a `last` of 1000, as a block of
+    # steps is held to the tolerance at the last step handed over
+    traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0, 0.25, 0.5 + 5e-13])
+    with pytest.raises(ValidationError, match="uniform"):
+        euler_lagrange_residuals(traj)
+    assert euler_lagrange_residuals(traj, 1000.0)[1].shape == (1,)
+    EulerLagrangeMaxima()(traj, 1000.0)
     for n in (0, 1):
         traj = solve(FREE, InitialPacket(0.0, 1.0, 1.0), t_end=0.001, n=n)
         res_phi, res_alpha = euler_lagrange_residuals(traj)
