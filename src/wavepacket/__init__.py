@@ -7,18 +7,11 @@ transport by the symplectic point map.  The split-operator grid propagator
 serves as a brute-force oracle against all of them.
 """
 
-from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
-                   RampOmega, SystemSpec, TabulatedOmega, TransformMatrix)
+from .core import Constants, ConstantOmega, InitialPacket, SystemSpec
 from .errors import CapabilityError, ConfigError, DivergenceError, ValidationError
-from .evolution import Trajectory, ermakov_residual, solve_lambda
-from .invariants import (canonical_coordinates, det_as_ermakov, energy_partition,
-                         ermakov_invariant, euler_lagrange_residuals,
-                         frozen_width_matrix, matrix_from_state,
-                         uncertainty_hamiltonian)
-from .kernels import ComplexGrid, apply_kernel, kernel_td, satisfies_kernel_odes
-from .oracle import GridState, compare_states, quadrature_moments, split_step
-from .packet import (GaussianPacket, Moments, evaluate_wavefunction, moments_from_lambda,
-                     propagate_analytic)
-from .wigner import PhaseSpaceGrid, wigner_gaussian, wigner_numeric, wigner_pointmap
+from .evolution import solve_lambda
+from .invariants import matrix_from_state
+from .kernels import apply_kernel, kernel_td
+from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analytic
 
 __version__ = "0.1.0"

@@ -4,21 +4,21 @@ The 2x2 matrix M = ((zd, -z), (-ud, u)) built from lambda = u + i*z by
 matrix_from_state maps a phase point at time t back to its scaled initial
 values; it is a core.TransformMatrix with alpha0 as its scale, the same
 type the kernels and the Wigner point map take.  det M equals the Wronskian
-zd*u - ud*z, which is 1 on exact solutions; the integrator's drift from 1
-is reported by the caller, never raised here.  Written in terms of the
-classical trajectory eta and the width alpha, the same determinant is
-(m/(alpha0*p0))^2 * [(eta'*alpha - alpha'*eta)^2 + (eta/alpha)^2], i.e.
-2*(m/(alpha0*p0))^2 times the Ermakov invariant, for a release from x0 = 0;
-the invariant summary checks it only where doubles carry it.  The
-frozen-width variant (alpha pinned at alpha0 for free motion, as
-core.is_free_motion decides it) has determinant 1 + (t/alpha0^2)^2 instead,
-which is exactly the packet-spreading factor: suppressing the width
-dynamics breaks canonicity, det = 1.
+W = zd*u - ud*z, which is 1 on exact solutions; the invariant summary
+reports its drift from 1 once, as det_M_drift, and never raises on it.
+The paper's other invariants are W written through other formulas, kept
+as record columns to plot and asserted as identities by the tests:
+p_phi = (hbar/2)*alpha^2*phi' = (hbar/2)*W, the uncertainty product
+var_x*var_p - corr^2/4 = (hbar^2/4)*W^2, the Ermakov residual
+|W^2 - 1|/alpha^3, and, for a release from x0 = 0, 2*(m/(alpha0*p0))^2
+times the Ermakov invariant I_L, which reads phi' as 1/alpha^2 and so is
+W wherever W = 1.  The frozen-width variant (alpha pinned at
+alpha0 for free motion, as core.is_free_motion decides it) has determinant
+1 + (t/alpha0^2)^2 instead, which is exactly the packet-spreading factor:
+suppressing the width dynamics breaks canonicity, det = 1.
 
-The width dynamics itself derives from a Lagrangian in (alpha, phi); its
-canonical momenta are p_alpha = (hbar/2)*alpha' and
-p_phi = (hbar/2)*alpha^2*phi' = hbar/2, and the uncertainty product is
-<x~^2><p~^2> = p_phi^2 + (alpha*p_alpha)^2.
+The width dynamics itself derives from a Lagrangian in (alpha, phi); the
+invariant summary checks its alpha equation on the integrator's own steps.
 
 Each formula has one body, which takes floats or arrays: a state argument
 is one sample, traj[i], or the SampleColumns of a whole trajectory.
@@ -28,8 +28,6 @@ pow for both; record_columns gives each sample the value the formula gives
 traj[i].
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Constants, SystemSpec, TransformMatrix, is_free_motion
@@ -37,16 +35,6 @@ from .evolution import SampleColumns, Trajectory, ermakov_residual
 from .errors import CapabilityError, DivergenceError, ValidationError
 from .kernels import UNIFORM_ULPS
 from .packet import moments_from_lambda
-
-
-@dataclass(frozen=True)
-class UncertaintyCanonical:
-    """Canonical coordinates and momenta of the width dynamics."""
-
-    alpha: float
-    p_alpha: float
-    phi: float
-    p_phi: float
 
 
 def matrix_from_state(state: SampleColumns, alpha0: float) -> TransformMatrix:
@@ -74,22 +62,6 @@ def ermakov_invariant(eta, eta_dot, alpha, alpha_dot):
                   + np.float_power(eta / alpha, 2))
 
 
-def det_as_ermakov(eta, eta_dot, alpha, alpha_dot, alpha0, p0, mass=1.0):
-    """The determinant of the classically parametrized matrix,
-
-        (m/(alpha0*p0))^2 * [(eta'*alpha - alpha'*eta)^2 + (eta/alpha)^2],
-
-    which is 2*(m/(alpha0*p0))^2 * I_L by construction.  It is summed as
-    (s*A)^2 + (s*B)^2 with s = m/(alpha0*p0): s^2 alone overflows once
-    |p0| is below about 1e-154*m/alpha0, where the identity is still of
-    order 1."""
-    if p0 == 0.0:
-        raise ValidationError("classical parametrization requires p0 != 0")
-    s = mass / (alpha0 * p0)
-    return (np.float_power(s * (eta_dot * alpha - alpha_dot * eta), 2)
-            + np.float_power(s * (eta / alpha), 2))
-
-
 def energy_partition(state, omega, constants: Constants):
     """(E_cl, E_tilde) of a sample, traj[i] or traj.columns: the classical
     energy of the mean trajectory and the fluctuation energy
@@ -105,30 +77,6 @@ def energy_partition(state, omega, constants: Constants):
     a, ad, pd = state.alpha, state.alpha_dot, state.phi_dot
     e_tilde = 0.25 * constants.hbar * (ad * ad + a * a * pd * pd + omega * omega * a * a)
     return e_cl, e_tilde
-
-
-def canonical_coordinates(state, constants: Constants) -> UncertaintyCanonical:
-    """(alpha, p_alpha, phi, p_phi) with p_alpha = (hbar/2)*alpha' and
-    p_phi = (hbar/2)*alpha^2*phi'."""
-    hbar = constants.hbar
-    return UncertaintyCanonical(
-        alpha=state.alpha,
-        p_alpha=0.5 * hbar * state.alpha_dot,
-        phi=state.phi,
-        p_phi=0.5 * hbar * state.alpha * state.alpha * state.phi_dot,
-    )
-
-
-def uncertainty_hamiltonian(uc: UncertaintyCanonical, omega, constants: Constants):
-    """H~ = p_alpha^2/hbar + p_phi^2/(hbar*alpha^2) + (hbar/4)*w^2*alpha^2.
-
-    Numerically equal to the fluctuation energy E_tilde.
-    """
-    hbar = constants.hbar
-    alpha2 = np.float_power(uc.alpha, 2)
-    return (np.float_power(uc.p_alpha, 2) / hbar
-            + np.float_power(uc.p_phi, 2) / (hbar * alpha2)
-            + 0.25 * hbar * omega * omega * alpha2)
 
 
 def require_finite(times, columns):
@@ -166,7 +114,7 @@ def record_columns(traj: Trajectory):
             "var_x": moments.var_x, "var_p": moments.var_p, "corr": moments.corr,
             "det_M": s.wronskian,
             "I_L": ermakov_invariant(s.eta, s.eta_dot, s.alpha, s.alpha_dot),
-            "p_phi": canonical_coordinates(s, c).p_phi,
+            "p_phi": 0.5 * c.hbar * s.alpha * s.alpha * s.phi_dot,
             "invariant_uncertainty_product": moments.uncertainty_determinant(),
             "E_cl": e_cl, "E_tilde": e_tilde,
             "ermakov_residual": ermakov_residual(s, w),
@@ -175,60 +123,22 @@ def record_columns(traj: Trajectory):
     return columns
 
 
-def invariant_maxima(traj: Trajectory, columns):
-    """Each invariant check's largest deviation over the samples, as a float,
-    from the record_columns of `traj`: ermakov_residual_max, det_M_drift
-    (|det M - 1|), ermakov_rel_drift (|I_L - I_L(0)|, relative unless
-    I_L(0) = 0), p_phi_abs_dev (from hbar/2), iup_abs_dev (from hbar^2/4),
-    uncertainty_hamiltonian_vs_energy (|H~ - E_tilde|), and
-    det_vs_ermakov_identity where doubles carry it: a release from x0 = 0
-    with p0/m a normal double and s = m/(alpha0*p0) finite.  Otherwise the
-    identity, of order 1, is a ratio of subnormal eta and eta' or of an
-    infinite s, and it is left out.  Raises DivergenceError at the first
-    sample time where one is not finite."""
-    s = traj.columns
-    packet, c = traj.packet, traj.system.constants
-    with np.errstate(all="ignore"):
-        w = traj.system.frequency_law.omega(s.t)
-        i_l = columns["I_L"]
-        drift = np.abs(i_l - i_l[0])
-        deviations = {
-            "ermakov_residual_max": columns["ermakov_residual"],
-            "det_M_drift": np.abs(s.wronskian - 1.0),
-            "ermakov_rel_drift": drift / abs(i_l[0]) if i_l[0] != 0.0 else drift,
-            "p_phi_abs_dev": np.abs(columns["p_phi"] - 0.5 * c.hbar),
-            "iup_abs_dev": np.abs(columns["invariant_uncertainty_product"]
-                                  - 0.25 * c.hbar ** 2),
-            "uncertainty_hamiltonian_vs_energy": np.abs(uncertainty_hamiltonian(
-                canonical_coordinates(s, c), w, c) - columns["E_tilde"]),
-        }
-        scale = np.float64(c.mass) / (packet.alpha0 * packet.p0)
-        if (packet.x0 == 0.0 and np.isfinite(scale)
-                and abs(packet.p0 / c.mass) >= np.finfo(float).smallest_normal):
-            deviations["det_vs_ermakov_identity"] = np.abs(
-                det_as_ermakov(s.eta, s.eta_dot, s.alpha, s.alpha_dot,
-                               packet.alpha0, packet.p0, c.mass) - s.wronskian)
-    require_finite(s.t, deviations)
-    return {name: float(d.max()) for name, d in deviations.items()}
-
-
 def euler_lagrange_residuals(traj: Trajectory, last=None):
-    """Euler-Lagrange residuals of the width dynamics at every interior
+    """The Euler-Lagrange residual of the width equation at every interior
     sample, by centered differences at the trajectory's own sample spacing:
 
-        d/dt [(hbar/2)*alpha^2*phi'] = 0,
         alpha'' + w^2*alpha - phi'^2*alpha = 0.
 
-    Returns the arrays (res_phi, res_alpha), empty for fewer than 3 samples.
+    Returns the array of residuals, empty for fewer than 3 samples.
     Accuracy is O(h^2) in the sample spacing h, which must be uniform
     (ValidationError otherwise): adjacent spacings may differ by 1e-12 of
     the larger plus UNIFORM_ULPS ulps of `last`, by default the last time,
-    the rounding of times t + h far from 0.  alpha, phi' and p_phi are the
+    the rounding of times t + h far from 0.  alpha and phi' are the
     trajectory's columns, so every value rounds as it does for traj[i].
     """
     times = traj.times
     if len(times) < 3:
-        return np.empty(0), np.empty(0)
+        return np.empty(0)
     h1 = times[1:-1] - times[:-2]
     h2 = times[2:] - times[1:-1]
     atol = UNIFORM_ULPS * np.spacing(times[-1] if last is None else last)
@@ -237,24 +147,18 @@ def euler_lagrange_residuals(traj: Trajectory, last=None):
     h = 0.5 * (h1 + h2)
 
     s = traj.columns
-    p_phi = canonical_coordinates(s, traj.system.constants).p_phi
-    res_phi = np.abs((p_phi[2:] - p_phi[:-2]) / (2.0 * h))
-
     alpha = s.alpha
     a = alpha[1:-1]
     alpha_ddot = (alpha[2:] - 2.0 * a + alpha[:-2]) / (h * h)
     w = traj.system.frequency_law.omega(times[1:-1])
-    res_alpha = np.abs(alpha_ddot + w * w * a - np.float_power(s.phi_dot[1:-1], 2) * a)
-    return res_phi, res_alpha
+    return np.abs(alpha_ddot + w * w * a - np.float_power(s.phi_dot[1:-1], 2) * a)
 
 
 class EulerLagrangeMaxima:
-    """solve_lambda's step_hook for the invariants task: `phi` and `alpha`
-    are the largest euler_lagrange_residuals(steps, last) over the blocks
-    handed to it, and so over all their steps at once (0.0 for < 3)."""
-    phi = alpha = 0.0
+    """solve_lambda's step_hook for the invariants task: `alpha` is the
+    largest euler_lagrange_residuals(steps, last) over the blocks handed to
+    it, and so over all their steps at once (0.0 for < 3)."""
+    alpha = 0.0
 
     def __call__(self, steps: Trajectory, last):
-        res_phi, res_alpha = euler_lagrange_residuals(steps, last)
-        self.phi = float(res_phi.max(initial=self.phi))
-        self.alpha = float(res_alpha.max(initial=self.alpha))
+        self.alpha = float(euler_lagrange_residuals(steps, last).max(initial=self.alpha))

@@ -57,14 +57,11 @@ MUTANTS = (
     Mutant("dropped-rk4-stage", "evolution", "_step_propagators",
            (("np.multiply(c, (p + 2.0 * (p2 + p3)) + p4, out=e[0])",
              "np.multiply(c, (p + 2.0 * (p2 + p2)) + p4, out=e[0])"),),
-           {"default": {"ermakov_residual_max", "iup_abs_dev", "p_phi_abs_dev"},
-            "strict": {"ermakov_residual_max", "iup_abs_dev", "p_phi_abs_dev",
-                       "det_M_drift", "ermakov_rel_drift"}}),
+           {"default": {"det_M_drift"}, "strict": {"det_M_drift"}}),
     Mutant("stage2-omega-sign", "evolution", "_step_propagators",
            (("a2 = n2 * q2", "a2 = -n2 * q2"),),
-           {"default": {"euler_lagrange_alpha", "iup_abs_dev", "p_phi_abs_dev"},
-            "strict": {"euler_lagrange_alpha", "iup_abs_dev", "p_phi_abs_dev",
-                       "det_M_drift"}}),
+           {"default": {"det_M_drift", "euler_lagrange_alpha"},
+            "strict": {"det_M_drift", "euler_lagrange_alpha"}}),
     Mutant("phase-rate-1-over-alpha", "evolution", "solve_lambda",
            (("p1 = 1.0 / (u * u + z * z)", "p1 = 1.0 / np.sqrt(u * u + z * z)"),
             ("p2, p3, p4 = 1.0 / (us * us + zs * zs)",

@@ -139,7 +139,6 @@ def test_free_spread_outputs(tmp_path):
         assert field in report["samples"][0]
     checks = report["invariants"]["checks"]
     assert checks["det_M_drift"]["value"] <= 1e-9
-    assert checks["ermakov_rel_drift"]["value"] <= 1e-8
     # at t_end the packet reaches the outer halves of the oracle's grid
     assert report["oracle_compare"]["warnings"] == [
         "probability mass leaked outside the central half of the domain"]
@@ -176,7 +175,6 @@ def test_ho_constant_width_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     checks = report["invariants"]["checks"]
     assert checks["det_M_drift"]["value"] <= 1e-9
-    assert checks["ermakov_rel_drift"]["value"] <= 1e-8
     for r in report["samples"]:
         assert r["p_phi"] == pytest.approx(0.5, abs=1e-10)
     assert report["kernel_check"]["checks"]["kernel_ode_residual"]["pass"]
@@ -317,19 +315,6 @@ def test_overflowing_sample_quantity_exits_3(tmp_path, capsys, overrides, quanti
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-def test_tiny_p0_det_vs_ermakov_identity_is_finite(tmp_path):
-    """(m/(alpha0*p0))^2 overflows at p0 = 6.5e-280, but the identity is of
-    order 1: the scale enters each square separately, so the check is
-    finite and passes."""
-    cfg = write_config(tmp_path, dict(
-        SMALL_CONFIG, packet={"x0": 0.0, "p0": 6.5e-280, "alpha0": 1.0}))
-    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
-    check = json.loads((tmp_path / "o" / "report.json").read_text())[
-        "invariants"]["checks"]["det_vs_ermakov_identity"]
-    assert math.isfinite(check["value"])
-    assert check["pass"]
-
-
 @pytest.mark.parametrize("constants, packet", [
     # s = m/(alpha0*p0) overflows and p0/m is subnormal
     ({"hbar": 1.0, "mass": 1e8}, {"x0": 0.0, "p0": 1e-300, "alpha0": 1e-3}),
@@ -340,17 +325,16 @@ def test_tiny_p0_det_vs_ermakov_identity_is_finite(tmp_path):
 ], ids=["infinite-scale", "subnormal-velocity", "zero-denominator"])
 def test_det_vs_ermakov_identity_needs_doubles_that_carry_it(tmp_path, capsys,
                                                               constants, packet):
-    """The identity is of order 1, but with a subnormal eta' = p0/m or an
-    infinite scale s doubles cannot evaluate it: the invariants section
-    leaves it out, as for x0 != 0, and the run exits 0."""
+    """The identity det M = 2*s^2*I_L is of order 1, but with a subnormal
+    eta' = p0/m or an infinite scale s doubles cannot evaluate it.  The
+    invariants section reads det M alone, and the run exits 0."""
     data = dict(SMALL_CONFIG, constants=constants, packet=packet)
     cfg = write_config(tmp_path, data)
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
     checks = json.loads((tmp_path / "o" / "report.json").read_text())[
         "invariants"]["checks"]
-    assert "det_vs_ermakov_identity" not in checks
-    assert "det_M_drift" in checks
+    assert list(checks) == ["det_M_drift", "euler_lagrange_alpha"]
 
 
 def test_oracle_on_a_grid_that_samples_no_mass(tmp_path, capsys):
@@ -383,9 +367,8 @@ def test_exit_code_delta_limit(tmp_path):
 
 
 def test_unreported_invariant_deviation_does_not_stop_evolve(tmp_path):
-    """At x0 = 0 and a subnormal p0, m/(alpha0*p0) overflows, so doubles
-    cannot carry the det_vs_ermakov_identity deviation; a run without the
-    invariants task never reaches it and completes."""
+    """At x0 = 0 and a subnormal p0, m/(alpha0*p0) overflows; a run
+    without the invariants task completes."""
     data = dict(SMALL_CONFIG, packet={"x0": 0.0, "p0": 2.2250738585e-313, "alpha0": 1.0},
                 tasks=["evolve"])
     cfg = write_config(tmp_path, data)
@@ -598,13 +581,12 @@ def test_euler_lagrange_memory_does_not_grow_with_the_steps():
 
 
 def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
-    """Two samples leave no interior point for the centered differences."""
+    """Two samples leave no interior point for the centered difference."""
     data = dict(SMALL_CONFIG, time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})
     cfg = write_config(tmp_path, data)
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
     checks = json.loads((tmp_path / "o" / "report.json").read_text())[
         "invariants"]["checks"]
-    assert checks["euler_lagrange_phi"]["value"] == 0.0
     assert checks["euler_lagrange_alpha"]["value"] == 0.0
 
 
@@ -953,12 +935,11 @@ def _failing_checks(report):
 def test_each_check_reads_its_profile_entry(monkeypatch, free_spread, entry):
     """free-spread reports every check, and passes them all.  With one
     profile entry at -1, the check of that name, and no other, fails and
-    fails the run; el_residual_factor scales both Euler-Lagrange
-    tolerances."""
+    fails the run; el_residual_factor scales the Euler-Lagrange
+    tolerance."""
     monkeypatch.setitem(TOLERANCE_PROFILES["default"], entry, -1.0)
     report, _ = run_scenario(free_spread)
-    expected = ({"euler_lagrange_phi", "euler_lagrange_alpha"}
-                if entry == "el_residual_factor" else {entry})
+    expected = {"euler_lagrange_alpha" if entry == "el_residual_factor" else entry}
     assert _failing_checks(report) == expected
     assert report["pass"] is False
 
@@ -987,12 +968,13 @@ def test_pass_and_warnings_read_every_wigner_entry(monkeypatch, free_spread):
 
 
 def test_run_without_invariants_neither_computes_nor_checks_them(monkeypatch):
-    """Deviations and Euler-Lagrange residuals belong to the invariants stage
-    alone; a run without it hands no integrator steps to a hook."""
+    """The drift of det M and the Euler-Lagrange residual belong to the
+    invariants stage alone; a run without it hands no integrator steps to a
+    hook."""
     def forbidden(*args, **kwargs):
         raise AssertionError("called without the invariants task")
 
-    monkeypatch.setattr(cli, "invariant_maxima", forbidden)
+    monkeypatch.setattr(cli, "_invariants_stage", forbidden)
     solve = cli.solve_lambda
     hooks = []
     monkeypatch.setattr(cli, "solve_lambda", lambda *args, step_hook, **kwargs: (

@@ -1,12 +1,18 @@
-"""The column pipeline against the per-sample scalar reference.
+"""The column pipeline against the per-sample scalar reference, and the
+identities that tie the invariant columns to det M.
 
 run_scenario computes every record and invariant-summary value on whole
 columns; tests/scalar_reference.py keeps the loop that computed them one
 sample at a time.  Both must give the same floats to the last bit, except
-the Euler-Lagrange residuals, which read the run's own integrator steps
-and agree with the reference's second solve to rounding.  emit_outputs
+the Euler-Lagrange residual, which reads the run's own integrator steps
+and agrees with the reference's second solve to rounding.  emit_outputs
 writes the columns as the json module and the per-record writer wrote
 the records.
+
+p_phi, the invariant uncertainty product, the Ermakov residual and I_L
+are det M = W written through other formulas, and the invariant summary
+checks W alone: each column equals its W formula within the rounding of
+its own terms.
 """
 
 import io
@@ -23,14 +29,15 @@ from wavepacket import cli, rowformat
 from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, emit_outputs, main,
                             parse_config, run_scenario)
 from wavepacket.core import ModulatedOmega, is_free_motion
+from wavepacket.errors import DivergenceError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import euler_lagrange_residuals, record_columns
 from wavepacket.rowformat import write_report
 
 import scalar_reference
-from strategies import FINITE, law
+from strategies import FINITE, law, valid_configs
 
-EL_CHECKS = ("euler_lagrange_phi", "euler_lagrange_alpha")
+EPS = np.finfo(float).eps
 
 
 
@@ -40,8 +47,8 @@ def _configs(draw):
     sample_every = draw(st.integers(1, 100))
     t_end = draw(st.integers(1, 60)) * dt * sample_every
     x0 = draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0, **FINITE)))
-    # at p0 = 6.5e-280 the scale (m/(alpha0*p0))^2 of det_vs_ermakov_identity
-    # alone would overflow
+    # at p0 = 6.5e-280 the square of the scale m/(alpha0*p0) that ties I_L
+    # to det M would overflow
     p0 = draw(st.one_of(st.just(0.0), st.just(6.5e-280),
                         st.floats(1e-3, 3.0, **FINITE)))
     return {
@@ -79,16 +86,12 @@ def test_columns_equal_scalar_reference(data):
 
     checks = {name: entry["value"]
               for name, entry in report["invariants"]["checks"].items()}
-    assert {k: v for k, v in checks.items() if k not in EL_CHECKS} == (
-        scalar_reference.invariant_checks(config, traj, records))
+    el = checks.pop("euler_lagrange_alpha")
+    assert checks == scalar_reference.invariant_checks(config, traj, records)
     steps = scalar_reference.kept_steps(config.system, config.packet, config.sample_times(),
                                         config.dt, round(min(config.t_end, 2.0) / config.dt))
-    res_phi, res_alpha = euler_lagrange_residuals(steps)
-    assert checks["euler_lagrange_phi"] == float(res_phi.max(initial=0.0))
-    assert checks["euler_lagrange_alpha"] == float(res_alpha.max(initial=0.0))
-    _assert_el_close(config, checks)
-    assert ("det_vs_ermakov_identity" in checks) == (
-        config.packet.p0 != 0.0 and config.packet.x0 == 0.0)
+    assert el == float(euler_lagrange_residuals(steps).max(initial=0.0))
+    _assert_el_close(config, el)
     if is_free_motion(config.system.frequency_law):
         block = report["invariants"]["frozen_width"]
         samples, worst = scalar_reference.frozen_width(config, records)
@@ -121,18 +124,17 @@ def test_record_columns_evaluate_omega_once(monkeypatch):
     assert calls == [(len(traj),)]
 
 
-def _assert_el_close(config, checks):
-    """The run's Euler-Lagrange values against the reference's second solve,
-    within its rounding bounds."""
-    el_phi, el_alpha, phi_bound, alpha_bound = scalar_reference.fine_euler_lagrange(config)
-    assert abs(checks["euler_lagrange_phi"] - el_phi) <= phi_bound
-    assert abs(checks["euler_lagrange_alpha"] - el_alpha) <= alpha_bound
+def _assert_el_close(config, el):
+    """The run's Euler-Lagrange value against the reference's second solve,
+    within its rounding bound."""
+    el_alpha, bound = scalar_reference.fine_euler_lagrange(config)
+    assert abs(el - el_alpha) <= bound
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_builtin_run_solves_once_and_writes_reference_bytes(name, tmp_path, monkeypatch):
-    """A run integrates once; its Euler-Lagrange values agree with the
-    second solve they once ran; report.json is the json module's bytes
+    """A run integrates once; its Euler-Lagrange value agrees with the
+    second solve it once ran; report.json is the json module's bytes
     and trajectory.csv the per-record writer's."""
     calls = []
     solve = cli.solve_lambda
@@ -145,10 +147,77 @@ def test_builtin_run_solves_once_and_writes_reference_bytes(name, tmp_path, monk
     raw = (out / "report.json").read_text()
     report = json.loads(raw)
     assert raw == json.dumps(report, indent=2) + "\n"
-    checks = {k: v["value"] for k, v in report["invariants"]["checks"].items()}
-    _assert_el_close(cli.load_config(name), checks)
+    _assert_el_close(cli.load_config(name),
+                     report["invariants"]["checks"]["euler_lagrange_alpha"]["value"])
     scalar_reference.write_trajectory_csv(tmp_path / "reference.csv", report["samples"])
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _identity_defects(config, traj, columns):
+    """{identity: the largest of |column - its W formula| - its bound} over
+    the samples; the column holds its identity where the value is <= 0.
+
+    Each bound is 16 eps times the magnitudes of the formula's own terms:
+    W = zd*u - ud*z rounds within eps*(|zd*u| + |ud*z|), and so on.  For a
+    release from x0 = 0, eta = z/s and eta' = zd/s with s = m/(alpha0*p0),
+    so 2*s^2*I_L = (s*(eta'*alpha - alpha'*eta))^2 + (s*eta/alpha)^2; it is
+    summed with the scale inside each square where doubles carry it, the
+    condition under which the invariant summary once checked it: p0/m a
+    normal double and s finite.  That sum reads phi' as 1/alpha^2, so it is
+    (u^2*W^2 + z^2)/alpha^2, which differs from W by (W - 1)*(u^2*W - z^2)/alpha^2."""
+    c, packet, s = config.constants, config.packet, traj.columns
+    u, ud, z, zd = s.u_hat, s.u_hat_dot, s.z_hat, s.z_hat_dot
+    alpha, alpha_dot = columns["alpha"], columns["alpha_dot"]
+    w = config.system.frequency_law.omega(s.t)
+    det = columns["det_M"]
+    cross = np.abs(zd * u) + np.abs(ud * z)              # the terms of W
+    dot = np.abs(ud * u) + np.abs(zd * z)                # those of alpha*alpha'
+    defects = {
+        "p_phi": (np.abs(columns["p_phi"] - 0.5 * c.hbar * det),
+                  16.0 * EPS * 0.5 * c.hbar * cross),
+        "invariant_uncertainty_product": (
+            np.abs(columns["invariant_uncertainty_product"] - 0.25 * c.hbar ** 2 * det * det),
+            16.0 * EPS * columns["var_x"] * columns["var_p"]),
+        "ermakov_residual": (
+            np.abs(columns["ermakov_residual"] - np.abs(det * det - 1.0) / alpha ** 3),
+            16.0 * EPS * ((ud * ud + zd * zd + w * w * alpha * alpha
+                           + dot * dot / (alpha * alpha)) / alpha
+                          + w * w * alpha + (1.0 + cross * cross) / alpha ** 3)),
+    }
+    with np.errstate(all="ignore"):
+        scale = np.float64(c.mass) / (packet.alpha0 * packet.p0)
+    if (packet.x0 == 0.0 and np.isfinite(scale)
+            and abs(packet.p0 / c.mass) >= np.finfo(float).smallest_normal):
+        eta, eta_dot = columns["eta"], columns["eta_dot"]
+        a = scale * (eta_dot * alpha - alpha_dot * eta)
+        b = scale * (eta / alpha)
+        a_terms = np.abs(scale) * (np.abs(eta_dot * alpha) + np.abs(eta) * dot / alpha)
+        defects["2*s^2*I_L"] = (
+            np.abs(scalar_reference.det_as_ermakov(
+                eta, eta_dot, alpha, alpha_dot, packet.alpha0, packet.p0, c.mass) - det),
+            16.0 * EPS * (cross + a_terms * a_terms + b * b)
+            + np.abs(det - 1.0) * (u * u * np.abs(det) + z * z) / (alpha * alpha))
+        # the column itself is that sum over 2*s^2, down to subnormal I_L
+        defects["I_L"] = (np.abs(columns["I_L"] - 0.5 * (a * a + b * b) / scale / scale),
+                          16.0 * (EPS * columns["I_L"] + np.finfo(float).smallest_normal))
+    return {name: float((difference - bound).max())
+            for name, (difference, bound) in defects.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=valid_configs())
+def test_invariant_columns_are_det_m_through_their_formulas(data):
+    """p_phi = (hbar/2)*W, the invariant uncertainty product (hbar^2/4)*W^2,
+    the Ermakov residual |W^2 - 1|/alpha^3 and, for x0 = 0,
+    2*(m/(alpha0*p0))^2 * I_L = W, where W is the det_M column."""
+    config = parse_config(data)
+    traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt)
+    try:
+        columns = record_columns(traj)
+    except DivergenceError:
+        return              # a column overflowed: the run exits 3 and reports none
+    defects = _identity_defects(config, traj, columns)
+    assert all(d <= 0.0 for d in defects.values()), defects
 
 
 # floats whose repr takes each of its forms: signed zeros, subnormals down

@@ -620,8 +620,8 @@ _KNOT_ON_BOUNDARY = TabulatedOmega((0.0, 1.1, 2.048, 3.3, 4.5), (1.0, 0.4, 1.8, 
     (Free(), 1.5, 10**6),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, (int, float)) else str(v))
 def test_block_maxima_are_the_residuals_over_all_kept_steps(law, t_end, keep):
-    """The maxima EulerLagrangeMaxima reduces block by block are, bit for
-    bit, those of euler_lagrange_residuals over the whole kept trajectory,
+    """The maximum EulerLagrangeMaxima reduces block by block is, bit for
+    bit, that of euler_lagrange_residuals over the whole kept trajectory,
     and the rows it is handed are that trajectory's."""
     system = SystemSpec(Constants(1.3, 0.7), law)
     packet = InitialPacket(0.4, 0.9, 1.2)
@@ -636,6 +636,4 @@ def test_block_maxima_are_the_residuals_over_all_kept_steps(law, t_end, keep):
     times, states = _handed_steps(blocks)
     assert times.tobytes() == kept.times.tobytes()
     assert states.tobytes() == kept.states.tobytes()
-    res_phi, res_alpha = euler_lagrange_residuals(kept)
-    assert el.phi == float(res_phi.max(initial=0.0))
-    assert el.alpha == float(res_alpha.max(initial=0.0))
+    assert el.alpha == float(euler_lagrange_residuals(kept).max(initial=0.0))

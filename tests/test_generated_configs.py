@@ -1,10 +1,11 @@
 """Every valid config gives a report or a documented numerical exit.
 
-Configs are drawn over all five law types, hbar and m over 16 decades,
-alpha0 over 6 and |p0| up to 1e6, grids of 64-256 points that may be too
-coarse for the packet or cut into it, short runs with dt from 1e-4 and
-1-100 steps per sample, and the invariants task with any subset of the
-others, so that the Euler-Lagrange residuals read the run's own steps.  An
+Configs are drawn by strategies.valid_configs over all five law types,
+hbar and m over 16 decades, alpha0 over 6 and |p0| up to 1e6, grids of
+64-256 points that may be too coarse for the packet or cut into it, short
+runs with dt from 1e-4 and 1-100 steps per sample, and the invariants task
+with any subset of the others, so that the Euler-Lagrange residuals read
+the run's own steps.  An
 example must write report.json (exit 0), or stop with exit 3 (divergence)
 or 4 (capability) and that class's message.  A config error
 (exit 2) of a config that parse_config accepted is an internal check
@@ -29,59 +30,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wavepacket import cli
-from wavepacket.cli import STAGES, TASKS, emit_outputs, main, parse_config, run_scenario
+from wavepacket.cli import STAGES, emit_outputs, main, parse_config, run_scenario
 from wavepacket.errors import CapabilityError, ConfigError, DivergenceError
 
-from strategies import FINITE, law
+from strategies import law, valid_configs
 
 MESSAGES = {3: "error: numerical divergence: ", 4: "error: capability: "}
 
 
-def _log_uniform(lo, hi):
-    """Floats whose log10 is uniform over [log10(lo), log10(hi)]."""
-    return st.floats(math.log10(lo), math.log10(hi), **FINITE).map(lambda e: 10.0 ** e)
-
-
-@st.composite
-def _configs(draw):
-    dt = draw(st.one_of(st.sampled_from((1e-4, 1e-3)), st.floats(1e-4, 0.02, **FINITE)))
-    sample_every = draw(st.integers(1, 100))
-    # at most 800 steps: with dt = 1e-4 the residuals read every step of the
-    # run, and from dt = 2.5e-3 on they may read a prefix of it
-    t_end = draw(st.integers(1, max(1, 800 // sample_every))) * dt * sample_every
-    half_width = draw(st.floats(1.0, 20.0, **FINITE))
-    centre = draw(st.floats(-5.0, 5.0, **FINITE))
-    return {
-        "constants": {"hbar": draw(_log_uniform(1e-8, 1e8)),
-                      "mass": draw(_log_uniform(1e-8, 1e8))},
-        "system": law(draw, t_end),
-        "packet": {"x0": draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0, **FINITE))),
-                   "p0": draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0, **FINITE),
-                                        st.builds(math.copysign, _log_uniform(1e-3, 1e6),
-                                                  st.sampled_from((1.0, -1.0))))),
-                   "alpha0": draw(_log_uniform(1e-3, 1e3))},
-        "time": {"t_end": t_end, "dt": dt, "sample_every": sample_every},
-        "grid": {"x_min": centre - half_width, "x_max": centre + half_width,
-                 "n_points": draw(st.sampled_from((64, 128, 256)))},
-        "phase_space_grid": {"nx": draw(st.integers(16, 48)),
-                             "np": draw(st.integers(16, 48)),
-                             "span_sigmas": draw(st.floats(2.0, 10.0, **FINITE))},
-        "tasks": ["invariants"] + draw(st.lists(
-            st.sampled_from([t for t in TASKS if t != "invariants"]), unique=True)),
-    }
-
-
 @settings(max_examples=100, deadline=None)
-@given(data=_configs())
-# doubles cannot carry the invariant summary's det_vs_ermakov_identity
-# here, and only the invariants task would report it
+@given(data=valid_configs())
+# x0 = 0 and a subnormal p0: m/(alpha0*p0) overflows, and a run without
+# the invariants task completes
 @example(data={"system": {"type": "free"},
                "packet": {"x0": 0.0, "p0": 2.2250738585e-313, "alpha0": 1.0},
                "time": {"t_end": 0.01, "dt": 0.001, "sample_every": 10},
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
                "tasks": ["evolve"]})
 # s = m/(alpha0*p0) overflows and p0/m is subnormal: doubles cannot carry
-# det_vs_ermakov_identity, and the invariants task leaves it out
+# det M = 2*s^2*I_L, and the invariants task completes
 @example(data={"constants": {"hbar": 1.0, "mass": 1e8},
                "system": {"type": "free"},
                "packet": {"x0": 0.0, "p0": 1e-300, "alpha0": 1e-3},
@@ -137,7 +104,6 @@ def test_valid_config_reports_or_exits_documented(data):
                 assert (task in report) == (task in config.tasks)
             if "invariants" in config.tasks:
                 checks = report["invariants"]["checks"]
-                assert math.isfinite(checks["euler_lagrange_phi"]["value"])
                 assert math.isfinite(checks["euler_lagrange_alpha"]["value"])
             assert message == ""
         else:

@@ -13,15 +13,15 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
 from wavepacket.errors import CapabilityError, ValidationError
 from wavepacket.evolution import Trajectory, solve_lambda
 from wavepacket.kernels import UNIFORM_ULPS
-from wavepacket.invariants import (EulerLagrangeMaxima, canonical_coordinates,
-                                   det_as_ermakov, energy_partition,
+from wavepacket.invariants import (EulerLagrangeMaxima, energy_partition,
                                    ermakov_invariant, euler_lagrange_residuals,
                                    frozen_width_matrix, matrix_from_state,
-                                   uncertainty_hamiltonian)
+                                   record_columns)
 from wavepacket.packet import Moments, moments_from_lambda
 from wavepacket.wigner import wigner_gaussian, wigner_pointmap
 
-from scalar_reference import closed_form_lambda, omega_at
+from scalar_reference import (canonical_coordinates, closed_form_lambda, det_as_ermakov,
+                              omega_at, uncertainty_hamiltonian)
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -207,28 +207,24 @@ def test_energy_total_conserved_for_static_omega_only():
 def test_p_phi_is_half_hbar():
     for law in (Free(), ConstantOmega(1.0), ModulatedOmega(1.0, 0.2, 2.0)):
         traj = solve(SystemSpec(C, law), InitialPacket(0.0, 1.0, 1.3), t_end=5.0, n=50)
-        for s in traj:
-            assert abs(canonical_coordinates(s, C).p_phi - 0.5) <= 1e-10
+        assert np.abs(record_columns(traj)["p_phi"] - 0.5).max() <= 1e-10
 
 
 def test_euler_lagrange_residuals_at_integrator_resolution():
     dt = 1e-3
     t_grid = [k * dt for k in range(1001)]
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
-    res_phi, res_alpha = euler_lagrange_residuals(traj)
-    assert len(res_phi) == len(res_alpha) == len(traj) - 2
-    assert res_phi.max() <= 1e-6
+    res_alpha = euler_lagrange_residuals(traj)
+    assert len(res_alpha) == len(traj) - 2
     assert res_alpha.max() <= 1e-6
-    for s in (traj[i] for i in range(1, len(traj) - 1, 100)):
-        assert canonical_coordinates(s, C).p_phi == pytest.approx(0.5, abs=1e-10)
 
 
 def test_uncertainty_product_identity():
     """U = p_phi^2 + (alpha*p_alpha)^2 equals <x~^2><p~^2>."""
     traj = solve(HO, InitialPacket(0.0, 1.0, 1.7), t_end=5.0, n=50)
     for s in traj:
-        uc = canonical_coordinates(s, C)
-        u = uc.p_phi ** 2 + (uc.alpha * uc.p_alpha) ** 2
+        alpha, p_alpha, _, p_phi = canonical_coordinates(s, C)
+        u = p_phi ** 2 + (alpha * p_alpha) ** 2
         m = moments_from_lambda(s, C)
         assert abs(u - m.var_x * m.var_p) <= 1e-10
 
@@ -282,7 +278,7 @@ def test_residuals_take_the_steps_of_a_fine_run(dt, sample_every):
     solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt,
                  step_hook=hook, hook_steps=round(2.0 / dt))
     assert sum(handed) - 2 * (len(handed) - 1) == round(2.0 / dt) + 1
-    assert 0.0 < el.phi <= 1e-10 and 0.0 < el.alpha <= 10.0 * dt * dt
+    assert 0.0 < el.alpha <= 10.0 * dt * dt
 
 
 def test_residuals_need_interior_uniform_samples():
@@ -295,20 +291,18 @@ def test_residuals_need_interior_uniform_samples():
     traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0, 0.25, 0.5 + 5e-13])
     with pytest.raises(ValidationError, match="uniform"):
         euler_lagrange_residuals(traj)
-    assert euler_lagrange_residuals(traj, 1000.0)[1].shape == (1,)
+    assert euler_lagrange_residuals(traj, 1000.0).shape == (1,)
     EulerLagrangeMaxima()(traj, 1000.0)
     for n in (0, 1):
         traj = solve(FREE, InitialPacket(0.0, 1.0, 1.0), t_end=0.001, n=n)
-        res_phi, res_alpha = euler_lagrange_residuals(traj)
-        assert res_phi.shape == res_alpha.shape == (0,)
+        assert euler_lagrange_residuals(traj).shape == (0,)
 
 
-def _uncertainty_dynamics_residuals_reference(traj: Trajectory, index: int):
-    """The per-sample residuals the array form replaced, kept as its
-    bit-exact reference; returns (res_phi, res_alpha, p_phi)."""
+def _uncertainty_dynamics_residual_reference(traj: Trajectory, index: int):
+    """The per-sample width-equation residual the array form replaced, kept
+    as its bit-exact reference."""
     if not 0 < index < len(traj) - 1:
         raise ValidationError("index must be interior for centered differences")
-    c = traj.system.constants
     prev, here, nxt = traj[index - 1], traj[index], traj[index + 1]
     h1 = here.t - prev.t
     h2 = nxt.t - here.t
@@ -316,17 +310,9 @@ def _uncertainty_dynamics_residuals_reference(traj: Trajectory, index: int):
     if abs(h1 - h2) > 1e-12 * max(h1, h2) + atol:
         raise ValidationError("centered differences need uniform sample spacing")
     h = 0.5 * (h1 + h2)
-
-    p_phi = canonical_coordinates(here, c).p_phi
-    p_phi_prev = canonical_coordinates(prev, c).p_phi
-    p_phi_next = canonical_coordinates(nxt, c).p_phi
-    res_phi = abs((p_phi_next - p_phi_prev) / (2.0 * h))
-
     alpha_ddot = (nxt.alpha - 2.0 * here.alpha + prev.alpha) / (h * h)
     w = omega_at(traj.system, here.t)
-    res_alpha = abs(alpha_ddot + w * w * here.alpha
-                    - here.phi_dot ** 2 * here.alpha)
-    return res_phi, res_alpha, p_phi
+    return abs(alpha_ddot + w * w * here.alpha - here.phi_dot ** 2 * here.alpha)
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -366,12 +352,10 @@ def test_euler_lagrange_residuals_equal_per_sample_reference(law, constants, pac
     system = SystemSpec(constants, law)
     traj = solve_lambda(system, packet, [k * spacing for k in range(n + 1)],
                         dt=spacing / substeps)
-    res_phi, res_alpha = euler_lagrange_residuals(traj)
-    assert len(res_phi) == len(res_alpha) == max(0, len(traj) - 2)
+    res_alpha = euler_lagrange_residuals(traj)
+    assert len(res_alpha) == max(0, len(traj) - 2)
     for i in range(1, len(traj) - 1):
-        ref_phi, ref_alpha, _ = _uncertainty_dynamics_residuals_reference(traj, i)
-        assert res_phi[i - 1] == ref_phi
-        assert res_alpha[i - 1] == ref_alpha
+        assert res_alpha[i - 1] == _uncertainty_dynamics_residual_reference(traj, i)
 
 
 @pytest.mark.parametrize("law", [
@@ -383,7 +367,6 @@ def test_euler_lagrange_residuals_equal_reference_at_integrator_resolution(law):
     dt = 1e-3
     traj = solve_lambda(SystemSpec(Constants(1.3, 0.7), law),
                         InitialPacket(0.4, 0.9, 1.2), [k * dt for k in range(1001)], dt=dt)
-    res_phi, res_alpha = euler_lagrange_residuals(traj)
-    reference = [_uncertainty_dynamics_residuals_reference(traj, i)[:2]
+    reference = [_uncertainty_dynamics_residual_reference(traj, i)
                  for i in range(1, len(traj) - 1)]
-    assert list(zip(res_phi.tolist(), res_alpha.tolist())) == reference
+    assert euler_lagrange_residuals(traj).tolist() == reference
