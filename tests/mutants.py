@@ -8,8 +8,8 @@ binding the result to the function's name in every wavepacket module that
 holds the original (cli imports the layer functions by name), where the
 program looks it up at call time; the originals are bound again afterwards.
 
-Each mutant runs on one scenario under every tolerance profile, and
-records per profile the set of checks that fail in its report.  A mutant
+Each mutant runs on SCENARIO under every tolerance profile, and records
+per profile the set of checks that fail in its report.  A mutant
 that no check catches is recorded with empty sets and the reason.
 tests/test_mutants.py asserts every recorded set, in both directions, so a
 change that loses a catch fails it and a change that adds one updates the
@@ -34,12 +34,9 @@ if __name__ == "__main__":      # as a script, read the package from this checko
 
 from wavepacket import cli  # noqa: E402
 
-# the scenarios mutants run on, each passing every check unmutated;
-# ho-breathing with the tasks the invariant checks need is 10 000 RK4 steps,
-# with no kernel, Wigner or oracle work
-SCENARIOS = {
-    "ho-breathing": cli.BUILTIN_SCENARIOS["ho-breathing"] | {"tasks": ["evolve", "invariants"]},
-}
+# ho-breathing with the tasks the invariant checks need: 10 000 RK4 steps,
+# with no kernel, Wigner or oracle work, and every check passes unmutated
+SCENARIO = cli.BUILTIN_SCENARIOS["ho-breathing"] | {"tasks": ["evolve", "invariants"]}
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class Mutant:
     function: str
     edits: tuple            # (old, new) pairs of source text
     caught: dict            # tolerance profile -> the set of checks that fail
-    scenario: str = "ho-breathing"    # a key of SCENARIOS
     why: str = ""           # for a mutant that no check catches
 
 
@@ -104,17 +100,17 @@ def failing_checks(report):
             for name, check in section.get("checks", {}).items() if not check["pass"]}
 
 
-def run(scenario, profiles=tuple(cli.TOLERANCE_PROFILES)):
-    """{profile: failing_checks} of the scenario's report under each profile."""
-    config = cli.parse_config(scenario, name="mutant")
+def run():
+    """{profile: failing_checks} of SCENARIO's report under every profile."""
+    config = cli.parse_config(SCENARIO, name="mutant")
     return {profile: failing_checks(cli.run_scenario(config, profile)[0])
-            for profile in profiles}
+            for profile in cli.TOLERANCE_PROFILES}
 
 
 def caught(mutant):
-    """{profile: failing_checks} of the scenario with the mutant applied."""
+    """run() with the mutant applied."""
     with applied(mutant):
-        return run(SCENARIOS[mutant.scenario], tuple(mutant.caught))
+        return run()
 
 
 def main():

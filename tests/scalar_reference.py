@@ -8,8 +8,8 @@ ran before they read the integrator's own steps, and the direct
 O(n_p * n^2) Wigner sum that the chirp-z transform replaced, kept as their
 references to rounding; the paper's forms of det M through eta and
 alpha (det_as_ermakov), of the canonical coordinates of the width dynamics
-and of the uncertainty Hamiltonian, which the report no longer checks and
-the identity tests assert; and the closed forms of lambda and eta for free
+and of the uncertainty Hamiltonian, which only the identity tests
+evaluate; and the closed forms of lambda and eta for free
 motion and constant w, the scalar w(t) and the p marginal of a Wigner grid,
 which only the tests use.
 
@@ -269,7 +269,7 @@ def sample_records(config, traj):
     return records
 
 
-def invariant_checks(config, traj, records):
+def invariant_checks(records):
     """{check name: value} of the invariant summary, one sample at a time;
     fine_euler_lagrange gives the Euler-Lagrange value."""
     return {"det_M_drift": max(abs(r["det_M"] - 1.0) for r in records)}

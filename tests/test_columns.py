@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wavepacket import cli, rowformat
 from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, emit_outputs, main,
@@ -87,7 +87,7 @@ def test_columns_equal_scalar_reference(data):
     checks = {name: entry["value"]
               for name, entry in report["invariants"]["checks"].items()}
     el = checks.pop("euler_lagrange_alpha")
-    assert checks == scalar_reference.invariant_checks(config, traj, records)
+    assert checks == scalar_reference.invariant_checks(records)
     steps = scalar_reference.kept_steps(config.system, config.packet, config.sample_times(),
                                         config.dt, round(min(config.t_end, 2.0) / config.dt))
     assert el == float(euler_lagrange_residuals(steps).max(initial=0.0))
@@ -161,9 +161,8 @@ def _identity_defects(config, traj, columns):
     W = zd*u - ud*z rounds within eps*(|zd*u| + |ud*z|), and so on.  For a
     release from x0 = 0, eta = z/s and eta' = zd/s with s = m/(alpha0*p0),
     so 2*s^2*I_L = (s*(eta'*alpha - alpha'*eta))^2 + (s*eta/alpha)^2; it is
-    summed with the scale inside each square where doubles carry it, the
-    condition under which the invariant summary once checked it: p0/m a
-    normal double and s finite.  That sum reads phi' as 1/alpha^2, so it is
+    summed with the scale inside each square where doubles carry it: p0/m
+    a normal double and s finite.  That sum reads phi' as 1/alpha^2, so it is
     (u^2*W^2 + z^2)/alpha^2, which differs from W by (W - 1)*(u^2*W - z^2)/alpha^2."""
     c, packet, s = config.constants, config.packet, traj.columns
     u, ud, z, zd = s.u_hat, s.u_hat_dot, s.z_hat, s.z_hat_dot
@@ -206,6 +205,13 @@ def _identity_defects(config, traj, columns):
 
 @settings(max_examples=150, deadline=None)
 @given(data=valid_configs())
+# (m/(alpha0*p0))^2 overflows at p0 = 6.5e-280, and I_L underflows, but
+# with the scale inside each square 2*s^2*I_L is still W
+@example(data={"system": {"type": "free"},
+               "packet": {"x0": 0.0, "p0": 6.5e-280, "alpha0": 1.0},
+               "time": {"t_end": 0.5, "dt": 0.001, "sample_every": 100},
+               "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
+               "tasks": ["evolve", "invariants"]})
 def test_invariant_columns_are_det_m_through_their_formulas(data):
     """p_phi = (hbar/2)*W, the invariant uncertainty product (hbar^2/4)*W^2,
     the Ermakov residual |W^2 - 1|/alpha^3 and, for x0 = 0,
