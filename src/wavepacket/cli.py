@@ -40,8 +40,7 @@ from .errors import CapabilityError, ConfigError, DivergenceError, ValidationErr
 from .evolution import solve_lambda
 from .invariants import (EulerLagrangeMaxima, frozen_width_matrix, matrix_from_state,
                          record_columns, require_finite)
-from .kernels import (apply_kernel, kernel_td, phase_aligned_l2,
-                      satisfies_kernel_odes)
+from .kernels import apply_kernel, kernel_td, satisfies_kernel_odes
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, propagate_analytic
 from .rowformat import write_records, write_report, write_rows
@@ -50,7 +49,7 @@ from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 # parse_config holds a run's working set to MEMORY_BUDGET: SAMPLE_BYTES per
 # sample, SOLVE_BLOCK_BYTES for solve_lambda's block, Euler-Lagrange reduction
 # included, and as its tasks need GRID_POINT_BYTES per grid point and
-# wigner_working_set (tracemalloc: 1229 to 2020, 0.61 MiB, 154 to 186); its steps
+# wigner_working_set (tracemalloc: 1229 to 2020, 0.46 MiB, 154 to 186); its steps
 # to STEP_BUDGET, oracle point-steps to POINT_STEP_BUDGET (0.5-0.7 us, 21-40 ns)
 MEMORY_BUDGET = 1 << 30
 SAMPLE_BYTES = 2560
@@ -440,15 +439,17 @@ def _kernel_check_stage(config, traj, columns, tol):
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
     psi_t = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
-    forward = apply_kernel(kernel_td(matrix, c), psi0, x)
-    back = apply_kernel(kernel_td(matrix, c, inverse=True), forward, x)
-    roundtrip = math.sqrt(float(np.trapezoid(
-        np.abs(back.values - psi0.values) ** 2, dx=psi0.dx)))
-    unitarity = abs(forward.norm() - psi0.norm())
+    caustics = math.floor(traj[-1].phi / math.pi)
+    forward = apply_kernel(kernel_td(matrix, c, caustics=caustics), psi0, x)
+    back = apply_kernel(kernel_td(matrix, c, inverse=True, caustics=caustics), forward, x)
+
+    def l2(a, b):
+        return math.sqrt(float(np.trapezoid(np.abs(a.values - b.values) ** 2, dx=b.dx)))
     # the round trip is exact for any adjoint pair, and the defining
-    # equations hold for whatever matrix the kernel reads: only this sees a
-    # wrong matrix_from_state
-    vs_analytic = phase_aligned_l2(forward, psi_t)
+    # equations hold for whatever matrix the kernel reads: only vs_analytic,
+    # unaligned, sees a wrong matrix_from_state or branch
+    roundtrip, vs_analytic = l2(back, psi0), l2(forward, psi_t)
+    unitarity = abs(forward.norm() - psi0.norm())
 
     # where no residual can be formed, its key and its check are left out
     warnings = list(back.warnings + psi_t.warnings)

@@ -18,9 +18,8 @@ packet:
 
 solve_lambda builds it by classic fixed-step RK4, as a product of per-step
 2x2 propagators.  The polar decomposition lambda = alpha*exp(i*phi) gives the
-width alpha = |lambda| and a phase that obeys phi' = 1/alpha^2; phi is
-integrated alongside the trajectory rather than recovered from
-principal-value angles, so it stays continuous across wraps."""
+width alpha = |lambda| and the phase phi = arg lambda, unwrapped step by
+step, so that it stays continuous across wraps."""
 
 import math
 import operator
@@ -53,7 +52,7 @@ class SampleColumns:
     one sample of it as plain floats (traj[i]).
 
     lambda = u_hat + i*z_hat and eta are the raw state; alpha = |lambda|
-    and phi is its continuously unwrapped phase; phi_dot is the dynamical
+    and phi is its continuously unwrapped arg; phi_dot is the dynamical
     phase velocity Im(lambda'*conj(lambda))/alpha^2, which equals 1/alpha^2
     as long as the Wronskian stays at 1.  A formula written over these
     names, such as ermakov_residual or moments_from_lambda, computes the
@@ -119,32 +118,31 @@ BLOCK_STEPS = 2048
 def _step_propagators(omega, t, h):
     """Per-step RK4 propagators for steps starting at the times t with sizes h.
 
-    Returns (E, Q): 1 + E[:, :, k] is the 2x2 matrix that maps (q, p) at
-    the start of step k to its end, and Q[i, :, k] gives the stage value
-    q_{i+2} = Q[i, 0, k]*q + Q[i, 1, k]*p.  E is kept apart from the
-    identity, which it is O(h) away from: 1 + E rounded would carry the same
-    rounding error into every step of a constant law.  w is evaluated at t,
-    t + h/2 and t + h of each step, in step order, by one call of omega.
-    Each is one classic RK4 step of q' = p, p' = -w^2*q on both basis
-    vectors, with the stage states yi + (0.5*h)*ki and yi + h*ki and the
-    increment (h/6)*((k1 + 2*(k2 + k3)) + k4) in that operation order,
-    written straight into Q and E.
+    Returns E: 1 + E[:, :, k] maps (q, p) at the start of step k to its end.
+    E is kept apart from the identity, which it is O(h) away from: 1 + E
+    rounded would carry the same rounding error into every step of a
+    constant law.  w is evaluated at t, t + h/2 and t + h of each step, in
+    step order, by one call of omega.  Each is one classic RK4 step of
+    q' = p, p' = -w^2*q on both basis vectors: stage states yi + (0.5*h)*ki
+    and yi + h*ki, and the increment (h/6)*((k1 + 2*(k2 + k3)) + k4) in that
+    operation order.  A stage's q lives only inside its -w^2*q, and k2 + k3
+    is summed in place into k2 as soon as k3 exists.
     """
     n1, n2, n4 = (-np.square(omega(np.stack([t, t + 0.5 * h, t + h], axis=1)))).T
-    e, stages = np.empty((2, 2, len(t))), np.empty((3, 2, len(t)))
+    e = np.empty((2, 2, len(t)))
     q, p = np.hsplit(np.eye(2), 2)      # the basis vectors (1, 0) and (0, 1)
     half = 0.5 * h
     a1 = n1 * q
-    q2, p2 = np.add(q, half * p, out=stages[0]), p + half * a1
-    a2 = n2 * q2
-    q3, p3 = np.add(q, half * p2, out=stages[1]), p + half * a2
-    a3 = n2 * q3
-    q4, p4 = np.add(q, h * p3, out=stages[2]), p + h * a3
-    a4 = n4 * q4
+    p2, a2 = p + half * a1, n2 * (q + half * p)
+    p3, a3 = p + half * a2, n2 * (q + half * p2)
+    p2 += p3                            # p2 + p3
+    a2 += a3                            # a2 + a3
+    p4, a4 = p + h * a3, n4 * (q + h * p3)
+    del p3, a3
     c = h / 6.0
-    np.multiply(c, (p + 2.0 * (p2 + p3)) + p4, out=e[0])
-    np.multiply(c, (a1 + 2.0 * (a2 + a3)) + a4, out=e[1])
-    return e, stages
+    np.multiply(c, (p + 2.0 * p2) + p4, out=e[0])
+    np.multiply(c, (a1 + 2.0 * a2) + a4, out=e[1])
+    return e
 
 
 def _matmul(a, b):
@@ -208,7 +206,7 @@ def _substeps(spans, dt):
 
 def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
                  step_hook=None, hook_steps=0):
-    """Integrate lambda, eta and phi over t_grid with classic fixed-step RK4.
+    """Integrate lambda and eta over t_grid with classic fixed-step RK4.
 
     t_grid must start at 0, be finite and increase strictly, and dt must be
     finite and positive (ValidationError otherwise).  Each sample interval
@@ -219,12 +217,14 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
     RK4 is linear on y'' + w^2 y = 0, so each step is a 2x2 matrix R_k and
     the fundamental matrix after k steps is R_k ... R_1.  It is built per
     block of BLOCK_STEPS steps by a prefix-product scan and carried from
-    block to block; lambda and eta are read off it, and phi sums the RK4
-    increment h/6*(p1 + 2*(p2 + p3) + p4), p = 1/|lambda|^2 at the stage
-    states, in step order.  Raises DivergenceError at the first sample whose
-    state is non-finite.  t_grid may be a sequence or an array; the
-    Trajectory keeps a read-only float64 copy of it and the raw states as a
-    read-only (n, 7) array, with no per-sample Python objects.
+    block to block; lambda and eta are read off it, and phi is arg lambda:
+    the principal angle atan2(z, u) less 2*pi for each whole turn rounded
+    off the differences of the angles at consecutive step ends, an integer
+    count that builds up no rounding, right while each step turns lambda by
+    less than pi.  Raises DivergenceError at the first sample whose state is
+    non-finite.  t_grid may be a sequence or an array; the Trajectory keeps
+    a read-only float64 copy of it and the raw states as a read-only (n, 7)
+    array, with no per-sample Python objects.
 
     With step_hook, the first hook_steps steps (all, if fewer) are handed
     over a block at a time, after the block's own arrays are released:
@@ -245,7 +245,7 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
         h = h_sub[interval]
         return times[interval] + (steps - firsts[interval]) * h, h
 
-    omega, mass = system.frequency_law.omega, system.constants.mass
+    omega, mass, a0 = system.frequency_law.omega, system.constants.mass, packet.alpha0
     states = np.empty((len(times), 7))
     states[0] = (*_packet_states(packet, mass, np.eye(2)), 0.0)
     total = int(ends[-1]) if len(ends) else 0
@@ -258,20 +258,15 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
         its steps among the first `handed`, or None; frees all else."""
         steps = np.arange(start, min(start + BLOCK_STEPS, total))
         t, h = step_times(steps)
-        e, stages = _step_propagators(omega, t, h)
+        e = _step_propagators(omega, t, h)
         _prefix_products(e)
         after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
 
-        # stage states, linear in the state (u, u', z, z') at each step start
-        u, ud, z, zd = _packet_states(packet, mass, np.concatenate(
-            [fundamental[:, :, None], after[:, :, :-1]], axis=2))[:4]
-        us = stages[:, 0] * u + stages[:, 1] * ud
-        zs = stages[:, 0] * z + stages[:, 1] * zd
-        p1 = 1.0 / (u * u + z * z)
-        p2, p3, p4 = 1.0 / (us * us + zs * zs)
-        increments = (h / 6.0) * ((p1 + 2.0 * (p2 + p3)) + p4)
-        phases = np.cumsum(np.concatenate([[phase], increments]))[1:]
-        del e, stages, u, ud, z, zd, us, zs, p1, p2, p3, p4, increments
+        # arg lambda at each step end, the first turn taken from the carried phase
+        angles = np.arctan2(after[0, 1] / a0, a0 * after[0, 0])
+        wraps = np.rint(np.diff(angles, prepend=phase) / math.tau)
+        phases = angles - math.tau * np.cumsum(wraps)
+        del e, angles, wraps
 
         lo, hi = np.searchsorted(ends, [start, steps[-1] + 1], side="right")
         rows = np.arange(lo, hi) + 1

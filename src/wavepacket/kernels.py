@@ -10,11 +10,14 @@ QuadraticPhaseKernel record,
 or its adjoint conj(K(x', x)).  kernel_td builds it for the time-dependent
 matrix M = ((zd, -z), (-ud, u)) of invariants.matrix_from_state:
 y = x'/alpha0, coef = m/(2*hbar*z) with z = -b, and the physical prefactor
-(m/(2*pi*i*hbar*alpha0*z))^(1/2), which gives the evolved packet with its
-global phase.  At m = alpha0 = 1 it is the paper's time-independent kernel
-of a symplectic matrix, whose quoted prefactor (1/(2*pi*i*hbar*b))^(1/2)
-differs only by a global factor of +-i.  satisfies_kernel_odes checks its
-two defining differential equations.
+(m/(2*pi*i*hbar*alpha0*z))^(1/2) on the Maslov (metaplectic) branch that
+the packet's exp(-i*phi/2) follows, phi = arg lambda: its phase -pi/4 - n*pi/2
+drops by pi/2 at each zero of z = alpha*sin(phi), so after n = floor(phi/pi)
+of them it is the principal value times (+1, -1, -1, +1)[n mod 4], and the
+kernel gives the evolved packet with its global phase.  At m = alpha0 = 1
+it is the paper's time-independent kernel of a symplectic matrix, whose
+quoted prefactor (1/(2*pi*i*hbar*b))^(1/2) differs only by a global factor
+of +-i.  satisfies_kernel_odes checks its two defining differential equations.
 
 The kernel is singular where b vanishes; for |b| <= B_MIN it is a delta
 function and callers must use the point map instead, which is signalled by
@@ -166,13 +169,13 @@ class QuadraticPhaseKernel:
 
 
 def kernel_td(matrix: TransformMatrix, constants: Constants,
-              inverse=False) -> QuadraticPhaseKernel:
+              inverse=False, caustics=0) -> QuadraticPhaseKernel:
     """The time-dependent kernel of M = ((zd, -z), (-ud, u)).
 
     forward: K(x, x') maps the initial coordinate x' (scaled by 1/alpha0
     inside, following the parametrization) to the evolved coordinate x.
     inverse: the adjoint, conj(K_forward(x', x)), which undoes the forward
-    transform exactly.
+    transform exactly.  caustics, n = floor(phi/pi), selects the branch.
 
     Raises CapabilityError for |z| <= B_MIN (the t -> 0 caustic where the
     kernel turns into a delta function).
@@ -180,7 +183,8 @@ def kernel_td(matrix: TransformMatrix, constants: Constants,
     _require_off_caustic(matrix.b)
     z, a0 = -matrix.b, matrix.alpha0
     hbar, m = constants.hbar, constants.mass
-    return QuadraticPhaseKernel(prefactor=cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z)),
+    prefactor = cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z))
+    return QuadraticPhaseKernel(prefactor=-prefactor if caustics % 4 in (1, 2) else prefactor,
                                 coef=m / (2.0 * hbar * z), a=matrix.a, d=matrix.d,
                                 scale=a0, adjoint=inverse)
 

@@ -11,9 +11,9 @@ with xt = x - <x>(t), <x> = eta(t), <p> = m*eta'(t), and
 S_cl = (m/2)*(eta*eta' - x0*p0/m) the classical action along the mean
 trajectory (exact for every quadratic Hamiltonian, integrating the
 Lagrangian by parts).  The square root of lambda uses the continuously
-unwrapped phase, which fixes the branch by continuity from the real
-positive normalization at t = 0.  For x0 = 0 this reproduces the kernel
-propagation of the initial packet identically, global phase included.
+unwrapped phase phi, which fixes the branch by continuity from the real
+positive normalization at t = 0.  This reproduces the kernel propagation
+of the initial packet identically, global phase included.
 """
 
 import cmath

@@ -8,17 +8,17 @@ binding the result to the function's name in every wavepacket module that
 holds the original (cli imports the layer functions by name), where the
 program looks it up at call time; the originals are bound again afterwards.
 
-Each mutant runs on SCENARIO under every tolerance profile, and records
-per profile the set of checks that fail in its report.  A mutant
-that no check catches is recorded with empty sets and the reason.
-tests/test_mutants.py asserts every recorded set, in both directions, so a
-change that loses a catch fails it and a change that adds one updates the
-record.
+Each mutant runs on one of SCENARIOS, the cheapest that shows it, under
+every tolerance profile, and records per profile the set of checks that
+fail in its report.  A mutant that no check catches is recorded with empty
+sets and the reason.  tests/test_mutants.py asserts every recorded set, in
+both directions, so a change that loses a catch fails it and a change that
+adds one updates the record.
 
     python tests/mutants.py
 
-prints the table: mutant, profile, and each failing check with its value
-and tolerance.
+prints the table: mutant, scenario, profile, and each failing check with
+its value and tolerance.
 """
 
 import contextlib
@@ -34,9 +34,28 @@ if __name__ == "__main__":      # as a script, read the package from this checko
 
 from wavepacket import cli  # noqa: E402
 
-# ho-breathing with the tasks the invariant checks need: 10 000 RK4 steps,
-# with no kernel, Wigner or oracle work, and every check passes unmutated
-SCENARIO = cli.BUILTIN_SCENARIOS["ho-breathing"] | {"tasks": ["evolve", "invariants"]}
+
+def _scenario(builtin, **changes):
+    """A built-in scenario's config with some of its sections replaced."""
+    return cli.BUILTIN_SCENARIOS[builtin] | changes
+
+
+# every check passes on each of these unmutated.  ho-breathing with the tasks
+# the invariant checks need: 10 000 RK4 steps, with no kernel, Wigner or
+# oracle work.  The kernel scenarios run at hbar, m != 1, where a wrong
+# power of either shows: ho-constant-width to t = 7, past two caustics, where
+# the kernel's branch is the principal one negated, and ho-breathing, whose
+# alpha0 = 1.5 makes the matrix's a and d differ
+SCENARIOS = {
+    "ho-breathing": _scenario("ho-breathing", tasks=["evolve", "invariants"]),
+    "caustics": _scenario(
+        "ho-constant-width", constants={"hbar": 0.7, "mass": 2.3},
+        time=cli.BUILTIN_SCENARIOS["ho-constant-width"]["time"] | {"t_end": 7.0},
+        tasks=["evolve", "invariants", "kernel_check"]),
+    "breathing-kernel": _scenario(
+        "ho-breathing", constants={"hbar": 0.7, "mass": 2.3},
+        tasks=["evolve", "kernel_check"]),
+}
 
 
 @dataclass(frozen=True)
@@ -45,26 +64,32 @@ class Mutant:
     module: str             # the module under wavepacket that holds `function`
     function: str
     edits: tuple            # (old, new) pairs of source text
+    scenario: str           # the key of SCENARIOS it runs on
     caught: dict            # tolerance profile -> the set of checks that fail
     why: str = ""           # for a mutant that no check catches
 
 
 MUTANTS = (
     Mutant("dropped-rk4-stage", "evolution", "_step_propagators",
-           (("np.multiply(c, (p + 2.0 * (p2 + p3)) + p4, out=e[0])",
-             "np.multiply(c, (p + 2.0 * (p2 + p2)) + p4, out=e[0])"),),
-           {"default": {"det_M_drift"}, "strict": {"det_M_drift"}}),
+           (("p2 += p3", "p2 += p2"),),
+           "ho-breathing", {"default": {"det_M_drift"}, "strict": {"det_M_drift"}}),
     Mutant("stage2-omega-sign", "evolution", "_step_propagators",
-           (("a2 = n2 * q2", "a2 = -n2 * q2"),),
-           {"default": {"det_M_drift", "euler_lagrange_alpha"},
-            "strict": {"det_M_drift", "euler_lagrange_alpha"}}),
-    Mutant("phase-rate-1-over-alpha", "evolution", "solve_lambda",
-           (("p1 = 1.0 / (u * u + z * z)", "p1 = 1.0 / np.sqrt(u * u + z * z)"),
-            ("p2, p3, p4 = 1.0 / (us * us + zs * zs)",
-             "p2, p3, p4 = 1.0 / np.sqrt(us * us + zs * zs)")),
-           {"default": set(), "strict": set()},
-           why="only the phase column phi moves; every check reads phi' from "
-               "lambda, and only the oracle's unaligned l2_error sees phi"),
+           (("n2 * (q + half * p)", "-n2 * (q + half * p)"),),
+           "ho-breathing", {"default": {"det_M_drift", "euler_lagrange_alpha"},
+                            "strict": {"det_M_drift", "euler_lagrange_alpha"}}),
+    Mutant("phase-not-unwrapped", "evolution", "solve_lambda",
+           (("phases = angles - math.tau", "phases = angles - 0.0"),),
+           "caustics", {"default": set(), "strict": set()},
+           why="a 2*pi error in phi flips the packet's exp(-i*phi/2) and the kernel's "
+               "branch together; only the oracle's unchecked l2_error sees it"),
+    Mutant("kernel-principal-branch", "kernels", "kernel_td",
+           (("if caustics % 4 in (1, 2)", "if 0 % 4 in (1, 2)"),),
+           "caustics", {"default": {"kernel_vs_analytic_l2"},
+                        "strict": {"kernel_vs_analytic_l2"}}),
+    Mutant("matrix-a-d-swap", "invariants", "matrix_from_state",
+           (("a=state.z_hat_dot", "a=state.u_hat"), ("d=state.u_hat,", "d=state.z_hat_dot,")),
+           "breathing-kernel", {"default": {"kernel_vs_analytic_l2"},
+                                "strict": {"kernel_vs_analytic_l2"}}),
 )
 
 
@@ -100,17 +125,18 @@ def failing_checks(report):
             for name, check in section.get("checks", {}).items() if not check["pass"]}
 
 
-def run():
-    """{profile: failing_checks} of SCENARIO's report under every profile."""
-    config = cli.parse_config(SCENARIO, name="mutant")
+def run(scenario):
+    """{profile: failing_checks} of the report of SCENARIOS[scenario] under
+    every profile."""
+    config = cli.parse_config(SCENARIOS[scenario], name=scenario)
     return {profile: failing_checks(cli.run_scenario(config, profile)[0])
             for profile in cli.TOLERANCE_PROFILES}
 
 
 def caught(mutant):
-    """run() with the mutant applied."""
+    """run() of the mutant's scenario with the mutant applied."""
     with applied(mutant):
-        return run()
+        return run(mutant.scenario)
 
 
 def main():
@@ -118,9 +144,10 @@ def main():
         for profile, failing in caught(mutant).items():
             shown = ", ".join(f"{name} {value:.3g}/{tol:.0e}"
                               for name, (value, tol) in sorted(failing.items()))
-            print(f"{mutant.name:<24s} {profile:<8s} {shown or 'caught by nothing'}")
+            print(f"{mutant.name:<24s} {mutant.scenario:<17s} {profile:<8s} "
+                  f"{shown or 'caught by nothing'}")
         if mutant.why:
-            print(f"{'':<24s} {'':<8s} ({mutant.why})")
+            print(f"{'':<24s} {'':<17s} {'':<8s} ({mutant.why})")
 
 
 if __name__ == "__main__":

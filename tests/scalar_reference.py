@@ -11,7 +11,8 @@ alpha (det_as_ermakov), of the canonical coordinates of the width dynamics
 and of the uncertainty Hamiltonian, which only the identity tests
 evaluate; and the closed forms of lambda and eta for free
 motion and constant w, the scalar w(t) and the p marginal of a Wigner grid,
-which only the tests use.
+which only the tests use; and the phase phi = arg lambda, unwrapped one
+step at a time, which solve_lambda forms per block.
 
 Each formula works on one sample of Python floats and complex numbers,
 with `**` for powers and CPython's complex products, exactly as the
@@ -294,11 +295,31 @@ def fine_euler_lagrange(config):
             100.0 * EPS * float(fine.columns.alpha.max()) / (dt * dt))
 
 
+def phase_unwrapper():
+    """A function that takes lambda = u + i*z at each step end in turn, from
+    the first step after t = 0, where phi = 0, and returns phi = arg lambda
+    there: the principal angle less 2*pi for each whole turn rounded off the
+    differences of consecutive angles so far.  The angle is numpy's arctan2,
+    not math.atan2: the two differ by an ulp for about 1 argument in 40 on
+    CPUs where numpy uses its own SIMD arctan2, and the tests compare bytes.
+    """
+    angle, wraps = 0.0, 0.0
+
+    def phi(u, z):
+        nonlocal angle, wraps
+        theta = float(np.arctan2(z, u))
+        wraps += float(np.rint((theta - angle) / math.tau))
+        angle = theta
+        return theta - math.tau * wraps
+    return phi
+
+
 def kept_steps(system, packet, t_grid, dt, keep):
     """The state at t = 0 and after each of the first `keep` steps of
     solve_lambda(system, packet, t_grid, dt) (all of them, if there are
-    fewer), at the step ends t + h, as one read-only Trajectory, assembled
-    block by block as the solve's blocks form them."""
+    fewer), at the step ends t + h, as one read-only Trajectory: lambda and
+    eta assembled block by block as the solve's blocks form them, and phi
+    unwrapped one step at a time."""
     times = _validated_times(t_grid, dt)
     spans = np.diff(times)
     n_sub = _substeps(spans, dt)
@@ -307,7 +328,6 @@ def kept_steps(system, packet, t_grid, dt, keep):
     firsts = ends - n_sub
     omega, mass = system.frequency_law.omega, system.constants.mass
     fundamental = np.eye(2)
-    phase = 0.0
     total = int(ends[-1]) if len(ends) else 0
     kept = min(keep, total)
     step_times = np.zeros(kept + 1)
@@ -319,26 +339,18 @@ def kept_steps(system, packet, t_grid, dt, keep):
             interval = np.searchsorted(ends, steps, side="right")
             h = h_sub[interval]
             t = times[interval] + (steps - firsts[interval]) * h
-            e, stages = _step_propagators(omega, t, h)
+            e = _step_propagators(omega, t, h)
             _prefix_products(e)
             after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
-            before = np.concatenate([fundamental[:, :, None], after[:, :, :-1]], axis=2)
             fundamental = after[:, :, -1]
-            u, ud, z, zd, _, _ = _packet_states(packet, mass, before)
-            us = stages[:, 0] * u + stages[:, 1] * ud
-            zs = stages[:, 0] * z + stages[:, 1] * zd
-            p1 = 1.0 / (u * u + z * z)
-            p2, p3, p4 = 1.0 / (us * us + zs * zs)
-            increments = (h / 6.0) * ((p1 + 2.0 * (p2 + p3)) + p4)
-            phases = np.cumsum(np.concatenate([[phase], increments]))[1:]
-            phase = phases[-1]
 
             n_kept = min(kept - start, len(steps))
             rows = slice(start + 1, start + 1 + n_kept)
             step_times[rows] = (t + h)[:n_kept]
             step_states[rows, :6] = np.transpose(
                 _packet_states(packet, mass, after[:, :, :n_kept]))
-            step_states[rows, 6] = phases[:n_kept]
+        phi = phase_unwrapper()
+        step_states[1:, 6] = [phi(u, z) for u, z in step_states[1:, [0, 2]].tolist()]
     step_times.flags.writeable = step_states.flags.writeable = False
     return Trajectory(system, packet, step_times, step_states)
 

@@ -707,6 +707,19 @@ def test_kernel_check_compares_with_analytic_packet(tmp_path):
         assert check["value"] == kernel["kernel_vs_analytic_l2"] <= 1e-12
 
 
+@pytest.mark.parametrize("t_end, caustics", [(2.0, 0), (4.0, 1), (7.0, 2), (10.0, 3),
+                                             (13.0, 4)])
+def test_kernel_carries_the_maslov_phase_past_each_caustic(t_end, caustics):
+    """z = sin(t) on ho-constant-width passes a zero at each multiple of pi:
+    after each, the run's kernel lands on the analytic packet without any
+    phase alignment, its prefactor's branch taken from floor(phi/pi)."""
+    data = dict(BUILTIN_SCENARIOS["ho-constant-width"], tasks=["evolve", "kernel_check"])
+    data["time"] = dict(data["time"], t_end=t_end)
+    report, _ = run_scenario(parse_config(data))
+    assert math.floor(report["samples"]["phi"][-1] / math.pi) == caustics
+    assert report["kernel_check"]["kernel_vs_analytic_l2"] < 1e-12
+
+
 def test_kernel_ode_residual_checks_the_runs_own_kernel(monkeypatch):
     """A kernel_td whose d*y^2 term has the wrong sign fails the defining
     equations of free-spread's kernel: a check of fixed matrices, which

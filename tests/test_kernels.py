@@ -148,6 +148,20 @@ def test_td_roundtrip_does_not_need_unit_wronskian():
     assert l2(back.values, psi.values, psi.dx) <= 1e-5
 
 
+def test_td_kernel_branch_after_n_caustics():
+    """After n caustics the prefactor is the principal value times
+    (+1, -1, -1, +1)[n mod 4], bit for bit, in the forward kernel and its
+    adjoint, which differ from those of caustics=0 in nothing else."""
+    matrix = TransformMatrix(a=0.8, b=-1.1, c=(0.8 * 1.2 - 1.0) / -1.1, d=1.2, alpha0=1.3)
+    principal = kernel_td(matrix, C).prefactor
+    for n, sign in enumerate((1, -1, -1, 1, 1, -1, -1, 1)):
+        for inverse in (False, True):
+            kernel = kernel_td(matrix, C, inverse=inverse, caustics=n)
+            assert kernel.prefactor == sign * principal
+            assert dataclasses.replace(kernel, prefactor=principal) == kernel_td(
+                matrix, C, inverse=inverse)
+
+
 @pytest.mark.parametrize("system, packet", [
     (SystemSpec(C, Free()), InitialPacket(0.0, 1.0, 1.0)),
     (SystemSpec(C, ConstantOmega(1.0)), InitialPacket(0.0, 1.0, 1.0)),
