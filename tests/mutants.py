@@ -45,9 +45,11 @@ def _scenario(builtin, **changes):
 # oracle work.  The kernel scenarios run at hbar, m != 1, where a wrong
 # power of either shows: ho-constant-width to t = 7, past two caustics, where
 # the kernel's branch is the principal one negated, and ho-breathing, whose
-# alpha0 = 1.5 makes the matrix's a and d differ
+# alpha0 = 1.5 makes the matrix's a and d differ.  ho-breathing's Wigner
+# grids are the cheapest that a built-in writes
 SCENARIOS = {
     "ho-breathing": _scenario("ho-breathing", tasks=["evolve", "invariants"]),
+    "breathing-wigner": _scenario("ho-breathing", tasks=["evolve", "wigner"]),
     "caustics": _scenario(
         "ho-constant-width", constants={"hbar": 0.7, "mass": 2.3},
         time=cli.BUILTIN_SCENARIOS["ho-constant-width"]["time"] | {"t_end": 7.0},
@@ -90,6 +92,28 @@ MUTANTS = (
            (("a=state.z_hat_dot", "a=state.u_hat"), ("d=state.u_hat,", "d=state.z_hat_dot,")),
            "breathing-kernel", {"default": {"kernel_vs_analytic_l2"},
                                 "strict": {"kernel_vs_analytic_l2"}}),
+    Mutant("kernel-negated-d", "kernels", "kernel_td",
+           (("d=matrix.d", "d=-matrix.d"),),
+           "breathing-kernel", {"default": {"kernel_ode_residual", "kernel_vs_analytic_l2"},
+                                "strict": {"kernel_ode_residual", "kernel_vs_analytic_l2"}}),
+    Mutant("kernel-negated-a", "kernels", "kernel_td",
+           (("a=matrix.a", "a=-matrix.a"),),
+           "breathing-kernel", {"default": {"kernel_ode_residual", "kernel_vs_analytic_l2"},
+                                "strict": {"kernel_ode_residual", "kernel_vs_analytic_l2"}}),
+    Mutant("kernel-negated-coef", "kernels", "kernel_td",
+           (("coef=m / (2.0 * hbar * z)", "coef=-m / (2.0 * hbar * z)"),),
+           "breathing-kernel", {"default": {"kernel_ode_residual", "kernel_vs_analytic_l2"},
+                                "strict": {"kernel_ode_residual", "kernel_vs_analytic_l2"}}),
+    Mutant("kernel-unscaled-y", "kernels", "kernel_td",
+           (("scale=a0", "scale=1.0"),),
+           "breathing-kernel", {"default": {"kernel_ode_residual", "kernel_roundtrip_l2",
+                                            "kernel_vs_analytic_l2"},
+                                "strict": {"kernel_ode_residual", "kernel_roundtrip_l2",
+                                           "kernel_vs_analytic_l2"}}),
+    Mutant("wigner-doubled-scale", "wigner", "wigner_numeric",
+           (("scale = dx / (2.0 * math.pi * hbar)", "scale = dx / (math.pi * hbar)"),),
+           "breathing-wigner", {"default": set(), "strict": set()},
+           why="no check reads the Wigner integral, which reads 2 under this mutant"),
 )
 
 

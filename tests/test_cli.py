@@ -1,6 +1,5 @@
 """Tests for the scenario runner: config parsing, outputs, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavepacket import cli, kernels
+from wavepacket import cli
 from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, STAGES, TASKS,
                             TOLERANCE_PROFILES, emit_outputs, load_config, main,
                             parse_config, run_scenario)
@@ -718,22 +717,6 @@ def test_kernel_carries_the_maslov_phase_past_each_caustic(t_end, caustics):
     report, _ = run_scenario(parse_config(data))
     assert math.floor(report["samples"]["phi"][-1] / math.pi) == caustics
     assert report["kernel_check"]["kernel_vs_analytic_l2"] < 1e-12
-
-
-def test_kernel_ode_residual_checks_the_runs_own_kernel(monkeypatch):
-    """A kernel_td whose d*y^2 term has the wrong sign fails the defining
-    equations of free-spread's kernel: a check of fixed matrices, which
-    never reads the run's kernel, passes it."""
-    real = kernels.kernel_td
-
-    def negated_d(*args, **kwargs):
-        kernel = real(*args, **kwargs)
-        return dataclasses.replace(kernel, d=-kernel.d)
-
-    monkeypatch.setattr(kernels, "kernel_td", negated_d)
-    monkeypatch.setattr(cli, "kernel_td", negated_d)
-    report, _ = run_scenario(load_config("free-spread"))
-    assert report["kernel_check"]["checks"]["kernel_ode_residual"]["pass"] is False
 
 
 # m = 8.33e-7 and p0 = -1e6 carry the packet to x = -3.4e11 by t_end, where
