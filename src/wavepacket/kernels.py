@@ -17,7 +17,10 @@ of them it is the principal value times (+1, -1, -1, +1)[n mod 4], and the
 kernel gives the evolved packet with its global phase.  At m = alpha0 = 1
 it is the paper's time-independent kernel of a symplectic matrix, whose
 quoted prefactor (1/(2*pi*i*hbar*b))^(1/2) differs only by a global factor
-of +-i.  satisfies_kernel_odes checks its two defining differential equations.
+of +-i.  Of its two defining differential equations the first holds for
+every matrix and the second up to (m*x/(alpha0*z))*(det M - 1)*K: for the
+run's matrix that is the Wronskian's drift, which det_M_drift reads
+(tests/scalar_reference.py differences both).
 
 The kernel is singular where b vanishes; for |b| <= B_MIN it is a delta
 function and callers must use the point map instead, which is signalled by
@@ -53,8 +56,6 @@ from .errors import CapabilityError, ValidationError
 
 B_MIN = 1e-8           # |b| at or below which a kernel is a delta function
 COVERAGE_TOL = 1e-8    # apply_kernel warns below 1 - COVERAGE_TOL input mass
-ODE_STEP = 1e-3        # phase turn, in rad, of a defining-equation difference step
-ODE_STEP_ULPS = 1e3    # the least such step, in spacings of doubles at the probes
 UNIFORM_ULPS = 8       # uniform_step: spacing error allowed, in ulps of max|x|
 
 
@@ -187,59 +188,6 @@ def kernel_td(matrix: TransformMatrix, constants: Constants,
     return QuadraticPhaseKernel(prefactor=-prefactor if caustics % 4 in (1, 2) else prefactor,
                                 coef=m / (2.0 * hbar * z), a=matrix.a, d=matrix.d,
                                 scale=a0, adjoint=inverse)
-
-
-def _difference_step(gradient, probes):
-    """The step over which a phase of this largest gradient turns by
-    ODE_STEP, or None where it is under ODE_STEP_ULPS spacings of doubles
-    at the probes (or not finite)."""
-    step = ODE_STEP / gradient if gradient > 0.0 else math.inf
-    least = ODE_STEP_ULPS * float(np.spacing(np.max(np.abs(probes))))
-    return step if least <= step < math.inf else None
-
-
-def satisfies_kernel_odes(matrix: TransformMatrix, constants: Constants, x, x_prime):
-    """Residuals of the two defining differential equations of
-    K = kernel_td(matrix, constants),
-
-        (alpha0*a*x + (alpha0*b/m)*(hbar/i)*d/dx) K = x' K,
-        (m/alpha0)*(c*x + (d/m)*(hbar/i)*d/dx) K = -(hbar/i) dK/dx',
-
-    at every pair of the 1-D probe coordinates x and x_prime.  At
-    m = alpha0 = 1 they are the paper's equations of the time-independent
-    kernel; the second holds only where det M = 1.
-
-    Each derivative is a central difference over the step in which the
-    kernel phase turns by at most ODE_STEP on the probes, divided by the
-    rounded width (x + h) - (x - h).  Each residual is the largest
-    |sum of the three terms| over the probes, relative to the largest
-    |term| over the probes, so a correct kernel reads about ODE_STEP^2/6.  Returns (r1, r2), or None where a step
-    is under ODE_STEP_ULPS spacings of doubles at its probes: x +- h then
-    rounds to within a few ulps of x, and no difference can be formed.
-    """
-    kernel = kernel_td(matrix, constants)
-    hbar, m, a0 = constants.hbar, constants.mass, matrix.alpha0
-    x = np.asarray(x, dtype=float)[:, None]
-    xp = np.asarray(x_prime, dtype=float)[None, :]
-    y = xp / kernel.scale
-    # the largest gradients of the phase coef*(a*x^2 - 2*x*y + d*y^2)
-    h = _difference_step(float(np.max(np.abs(2.0 * kernel.coef * (kernel.a * x - y)))), x)
-    hp = _difference_step(float(np.max(np.abs(2.0 * kernel.coef * (kernel.d * y - x))))
-                          / kernel.scale, xp)
-    if h is None or hp is None:
-        return None
-
-    k0 = kernel(x, xp)
-    dk_dx = (kernel(x + h, xp) - kernel(x - h, xp)) / ((x + h) - (x - h))
-    dk_dxp = (kernel(x, xp + hp) - kernel(x, xp - hp)) / ((xp + hp) - (xp - hp))
-    residuals = []
-    for terms in ((a0 * matrix.a * x * k0, (a0 * matrix.b / m) * (hbar / 1j) * dk_dx,
-                   -xp * k0),
-                  ((m * matrix.c / a0) * x * k0, (matrix.d / a0) * (hbar / 1j) * dk_dx,
-                   (hbar / 1j) * dk_dxp)):
-        largest = max(float(np.max(np.abs(t))) for t in terms)
-        residuals.append(float(np.max(np.abs(sum(terms)))) / largest if largest else 0.0)
-    return tuple(residuals)
 
 
 def _fft_length(n):

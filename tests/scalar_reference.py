@@ -11,8 +11,10 @@ alpha (det_as_ermakov), of the canonical coordinates of the width dynamics
 and of the uncertainty Hamiltonian, which only the identity tests
 evaluate; and the closed forms of lambda and eta for free
 motion and constant w, the scalar w(t) and the p marginal of a Wigner grid,
-which only the tests use; and the phase phi = arg lambda, unwrapped one
-step at a time, which solve_lambda forms per block.
+which only the tests use; the phase phi = arg lambda, unwrapped one
+step at a time, which solve_lambda forms per block; and the paper's two
+defining differential equations of a kernel, differenced at a fixed step,
+which no run checks: for kernel_td they reduce to det M = 1.
 
 Each formula works on one sample of Python floats and complex numbers,
 with `**` for powers and CPython's complex products, exactly as the
@@ -367,6 +369,39 @@ def frozen_width(config, records):
         out.append({"t": t, "det": m.det})
     return out, worst
 
+
+
+KERNEL_STEP = 1e-5   # the fixed step of kernel_equation_terms' differences
+
+
+def kernel_equation_terms(kernel, matrix, constants, x, x_prime, h=KERNEL_STEP):
+    """The terms of the two defining differential equations of the kernel K
+    of M = ((a, b), (c, d)) at one pair of points (x, x'),
+
+        (alpha0*a*x + (alpha0*b/m)*(hbar/i)*d/dx) K = x' K,
+        (m/alpha0)*(c*x + (d/m)*(hbar/i)*d/dx) K = -(hbar/i) dK/dx',
+
+    each equation's terms moved to its left side, so that their sum is its
+    residual; at m = alpha0 = 1 they are the paper's equations of the
+    time-independent kernel.  Each derivative is the central difference
+    (K(x + h) - K(x - h))/(2*h) of the fixed step h.
+    """
+    hbar, m, a0 = constants.hbar, constants.mass, matrix.alpha0
+    k = complex(kernel(x, x_prime))
+    dk_dx = complex(kernel(x + h, x_prime) - kernel(x - h, x_prime)) / (2.0 * h)
+    dk_dxp = complex(kernel(x, x_prime + h) - kernel(x, x_prime - h)) / (2.0 * h)
+    p = hbar / 1j
+    return ((a0 * matrix.a * x * k, (a0 * matrix.b / m) * p * dk_dx, -x_prime * k),
+            ((m * matrix.c / a0) * x * k, (matrix.d / a0) * p * dk_dx, p * dk_dxp))
+
+
+def kernel_equation_residuals(kernel, matrix, constants, x, x_prime):
+    """(r1, r2): each defining equation's largest |residual| over every pair
+    of the probes x and x_prime, relative to its largest |term| over them."""
+    pairs = [kernel_equation_terms(kernel, matrix, constants, p, q)
+             for p in map(float, x) for q in map(float, x_prime)]
+    return tuple(max(abs(sum(terms[e])) for terms in pairs)
+                 / max(abs(t) for terms in pairs for t in terms[e]) for e in (0, 1))
 
 
 def write_wigner_dat(path, entry):

@@ -78,8 +78,8 @@ MESSAGES = {3: "error: numerical divergence: ", 4: "error: capability: "}
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 256},
                "tasks": ["evolve", "invariants", "wigner", "kernel_check",
                          "oracle_compare"]})
-# the packet reaches x = -3.4e11, where x +- h of a step that resolves the
-# kernel phase rounds to x: kernel_check leaves its defining equations out
+# the packet reaches x = -3.4e11, where doubles are 6.1e-5 apart and the
+# kernel phase is steep: kernel_check completes
 @example(data={"constants": {"hbar": 1.0, "mass": 8.33e-7},
                "system": {"type": "constant", "omega": 1.288},
                "packet": {"x0": 0.0, "p0": -1e6, "alpha0": 1.304},

@@ -15,9 +15,10 @@ from wavepacket import kernels
 from wavepacket.errors import CapabilityError, ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import matrix_from_state
-from wavepacket.kernels import (ComplexGrid, apply_kernel, kernel_td,
-                                satisfies_kernel_odes, trapezoid_weights)
+from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_td, trapezoid_weights
 from wavepacket.packet import evaluate_wavefunction, propagate_analytic
+
+from scalar_reference import kernel_equation_residuals, kernel_equation_terms
 
 C = Constants()
 FOURIER = TransformMatrix(0.0, 1.0, -1.0, 0.0)
@@ -60,22 +61,28 @@ def test_time_independent_case_delta_limit():
         kernel_td(TransformMatrix(1.0, 1e-10, -1.0, 1.0), C)
 
 
+def residuals(matrix, constants=C, x=PROBE, x_prime=PROBE, kernel=None):
+    """kernel_equation_residuals of kernel, by default kernel_td(matrix, constants)."""
+    kernel = kernel_td(matrix, constants) if kernel is None else kernel
+    return kernel_equation_residuals(kernel, matrix, constants, x, x_prime)
+
+
 def test_fourier_kernel_ode_residuals():
-    r1, r2 = satisfies_kernel_odes(FOURIER, C, PROBE, PROBE)
+    r1, r2 = residuals(FOURIER)
     assert r1 <= 1e-5 and r2 <= 1e-5
 
 
 @pytest.mark.parametrize("params", LATTICE)
 def test_lattice_kernel_ode_residuals(params):
     params.require_symplectic(1e-12)
-    r1, r2 = satisfies_kernel_odes(params, C, PROBE, PROBE)
+    r1, r2 = residuals(params)
     assert r1 <= 1e-5 and r2 <= 1e-5
 
 
 def test_non_symplectic_params_caught_by_validator():
     broken = TransformMatrix(1.0, 1.0, -0.1, 1.0)  # det = 1.1
     # the residual evaluation itself still runs ...
-    r1, r2 = satisfies_kernel_odes(broken, C, PROBE, PROBE)
+    r1, r2 = residuals(broken)
     assert math.isfinite(r1) and math.isfinite(r2)
     assert r2 > 1e-3  # the second defining equation needs det = 1
     # ... but the invariant check rejects the matrix
@@ -95,27 +102,41 @@ def _run_matrix(constants, packet, law, t):
     lambda k: dataclasses.replace(k, coef=-k.coef),
     lambda k: dataclasses.replace(k, scale=1.0),
 ], ids=["kernel_td", "negated-d", "negated-a", "negated-coef", "unscaled-y"])
-def test_defining_equations_see_a_wrong_kernel(monkeypatch, mutant):
+def test_defining_equations_see_a_wrong_kernel(mutant):
     """The equations of the run's own kernel, with hbar, m and alpha0 all
     away from 1, hold for kernel_td and fail for each wrong-signed phase term
     and for an x' left unscaled by alpha0."""
     constants = Constants(0.7, 2.3)
     matrix = _run_matrix(constants, InitialPacket(0.2, 1.0, 1.5), ConstantOmega(1.0), 3.0)
+    kernel = kernel_td(matrix, constants)
     if mutant is not None:
-        real = kernels.kernel_td
-        monkeypatch.setattr(kernels, "kernel_td",
-                            lambda *args, **kwargs: mutant(real(*args, **kwargs)))
-    worst = max(satisfies_kernel_odes(matrix, constants, 2.0 * PROBE, 1.5 * PROBE))
+        kernel = mutant(kernel)
+    worst = max(residuals(matrix, constants, 2.0 * PROBE, 1.5 * PROBE, kernel))
     assert (worst <= 1e-6) is (mutant is None), worst
 
 
-def test_defining_equations_need_a_step_that_doubles_resolve():
-    """Probes 1e12 from the origin with a kernel phase steep there: the step
-    that resolves the phase is far under the spacing of doubles at 1e12,
-    so no residual is formed."""
-    matrix = _run_matrix(C, InitialPacket(), Free(), 1.0)
-    assert satisfies_kernel_odes(matrix, C, PROBE, PROBE) is not None
-    assert satisfies_kernel_odes(matrix, C, 1e12 + PROBE, PROBE) is None
+SCALE = st.floats(0.5, 2.0)
+ENTRY = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ENTRY, b=st.floats(0.2, 2.0), b_sign=st.sampled_from((1.0, -1.0)), c=ENTRY,
+       d=ENTRY, alpha0=SCALE, hbar=SCALE, mass=SCALE, x=ENTRY, x_prime=ENTRY)
+def test_defining_equations_reduce_to_det_m(a, b, b_sign, c, d, alpha0, hbar, mass,
+                                            x, x_prime):
+    """For kernel_td of any matrix, det M = 1 or not, the first equation's
+    residual is zero and the second's is (m*x/(alpha0*z))*(det M - 1)*K,
+    z = -b, each to the difference floor: the equations read det M and
+    nothing else of the kernel."""
+    matrix = TransformMatrix(a, b_sign * b, c, d, alpha0)
+    constants = Constants(hbar, mass)
+    kernel = kernel_td(matrix, constants)
+    first, second = kernel_equation_terms(kernel, matrix, constants, x, x_prime)
+    k = complex(kernel(x, x_prime))
+    expected = (mass * x / (alpha0 * -matrix.b)) * (matrix.det - 1.0) * k
+    floor = 1e-6 * (abs(k) + max(map(abs, first + second)))
+    assert abs(sum(first)) <= floor
+    assert abs(sum(second) - expected) <= floor
 
 
 def test_td_kernel_free_exponent_coefficient():
