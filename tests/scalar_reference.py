@@ -371,10 +371,10 @@ def frozen_width(config, records):
 
 
 
-KERNEL_STEP = 1e-5   # the fixed step of kernel_equation_terms' differences
+KERNEL_STEP = 1e-5   # the fixed step h of kernel_equation_terms' differences
 
 
-def kernel_equation_terms(kernel, matrix, constants, x, x_prime, h=KERNEL_STEP):
+def kernel_equation_terms(kernel, matrix, constants, x, x_prime):
     """The terms of the two defining differential equations of the kernel K
     of M = ((a, b), (c, d)) at one pair of points (x, x'),
 
@@ -384,9 +384,9 @@ def kernel_equation_terms(kernel, matrix, constants, x, x_prime, h=KERNEL_STEP):
     each equation's terms moved to its left side, so that their sum is its
     residual; at m = alpha0 = 1 they are the paper's equations of the
     time-independent kernel.  Each derivative is the central difference
-    (K(x + h) - K(x - h))/(2*h) of the fixed step h.
+    (K(x + h) - K(x - h))/(2*h) of the fixed step h = KERNEL_STEP.
     """
-    hbar, m, a0 = constants.hbar, constants.mass, matrix.alpha0
+    hbar, m, a0, h = constants.hbar, constants.mass, matrix.alpha0, KERNEL_STEP
     k = complex(kernel(x, x_prime))
     dk_dx = complex(kernel(x + h, x_prime) - kernel(x - h, x_prime)) / (2.0 * h)
     dk_dxp = complex(kernel(x, x_prime + h) - kernel(x, x_prime - h)) / (2.0 * h)

