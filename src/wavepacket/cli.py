@@ -18,7 +18,8 @@ every number except the .dat values):
                      '#' metadata lines; each value as '%.17e' (18 significant
                      digits, exponent e+XX or e+XXX), one space between values
     report.json      invariant report with per-sample records, summaries and
-                     pass/fail against the configured tolerances; each
+                     checks, each with its value, its TOLERANCES entry and
+                     pass/fail; each
                      wigner, kernel_check and oracle_compare section lists
                      the warnings of its numerics, and warned_sections
                      counts the sections whose list is not empty
@@ -58,31 +59,21 @@ GRID_POINT_BYTES = 256
 STEP_BUDGET = 1 << 32
 POINT_STEP_BUDGET = 1 << 36
 
-# each check's tolerance is the profile entry of its name, this one alike in
-# every profile; the Euler-Lagrange residual gets el_residual_factor * dt^2.
-# det_M_drift is the one check of the Wronskian W = det M: the other
-# invariant columns are W through other formulas (see invariants)
-_FIXED_TOLERANCES = {
+# each check's tolerance is the entry of its name; the Euler-Lagrange
+# residual gets el_residual_factor * dt^2.  det_M_drift is the one check of
+# the Wronskian W = det M: the other invariant columns are W through other
+# formulas (see invariants)
+TOLERANCES = {
+    # where p_phi = (hbar/2)*W leaves hbar/2 by 1e-10 at hbar = 1
+    "det_M_drift": 2e-10,
+    "el_residual_factor": 10.0,
+    "kernel_roundtrip_l2": 1e-5,
+    # the kernel's and the oracle's unaligned L2 from the same analytic
+    # packet: each sees its global phase
+    "kernel_vs_analytic_l2": 1e-5,
+    "oracle_vs_analytic_l2": 1e-5,
     # the input tolerance of GridState, applied to the oracle's result
     "oracle_norm_defect": 1e-8,
-}
-
-TOLERANCE_PROFILES = {
-    "default": _FIXED_TOLERANCES | {
-        # where p_phi = (hbar/2)*W leaves hbar/2 by 1e-10 (strict 1e-11) at hbar = 1
-        "det_M_drift": 2e-10,
-        "el_residual_factor": 10.0,
-        "oracle_aligned_l2": 1e-5,
-        "kernel_roundtrip_l2": 1e-5,
-        "kernel_vs_analytic_l2": 1e-5,
-    },
-    "strict": _FIXED_TOLERANCES | {
-        "det_M_drift": 2e-11,
-        "el_residual_factor": 5.0,
-        "oracle_aligned_l2": 1e-6,
-        "kernel_roundtrip_l2": 1e-6,
-        "kernel_vs_analytic_l2": 1e-6,
-    },
 }
 
 def _builtin(name, system, t_end, tasks, alpha0=1.0):
@@ -339,7 +330,7 @@ def _check(value, tolerance):
 
 
 def _checks(values, tol):
-    """A check entry per value, against the profile entry of its name."""
+    """A check entry per value, against the tolerance entry of its name."""
     return {name: _check(value, tol[name]) for name, value in values.items()}
 
 
@@ -473,7 +464,7 @@ def _oracle_stage(config, traj, columns, tol):
                                   moment_errors)),
         "norm": norm,
         "warnings": list(evolved.warnings + analytic.warnings),
-        "checks": _checks({"oracle_aligned_l2": aligned,
+        "checks": _checks({"oracle_vs_analytic_l2": l2,
                            "oracle_norm_defect": abs(norm - 1.0)}, tol),
     }
 
@@ -491,19 +482,16 @@ STAGES = {
 TASKS = ("evolve", *STAGES)
 
 
-def run_scenario(config: ScenarioConfig, tolerance_profile="default"):
+def run_scenario(config: ScenarioConfig):
     """Execute the configured tasks; returns (report_dict, wigner_grids).
 
     report["samples"] maps each record field to its column over the sample
     times, in report order; emit_outputs writes it as one record per sample.
     Each configured stage adds its section.  `pass` is the AND of every
     check of every section, and `warned_sections` counts the sections with
-    warnings, each wigner entry as one.
+    warnings, each wigner entry as one.  Each check reads its entry of
+    TOLERANCES at call time.
     """
-    if tolerance_profile not in TOLERANCE_PROFILES:
-        raise ConfigError(f"unknown tolerance profile {tolerance_profile!r}")
-    tol = TOLERANCE_PROFILES[tolerance_profile]
-
     # the O(h^2) Euler-Lagrange residuals read the solve's own first min(t_end, 2)
     el = EulerLagrangeMaxima() if "invariants" in config.tasks else None
     traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt,
@@ -513,7 +501,6 @@ def run_scenario(config: ScenarioConfig, tolerance_profile="default"):
 
     report = {
         "scenario": config.name,
-        "tolerance_profile": tolerance_profile,
         "time": {"t_end": config.t_end, "dt": config.dt,
                  "sample_every": config.sample_every},
         "tasks": list(config.tasks),
@@ -522,7 +509,7 @@ def run_scenario(config: ScenarioConfig, tolerance_profile="default"):
     sections = []
     for task, stage in stages.items():
         if task in config.tasks:
-            report[task] = stage(config, traj, columns, tol)
+            report[task] = stage(config, traj, columns, TOLERANCES)
             sections += report[task] if isinstance(report[task], list) else [report[task]]
     report["pass"] = all(entry["pass"] for section in sections
                          for entry in section.get("checks", {}).values())
@@ -598,8 +585,6 @@ def _build_parser():
     run.add_argument("config", help="path to a JSON config, or a built-in scenario name")
     run.add_argument("--output-dir", default=None,
                      help="override the config's output directory")
-    run.add_argument("--tolerance-profile", choices=sorted(TOLERANCE_PROFILES),
-                     default="default", help="tolerance set for pass/fail checks")
 
     sub.add_parser("list-scenarios", help="list built-in scenarios")
 
@@ -624,8 +609,7 @@ def main(argv=None):
             return 0
 
         config = load_config(args.config)
-        report, wigner_grids = run_scenario(
-            config, tolerance_profile=args.tolerance_profile)
+        report, wigner_grids = run_scenario(config)
         out_dir = args.output_dir or config.output_dir
         try:
             written = emit_outputs(report, wigner_grids, out_dir)

@@ -116,9 +116,9 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
     extend far enough that psi is negligible at both ends (the refinement
     treats psi as periodic).  columns = (start, count) is the run of x
     columns to keep.  Returns the PhaseSpaceGrid of the kept columns and
-    the trapezoid integral of W over p at every x of psi's grid.  Attaches
-    warnings when psi is not normalized to 1e-6 or when the requested
-    momenta exceed what the y sampling can resolve (Nyquist).
+    the trapezoid integral of W over p at every x of psi's grid.  The grid
+    carries psi's warnings, such as its coverage, and one more when the
+    requested momenta exceed what the y sampling can resolve (Nyquist).
     """
     p_min, dp, n_p = p_grid
     if dp <= 0.0 or n_p < 2:
@@ -131,11 +131,6 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
         raise ValidationError("columns outside the grid of psi")
 
     warnings = psi.warnings
-    mass = psi.norm() ** 2
-    if abs(mass - 1.0) > 1e-6:
-        warnings = warnings + (
-            f"input wavefunction norm^2 = {mass!r}, expected 1 within 1e-6",)
-
     p_abs_max = max(abs(p_min), abs(p_min + dp * (n_p - 1)))
     if p_abs_max * dx / hbar > math.pi:
         warnings = warnings + (

@@ -1,10 +1,9 @@
-"""Digests of the outputs of 82 fixed runs, and the script that rewrites them.
+"""Digests of the outputs of 77 fixed runs, and the script that rewrites them.
 
-The runs are the 5 built-in scenarios under the `default` and `strict`
-tolerance profiles, and the 24 configs of the benchmark's packet-sweep
-workload for seeds 1, 2 and 3 (read from bench/workloads.py, which is only
-imported).  Each run writes report.json, trajectory.csv and its
-wigner_t*.dat files as `wavepacket run` does.
+The runs are the 5 built-in scenarios and the 24 configs of the
+benchmark's packet-sweep workload for seeds 1, 2 and 3 (read from
+bench/workloads.py, which is only imported).  Each run writes report.json,
+trajectory.csv and its wigner_t*.dat files as `wavepacket run` does.
 
 tests/golden_outputs.json holds, per file, the sha256 of its bytes, and a
 fingerprint for machines whose arithmetic may differ: the sha256 of the
@@ -16,10 +15,10 @@ match the running machine, and the fingerprint at FALLBACK_RTOL otherwise.
 
     PYTHONPATH=src python tests/golden.py [--against REV]
 
-rewrites the manifest and names every file whose bytes moved.  With
---against, it also writes the outputs of git revision REV and prints, for
-each moved file, the largest change: per column of trajectory.csv, per key
-of report.json and per .dat file.
+rewrites the manifest and names every file whose bytes moved or whose
+path is new.  With --against, it also writes the outputs of git revision
+REV and prints, for each such file, the largest change: per column of
+trajectory.csv, per key of report.json and per .dat file.
 """
 
 import argparse
@@ -41,7 +40,6 @@ from wavepacket import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden_outputs.json"
-PROFILES = ("default", "strict")
 SWEEP_SEEDS = (1, 2, 3)
 FALLBACK_RTOL = 1e-12
 
@@ -62,14 +60,13 @@ def _sweep_workload():
 
 
 def runs():
-    """(directory, ScenarioConfig, tolerance profile) of every golden run."""
-    for profile in PROFILES:
-        for name in sorted(cli.BUILTIN_SCENARIOS):
-            yield f"{profile}/{name}", cli.load_config(name), profile
+    """(directory, ScenarioConfig) of every golden run."""
+    for name in sorted(cli.BUILTIN_SCENARIOS):
+        yield name, cli.load_config(name)
     workloads = _sweep_workload()
     for seed in SWEEP_SEEDS:
         for name, data in workloads.packet_sweep(seed):
-            yield f"sweep-{seed}/{name}", cli.parse_config(data, name=name), "default"
+            yield f"sweep-{seed}/{name}", cli.parse_config(data, name=name)
 
 
 def write_outputs(root):
@@ -77,8 +74,8 @@ def write_outputs(root):
     relative to root, in posix form."""
     root = Path(root)
     written = []
-    for directory, config, profile in runs():
-        report, grids = cli.run_scenario(config, tolerance_profile=profile)
+    for directory, config in runs():
+        report, grids = cli.run_scenario(config)
         for path in cli.emit_outputs(report, grids, root / directory):
             written.append(path.relative_to(root).as_posix())
     return sorted(written)
@@ -236,18 +233,23 @@ def main(argv=None):
         moved = sorted(path for path, entry in manifest["files"].items()
                        if old["files"].get(path, {}).get("sha256") != entry["sha256"])
         gone = sorted(set(old["files"]) - set(manifest["files"]))
-        print(f"{MANIFEST.name}: {len(manifest['files'])} files, {len(moved)} moved, "
-              f"{len(gone)} gone")
+        print(f"{MANIFEST.name}: {len(manifest['files'])} files, {len(moved)} moved "
+              f"or new, {len(gone)} gone")
         for path in gone:
             print(f"gone: {path}")
+        old_root = Path(tmp) / "old"   # empty without --against
         if args.against:
-            old_root = Path(tmp) / "old"
             outputs_of_revision(args.against, old_root)
         for path in moved:
-            print(f"moved: {path}")
-            if args.against and (old_root / path).exists():
-                for line in describe_change(path, (new_root / path).read_bytes(),
-                                            (old_root / path).read_bytes()):
+            new_bytes = (new_root / path).read_bytes()
+            old_bytes = (old_root / path).read_bytes() if (old_root / path).exists() else None
+            label = "moved" if path in old["files"] else "new"
+            if old_bytes == new_bytes:
+                print(f"{label}: {path}, bytes as at {args.against}")
+                continue
+            print(f"{label}: {path}")
+            if old_bytes is not None:
+                for line in describe_change(path, new_bytes, old_bytes):
                     print(line)
     return 0
 

@@ -8,17 +8,16 @@ binding the result to the function's name in every wavepacket module that
 holds the original (cli imports the layer functions by name), where the
 program looks it up at call time; the originals are bound again afterwards.
 
-Each mutant runs on one of SCENARIOS, the cheapest that shows it, under
-every tolerance profile, and records per profile the set of checks that
-fail in its report.  A mutant that no check catches is recorded with empty
-sets and the reason.  tests/test_mutants.py asserts every recorded set, in
-both directions, so a change that loses a catch fails it and a change that
-adds one updates the record.
+Each mutant runs on one of SCENARIOS, the cheapest that shows it, and
+records the set of checks that fail in its report.  A mutant that no check
+catches is recorded with an empty set and the reason.  tests/test_mutants.py
+asserts every recorded set, in both directions, so a change that loses a
+catch fails it and a change that adds one updates the record.
 
     python tests/mutants.py
 
-prints the table: mutant, scenario, profile, and each failing check with
-its value and tolerance.
+prints the table: mutant, scenario, and each failing check with its value
+and tolerance.
 """
 
 import contextlib
@@ -45,15 +44,18 @@ def _scenario(builtin, **changes):
 # oracle work.  The kernel scenarios run at hbar, m != 1, where a wrong
 # power of either shows: ho-constant-width to t = 7, past two caustics, where
 # the kernel's branch is the principal one negated, and ho-breathing, whose
-# alpha0 = 1.5 makes the matrix's a and d differ.  ho-breathing's Wigner
-# grids are the cheapest that a built-in writes
+# alpha0 = 1.5 makes the matrix's a and d differ.  The same run past two
+# caustics with the oracle instead sees the packet's global phase against
+# an independent solution.  ho-breathing's Wigner grids are the cheapest
+# that a built-in writes
+_CAUSTICS = _scenario(
+    "ho-constant-width", constants={"hbar": 0.7, "mass": 2.3},
+    time=cli.BUILTIN_SCENARIOS["ho-constant-width"]["time"] | {"t_end": 7.0})
 SCENARIOS = {
     "ho-breathing": _scenario("ho-breathing", tasks=["evolve", "invariants"]),
     "breathing-wigner": _scenario("ho-breathing", tasks=["evolve", "wigner"]),
-    "caustics": _scenario(
-        "ho-constant-width", constants={"hbar": 0.7, "mass": 2.3},
-        time=cli.BUILTIN_SCENARIOS["ho-constant-width"]["time"] | {"t_end": 7.0},
-        tasks=["evolve", "invariants", "kernel_check"]),
+    "caustics": _CAUSTICS | {"tasks": ["evolve", "invariants", "kernel_check"]},
+    "caustics-oracle": _CAUSTICS | {"tasks": ["evolve", "oracle_compare"]},
     "breathing-kernel": _scenario(
         "ho-breathing", constants={"hbar": 0.7, "mass": 2.3},
         tasks=["evolve", "kernel_check"]),
@@ -67,50 +69,41 @@ class Mutant:
     function: str
     edits: tuple            # (old, new) pairs of source text
     scenario: str           # the key of SCENARIOS it runs on
-    caught: dict            # tolerance profile -> the set of checks that fail
+    caught: set             # the checks that fail
     why: str = ""           # for a mutant that no check catches
 
 
 MUTANTS = (
     Mutant("dropped-rk4-stage", "evolution", "_step_propagators",
            (("p2 += p3", "p2 += p2"),),
-           "ho-breathing", {"default": {"det_M_drift"}, "strict": {"det_M_drift"}}),
+           "ho-breathing", {"det_M_drift"}),
     Mutant("stage2-omega-sign", "evolution", "_step_propagators",
            (("n2 * (q + half * p)", "-n2 * (q + half * p)"),),
-           "ho-breathing", {"default": {"det_M_drift", "euler_lagrange_alpha"},
-                            "strict": {"det_M_drift", "euler_lagrange_alpha"}}),
+           "ho-breathing", {"det_M_drift", "euler_lagrange_alpha"}),
     Mutant("phase-not-unwrapped", "evolution", "solve_lambda",
            (("phases = angles - math.tau", "phases = angles - 0.0"),),
-           "caustics", {"default": set(), "strict": set()},
-           why="a 2*pi error in phi flips the packet's exp(-i*phi/2) and the kernel's "
-               "branch together; only the oracle's unchecked l2_error sees it"),
+           "caustics-oracle", {"oracle_vs_analytic_l2"}),
     Mutant("kernel-principal-branch", "kernels", "kernel_td",
            (("if caustics % 4 in (1, 2)", "if 0 % 4 in (1, 2)"),),
-           "caustics", {"default": {"kernel_vs_analytic_l2"},
-                        "strict": {"kernel_vs_analytic_l2"}}),
+           "caustics", {"kernel_vs_analytic_l2"}),
     Mutant("matrix-a-d-swap", "invariants", "matrix_from_state",
            (("a=state.z_hat_dot", "a=state.u_hat"), ("d=state.u_hat,", "d=state.z_hat_dot,")),
-           "breathing-kernel", {"default": {"kernel_vs_analytic_l2"},
-                                "strict": {"kernel_vs_analytic_l2"}}),
+           "breathing-kernel", {"kernel_vs_analytic_l2"}),
     Mutant("kernel-negated-d", "kernels", "kernel_td",
            (("d=matrix.d", "d=-matrix.d"),),
-           "breathing-kernel", {"default": {"kernel_vs_analytic_l2"},
-                                "strict": {"kernel_vs_analytic_l2"}}),
+           "breathing-kernel", {"kernel_vs_analytic_l2"}),
     Mutant("kernel-negated-a", "kernels", "kernel_td",
            (("a=matrix.a", "a=-matrix.a"),),
-           "breathing-kernel", {"default": {"kernel_vs_analytic_l2"},
-                                "strict": {"kernel_vs_analytic_l2"}}),
+           "breathing-kernel", {"kernel_vs_analytic_l2"}),
     Mutant("kernel-negated-coef", "kernels", "kernel_td",
            (("coef=m / (2.0 * hbar * z)", "coef=-m / (2.0 * hbar * z)"),),
-           "breathing-kernel", {"default": {"kernel_vs_analytic_l2"},
-                                "strict": {"kernel_vs_analytic_l2"}}),
+           "breathing-kernel", {"kernel_vs_analytic_l2"}),
     Mutant("kernel-unscaled-y", "kernels", "kernel_td",
            (("scale=a0", "scale=1.0"),),
-           "breathing-kernel", {"default": {"kernel_roundtrip_l2", "kernel_vs_analytic_l2"},
-                                "strict": {"kernel_roundtrip_l2", "kernel_vs_analytic_l2"}}),
+           "breathing-kernel", {"kernel_roundtrip_l2", "kernel_vs_analytic_l2"}),
     Mutant("wigner-doubled-scale", "wigner", "wigner_numeric",
            (("scale = dx / (2.0 * math.pi * hbar)", "scale = dx / (math.pi * hbar)"),),
-           "breathing-wigner", {"default": set(), "strict": set()},
+           "breathing-wigner", set(),
            why="no check reads the Wigner integral, which reads 2 under this mutant"),
 )
 
@@ -148,11 +141,9 @@ def failing_checks(report):
 
 
 def run(scenario):
-    """{profile: failing_checks} of the report of SCENARIOS[scenario] under
-    every profile."""
+    """failing_checks of the report of SCENARIOS[scenario]."""
     config = cli.parse_config(SCENARIOS[scenario], name=scenario)
-    return {profile: failing_checks(cli.run_scenario(config, profile)[0])
-            for profile in cli.TOLERANCE_PROFILES}
+    return failing_checks(cli.run_scenario(config)[0])
 
 
 def caught(mutant):
@@ -163,13 +154,11 @@ def caught(mutant):
 
 def main():
     for mutant in MUTANTS:
-        for profile, failing in caught(mutant).items():
-            shown = ", ".join(f"{name} {value:.3g}/{tol:.0e}"
-                              for name, (value, tol) in sorted(failing.items()))
-            print(f"{mutant.name:<24s} {mutant.scenario:<17s} {profile:<8s} "
-                  f"{shown or 'caught by nothing'}")
+        shown = ", ".join(f"{name} {value:.3g}/{tol:.0e}"
+                          for name, (value, tol) in sorted(caught(mutant).items()))
+        print(f"{mutant.name:<24s} {mutant.scenario:<17s} {shown or 'caught by nothing'}")
         if mutant.why:
-            print(f"{'':<24s} {'':<17s} {'':<8s} ({mutant.why})")
+            print(f"{'':<24s} {'':<17s} ({mutant.why})")
 
 
 if __name__ == "__main__":

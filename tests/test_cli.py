@@ -15,7 +15,7 @@ import pytest
 
 from wavepacket import cli
 from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, STAGES, TASKS,
-                            TOLERANCE_PROFILES, emit_outputs, load_config, main,
+                            TOLERANCES, emit_outputs, load_config, main,
                             parse_config, run_scenario)
 from wavepacket.errors import ConfigError
 from wavepacket.wigner import PhaseSpaceGrid
@@ -176,7 +176,7 @@ def test_ho_constant_width_report(tmp_path):
     assert checks["det_M_drift"]["value"] <= 1e-9
     for r in report["samples"]:
         assert r["p_phi"] == pytest.approx(0.5, abs=1e-10)
-    assert report["oracle_compare"]["checks"]["oracle_aligned_l2"]["pass"]
+    assert report["oracle_compare"]["checks"]["oracle_vs_analytic_l2"]["pass"]
 
 
 def test_frozen_width_demo_flags_non_canonical(tmp_path):
@@ -199,15 +199,6 @@ def test_deterministic_outputs(tmp_path):
         b = (tmp_path / "b" / name).read_bytes()
         # reports embed no paths or timestamps, so runs are bit-identical
         assert a == b
-
-
-def test_strict_profile(tmp_path):
-    cfg = write_config(tmp_path, SMALL_CONFIG)
-    assert main(["run", cfg, "--output-dir", str(tmp_path / "o"),
-                 "--tolerance-profile", "strict"]) == 0
-    report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["tolerance_profile"] == "strict"
-    assert report["pass"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +638,20 @@ def test_coverage_warnings_reach_the_report(tmp_path):
     assert report["warned_sections"] == 1
 
 
+def test_cut_wigner_window_warns_once_per_entry(tmp_path):
+    """span_sigmas 1.0 cuts psi's grid to +-1.5 sigma: each Wigner entry
+    reports the mass that grid covers, 0.866, once."""
+    data = dict(BUILTIN_SCENARIOS["ho-breathing"], tasks=["evolve", "wigner"],
+                phase_space_grid={"nx": 64, "np": 65, "span_sigmas": 1.0})
+    cfg = write_config(tmp_path, data)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    for entry in report["wigner"]:
+        [warning] = entry["warnings"]
+        assert warning.startswith("grid covers 0.866") and "probability mass" in warning
+    assert report["warned_sections"] == 2
+
+
 def test_leaking_oracle_result_fails_its_norm_check(tmp_path):
     """free-spread on [-10, 10] with 512 points: mass reaches the periodic
     boundary and the oracle's result loses 1.3e-8 of its norm.  That is a
@@ -690,18 +695,15 @@ def test_unresolved_td_kernel_is_flagged(tmp_path):
 
 
 def test_kernel_check_compares_with_analytic_packet(tmp_path):
-    """Both profiles check the forward kernel against propagate_analytic, at
-    criterion 06's 1e-5 by default and 1e-6 when strict."""
+    """The forward kernel is checked against propagate_analytic at
+    criterion 06's 1e-5."""
     cfg = write_config(tmp_path, dict(BUILTIN_SCENARIOS["ho-constant-width"],
                                       tasks=["evolve", "kernel_check"]))
-    for profile, tolerance in (("default", 1e-5), ("strict", 1e-6)):
-        out = tmp_path / profile
-        assert main(["run", cfg, "--output-dir", str(out),
-                     "--tolerance-profile", profile]) == 0
-        kernel = json.loads((out / "report.json").read_text())["kernel_check"]
-        check = kernel["checks"]["kernel_vs_analytic_l2"]
-        assert check["tolerance"] == tolerance
-        assert check["value"] == kernel["kernel_vs_analytic_l2"] <= 1e-12
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    kernel = json.loads((tmp_path / "o" / "report.json").read_text())["kernel_check"]
+    check = kernel["checks"]["kernel_vs_analytic_l2"]
+    assert check["tolerance"] == 1e-5
+    assert check["value"] == kernel["kernel_vs_analytic_l2"] <= 1e-12
 
 
 @pytest.mark.parametrize("t_end, caustics", [(2.0, 0), (4.0, 1), (7.0, 2), (10.0, 3),
@@ -868,12 +870,11 @@ def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys):
     from wavepacket import cli
     cfg = write_config(tmp_path, SMALL_CONFIG)
     commands = [
-        ["run", cfg, "--output-dir", str(tmp_path / "out"),
-         "--tolerance-profile", "strict"],
+        ["run", cfg, "--output-dir", str(tmp_path / "out")],
         ["describe", "ho-breathing"],
         ["run"],
         ["list-scenarios"],
-        ["run", cfg, "--tolerance-profile", "lenient"],
+        ["run", cfg, "--output-dir", str(tmp_path / "out"), "--tolerance-profile", "strict"],
         ["frobnicate"],
         ["run", cfg, "--output-dir", str(tmp_path / "out")],
         ["describe", "nope"],
@@ -920,21 +921,17 @@ def _failing_checks(report):
             for name, check in section.get("checks", {}).items() if not check["pass"]}
 
 
-@pytest.mark.parametrize("entry", sorted(TOLERANCE_PROFILES["default"]))
-def test_each_check_reads_its_profile_entry(monkeypatch, free_spread, entry):
+@pytest.mark.parametrize("entry", sorted(TOLERANCES))
+def test_each_check_reads_its_tolerance_entry(monkeypatch, free_spread, entry):
     """free-spread reports every check, and passes them all.  With one
-    profile entry at -1, the check of that name, and no other, fails and
-    fails the run; el_residual_factor scales the Euler-Lagrange
+    entry of TOLERANCES at -1, the check of that name, and no other, fails
+    and fails the run; el_residual_factor scales the Euler-Lagrange
     tolerance."""
-    monkeypatch.setitem(TOLERANCE_PROFILES["default"], entry, -1.0)
+    monkeypatch.setitem(TOLERANCES, entry, -1.0)
     report, _ = run_scenario(free_spread)
     expected = {"euler_lagrange_alpha" if entry == "el_residual_factor" else entry}
     assert _failing_checks(report) == expected
     assert report["pass"] is False
-
-
-def test_profiles_name_the_same_entries():
-    assert TOLERANCE_PROFILES["default"].keys() == TOLERANCE_PROFILES["strict"].keys()
 
 
 def test_pass_and_warnings_read_every_wigner_entry(monkeypatch, free_spread):

@@ -1,4 +1,4 @@
-"""The outputs of 82 fixed runs match tests/golden_outputs.json.
+"""The outputs of 77 fixed runs match tests/golden_outputs.json.
 
 See tests/golden.py for the runs and the manifest.  On a machine whose
 numpy version and CPU model are those recorded in the manifest, every file

@@ -8,13 +8,12 @@ import mutants
 
 def test_unmutated_scenario_passes_every_check():
     for scenario in mutants.SCENARIOS:
-        assert mutants.run(scenario) == {"default": {}, "strict": {}}, scenario
+        assert mutants.run(scenario) == {}, scenario
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
 def test_checks_catch_each_mutant_as_recorded(mutant):
-    """The failing set equals the record under every profile: a check lost
-    fails this test, and so does one gained."""
-    failing = {profile: set(checks) for profile, checks in mutants.caught(mutant).items()}
-    assert failing == mutant.caught
-    assert bool(mutant.why) == (not any(mutant.caught.values()))
+    """The failing set equals the record: a check lost fails this test, and
+    so does one gained."""
+    assert set(mutants.caught(mutant)) == mutant.caught
+    assert bool(mutant.why) == (not mutant.caught)
