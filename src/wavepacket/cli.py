@@ -36,11 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega,
-                   RampOmega, SystemSpec, TabulatedOmega, is_free_motion)
+                   RampOmega, SystemSpec, TabulatedOmega)
 from .errors import CapabilityError, ConfigError, DivergenceError, ValidationError
 from .evolution import solve_lambda
-from .invariants import (EulerLagrangeMaxima, frozen_width_matrix, matrix_from_state,
-                         record_columns, require_finite)
+from .invariants import EulerLagrangeMaxima, matrix_from_state, record_columns
 from .kernels import apply_kernel, kernel_td
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, propagate_analytic
@@ -336,26 +335,11 @@ def _checks(values, tol):
 
 def _invariants_stage(config, traj, columns, tol, el):
     """The drift of det M and the Euler-Lagrange residual, the maximum of
-    the EulerLagrangeMaxima `el` of the solve; free motion adds the
-    frozen-width diagnostic."""
+    the EulerLagrangeMaxima `el` of the solve."""
     drift = float(np.abs(columns["det_M"] - 1.0).max())
     el_tol = tol["el_residual_factor"] * config.dt * config.dt
-    section = {"checks": {"det_M_drift": _check(drift, tol["det_M_drift"]),
-                          "euler_lagrange_alpha": _check(el.alpha, el_tol)}}
-    if not is_free_motion(config.system.frequency_law):
-        return section
-    times, alpha0 = traj.times, config.packet.alpha0
-    with np.errstate(all="ignore"):
-        det = frozen_width_matrix(config.system, alpha0, times).det
-        closed = 1.0 + np.float_power(times / alpha0 ** 2, 2)
-    require_finite(times, {"frozen_width det": det, "frozen_width closed form": closed})
-    section["frozen_width"] = {
-        "non_canonical": True,
-        "note": "width frozen at alpha0; det = 1 + (t/alpha0^2)^2, not 1",
-        "samples": [{"t": t, "det": d} for t, d in zip(times.tolist(), det.tolist())],
-        "closed_form_max_abs_err": float(np.abs(det - closed).max()),
-    }
-    return section
+    return {"checks": {"det_M_drift": _check(drift, tol["det_M_drift"]),
+                       "euler_lagrange_alpha": _check(el.alpha, el_tol)}}
 
 
 def _wide_points(nx):
@@ -433,9 +417,7 @@ def _kernel_check_stage(config, traj, columns, tol):
     # unaligned, sees a wrong formula, matrix_from_state or branch
     roundtrip, vs_analytic = l2(back, psi0), l2(forward, psi_t)
     return {
-        "td_roundtrip_l2": roundtrip,
         "td_unitarity_defect": abs(forward.norm() - psi0.norm()),
-        "kernel_vs_analytic_l2": vs_analytic,
         "warnings": list(back.warnings + psi_t.warnings),
         "checks": _checks({"kernel_roundtrip_l2": roundtrip,
                            "kernel_vs_analytic_l2": vs_analytic}, tol),
@@ -456,9 +438,6 @@ def _oracle_stage(config, traj, columns, tol):
     l2, aligned, moment_errors = compare_states(evolved, analytic, c.hbar)
     norm = evolved.norm()
     return {
-        "t": config.t_end,
-        "steps": n_steps,
-        "l2_error": l2,
         "phase_aligned_l2_error": aligned,
         "moment_errors": dict(zip(("mean_x", "mean_p", "var_x", "var_p", "corr"),
                                   moment_errors)),

@@ -7,9 +7,8 @@ motion).  Initial states are minimum-uncertainty Gaussians parametrized by
 their mean position x0, mean momentum p0 and the dimensionless width
 parameter alpha0, with alpha0^2 = 2 m <x~^2>_0 / hbar.  Every linear
 phase-space map (the time-dependent transformation matrix, the matrix of
-a kernel at alpha0 = 1, the frozen-width diagnostic) is one
-TransformMatrix, canonical exactly when its determinant is 1.  Whether a
-system is free motion is decided once, by is_free_motion.
+a kernel at alpha0 = 1) is one TransformMatrix, canonical exactly when
+its determinant is 1.
 """
 
 import math
@@ -150,9 +149,9 @@ FrequencyLaw = Union[Free, ConstantOmega, RampOmega, ModulatedOmega, TabulatedOm
 
 def is_free_motion(law: FrequencyLaw) -> bool:
     """True for the laws that are free motion by construction: Free and
-    ConstantOmega(0).  The frozen-width diagnostic and the oracle's
-    one-factor path both read it; a law of another type is not free motion
-    even where its parameters make w vanish."""
+    ConstantOmega(0), where the oracle takes its one-factor path; a law of
+    another type is not free motion even where its parameters make w
+    vanish."""
     return isinstance(law, Free) or (isinstance(law, ConstantOmega)
                                      and law.omega0 == 0.0)
 
@@ -201,9 +200,8 @@ class TransformMatrix:
     m = alpha0 = 1 of kernels.kernel_td).
 
     The map is canonical exactly when det = 1 (Sp(2, R)).  Construction
-    never checks det, so the frozen-width diagnostic, whose determinant
-    deliberately differs from 1, is one too: where a unit determinant is a
-    precondition, the consumer calls require_symplectic.
+    never checks det: where a unit determinant is a precondition, the
+    consumer calls require_symplectic.
     """
 
     a: float
@@ -225,11 +223,3 @@ class TransformMatrix:
             raise ValidationError(
                 f"matrix is not symplectic: det={self.det!r} (tol {tol})"
             )
-
-    def matmul(self, other):
-        """self @ other, acting on the vectors other acts on."""
-        return TransformMatrix(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d, alpha0=other.alpha0)

@@ -12,10 +12,7 @@ p_phi = (hbar/2)*alpha^2*phi' = (hbar/2)*W, the uncertainty product
 var_x*var_p - corr^2/4 = (hbar^2/4)*W^2, the Ermakov residual
 |W^2 - 1|/alpha^3, and, for a release from x0 = 0, 2*(m/(alpha0*p0))^2
 times the Ermakov invariant I_L, which reads phi' as 1/alpha^2 and so is
-W wherever W = 1.  The frozen-width variant (alpha pinned at
-alpha0 for free motion, as core.is_free_motion decides it) has determinant
-1 + (t/alpha0^2)^2 instead, which is exactly the packet-spreading factor:
-suppressing the width dynamics breaks canonicity, det = 1.
+W wherever W = 1.
 
 The width dynamics itself derives from a Lagrangian in (alpha, phi); the
 invariant summary checks its alpha equation on the integrator's own steps.
@@ -30,9 +27,9 @@ traj[i].
 
 import numpy as np
 
-from .core import Constants, SystemSpec, TransformMatrix, is_free_motion
+from .core import Constants, TransformMatrix
 from .evolution import SampleColumns, Trajectory, ermakov_residual
-from .errors import CapabilityError, DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .kernels import UNIFORM_ULPS
 from .packet import moments_from_lambda
 
@@ -41,19 +38,6 @@ def matrix_from_state(state: SampleColumns, alpha0: float) -> TransformMatrix:
     """M = ((zd, -z), (-ud, u)) from one sample, traj[i]; det is not checked."""
     return TransformMatrix(a=state.z_hat_dot, b=-state.z_hat,
                            c=-state.u_hat_dot, d=state.u_hat, alpha0=alpha0)
-
-
-def frozen_width_matrix(system: SystemSpec, alpha0: float, t: float) -> TransformMatrix:
-    """The would-be free-motion matrix with the width frozen at alpha0.
-
-    det = 1 + (t/alpha0^2)^2, not 1, so the matrix is not canonical, and
-    the Wigner point map rejects it wherever (t/alpha0^2)^2 exceeds its
-    det tolerance.  t may be an array of times.
-    """
-    if not is_free_motion(system.frequency_law):
-        raise CapabilityError("frozen-width matrix is defined for free motion only")
-    return TransformMatrix(a=1.0 / alpha0, b=-t / alpha0, c=t / alpha0 ** 3,
-                           d=alpha0, alpha0=alpha0)
 
 
 def ermakov_invariant(eta, eta_dot, alpha, alpha_dot):

@@ -211,10 +211,8 @@ def wigner_pointmap(w0, matrix: TransformMatrix, x, p, constants: Constants):
     """Transport an initial Wigner function by the symplectic point map:
     W(x, p, t) = W0(x', p') with (x', p') mapped backward through `matrix`.
 
-    Rejects matrices that are not canonical, |det - 1| > POINTMAP_DET_TOL
-    (the frozen-width diagnostic wherever its det - 1 = (t/alpha0^2)^2
-    exceeds that), since the point map is only measure-preserving for
-    det = 1.
+    Rejects matrices that are not canonical, |det - 1| > POINTMAP_DET_TOL,
+    since the point map is only measure-preserving for det = 1.
     """
     matrix.require_symplectic(POINTMAP_DET_TOL)
     x, p = np.asarray(x), np.asarray(p)

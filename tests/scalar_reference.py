@@ -10,9 +10,10 @@ references to rounding; the paper's forms of det M through eta and
 alpha (det_as_ermakov), of the canonical coordinates of the width dynamics
 and of the uncertainty Hamiltonian, which only the identity tests
 evaluate; and the closed forms of lambda and eta for free
-motion and constant w, the scalar w(t) and the p marginal of a Wigner grid,
-which only the tests use; the phase phi = arg lambda, unwrapped one
-step at a time, which solve_lambda forms per block; and the paper's two
+motion and constant w, the frozen-width matrix, the scalar w(t) and the
+p marginal of a Wigner grid, which only the tests use; the phase
+phi = arg lambda, unwrapped one step at a time, which solve_lambda forms
+per block; and the paper's two
 defining differential equations of a kernel, differenced at a fixed step,
 which no run checks: for kernel_td they reduce to det M = 1.
 
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from wavepacket.cli import CSV_FIELDS, CSV_HEADER
-from wavepacket.core import ConstantOmega, _require_finite, is_free_motion
+from wavepacket.core import ConstantOmega, TransformMatrix, _require_finite, is_free_motion
 from wavepacket.errors import CapabilityError
 from wavepacket.evolution import (BLOCK_STEPS, Trajectory, _matmul, _packet_states, _polar,
                                   _prefix_products, _step_propagators, _substeps,
                                   _validated_times, solve_lambda)
-from wavepacket.invariants import euler_lagrange_residuals, frozen_width_matrix
+from wavepacket.invariants import euler_lagrange_residuals
 from wavepacket.wigner import _half_step_refine
 
 
@@ -112,6 +113,17 @@ def wigner_dense(psi, p_grid, hbar):
         phases = np.exp(1j * (np.outer(p, j * dx) / hbar))
         values[:, i] = abs(psi.values[i]) ** 2 + 2.0 * (phases * corr).sum(axis=1).real
     return values * (dx / (2.0 * math.pi * hbar))
+
+
+def frozen_width_matrix(alpha0, t):
+    """The would-be free-motion matrix with the width frozen at alpha0.
+
+    det = 1 + (t/alpha0^2)^2, the packet-spreading factor, not 1: freezing
+    the width breaks canonicity, and the Wigner point map rejects the
+    matrix wherever (t/alpha0^2)^2 exceeds its det tolerance.
+    """
+    return TransformMatrix(a=1.0 / alpha0, b=-t / alpha0, c=t / alpha0 ** 3,
+                           d=alpha0, alpha0=alpha0)
 
 
 def _closed_form_fundamental(system, t):
@@ -355,19 +367,6 @@ def kept_steps(system, packet, t_grid, dt, keep):
         step_states[1:, 6] = [phi(u, z) for u, z in step_states[1:, [0, 2]].tolist()]
     step_times.flags.writeable = step_states.flags.writeable = False
     return Trajectory(system, packet, step_times, step_states)
-
-
-def frozen_width(config, records):
-    """(samples, closed_form_max_abs_err) of the frozen-width block."""
-    out = []
-    worst = 0.0
-    for r in records:
-        t = r["t"]
-        m = frozen_width_matrix(config.system, config.packet.alpha0, t)
-        closed = 1.0 + (t / config.packet.alpha0 ** 2) ** 2
-        worst = max(worst, abs(m.det - closed))
-        out.append({"t": t, "det": m.det})
-    return out, worst
 
 
 

@@ -179,17 +179,6 @@ def test_ho_constant_width_report(tmp_path):
     assert report["oracle_compare"]["checks"]["oracle_vs_analytic_l2"]["pass"]
 
 
-def test_frozen_width_demo_flags_non_canonical(tmp_path):
-    out = tmp_path / "out"
-    assert main(["run", "frozen-width-demo", "--output-dir", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    block = report["invariants"]["frozen_width"]
-    assert block["non_canonical"] is True
-    dets = {s["t"]: s["det"] for s in block["samples"]}
-    assert dets[1.0] == pytest.approx(2.0, abs=1e-12)
-    assert block["closed_form_max_abs_err"] <= 1e-12
-
-
 def test_deterministic_outputs(tmp_path):
     cfg = write_config(tmp_path, dict(SMALL_CONFIG, output_dir=str(tmp_path / "a")))
     assert main(["run", cfg]) == 0
@@ -288,11 +277,7 @@ def test_exit_code_divergence(tmp_path):
       "packet": {"x0": 0.5, "p0": 1.0, "alpha0": 1.0},
       "time": {"t_end": 300.0, "dt": 0.01, "sample_every": 1000}},
      "invariant_uncertainty_product", 270.0),
-    # (t/alpha0^2)^2 overflows; with hbar = 1e-30 every record stays finite
-    ({"constants": {"hbar": 1e-30, "mass": 1.0},
-      "packet": {"x0": 0.5, "p0": 1.0, "alpha0": 1e-80}},
-     "frozen_width det", 0.1),
-], ids=["resonance", "frozen-width"])
+], ids=["resonance"])
 def test_overflowing_sample_quantity_exits_3(tmp_path, capsys, overrides, quantity, t):
     """A derived quantity that is not finite is a divergence (exit 3) that
     names the quantity and the first sample time; no inf or NaN reaches
@@ -302,6 +287,18 @@ def test_overflowing_sample_quantity_exits_3(tmp_path, capsys, overrides, quanti
     err = capsys.readouterr().err
     assert f"numerical divergence: non-finite {quantity} at t={t!r}" in err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_free_run_with_every_record_finite_exits_0(tmp_path):
+    """At alpha0 = 1e-80 and hbar = 1e-30 every record is finite, though
+    (t/alpha0^2)^2 overflows: no report quantity is formed from it, so the
+    run writes its report.  euler_lagrange_alpha is not asserted: its
+    stencil rounds on alpha near 1e79."""
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, constants={"hbar": 1e-30, "mass": 1.0},
+                                      packet={"x0": 0.5, "p0": 1.0, "alpha0": 1e-80}))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["invariants"]["checks"]["det_M_drift"]["pass"] is True
 
 
 @pytest.mark.parametrize("constants, packet", [
@@ -703,7 +700,7 @@ def test_kernel_check_compares_with_analytic_packet(tmp_path):
     kernel = json.loads((tmp_path / "o" / "report.json").read_text())["kernel_check"]
     check = kernel["checks"]["kernel_vs_analytic_l2"]
     assert check["tolerance"] == 1e-5
-    assert check["value"] == kernel["kernel_vs_analytic_l2"] <= 1e-12
+    assert check["value"] <= 1e-12
 
 
 @pytest.mark.parametrize("t_end, caustics", [(2.0, 0), (4.0, 1), (7.0, 2), (10.0, 3),
@@ -716,7 +713,7 @@ def test_kernel_carries_the_maslov_phase_past_each_caustic(t_end, caustics):
     data["time"] = dict(data["time"], t_end=t_end)
     report, _ = run_scenario(parse_config(data))
     assert math.floor(report["samples"]["phi"][-1] / math.pi) == caustics
-    assert report["kernel_check"]["kernel_vs_analytic_l2"] < 1e-12
+    assert report["kernel_check"]["checks"]["kernel_vs_analytic_l2"]["value"] < 1e-12
 
 
 # m = 8.33e-7 and p0 = -1e6 carry the packet to x = -3.4e11 by t_end, where

@@ -28,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from wavepacket import cli, rowformat
 from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, emit_outputs, main,
                             parse_config, run_scenario)
-from wavepacket.core import ModulatedOmega, is_free_motion
+from wavepacket.core import ModulatedOmega
 from wavepacket.errors import DivergenceError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import euler_lagrange_residuals, record_columns
@@ -92,11 +92,6 @@ def test_columns_equal_scalar_reference(data):
                                         config.dt, round(min(config.t_end, 2.0) / config.dt))
     assert el == float(euler_lagrange_residuals(steps).max(initial=0.0))
     _assert_el_close(config, el)
-    if is_free_motion(config.system.frequency_law):
-        block = report["invariants"]["frozen_width"]
-        samples, worst = scalar_reference.frozen_width(config, records)
-        assert block["samples"] == samples
-        assert block["closed_form_max_abs_err"] == worst
 
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(report, [], out)

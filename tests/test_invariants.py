@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
                              ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
                              TransformMatrix)
-from wavepacket.errors import CapabilityError, ValidationError
+from wavepacket.errors import ValidationError
 from wavepacket.evolution import Trajectory, solve_lambda
 from wavepacket.kernels import UNIFORM_ULPS
 from wavepacket.invariants import (EulerLagrangeMaxima, energy_partition,
                                    ermakov_invariant, euler_lagrange_residuals,
-                                   frozen_width_matrix, matrix_from_state,
-                                   record_columns)
+                                   matrix_from_state, record_columns)
 from wavepacket.packet import Moments, moments_from_lambda
 from wavepacket.wigner import wigner_gaussian, wigner_pointmap
 
@@ -80,24 +79,6 @@ def test_matrix_t0():
     s2 = closed_form_lambda(FREE, InitialPacket(0.0, 1.0, 2.0), 0.0)
     m2 = matrix_from_state(s2, 2.0)
     assert (m2.a, m2.b, m2.c, m2.d) == (0.5, 0.0, 0.0, 2.0)
-
-
-def test_frozen_width_determinants():
-    assert frozen_width_matrix(FREE, 1.0, 1.0).det == pytest.approx(2.0, abs=1e-12)
-    assert frozen_width_matrix(FREE, 1.0, 0.0).det == pytest.approx(1.0, abs=1e-15)
-    assert frozen_width_matrix(FREE, 2.0, 4.0).det == pytest.approx(2.0, abs=1e-12)
-
-
-def test_frozen_width_closed_form_determinant():
-    for alpha0 in (1.0, 2.0):
-        for t in (1.0, 4.0):
-            m = frozen_width_matrix(FREE, alpha0, t)
-            assert abs(m.det - (1.0 + (t / alpha0 ** 2) ** 2)) <= 1e-12
-
-
-def test_frozen_width_requires_free_motion():
-    with pytest.raises(CapabilityError):
-        frozen_width_matrix(HO, 1.0, 1.0)
 
 
 def test_ermakov_invariant_values():

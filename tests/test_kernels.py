@@ -242,7 +242,8 @@ def test_group_property():
     psi = gaussian_grid(x)
     m1 = TransformMatrix(0.8, 1.1, (0.8 * 1.2 - 1.0) / 1.1, 1.2)
     m2 = TransformMatrix(1.4, -0.9, (1.4 * 0.6 - 1.0) / -0.9, 0.6)
-    product = m2.matmul(m1)
+    product = TransformMatrix(m2.a * m1.a + m2.b * m1.c, m2.a * m1.b + m2.b * m1.d,
+                              m2.c * m1.a + m2.d * m1.c, m2.c * m1.b + m2.d * m1.d)
     assert abs(product.b) > 0.1
 
     composed = apply_kernel(kernel_td(m1, C),

@@ -12,14 +12,14 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, Syst
                              TransformMatrix)
 from wavepacket.errors import ValidationError
 from wavepacket.evolution import solve_lambda
-from wavepacket.invariants import frozen_width_matrix, matrix_from_state
+from wavepacket.invariants import matrix_from_state
 from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_td
 from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
 from wavepacket.wigner import (WIGNER_BLOCK_BYTES, PhaseSpaceGrid, _half_step_refine,
                                wigner_gaussian, wigner_numeric, wigner_pointmap)
 
-from scalar_reference import marginal_p, wigner_dense
+from scalar_reference import frozen_width_matrix, marginal_p, wigner_dense
 
 C = Constants()
 FREE = SystemSpec(C, Free())
@@ -159,7 +159,7 @@ def test_gaussian_states_nonnegative():
 
 
 def test_pointmap_rejects_frozen_width_matrix():
-    matrix = frozen_width_matrix(FREE, 1.0, 1.0)
+    matrix = frozen_width_matrix(1.0, 1.0)
     w0 = wigner_gaussian(Moments(0.5, 0.5, 0.0), 0.0, 0.0, C)
     with pytest.raises(ValidationError):
         wigner_pointmap(w0, matrix, 0.0, 0.0, C)
