@@ -16,7 +16,8 @@ every number except the .dat values):
                      t,eta,eta_dot,alpha,alpha_dot,phi,var_x,var_p,corr,det_M,I_L,p_phi,E_cl,E_tilde
     wigner_t<id>.dat matrix (rows = p index, columns = x index) preceded by
                      '#' metadata lines; each value as '%.17e' (18 significant
-                     digits, exponent e+XX or e+XXX), one space between values
+                     digits, exponent e+XX or e+XXX), one space between values;
+                     written during the run, as soon as its window is computed
     report.json      invariant report with per-sample records, summaries and
                      checks, each with its value, its TOLERANCES entry and
                      pass/fail; each
@@ -49,7 +50,8 @@ from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 # parse_config holds a run's working set to MEMORY_BUDGET: SAMPLE_BYTES per
 # sample, SOLVE_BLOCK_BYTES for solve_lambda's block, Euler-Lagrange reduction
 # included, and as its tasks need GRID_POINT_BYTES per grid point and
-# wigner_working_set (tracemalloc: 1229 to 2020, 0.46 MiB, 154 to 186); its steps
+# wigner_working_set, one Wigner window and its blocks (tracemalloc: 1229 to
+# 2020, 0.46 MiB, 154 to 186, and 9.6 of 13.0 MiB at 1024 x 1025); its steps
 # to STEP_BUDGET, oracle point-steps to POINT_STEP_BUDGET (0.5-0.7 us, 21-40 ns)
 MEMORY_BUDGET = 1 << 30
 SAMPLE_BYTES = 2560
@@ -350,9 +352,10 @@ def _wide_points(nx):
 
 
 def wigner_working_set(nx, n_p):
-    """Bytes the Wigner stage holds at most: both entries' nx x n_p windows,
-    8 bytes per cell each, and one transform's blocks."""
-    return 16 * nx * n_p + WIGNER_BLOCK_BYTES * (_wide_points(nx) + n_p)
+    """Bytes the Wigner stage holds at most: one entry's nx x n_p window, 8
+    bytes per cell, since each is written before the next transform, and
+    one transform's blocks or the .dat writer's."""
+    return 8 * nx * n_p + WIGNER_BLOCK_BYTES * (_wide_points(nx) + n_p)
 
 
 def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
@@ -372,31 +375,43 @@ def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
     return psi, p_grid, ((n_wide - nx) // 2, nx)
 
 
-def _wigner_stage(config, traj, columns, tol):
-    """One entry per end sample; its "grid" goes to the .dat file.  The
-    integral covers psi's whole grid, the marginal error the window."""
+def _wigner_entry(traj, idx, inputs, constants, write_window):
+    """The entry of sample idx from its wigner_window inputs: its "grid" is
+    handed to write_window with the rest, and only the rest is returned, so
+    the grid is dropped with this call's locals."""
+    psi, p_grid, window = inputs
+    grid, marginal = wigner_numeric(psi, p_grid, constants, window)
+    start, count = window
+    marginal_err = float(np.max(np.abs(
+        marginal[start:start + count] - np.abs(psi.values[start:start + count]) ** 2)))
+    entry = {
+        "index": idx,
+        "t": traj[idx].t,
+        "grid": grid,
+        "peak": float(grid.values.max()),
+        "min": float(grid.values.min()),
+        "integral": float(np.trapezoid(marginal, dx=psi.dx)),
+        "marginal_x_max_err": marginal_err,
+        "warnings": list(grid.warnings),
+    }
+    write_window(entry)
+    return {k: v for k, v in entry.items() if k != "grid"}
+
+
+def _wigner_stage(config, traj, columns, tol, write_window):
+    """One entry per end sample; the integral covers psi's whole grid, the
+    marginal error the window.  Both entries' inputs are built first, so a
+    window doubles cannot resolve refuses the run before any window is
+    written; then each entry's window goes to write_window before the next
+    transform, and one window is alive at a time."""
     c = config.constants
-    outputs = []
-    for idx in (0, len(traj) - 1):
-        psi, p_grid, window = wigner_window(
-            traj, idx, c, math.sqrt(columns["var_x"][idx]),
-            math.sqrt(columns["var_p"][idx]),
-            config.ps_nx, config.ps_np, config.ps_span_sigmas)
-        grid, marginal = wigner_numeric(psi, p_grid, c, window)
-        start, count = window
-        marginal_err = float(np.max(np.abs(
-            marginal[start:start + count] - np.abs(psi.values[start:start + count]) ** 2)))
-        outputs.append({
-            "index": idx,
-            "t": traj[idx].t,
-            "grid": grid,
-            "peak": float(grid.values.max()),
-            "min": float(grid.values.min()),
-            "integral": float(np.trapezoid(marginal, dx=psi.dx)),
-            "marginal_x_max_err": marginal_err,
-            "warnings": list(grid.warnings),
-        })
-    return outputs
+    ends = (0, len(traj) - 1)
+    inputs = [wigner_window(traj, idx, c, math.sqrt(columns["var_x"][idx]),
+                            math.sqrt(columns["var_p"][idx]),
+                            config.ps_nx, config.ps_np, config.ps_span_sigmas)
+              for idx in ends]
+    return [_wigner_entry(traj, idx, entry_inputs, c, write_window)
+            for idx, entry_inputs in zip(ends, inputs)]
 
 
 def _kernel_check_stage(config, traj, columns, tol):
@@ -461,8 +476,8 @@ STAGES = {
 TASKS = ("evolve", *STAGES)
 
 
-def run_scenario(config: ScenarioConfig):
-    """Execute the configured tasks; returns (report_dict, wigner_grids).
+def run_scenario(config: ScenarioConfig, write_window=lambda entry: entry):
+    """Execute the configured tasks; returns (report_dict, windows).
 
     report["samples"] maps each record field to its column over the sample
     times, in report order; emit_outputs writes it as one record per sample.
@@ -470,13 +485,27 @@ def run_scenario(config: ScenarioConfig):
     check of every section, and `warned_sections` counts the sections with
     warnings, each wigner entry as one.  Each check reads its entry of
     TOLERANCES at call time.
+
+    The wigner stage runs last, so that a refusal of another stage writes
+    no window, and hands each entry, its "grid" (the window's
+    PhaseSpaceGrid) and "index" and "t" included, to write_window as soon
+    as it is complete; report["wigner"] keeps each entry without its grid.
+    windows lists write_window's return values: by default the entries.
     """
     # the O(h^2) Euler-Lagrange residuals read the solve's own first min(t_end, 2)
     el = EulerLagrangeMaxima() if "invariants" in config.tasks else None
     traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt,
                         step_hook=el, hook_steps=round(min(config.t_end, 2.0) / config.dt))
     columns = record_columns(traj)
-    stages = STAGES | {"invariants": functools.partial(_invariants_stage, el=el)}
+    windows = []
+    stages = STAGES | {
+        "invariants": functools.partial(_invariants_stage, el=el),
+        "wigner": functools.partial(STAGES["wigner"], write_window=lambda entry: (
+            windows.append(write_window(entry)))),
+    }
+    # wigner runs last; the report keeps the order of STAGES
+    done = {task: stages[task](config, traj, columns, TOLERANCES)
+            for task in sorted(stages, key="wigner".__eq__) if task in config.tasks}
 
     report = {
         "scenario": config.name,
@@ -486,19 +515,14 @@ def run_scenario(config: ScenarioConfig):
         "samples": columns,
     }
     sections = []
-    for task, stage in stages.items():
-        if task in config.tasks:
-            report[task] = stage(config, traj, columns, TOLERANCES)
+    for task in stages:
+        if task in done:
+            report[task] = done[task]
             sections += report[task] if isinstance(report[task], list) else [report[task]]
     report["pass"] = all(entry["pass"] for section in sections
                          for entry in section.get("checks", {}).values())
     report["warned_sections"] = sum(1 for section in sections if section.get("warnings"))
-
-    wigner_grids = report.get("wigner", [])
-    if wigner_grids:
-        report["wigner"] = [{k: v for k, v in out.items() if k != "grid"}
-                            for out in wigner_grids]
-    return report, wigner_grids
+    return report, windows
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +534,25 @@ CSV_FIELDS = ("t", "eta", "eta_dot", "alpha", "alpha_dot", "phi", "var_x",
 CSV_HEADER = ",".join(CSV_FIELDS)
 
 
-def emit_outputs(report, wigner_grids, output_dir):
-    """Write trajectory.csv, wigner_t<id>.dat and report.json; returns paths.
+def write_dat(entry, output_dir):
+    """Write the window of a wigner entry to wigner_t<index>.dat in
+    output_dir, made if missing; returns its path."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    grid = entry["grid"]
+    path = out / f"wigner_t{entry['index']}.dat"
+    with open(path, "wb") as fh:
+        fh.write(f"# wavepacket Wigner function samples\n# t = {entry['t']!r}\n"
+                 f"# x_min = {grid.x_min!r}  dx = {grid.dx!r}  nx = {grid.n_x}\n"
+                 f"# p_min = {grid.p_min!r}  dp = {grid.dp!r}  np = {grid.n_p}\n"
+                 "# rows: p index, columns: x index\n".encode())
+        write_rows(fh, grid.values)
+    return path
+
+
+def emit_outputs(report, dat_paths, output_dir):
+    """Write trajectory.csv and report.json; returns their paths with the
+    already written dat_paths between them.
 
     Every sample value is turned into its repr once, for both files.
     """
@@ -520,27 +561,24 @@ def emit_outputs(report, wigner_grids, output_dir):
     reprs = {name: list(map(float.__repr__, column.tolist()))
              for name, column in report["samples"].items()}
 
-    path = out / "trajectory.csv"
-    with open(path, "w", newline="\n") as fh:
+    csv_path = out / "trajectory.csv"
+    with open(csv_path, "w", newline="\n") as fh:
         write_records(fh, CSV_HEADER, [reprs[name] for name in CSV_FIELDS])
-    written = [path]
-
-    for entry in wigner_grids:
-        grid = entry["grid"]
-        path = out / f"wigner_t{entry['index']}.dat"
-        with open(path, "wb") as fh:
-            fh.write(f"# wavepacket Wigner function samples\n# t = {entry['t']!r}\n"
-                     f"# x_min = {grid.x_min!r}  dx = {grid.dx!r}  nx = {grid.n_x}\n"
-                     f"# p_min = {grid.p_min!r}  dp = {grid.dp!r}  np = {grid.n_p}\n"
-                     "# rows: p index, columns: x index\n".encode())
-            write_rows(fh, grid.values)
-        written.append(path)
 
     path = out / "report.json"
     with open(path, "w", newline="\n") as fh:
         write_report(fh, report, reprs)
-    written.append(path)
-    return written
+    return [csv_path, *dat_paths, path]
+
+
+def write_run(config, output_dir):
+    """Run config as `wavepacket run` does: each Wigner window is written
+    to output_dir as soon as it is computed, then trajectory.csv and
+    report.json.  Returns (report, the written paths).  Nothing is
+    written, nor output_dir made, before the first window, or before the
+    end of a run without wigner."""
+    report, dat_paths = run_scenario(config, functools.partial(write_dat, output_dir=output_dir))
+    return report, emit_outputs(report, dat_paths, output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +626,9 @@ def main(argv=None):
             return 0
 
         config = load_config(args.config)
-        report, wigner_grids = run_scenario(config)
         out_dir = args.output_dir or config.output_dir
         try:
-            written = emit_outputs(report, wigner_grids, out_dir)
+            report, written = write_run(config, out_dir)
         except OSError as exc:
             print(f"error: I/O failure at {getattr(exc, 'filename', out_dir)}: {exc}",
                   file=sys.stderr)

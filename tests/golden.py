@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -60,24 +61,36 @@ def _sweep_workload():
 
 
 def runs():
-    """(directory, ScenarioConfig) of every golden run."""
+    """(directory, name, config) of every golden run; the config of a
+    built-in is None."""
     for name in sorted(cli.BUILTIN_SCENARIOS):
-        yield name, cli.load_config(name)
+        yield name, name, None
     workloads = _sweep_workload()
     for seed in SWEEP_SEEDS:
         for name, data in workloads.packet_sweep(seed):
-            yield f"sweep-{seed}/{name}", cli.parse_config(data, name=name)
+            yield f"sweep-{seed}/{name}", name, data
 
 
 def write_outputs(root):
-    """Run every golden run into root/<directory>; the written paths,
-    relative to root, in posix form."""
+    """Run every golden run into root/<directory> through cli.main, a
+    packet-sweep config from a JSON file of its name; the printed paths,
+    relative to root, in posix form.  Every revision's cli.main runs the
+    same way, so --against compares what `wavepacket run` wrote."""
     root = Path(root)
     written = []
-    for directory, config in runs():
-        report, grids = cli.run_scenario(config)
-        for path in cli.emit_outputs(report, grids, root / directory):
-            written.append(path.relative_to(root).as_posix())
+    with tempfile.TemporaryDirectory() as configs:
+        for directory, name, data in runs():
+            source = name
+            if data is not None:
+                source = str(Path(configs) / f"{name}.json")
+                Path(source).write_text(json.dumps(data))
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli.main(["run", source, "--output-dir", str(root / directory)])
+            if code != 0:
+                raise RuntimeError(f"{directory}: exit {code}")
+            *paths, _ = printed.getvalue().splitlines()   # the last line is "pass: ..."
+            written += [Path(path).relative_to(root).as_posix() for path in paths]
     return sorted(written)
 
 

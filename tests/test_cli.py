@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from wavepacket import cli
-from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, CSV_HEADER, STAGES, TASKS,
-                            TOLERANCES, emit_outputs, load_config, main,
-                            parse_config, run_scenario)
+from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_HEADER, STAGES, TASKS,
+                            TOLERANCES, load_config, main, parse_config,
+                            run_scenario, write_dat, write_run)
 from wavepacket.errors import ConfigError
 from wavepacket.wigner import PhaseSpaceGrid
 
@@ -161,8 +161,7 @@ def test_wigner_dat_rows_match_per_value_format(tmp_path):
     values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
     values[0, :3] = (0.0, -0.0, 5e-324)
     grid = PhaseSpaceGrid(x_min=-1.0, dx=0.25, p_min=-2.0, dp=0.5, values=values)
-    emit_outputs({"samples": {name: np.empty(0) for name in CSV_FIELDS}},
-                 [{"grid": grid, "index": 3, "t": 0.5}], tmp_path)
+    write_dat({"grid": grid, "index": 3, "t": 0.5}, tmp_path)
     rows = [ln for ln in (tmp_path / "wigner_t3.dat").read_text().splitlines(True)
             if not ln.startswith("#")]
     assert rows == [" ".join(f"{v:.17e}" for v in row) + "\n" for row in grid.values]
@@ -376,6 +375,58 @@ def test_wigner_window_below_double_resolution_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: capability: phase_space_grid: ") and err.count("\n") == 1
     assert "t=10.0" in err and "wide around x=-5.44" in err and "doubles are" in err
+    # the refused window is the second: it is refused before the first is written
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides, cause", [
+    # t_end = 1e-10: the kernel at the last sample is at its t -> 0 caustic
+    ({"time": {"t_end": 1e-10, "dt": 1e-10, "sample_every": 1},
+      "tasks": ["evolve", "wigner", "kernel_check"]}, "kernel is a delta function"),
+    # p0 = 5 on 64 points over 30 widths: the oracle's grid is too coarse
+    ({"packet": {"x0": 0.0, "p0": 5.0, "alpha0": 1.0},
+      "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
+      "tasks": ["evolve", "wigner", "oracle_compare"]}, "grid too coarse for this state"),
+], ids=["kernel-caustic", "oracle-grid-too-coarse"])
+def test_refusal_beside_wigner_writes_no_file(tmp_path, capsys, overrides, cause):
+    """The wigner stage writes each window as it goes, but runs after
+    kernel_check and oracle_compare: their refusal (exit 4) leaves no
+    output, not even the directory."""
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: capability: ") and cause in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tasks", [["evolve"], ["evolve", "wigner"]])
+def test_output_path_that_is_a_file_exits_5(tmp_path, capsys, tasks):
+    """Whether the first file written is a .dat in the wigner stage or
+    trajectory.csv after the run, an output directory that cannot be made
+    exits 5 naming the path, and the file in its place is left as it was."""
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, tasks=tasks))
+    target = tmp_path / "o"
+    target.write_text("in the way\n")
+    assert main(["run", cfg, "--output-dir", str(target)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: I/O failure at {target}: ")
+    assert captured.err.count("\n") == 1
+    assert target.read_text() == "in the way\n"
+
+
+def test_run_prints_its_paths_in_output_order(tmp_path, capsys):
+    """The .dat files are written first, during the run, but main prints
+    trajectory.csv, each wigner_t<id>.dat in sample order and report.json,
+    then the pass line."""
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, tasks=["evolve", "wigner"]))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        str(out / name) for name in ("trajectory.csv", "wigner_t0.dat", "wigner_t5.dat",
+                                     "report.json")] + ["pass: True"]
+    assert sorted(path.name for path in out.iterdir()) == [
+        "report.json", "trajectory.csv", "wigner_t0.dat", "wigner_t5.dat"]
 
 
 def _largest(admitted, lo, hi):
@@ -414,7 +465,8 @@ def test_memory_ceilings_refuse_one_step_past_the_budget(tmp_path, capsys):
         parse_config(phase_grid(16, n_p + 1))
 
     side = _largest(lambda k: cli.wigner_working_set(k, k) <= room, 16, budget)
-    assert 8000 < side < 8192
+    # one window, 8 bytes a cell, alone reaches 1 GiB at 11586 x 11586
+    assert 11000 < side < 11586
     parse_config(phase_grid(side, side))
     with pytest.raises(ConfigError, match="phase_space_grid"):
         parse_config(phase_grid(side + 1, side + 1))
@@ -460,7 +512,7 @@ def test_sample_and_kept_step_ceilings_refuse_one_step_past_the_budget():
 
 
 @pytest.mark.parametrize("overrides, named", [
-    # each part alone is within 1 GiB, and 2.63 GiB together
+    # each part alone is within 1 GiB, and 2.15 GiB together
     ({"time": {"t_end": 2.0, "dt": 2.0 / 2 ** 22, "sample_every": 16},
       "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 2 ** 22},
       "phase_space_grid": {"nx": 8033, "np": 8033},
@@ -542,13 +594,13 @@ def test_unusable_config_exits_2_naming_its_field(tmp_path, capsys, overrides, n
 
 
 def _run_peak_bytes(config):
-    """tracemalloc peak of run_scenario and emit_outputs, after an untraced
-    run, so that imports and first-call caches are not counted."""
+    """tracemalloc peak of write_run, after an untraced run, so that
+    imports and first-call caches are not counted."""
     with tempfile.TemporaryDirectory() as tmp:
-        emit_outputs(*run_scenario(config), Path(tmp) / "untraced")
+        write_run(config, Path(tmp) / "untraced")
         tracemalloc.start()
         try:
-            emit_outputs(*run_scenario(config), Path(tmp) / "traced")
+            write_run(config, Path(tmp) / "traced")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -742,12 +794,11 @@ def test_cli_never_imports_fractions_or_decimal(tmp_path):
     import of fractions or decimal would add to every run's start-up."""
     code = ("import sys\n"
             "import numpy as np\n"
-            "from wavepacket.cli import CSV_FIELDS, emit_outputs\n"
+            "from wavepacket.cli import write_dat\n"
             "from wavepacket.wigner import PhaseSpaceGrid\n"
             "grid = PhaseSpaceGrid(x_min=0.0, dx=1.0, p_min=0.0, dp=1.0,\n"
             "                      values=np.full((2, 3), 0.5))\n"
-            "report = {'samples': {name: np.empty(0) for name in CSV_FIELDS}}\n"
-            f"emit_outputs(report, [{{'grid': grid, 'index': 0, 't': 0.0}}], {str(tmp_path)!r})\n"
+            f"write_dat({{'grid': grid, 'index': 0, 't': 0.0}}, {str(tmp_path)!r})\n"
             "assert 'fractions' not in sys.modules, 'fractions'\n"
             "assert 'decimal' not in sys.modules, 'decimal'\n")
     result = run_python("-c", code)
@@ -936,8 +987,8 @@ def test_pass_and_warnings_read_every_wigner_entry(monkeypatch, free_spread):
     `warned_sections` with no change to run_scenario."""
     wigner = STAGES["wigner"]
 
-    def checked(*args):
-        entries = wigner(*args)
+    def checked(*args, **kwargs):
+        entries = wigner(*args, **kwargs)
         entries[-1]["checks"] = {"made_up": {"value": 1.0, "tolerance": 0.0, "pass": False}}
         entries[-1]["warnings"] = ["made up"]
         return entries

@@ -7,7 +7,7 @@ runs with dt from 1e-4 and 1-100 steps per sample, and the invariants task
 with any subset of the others, so that the Euler-Lagrange residuals read
 the run's own steps.  An
 example must write report.json (exit 0), or stop with exit 3 (divergence)
-or 4 (capability) and that class's message.  A config error
+or 4 (capability) and that class's message, having written nothing.  A config error
 (exit 2) of a config that parse_config accepted is an internal check
 escaping as the user's fault, and an uncaught exception or numpy warning
 (exit 1) is a crash; both fail.
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wavepacket import cli
-from wavepacket.cli import STAGES, emit_outputs, main, parse_config, run_scenario
+from wavepacket.cli import STAGES, main, parse_config, write_run
 from wavepacket.errors import CapabilityError, ConfigError, DivergenceError
 
 from strategies import law, valid_configs
@@ -109,7 +109,8 @@ def test_valid_config_reports_or_exits_documented(data):
         else:
             assert code in MESSAGES, message
             assert message.startswith(MESSAGES[code]) and message.count("\n") == 1, message
-            assert not (out / "report.json").exists()
+            # no file, no .dat of the wigner stage either, nor the directory
+            assert not out.exists()
 
 
 @st.composite
@@ -141,11 +142,12 @@ def _working_set(config):
 
 
 def _run(config, out):
-    """run_scenario and emit_outputs as main calls them; a run that exits 3
-    or 4 (an oracle grid too coarse for the packet) stops where main would
-    stop it, and its peak up to there counts."""
+    """write_run, as main calls it, each Wigner window written before the
+    next transform; a run that exits 3 or 4 (an oracle grid too coarse for
+    the packet) stops where main would stop it, and its peak up to there
+    counts."""
     with contextlib.suppress(CapabilityError, DivergenceError):
-        emit_outputs(*run_scenario(config), out)
+        write_run(config, out)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

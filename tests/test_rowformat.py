@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavepacket.cli import BUILTIN_SCENARIOS, emit_outputs, parse_config, run_scenario
+from wavepacket.cli import BUILTIN_SCENARIOS, parse_config, run_scenario, write_dat
 from wavepacket.rowformat import BLOCK_VALUES, write_rows
 
 import scalar_reference
@@ -111,11 +111,10 @@ def test_every_power_of_ten_and_edge(shape):
 @pytest.mark.parametrize("name", ["free-spread", "ho-breathing"])
 def test_builtin_dat_files_equal_row_template_writer(tmp_path, name):
     config = parse_config(dict(BUILTIN_SCENARIOS[name], tasks=["wigner"]), name=name)
-    report, grids = run_scenario(config)
-    emit_outputs(report, grids, tmp_path / "run")
+    _, grids = run_scenario(config)
     assert len(grids) == 2
     for entry in grids:
-        filename = f"wigner_t{entry['index']}.dat"
+        filename = write_dat(entry, tmp_path / "run").name
         scalar_reference.write_wigner_dat(tmp_path / filename, entry)
         assert (tmp_path / "run" / filename).read_bytes() == \
             (tmp_path / filename).read_bytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wavepacket.cli import (BUILTIN_SCENARIOS, STAGES, _wide_points, parse_config,
-                            run_scenario, wigner_window, wigner_working_set)
+                            run_scenario, wigner_window, wigner_working_set, write_run)
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
                              TransformMatrix)
 from wavepacket.errors import ValidationError
@@ -252,19 +252,20 @@ def test_wigner_memory_is_the_kept_window_plus_blocks():
     assert abs(np.trapezoid(marginal, dx=psi.dx) - 1.0) <= 1e-12
 
 
-def test_wigner_stage_memory_is_two_windows_plus_blocks(monkeypatch):
-    """At phase_space_grid 1024 x 1025 the stage keeps both entries'
-    windows, 8 bytes per cell each, and one transform's blocks at a time:
-    its tracemalloc peak stays within wigner_working_set, 2*8*nx*np plus
-    WIGNER_BLOCK_BYTES per point of psi's grid and of the p grid, where a
-    dense transform took 50.5 MiB."""
+def test_wigner_stage_memory_is_one_window_plus_blocks(monkeypatch, tmp_path):
+    """At phase_space_grid 1024 x 1025 the stage, writing each entry's .dat
+    as main does, holds one window, 8 bytes per cell, and one transform's
+    or the writer's blocks at a time: its tracemalloc peak stays within
+    wigner_working_set, 8*nx*np plus WIGNER_BLOCK_BYTES per point of psi's
+    grid and of the p grid, where holding both windows took 17.6 MiB and a
+    dense transform 50.5 MiB."""
     nx, n_p = 1024, 1025
     peaks = []
 
-    def traced(*args):
+    def traced(*args, **kwargs):
         tracemalloc.start()
         try:
-            entries = wigner_stage(*args)
+            entries = wigner_stage(*args, **kwargs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -274,12 +275,12 @@ def test_wigner_stage_memory_is_two_windows_plus_blocks(monkeypatch):
     monkeypatch.setitem(STAGES, "wigner", traced)
     data = dict(BUILTIN_SCENARIOS["free-spread"], tasks=["wigner"],
                 phase_space_grid={"nx": nx, "np": n_p, "span_sigmas": 8.0})
-    report, outputs = run_scenario(parse_config(data, name="free-spread"))
-    assert [out["grid"].values.shape for out in outputs] == [(n_p, nx)] * 2
+    report, written = write_run(parse_config(data, name="free-spread"), tmp_path)
+    assert [path.name for path in written] == [
+        "trajectory.csv", "wigner_t0.dat", "wigner_t20.dat", "report.json"]
     assert all(abs(entry["integral"] - 1.0) <= 1e-12 for entry in report["wigner"])
-    psi_points = _wide_points(nx)
     assert wigner_working_set(nx, n_p) == (
-        2 * 8 * nx * n_p + WIGNER_BLOCK_BYTES * (psi_points + n_p))
+        8 * nx * n_p + WIGNER_BLOCK_BYTES * (_wide_points(nx) + n_p))
     assert peaks[0] <= wigner_working_set(nx, n_p)
 
 
