@@ -40,7 +40,7 @@ from .core import (Constants, ConstantOmega, Free, InitialPacket, ModulatedOmega
                    RampOmega, SystemSpec, TabulatedOmega)
 from .errors import CapabilityError, ConfigError, DivergenceError, ValidationError
 from .evolution import solve_lambda
-from .invariants import EulerLagrangeMaxima, matrix_from_state, record_columns
+from .invariants import matrix_from_state, record_columns
 from .kernels import apply_kernel, kernel_td
 from .oracle import GridState, compare_states, split_step
 from .packet import evaluate_wavefunction, propagate_analytic
@@ -48,11 +48,12 @@ from .rowformat import write_records, write_report, write_rows
 from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 
 # parse_config holds a run's working set to MEMORY_BUDGET: SAMPLE_BYTES per
-# sample, SOLVE_BLOCK_BYTES for solve_lambda's block, Euler-Lagrange reduction
-# included, and as its tasks need GRID_POINT_BYTES per grid point and
-# wigner_working_set, one Wigner window and its blocks (tracemalloc: 1229 to
-# 2020, 0.46 MiB, 154 to 186, and 9.6 of 13.0 MiB at 1024 x 1025); its steps
-# to STEP_BUDGET, oracle point-steps to POINT_STEP_BUDGET (0.5-0.7 us, 21-40 ns)
+# sample, SOLVE_BLOCK_BYTES for one solve_lambda block at a time, and as its
+# tasks need GRID_POINT_BYTES per grid point and wigner_working_set, one
+# Wigner window and its blocks (tracemalloc: 1229 to 2020, 0.46 MiB for a
+# solve or the invariants' second one, 154 to 186, and 9.6 of 13.0 MiB at
+# 1024 x 1025); its steps to STEP_BUDGET, oracle point-steps to
+# POINT_STEP_BUDGET (0.5-0.7 us, 21-40 ns)
 MEMORY_BUDGET = 1 << 30
 SAMPLE_BYTES = 2560
 SOLVE_BLOCK_BYTES = 2 << 20
@@ -60,14 +61,14 @@ GRID_POINT_BYTES = 256
 STEP_BUDGET = 1 << 32
 POINT_STEP_BUDGET = 1 << 36
 
-# each check's tolerance is the entry of its name; the Euler-Lagrange
-# residual gets el_residual_factor * dt^2.  det_M_drift is the one check of
-# the Wronskian W = det M: the other invariant columns are W through other
-# formulas (see invariants)
+# each check's tolerance is the entry of its name.  det_M_drift is the one
+# check of the Wronskian W = det M: the other invariant columns are W through
+# other formulas (see invariants)
 TOLERANCES = {
     # where p_phi = (hbar/2)*W leaves hbar/2 by 1e-10 at hbar = 1
     "det_M_drift": 2e-10,
-    "el_residual_factor": 10.0,
+    # 1e3 times the rounding the built-ins read, 1e-1 of a wrong RK4 stage's
+    "step_doubling_error": 1e-10,
     "kernel_roundtrip_l2": 1e-5,
     # the kernel's and the oracle's unaligned L2 from the same analytic
     # packet: each sees its global phase
@@ -335,13 +336,34 @@ def _checks(values, tol):
     return {name: _check(value, tol[name]) for name, value in values.items()}
 
 
-def _invariants_stage(config, traj, columns, tol, el):
-    """The drift of det M and the Euler-Lagrange residual, the maximum of
-    the EulerLagrangeMaxima `el` of the solve."""
+def _step_doubling_error(config, traj):
+    """max|F_c - F_f| / (((n_f/n_c)^4 - 1) * max|F_f|), Richardson's estimate
+    of RK4's error in the fundamental matrix F at the first sample reached
+    in n_f >= 2 steps, from a second solve there in n_c = ceil(n_f/2) steps
+    of 2*dt (README); 0.0 for one step; DivergenceError if not finite."""
+    j = -(-2 // config.sample_every)
+    if j >= len(traj):
+        return 0.0
+    n_f, t = j * config.sample_every, float(traj.times[j])
+    try:
+        coarse = solve_lambda(config.system, config.packet, (0.0, t), dt=2 * config.dt).states[-1]
+    except DivergenceError:
+        coarse = np.full(7, math.inf)
+    a0 = config.packet.alpha0
+    f_fine, f_coarse = ((u / a0, a0 * z, ud / a0, a0 * zd) for u, ud, z, zd, *_ in (
+        traj.states[j].tolist(), coarse.tolist()))
+    change = max(abs(c - f) for c, f in zip(f_coarse, f_fine))
+    error = change / (((n_f / -(-n_f // 2)) ** 4 - 1.0) * max(map(abs, f_fine)))
+    if not math.isfinite(error):
+        raise DivergenceError(t, f"non-finite step_doubling_error at t={t!r}")
+    return error
+
+
+def _invariants_stage(config, traj, columns, tol):
+    """The drift of det M and the step-doubling error of the solve."""
     drift = float(np.abs(columns["det_M"] - 1.0).max())
-    el_tol = tol["el_residual_factor"] * config.dt * config.dt
-    return {"checks": {"det_M_drift": _check(drift, tol["det_M_drift"]),
-                       "euler_lagrange_alpha": _check(el.alpha, el_tol)}}
+    error = _step_doubling_error(config, traj)
+    return {"checks": _checks({"det_M_drift": drift, "step_doubling_error": error}, tol)}
 
 
 def _wide_points(nx):
@@ -376,9 +398,9 @@ def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
 
 
 def _wigner_entry(traj, idx, inputs, constants, write_window):
-    """The entry of sample idx from its wigner_window inputs: its "grid" is
-    handed to write_window with the rest, and only the rest is returned, so
-    the grid is dropped with this call's locals."""
+    """The entry of sample idx from its wigner_window inputs: its "grid"
+    and "t" are handed to write_window with the rest, and only the rest is
+    returned, so the grid is dropped with this call's locals."""
     psi, p_grid, window = inputs
     grid, marginal = wigner_numeric(psi, p_grid, constants, window)
     start, count = window
@@ -386,7 +408,7 @@ def _wigner_entry(traj, idx, inputs, constants, write_window):
         marginal[start:start + count] - np.abs(psi.values[start:start + count]) ** 2)))
     entry = {
         "index": idx,
-        "t": traj[idx].t,
+        "t": traj[idx].t,       # for the .dat header; samples[index].t in the report
         "grid": grid,
         "peak": float(grid.values.max()),
         "min": float(grid.values.min()),
@@ -395,7 +417,7 @@ def _wigner_entry(traj, idx, inputs, constants, write_window):
         "warnings": list(grid.warnings),
     }
     write_window(entry)
-    return {k: v for k, v in entry.items() if k != "grid"}
+    return {k: v for k, v in entry.items() if k not in ("grid", "t")}
 
 
 def _wigner_stage(config, traj, columns, tol, write_window):
@@ -489,20 +511,14 @@ def run_scenario(config: ScenarioConfig, write_window=lambda entry: entry):
     The wigner stage runs last, so that a refusal of another stage writes
     no window, and hands each entry, its "grid" (the window's
     PhaseSpaceGrid) and "index" and "t" included, to write_window as soon
-    as it is complete; report["wigner"] keeps each entry without its grid.
+    as it is complete; report["wigner"] keeps it without grid and t.
     windows lists write_window's return values: by default the entries.
     """
-    # the O(h^2) Euler-Lagrange residuals read the solve's own first min(t_end, 2)
-    el = EulerLagrangeMaxima() if "invariants" in config.tasks else None
-    traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt,
-                        step_hook=el, hook_steps=round(min(config.t_end, 2.0) / config.dt))
+    traj = solve_lambda(config.system, config.packet, config.sample_times(), dt=config.dt)
     columns = record_columns(traj)
     windows = []
-    stages = STAGES | {
-        "invariants": functools.partial(_invariants_stage, el=el),
-        "wigner": functools.partial(STAGES["wigner"], write_window=lambda entry: (
-            windows.append(write_window(entry)))),
-    }
+    stages = STAGES | {"wigner": functools.partial(
+        STAGES["wigner"], write_window=lambda entry: windows.append(write_window(entry)))}
     # wigner runs last; the report keeps the order of STAGES
     done = {task: stages[task](config, traj, columns, TOLERANCES)
             for task in sorted(stages, key="wigner".__eq__) if task in config.tasks}

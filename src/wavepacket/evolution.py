@@ -16,10 +16,10 @@ packet:
 
     lambda = alpha0*C + i*S/alpha0,      eta = x0*C + (p0/m)*S.
 
-solve_lambda builds it by classic fixed-step RK4, as a product of per-step
-2x2 propagators.  The polar decomposition lambda = alpha*exp(i*phi) gives the
-width alpha = |lambda| and the phase phi = arg lambda, unwrapped step by
-step, so that it stays continuous across wraps."""
+solve_lambda builds it by classic fixed-step RK4, a product of per-step 2x2
+propagators; solved again at 2*dt, it gives cli's estimate of its error.
+The polar decomposition lambda = alpha*exp(i*phi) gives the width |lambda|
+and the phase phi = arg lambda, unwrapped step by step across wraps."""
 
 import math
 import operator
@@ -204,8 +204,7 @@ def _substeps(spans, dt):
     return np.maximum(1, n).astype(np.int64)
 
 
-def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
-                 step_hook=None, hook_steps=0):
+def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3):
     """Integrate lambda and eta over t_grid with classic fixed-step RK4.
 
     t_grid must start at 0, be finite and increase strictly, and dt must be
@@ -225,13 +224,6 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
     non-finite.  t_grid may be a sequence or an array; the Trajectory keeps
     a read-only float64 copy of it and the raw states as a read-only (n, 7)
     array, with no per-sample Python objects.
-
-    With step_hook, the first hook_steps steps (all, if fewer) are handed
-    over a block at a time, after the block's own arrays are released:
-    step_hook(steps, last) gets a Trajectory of the states at the block's
-    step ends t + h, led by the two rows handed over before (by the state at
-    t = 0 in the first block), and the last step end it will get.  They are
-    finite whenever the samples are, as a non-finite matrix stays so.
     """
     times = _validated_times(t_grid, dt)
     spans = np.diff(times)
@@ -249,16 +241,12 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
     states = np.empty((len(times), 7))
     states[0] = (*_packet_states(packet, mass, np.eye(2)), 0.0)
     total = int(ends[-1]) if len(ends) else 0
-    handed = min(hook_steps, total) if step_hook else 0
-    last = np.add(*step_times(np.array([handed - 1])))[0] if handed else None
 
-    def block(start, fundamental, phase, front):
-        """The block of steps from `start`: writes its samples into `states`,
-        returns the matrix and phase at its end and, behind the rows `front`,
-        its steps among the first `handed`, or None; frees all else."""
+    def block(start, fundamental, phase):
+        """The block of steps from `start`: writes its samples into `states`
+        and returns the matrix and phase at its end; frees all else."""
         steps = np.arange(start, min(start + BLOCK_STEPS, total))
-        t, h = step_times(steps)
-        e = _step_propagators(omega, t, h)
+        e = _step_propagators(omega, *step_times(steps))
         _prefix_products(e)
         after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
 
@@ -276,25 +264,12 @@ def solve_lambda(system: SystemSpec, packet: InitialPacket, t_grid, dt=1e-3,
         finite = np.isfinite(states[rows]).all(axis=1)
         if not finite.all():
             raise DivergenceError(float(times[rows[np.argmin(finite)]]))
+        return after[:, :, -1].copy(), phases[-1]
 
-        n, m = min(handed - start, len(steps)), len(front[0])
-        if n <= 0:
-            return after[:, :, -1].copy(), phases[-1], None
-        kept_t, kept = np.concatenate([front[0], (t + h)[:n]]), np.empty((m + n, 7))
-        kept[:m] = front[1]
-        kept[m:, :6] = np.transpose(_packet_states(packet, mass, after[:, :, :n]))
-        kept[m:, 6] = phases[:n]
-        kept_t.flags.writeable = kept.flags.writeable = False
-        return after[:, :, -1].copy(), phases[-1], (kept_t, kept)
-
-    fundamental, phase, front = np.eye(2), 0.0, (np.zeros(1), states[:1])
+    fundamental, phase = np.eye(2), 0.0
     with np.errstate(all="ignore"):
         for start in range(0, total, BLOCK_STEPS):
-            fundamental, phase, kept = block(start, fundamental, phase, front)
-            if kept:
-                front = kept[0][-2:].copy(), kept[1][-2:].copy()
-                step_hook(Trajectory(system, packet, *kept), last)
-            del kept        # released before the next block is built
+            fundamental, phase = block(start, fundamental, phase)
     times.flags.writeable = states.flags.writeable = False
     return Trajectory(system=system, packet=packet, times=times, states=states)
 

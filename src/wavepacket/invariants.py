@@ -14,8 +14,8 @@ var_x*var_p - corr^2/4 = (hbar^2/4)*W^2, the Ermakov residual
 times the Ermakov invariant I_L, which reads phi' as 1/alpha^2 and so is
 W wherever W = 1.
 
-The width dynamics itself derives from a Lagrangian in (alpha, phi); the
-invariant summary checks its alpha equation on the integrator's own steps.
+The invariant summary also reports the integrator's error by step
+doubling (cli), which sees a wrong step that keeps det M at 1.
 
 Each formula has one body, which takes floats or arrays: a state argument
 is one sample, traj[i], or the SampleColumns of a whole trajectory.
@@ -29,8 +29,7 @@ import numpy as np
 
 from .core import Constants, TransformMatrix
 from .evolution import SampleColumns, Trajectory, ermakov_residual
-from .errors import DivergenceError, ValidationError
-from .kernels import UNIFORM_ULPS
+from .errors import DivergenceError
 from .packet import moments_from_lambda
 
 
@@ -106,43 +105,3 @@ def record_columns(traj: Trajectory):
     require_finite(s.t, columns)
     return columns
 
-
-def euler_lagrange_residuals(traj: Trajectory, last=None):
-    """The Euler-Lagrange residual of the width equation at every interior
-    sample, by centered differences at the trajectory's own sample spacing:
-
-        alpha'' + w^2*alpha - phi'^2*alpha = 0.
-
-    Returns the array of residuals, empty for fewer than 3 samples.
-    Accuracy is O(h^2) in the sample spacing h, which must be uniform
-    (ValidationError otherwise): adjacent spacings may differ by 1e-12 of
-    the larger plus UNIFORM_ULPS ulps of `last`, by default the last time,
-    the rounding of times t + h far from 0.  alpha and phi' are the
-    trajectory's columns, so every value rounds as it does for traj[i].
-    """
-    times = traj.times
-    if len(times) < 3:
-        return np.empty(0)
-    h1 = times[1:-1] - times[:-2]
-    h2 = times[2:] - times[1:-1]
-    atol = UNIFORM_ULPS * np.spacing(times[-1] if last is None else last)
-    if np.any(np.abs(h1 - h2) > 1e-12 * np.maximum(h1, h2) + atol):
-        raise ValidationError("centered differences need uniform sample spacing")
-    h = 0.5 * (h1 + h2)
-
-    s = traj.columns
-    alpha = s.alpha
-    a = alpha[1:-1]
-    alpha_ddot = (alpha[2:] - 2.0 * a + alpha[:-2]) / (h * h)
-    w = traj.system.frequency_law.omega(times[1:-1])
-    return np.abs(alpha_ddot + w * w * a - np.float_power(s.phi_dot[1:-1], 2) * a)
-
-
-class EulerLagrangeMaxima:
-    """solve_lambda's step_hook for the invariants task: `alpha` is the
-    largest euler_lagrange_residuals(steps, last) over the blocks handed to
-    it, and so over all their steps at once (0.0 for < 3)."""
-    alpha = 0.0
-
-    def __call__(self, steps: Trajectory, last):
-        self.alpha = float(euler_lagrange_residuals(steps, last).max(initial=self.alpha))

@@ -76,10 +76,15 @@ class Mutant:
 MUTANTS = (
     Mutant("dropped-rk4-stage", "evolution", "_step_propagators",
            (("p2 += p3", "p2 += p2"),),
-           "ho-breathing", {"det_M_drift"}),
+           "ho-breathing", {"det_M_drift", "step_doubling_error"}),
     Mutant("stage2-omega-sign", "evolution", "_step_propagators",
            (("n2 * (q + half * p)", "-n2 * (q + half * p)"),),
-           "ho-breathing", {"det_M_drift", "euler_lagrange_alpha"}),
+           "ho-breathing", {"det_M_drift", "step_doubling_error"}),
+    Mutant("polar-phi-dot-sign", "evolution", "_polar",
+           (("(ud * -z + zd * u)", "(ud * -z - zd * u)"),),
+           "ho-breathing", set(),
+           why="no check reads phi', which only the p_phi and E_tilde columns use; "
+               "tests/test_evolution.py::test_lambda_state_polar_invariants fails under it"),
     Mutant("phase-not-unwrapped", "evolution", "solve_lambda",
            (("phases = angles - math.tau", "phases = angles - 0.0"),),
            "caustics-oracle", {"oracle_vs_analytic_l2"}),

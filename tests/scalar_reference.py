@@ -1,12 +1,10 @@
 """The per-sample scalar states, formulas and report loop that the column
 pipeline replaced, and the row-template .dat writer and per-record
-trajectory.csv writer that wavepacket.rowformat replaced, and the
-assembly of every kept integrator step that solve_lambda's step_hook
-replaced, kept as their bit-exact references; the fine re-solve that the
-Euler-Lagrange residuals
-ran before they read the integrator's own steps, and the direct
-O(n_p * n^2) Wigner sum that the chirp-z transform replaced, kept as their
-references to rounding; the paper's forms of det M through eta and
+trajectory.csv writer that wavepacket.rowformat replaced, kept as their
+bit-exact references; the direct O(n_p * n^2) Wigner sum that the chirp-z
+transform replaced, kept as its reference to rounding, and the invariants
+stage's step-doubling error from scalar RK4 steps of the fundamental
+matrix, its reference to rounding; the paper's forms of det M through eta and
 alpha (det_as_ermakov), of the canonical coordinates of the width dynamics
 and of the uncertainty Hamiltonian, which only the identity tests
 evaluate; and the closed forms of lambda and eta for free
@@ -30,10 +28,7 @@ import numpy as np
 from wavepacket.cli import CSV_FIELDS, CSV_HEADER
 from wavepacket.core import ConstantOmega, TransformMatrix, _require_finite, is_free_motion
 from wavepacket.errors import CapabilityError
-from wavepacket.evolution import (BLOCK_STEPS, Trajectory, _matmul, _packet_states, _polar,
-                                  _prefix_products, _step_propagators, _substeps,
-                                  _validated_times, solve_lambda)
-from wavepacket.invariants import euler_lagrange_residuals
+from wavepacket.evolution import _packet_states, _polar
 from wavepacket.wigner import _half_step_refine
 
 
@@ -286,27 +281,54 @@ def sample_records(config, traj):
 
 def invariant_checks(records):
     """{check name: value} of the invariant summary, one sample at a time;
-    fine_euler_lagrange gives the Euler-Lagrange value."""
+    step_doubling_error gives the step-doubling value."""
     return {"det_M_drift": max(abs(r["det_M"] - 1.0) for r in records)}
 
 
 EPS = 2.2e-16
 
 
-def fine_euler_lagrange(config):
-    """(euler_lagrange_alpha, its bound) of a second solve of the first
-    min(t_end, 2), sampled every dt.
+def rk4_fundamental(system, t, n):
+    """The fundamental matrix ((C, S), (C', S')) after n scalar RK4 steps of
+    h = t/n from the identity: each column a solution of q' = p,
+    p' = -w^2*q, stepped on its own."""
+    h = t / n
+    columns = []
+    for q, p in ((1.0, 0.0), (0.0, 1.0)):
+        for k in range(n):
+            n1, n2, n4 = (-omega_at(system, s) ** 2
+                          for s in (k * h, (k + 0.5) * h, (k + 1) * h))
+            q1, p1 = p, n1 * q
+            q2, p2 = p + 0.5 * h * p1, n2 * (q + 0.5 * h * q1)
+            q3, p3 = p + 0.5 * h * p2, n2 * (q + 0.5 * h * q2)
+            q4, p4 = p + h * p3, n4 * (q + h * q3)
+            q, p = (q + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4),
+                    p + h / 6.0 * (p1 + 2.0 * (p2 + p3) + p4))
+        columns.append((q, p))
+    (c, cd), (s, sd) = columns
+    return (c, s), (cd, sd)
 
-    Its steps differ from the run's own at rounding, so the two differ by
-    the rounding noise of alpha that the centered difference divides by
-    dt^2: within 100*EPS*max|alpha|/dt^2, the bound returned.
+
+def step_doubling_error(config):
+    """(step_doubling_error, its bound) of a run of config, from
+    rk4_fundamental in the n_f steps to the first sample reached in n_f >= 2
+    and in ceil(n_f/2) steps; (0.0, 0.0) with no such sample.
+
+    The run's matrices differ from these at rounding, by up to about n_f
+    EPS relative each, and the difference of the two is divided by
+    (n_f/n_c)^4 - 1: the bound returned is 8*n_f*EPS over that divisor.
     """
-    dt = config.dt
-    n_fine = round(min(config.t_end, 2.0) / dt)
-    fine = solve_lambda(config.system, config.packet,
-                        [k * dt for k in range(n_fine + 1)], dt=dt)
-    return (float(euler_lagrange_residuals(fine).max(initial=0.0)),
-            100.0 * EPS * float(fine.columns.alpha.max()) / (dt * dt))
+    j = -(-2 // config.sample_every)
+    times = config.sample_times()
+    if j >= len(times):
+        return 0.0, 0.0
+    n_f = j * config.sample_every
+    n_c = -(-n_f // 2)
+    fine, coarse = (np.ravel(rk4_fundamental(config.system, float(times[j]), n))
+                    for n in (n_f, n_c))
+    divisor = (n_f / n_c) ** 4 - 1.0
+    return (float(np.abs(coarse - fine).max() / (divisor * np.abs(fine).max())),
+            8.0 * n_f * EPS / divisor)
 
 
 def phase_unwrapper():
@@ -326,48 +348,6 @@ def phase_unwrapper():
         angle = theta
         return theta - math.tau * wraps
     return phi
-
-
-def kept_steps(system, packet, t_grid, dt, keep):
-    """The state at t = 0 and after each of the first `keep` steps of
-    solve_lambda(system, packet, t_grid, dt) (all of them, if there are
-    fewer), at the step ends t + h, as one read-only Trajectory: lambda and
-    eta assembled block by block as the solve's blocks form them, and phi
-    unwrapped one step at a time."""
-    times = _validated_times(t_grid, dt)
-    spans = np.diff(times)
-    n_sub = _substeps(spans, dt)
-    h_sub = spans / n_sub
-    ends = np.cumsum(n_sub)
-    firsts = ends - n_sub
-    omega, mass = system.frequency_law.omega, system.constants.mass
-    fundamental = np.eye(2)
-    total = int(ends[-1]) if len(ends) else 0
-    kept = min(keep, total)
-    step_times = np.zeros(kept + 1)
-    step_states = np.empty((kept + 1, 7))
-    step_states[0] = (*_packet_states(packet, mass, fundamental), 0.0)
-    with np.errstate(all="ignore"):
-        for start in range(0, kept, BLOCK_STEPS):
-            steps = np.arange(start, min(start + BLOCK_STEPS, total))
-            interval = np.searchsorted(ends, steps, side="right")
-            h = h_sub[interval]
-            t = times[interval] + (steps - firsts[interval]) * h
-            e = _step_propagators(omega, t, h)
-            _prefix_products(e)
-            after = fundamental[:, :, None] + _matmul(e, fundamental[:, :, None])
-            fundamental = after[:, :, -1]
-
-            n_kept = min(kept - start, len(steps))
-            rows = slice(start + 1, start + 1 + n_kept)
-            step_times[rows] = (t + h)[:n_kept]
-            step_states[rows, :6] = np.transpose(
-                _packet_states(packet, mass, after[:, :, :n_kept]))
-        phi = phase_unwrapper()
-        step_states[1:, 6] = [phi(u, z) for u, z in step_states[1:, [0, 2]].tolist()]
-    step_times.flags.writeable = step_states.flags.writeable = False
-    return Trajectory(system, packet, step_times, step_states)
-
 
 
 KERNEL_STEP = 1e-5   # the fixed step h of kernel_equation_terms' differences

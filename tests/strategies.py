@@ -48,8 +48,8 @@ def valid_configs(draw):
     with any subset of the others."""
     dt = draw(st.one_of(st.sampled_from((1e-4, 1e-3)), st.floats(1e-4, 0.02, **FINITE)))
     sample_every = draw(st.integers(1, 100))
-    # at most 800 steps: with dt = 1e-4 the residuals read every step of the
-    # run, and from dt = 2.5e-3 on they may read a prefix of it
+    # at most 800 steps, with 1 to 100 in the first sample interval, which
+    # the invariants task solves again at 2*dt
     t_end = draw(st.integers(1, max(1, 800 // sample_every))) * dt * sample_every
     half_width = draw(st.floats(1.0, 20.0, **FINITE))
     centre = draw(st.floats(-5.0, 5.0, **FINITE))

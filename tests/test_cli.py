@@ -276,7 +276,12 @@ def test_exit_code_divergence(tmp_path):
       "packet": {"x0": 0.5, "p0": 1.0, "alpha0": 1.0},
       "time": {"t_end": 300.0, "dt": 0.01, "sample_every": 1000}},
      "invariant_uncertainty_product", 270.0),
-], ids=["resonance"])
+    # dt*w = 2.8284 is within RK4's stability bound 2*sqrt(2), and 2*dt*w
+    # is past it: the 200 steps at 2*dt overflow, the run's own 400 do not
+    ({"system": {"type": "constant", "omega": 2.8284},
+      "time": {"t_end": 400.0, "dt": 1.0, "sample_every": 400}},
+     "step_doubling_error", 400.0),
+], ids=["resonance", "coarse-step-unstable"])
 def test_overflowing_sample_quantity_exits_3(tmp_path, capsys, overrides, quantity, t):
     """A derived quantity that is not finite is a divergence (exit 3) that
     names the quantity and the first sample time; no inf or NaN reaches
@@ -291,13 +296,14 @@ def test_overflowing_sample_quantity_exits_3(tmp_path, capsys, overrides, quanti
 def test_free_run_with_every_record_finite_exits_0(tmp_path):
     """At alpha0 = 1e-80 and hbar = 1e-30 every record is finite, though
     (t/alpha0^2)^2 overflows: no report quantity is formed from it, so the
-    run writes its report.  euler_lagrange_alpha is not asserted: its
-    stencil rounds on alpha near 1e79."""
+    run writes its report, and both invariant checks pass."""
     cfg = write_config(tmp_path, dict(SMALL_CONFIG, constants={"hbar": 1e-30, "mass": 1.0},
                                       packet={"x0": 0.5, "p0": 1.0, "alpha0": 1e-80}))
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["invariants"]["checks"]["det_M_drift"]["pass"] is True
+    checks = report["invariants"]["checks"]
+    assert checks["det_M_drift"]["pass"] is True
+    assert checks["step_doubling_error"]["pass"] is True
 
 
 @pytest.mark.parametrize("constants, packet", [
@@ -319,7 +325,7 @@ def test_det_vs_ermakov_identity_needs_doubles_that_carry_it(tmp_path, capsys,
     assert capsys.readouterr().err == ""
     checks = json.loads((tmp_path / "o" / "report.json").read_text())[
         "invariants"]["checks"]
-    assert list(checks) == ["det_M_drift", "euler_lagrange_alpha"]
+    assert list(checks) == ["det_M_drift", "step_doubling_error"]
 
 
 def test_oracle_on_a_grid_that_samples_no_mass(tmp_path, capsys):
@@ -486,10 +492,10 @@ def test_memory_ceilings_refuse_one_step_past_the_budget(tmp_path, capsys):
 def test_sample_and_kept_step_ceilings_refuse_one_step_past_the_budget():
     """parse_config admits the largest sample count whose bytes beside the
     least of every other part are within cli.MEMORY_BUDGET, and refuses one
-    more, naming it.  Kept Euler-Lagrange steps have no ceiling of their
-    own: the invariants task reduces them block by block, so one more than
-    the 4186092 that 256 bytes each once admitted parses.  Parsing
-    allocates neither, so nothing large is allocated here."""
+    more, naming it.  The steps of the invariants task have no ceiling of
+    their own: its second solve runs block by block, as the first does, so
+    one more than the 4186092 that 256 bytes per kept step once admitted
+    parses.  Parsing allocates neither, so nothing large is allocated here."""
     budget = cli.MEMORY_BUDGET
     room = budget - cli.SOLVE_BLOCK_BYTES
     samples = room // cli.SAMPLE_BYTES
@@ -606,10 +612,10 @@ def _run_peak_bytes(config):
             tracemalloc.stop()
 
 
-def test_euler_lagrange_memory_does_not_grow_with_the_steps():
+def test_invariants_memory_does_not_grow_with_the_steps():
     """With invariants, the 200 000 steps of dt = 1e-5 to t = 2 peak within
-    1 MiB of the 2000 of dt = 1e-3, at the same 21 samples: the residuals
-    are reduced block by block, not over every step held at once."""
+    1 MiB of the 2000 of dt = 1e-3, at the same 21 samples: the 5000 steps
+    of the step-doubling re-solve run in blocks, as the run's own do."""
     def config(dt):
         return parse_config(dict(SMALL_CONFIG, system={"type": "constant", "omega": 1.0},
                                  time={"t_end": 2.0, "dt": dt, "sample_every": round(0.1 / dt)}))
@@ -618,14 +624,72 @@ def test_euler_lagrange_memory_does_not_grow_with_the_steps():
     assert _run_peak_bytes(config(1e-5)) <= _run_peak_bytes(config(1e-3)) + (1 << 20)
 
 
-def test_single_step_run_has_zero_euler_lagrange_residuals(tmp_path):
-    """Two samples leave no interior point for the centered difference."""
-    data = dict(SMALL_CONFIG, time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})
+def test_single_step_run_has_zero_step_doubling_error(tmp_path, monkeypatch):
+    """One step leaves no sample that two steps reach: the estimate reads
+    0.0, with no second solve."""
+    calls = []
+    solve = cli.solve_lambda
+    monkeypatch.setattr(cli, "solve_lambda",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    data = dict(SMALL_CONFIG, system={"type": "constant", "omega": 1.0},
+                time={"t_end": 0.001, "dt": 0.001, "sample_every": 1})
     cfg = write_config(tmp_path, data)
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
     checks = json.loads((tmp_path / "o" / "report.json").read_text())[
         "invariants"]["checks"]
-    assert checks["euler_lagrange_alpha"]["value"] == 0.0
+    assert checks["step_doubling_error"]["value"] == 0.0
+    assert len(calls) == 1
+
+
+def _step_doubling_error(**changes):
+    """The step-doubling error of SMALL_CONFIG with some sections replaced."""
+    report, _ = run_scenario(parse_config(SMALL_CONFIG | changes))
+    return report["invariants"]["checks"]["step_doubling_error"]["value"]
+
+
+def _rk4_constant_error(omega, t, n):
+    """max|R^n - F(t)| / max|F(t)| of n RK4 steps R of h = t/n on
+    y'' + omega^2 y = 0, against its exact fundamental matrix F."""
+    a = np.array([[0.0, 1.0], [-omega * omega, 0.0]]) * (t / n)
+    step = sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(5))
+    exact = np.array([[math.cos(omega * t), math.sin(omega * t) / omega],
+                      [-omega * math.sin(omega * t), math.cos(omega * t)]])
+    return np.abs(np.linalg.matrix_power(step, n) - exact).max() / np.abs(exact).max()
+
+
+@pytest.mark.parametrize("sample_every", [4, 5, 1], ids=["even", "odd", "two-samples"])
+def test_step_doubling_error_is_the_closed_form_error(sample_every):
+    """On a constant law the estimate is RK4's own error at the first
+    sample reached in two steps or more, within 5%: n_f = 4 steps against
+    2, 5 against 3, and at one step per sample 2 against 1."""
+    dt, omega = 0.05, 1.5
+    error = _step_doubling_error(system={"type": "constant", "omega": omega},
+                                 time={"t_end": 1.0, "dt": dt, "sample_every": sample_every})
+    n_f = max(2, sample_every)
+    assert error == pytest.approx(_rk4_constant_error(omega, n_f * dt, n_f), rel=0.05)
+    assert error > 1e-8             # truncation, far above rounding
+
+
+def test_step_doubling_error_depends_on_the_law_and_step_alone():
+    """The fundamental matrix is the same for every hbar, m and packet:
+    the estimate reads the same, to the bit where alpha0 scales exactly."""
+    law = {"type": "ramp", "omega0": 1.5, "slope": 0.3}
+    time = {"t_end": 1.0, "dt": 0.02, "sample_every": 5}
+    base = _step_doubling_error(system=law, time=time)
+    for alpha0 in (0.25, 2.0, 8.0):
+        for constants in ({"hbar": 1.0, "mass": 1.0}, {"hbar": 1e-3, "mass": 40.0}):
+            assert _step_doubling_error(
+                system=law, time=time, constants=constants,
+                packet={"x0": -0.7, "p0": 2.5, "alpha0": alpha0}) == base
+    assert _step_doubling_error(system=law, time=time, packet={
+        "x0": 0.0, "p0": 1.0, "alpha0": 1.3}) == pytest.approx(base, rel=1e-6)
+    assert base > 1e-9              # truncation, far above rounding
+
+
+def test_free_motion_has_zero_step_doubling_error():
+    """RK4 is exact on free motion, and both solves round to the same matrix."""
+    assert _step_doubling_error(time={"t_end": 1.0, "dt": 0.05, "sample_every": 5}) == 0.0
+    assert _step_doubling_error() == 0.0
 
 
 def test_drifting_wronskian_fails_its_check_instead_of_exiting(tmp_path):
@@ -973,12 +1037,10 @@ def _failing_checks(report):
 def test_each_check_reads_its_tolerance_entry(monkeypatch, free_spread, entry):
     """free-spread reports every check, and passes them all.  With one
     entry of TOLERANCES at -1, the check of that name, and no other, fails
-    and fails the run; el_residual_factor scales the Euler-Lagrange
-    tolerance."""
+    and fails the run."""
     monkeypatch.setitem(TOLERANCES, entry, -1.0)
     report, _ = run_scenario(free_spread)
-    expected = {"euler_lagrange_alpha" if entry == "el_residual_factor" else entry}
-    assert _failing_checks(report) == expected
+    assert _failing_checks(report) == {entry}
     assert report["pass"] is False
 
 
@@ -1002,20 +1064,19 @@ def test_pass_and_warnings_read_every_wigner_entry(monkeypatch, free_spread):
 
 
 def test_run_without_invariants_neither_computes_nor_checks_them(monkeypatch):
-    """The drift of det M and the Euler-Lagrange residual belong to the
-    invariants stage alone; a run without it hands no integrator steps to a
-    hook."""
+    """The drift of det M and the step-doubling error belong to the
+    invariants stage alone; a run without it solves once."""
     def forbidden(*args, **kwargs):
         raise AssertionError("called without the invariants task")
 
     monkeypatch.setattr(cli, "_invariants_stage", forbidden)
     solve = cli.solve_lambda
-    hooks = []
-    monkeypatch.setattr(cli, "solve_lambda", lambda *args, step_hook, **kwargs: (
-        hooks.append(step_hook) or solve(*args, step_hook=step_hook, **kwargs)))
+    calls = []
+    monkeypatch.setattr(cli, "solve_lambda",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
     report, _ = run_scenario(parse_config(dict(SMALL_CONFIG, tasks=["evolve", "wigner"])))
     assert "invariants" not in report and report["pass"] is True
-    assert hooks == [None]
+    assert len(calls) == 1
 
 
 def test_layer_functions_are_looked_up_in_cli_at_call_time(monkeypatch, free_spread):
@@ -1033,5 +1094,5 @@ def test_layer_functions_are_looked_up_in_cli_at_call_time(monkeypatch, free_spr
     for name in calls:
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     run_scenario(free_spread)
-    assert calls == {"solve_lambda": 1, "split_step": 1, "apply_kernel": 2,
+    assert calls == {"solve_lambda": 2, "split_step": 1, "apply_kernel": 2,
                      "wigner_numeric": 2, "compare_states": 1}

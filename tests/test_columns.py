@@ -4,8 +4,8 @@ identities that tie the invariant columns to det M.
 run_scenario computes every record and invariant-summary value on whole
 columns; tests/scalar_reference.py keeps the loop that computed them one
 sample at a time.  Both must give the same floats to the last bit, except
-the Euler-Lagrange residual, which reads the run's own integrator steps
-and agrees with the reference's second solve to rounding.  emit_outputs
+the step-doubling error, which agrees with the reference's scalar RK4
+solves to rounding.  emit_outputs
 writes the columns as the json module and the per-record writer wrote
 the records.
 
@@ -31,7 +31,7 @@ from wavepacket.cli import (BUILTIN_SCENARIOS, CSV_FIELDS, emit_outputs, main,
 from wavepacket.core import ModulatedOmega
 from wavepacket.errors import DivergenceError
 from wavepacket.evolution import solve_lambda
-from wavepacket.invariants import euler_lagrange_residuals, record_columns
+from wavepacket.invariants import record_columns
 from wavepacket.rowformat import write_report
 
 import scalar_reference
@@ -86,12 +86,9 @@ def test_columns_equal_scalar_reference(data):
 
     checks = {name: entry["value"]
               for name, entry in report["invariants"]["checks"].items()}
-    el = checks.pop("euler_lagrange_alpha")
+    error = checks.pop("step_doubling_error")
     assert checks == scalar_reference.invariant_checks(records)
-    steps = scalar_reference.kept_steps(config.system, config.packet, config.sample_times(),
-                                        config.dt, round(min(config.t_end, 2.0) / config.dt))
-    assert el == float(euler_lagrange_residuals(steps).max(initial=0.0))
-    _assert_el_close(config, el)
+    _assert_step_doubling_close(config, error)
 
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(report, [], out)
@@ -119,31 +116,33 @@ def test_record_columns_evaluate_omega_once(monkeypatch):
     assert calls == [(len(traj),)]
 
 
-def _assert_el_close(config, el):
-    """The run's Euler-Lagrange value against the reference's second solve,
-    within its rounding bound."""
-    el_alpha, bound = scalar_reference.fine_euler_lagrange(config)
-    assert abs(el - el_alpha) <= bound
+def _assert_step_doubling_close(config, error):
+    """The run's step-doubling error against the reference's scalar RK4
+    solves, within its rounding bound."""
+    reference, bound = scalar_reference.step_doubling_error(config)
+    assert abs(error - reference) <= bound
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_builtin_run_solves_once_and_writes_reference_bytes(name, tmp_path, monkeypatch):
-    """A run integrates once; its Euler-Lagrange value agrees with the
-    second solve it once ran; report.json is the json module's bytes
-    and trajectory.csv the per-record writer's."""
-    calls = []
+    """A run integrates its samples once, and its invariants solve the
+    first sample interval again at 2*dt; its step-doubling error agrees
+    with the reference's; report.json is the json module's bytes and
+    trajectory.csv the per-record writer's."""
+    grids = []
     solve = cli.solve_lambda
-    monkeypatch.setattr(cli, "solve_lambda",
-                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    monkeypatch.setattr(cli, "solve_lambda", lambda system, packet, t_grid, dt: (
+        grids.append((len(t_grid), dt)) or solve(system, packet, t_grid, dt)))
     out = tmp_path / "out"
     assert main(["run", name, "--output-dir", str(out)]) == 0
-    assert len(calls) == 1
+    config = cli.load_config(name)
+    assert grids == [(len(config.sample_times()), config.dt), (2, 2.0 * config.dt)]
 
     raw = (out / "report.json").read_text()
     report = json.loads(raw)
     assert raw == json.dumps(report, indent=2) + "\n"
-    _assert_el_close(cli.load_config(name),
-                     report["invariants"]["checks"]["euler_lagrange_alpha"]["value"])
+    _assert_step_doubling_close(config,
+                                report["invariants"]["checks"]["step_doubling_error"]["value"])
     scalar_reference.write_trajectory_csv(tmp_path / "reference.csv", report["samples"])
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

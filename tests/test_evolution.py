@@ -14,7 +14,6 @@ from wavepacket.errors import CapabilityError, DivergenceError, ValidationError
 from wavepacket import evolution
 from wavepacket.evolution import (BLOCK_STEPS, SampleColumns, Trajectory, ermakov_residual,
                                   solve_lambda)
-from wavepacket.invariants import EulerLagrangeMaxima, euler_lagrange_residuals
 
 import scalar_reference
 from scalar_reference import closed_form_classical, closed_form_lambda, omega_at
@@ -514,10 +513,10 @@ def test_divergence_is_silent(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def _peak_bytes(t_grid, dt, system=FREE, **hook):
+def _peak_bytes(t_grid, dt, system=FREE):
     tracemalloc.start()
     try:
-        solve_lambda(system, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt, **hook)
+        solve_lambda(system, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,17 +532,14 @@ def test_memory_does_not_grow_with_step_count():
     assert many <= 4 * 1024 * 1024            # 56 MB if every step were kept
 
 
-@pytest.mark.parametrize("hooked", [False, True], ids=["no-hook", "every-step-hooked"])
-def test_memory_does_not_grow_with_block_count(hooked):
+def test_memory_does_not_grow_with_block_count():
     """One block of 2048 steps and five blocks of them peak alike: each
-    block's arrays, and the steps handed to the hook, are released before
-    the next block is built."""
+    block's arrays are released before the next block is built."""
     system = SystemSpec(C, ModulatedOmega(1.0, 0.2, 2.1))
     peaks = []
     for n in (BLOCK_STEPS, 5 * BLOCK_STEPS):
-        hook = {"step_hook": EulerLagrangeMaxima(), "hook_steps": n} if hooked else {}
-        _peak_bytes([0.0, n * 1e-3], 1e-3, system, **hook)    # first-call caches
-        peaks.append(_peak_bytes([0.0, n * 1e-3], 1e-3, system, **hook))
+        _peak_bytes([0.0, n * 1e-3], 1e-3, system)    # first-call caches
+        peaks.append(_peak_bytes([0.0, n * 1e-3], 1e-3, system))
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
 
@@ -569,75 +565,3 @@ def _steps_taken(monkeypatch, *args, **kwargs):
 def test_step_rule_takes_whole_multiples_exactly(monkeypatch, t_grid, dt, steps):
     _, taken = _steps_taken(monkeypatch, HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
     assert taken == steps
-
-
-def _handed_steps(blocks):
-    """The steps handed over in (steps, last) blocks, as one (times, states)
-    pair: each block after the first leads with the last two rows of the
-    block before it, which must be them, byte for byte."""
-    for (prev, _), (block, _) in zip(blocks, blocks[1:]):
-        assert block.times[:2].tobytes() == prev.times[-2:].tobytes()
-        assert block.states[:2].tobytes() == prev.states[-2:].tobytes()
-    return (np.concatenate([b.times[2 * (i > 0):] for i, (b, _) in enumerate(blocks)]),
-            np.concatenate([b.states[2 * (i > 0):] for i, (b, _) in enumerate(blocks)]))
-
-
-@pytest.mark.parametrize("keep", [0, 1, 2047, 2048, 2049, 2500, 10**6])
-def test_kept_steps_are_the_states_of_the_same_solve(monkeypatch, keep):
-    """A step_hook adds no integration: it is handed the state at t = 0
-    and after each of the first `keep` steps once, apart from the two rows
-    that lead each later block, and the rows at step ends that are sample
-    times are the samples, bit for bit."""
-    system = SystemSpec(C, ModulatedOmega(1.0, 0.2, 2.1))
-    t_grid = np.arange(51) * 0.05
-    traj, taken = _steps_taken(monkeypatch, system, InitialPacket(0.3, 0.9, 1.1),
-                               t_grid, dt=1e-3)
-    blocks = []
-    same, taken_hook = _steps_taken(monkeypatch, system, InitialPacket(0.3, 0.9, 1.1),
-                                    t_grid, dt=1e-3, hook_steps=keep,
-                                    step_hook=lambda *block: blocks.append(block))
-    assert taken == taken_hook == 2500
-    assert same.states.tobytes() == traj.states.tobytes()
-    n = min(keep, 2500)
-    assert len(blocks) == math.ceil(n / BLOCK_STEPS)
-    if not n:
-        return
-    times, states = _handed_steps(blocks)
-    assert states.shape == (n + 1, 7) and times.shape == (n + 1,)
-    for steps, last in blocks:
-        assert not steps.states.flags.writeable and not steps.times.flags.writeable
-        assert last == times[-1]
-    shared = np.arange(0, n + 1, 50)
-    assert states[shared].tobytes() == traj.states[shared // 50].tobytes()
-    assert np.all(np.abs(times - np.arange(n + 1) * 1e-3) <= 1e-15)
-
-
-# a knot at 2.048, where the second block of 1e-3 steps starts
-_KNOT_ON_BOUNDARY = TabulatedOmega((0.0, 1.1, 2.048, 3.3, 4.5), (1.0, 0.4, 1.8, 0.7, 1.2))
-
-
-@pytest.mark.parametrize("law, t_end, keep", [
-    *[(ModulatedOmega(1.0, 0.2, 2.1), 4.2, k) for k in (1, 2, 3, 2047, 2048, 2049, 4097)],
-    (ModulatedOmega(1.0, 0.2, 2.1), 4.2, 10**6),
-    *[(_KNOT_ON_BOUNDARY, 4.2, k) for k in (2048, 2049, 4097, 10**6)],
-    (ConstantOmega(1.3), 1.5, 1500),
-    (Free(), 1.5, 10**6),
-], ids=lambda v: type(v).__name__ if not isinstance(v, (int, float)) else str(v))
-def test_block_maxima_are_the_residuals_over_all_kept_steps(law, t_end, keep):
-    """The maximum EulerLagrangeMaxima reduces block by block is, bit for
-    bit, that of euler_lagrange_residuals over the whole kept trajectory,
-    and the rows it is handed are that trajectory's."""
-    system = SystemSpec(Constants(1.3, 0.7), law)
-    packet = InitialPacket(0.4, 0.9, 1.2)
-    t_grid = np.arange(round(t_end / 0.008) + 1) * 0.008
-    el, blocks = EulerLagrangeMaxima(), []
-
-    def hook(steps, last):
-        blocks.append((steps, last))
-        el(steps, last)
-    solve_lambda(system, packet, t_grid, dt=1e-3, step_hook=hook, hook_steps=keep)
-    kept = scalar_reference.kept_steps(system, packet, t_grid, 1e-3, keep)
-    times, states = _handed_steps(blocks)
-    assert times.tobytes() == kept.times.tobytes()
-    assert states.tobytes() == kept.states.tobytes()
-    assert el.alpha == float(euler_lagrange_residuals(kept).max(initial=0.0))

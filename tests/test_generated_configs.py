@@ -4,8 +4,8 @@ Configs are drawn by strategies.valid_configs over all five law types,
 hbar and m over 16 decades, alpha0 over 6 and |p0| up to 1e6, grids of
 64-256 points that may be too coarse for the packet or cut into it, short
 runs with dt from 1e-4 and 1-100 steps per sample, and the invariants task
-with any subset of the others, so that the Euler-Lagrange residuals read
-the run's own steps.  An
+with any subset of the others, whose step-doubling re-solve covers the
+first sample interval, or the first two at one step per sample.  An
 example must write report.json (exit 0), or stop with exit 3 (divergence)
 or 4 (capability) and that class's message, having written nothing.  A config error
 (exit 2) of a config that parse_config accepted is an internal check
@@ -55,8 +55,7 @@ MESSAGES = {3: "error: numerical divergence: ", 4: "error: capability: "}
                "time": {"t_end": 0.01, "dt": 0.001, "sample_every": 10},
                "grid": {"x_min": -15.0, "x_max": 15.0, "n_points": 64},
                "tasks": ["evolve", "invariants"]})
-# step ends near t = 2 round to doubles 4.4e-16 apart, more than 1e-12 of
-# a 1e-4 step: the residuals' uniform-spacing check must allow for that
+# 20 000 steps of 1e-4, the longest run of the examples
 @example(data={"system": {"type": "constant", "omega": 1.0},
                "packet": {"x0": 0.0, "p0": 1.0, "alpha0": 1.0},
                "time": {"t_end": 2.0, "dt": 0.0001, "sample_every": 10},
@@ -104,7 +103,7 @@ def test_valid_config_reports_or_exits_documented(data):
                 assert (task in report) == (task in config.tasks)
             if "invariants" in config.tasks:
                 checks = report["invariants"]["checks"]
-                assert math.isfinite(checks["euler_lagrange_alpha"]["value"])
+                assert math.isfinite(checks["step_doubling_error"]["value"])
             assert message == ""
         else:
             assert code in MESSAGES, message
@@ -117,8 +116,8 @@ def test_valid_config_reports_or_exits_documented(data):
 def _budgeted_configs(draw):
     dt = draw(st.sampled_from((1e-4, 1e-3, 1e-2)))
     sample_every = draw(st.integers(1, 100))
-    # at most 1000 steps; with invariants at dt = 1e-4 every one is handed to
-    # the Euler-Lagrange reduction
+    # at most 1000 steps, and with invariants up to 100 of them solved again
+    # at 2*dt
     t_end = draw(st.integers(1, 1000 // sample_every)) * dt * sample_every
     return {
         "system": law(draw, t_end),

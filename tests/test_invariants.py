@@ -5,17 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket,
-                             ModulatedOmega, RampOmega, SystemSpec, TabulatedOmega,
-                             TransformMatrix)
+                             ModulatedOmega, RampOmega, SystemSpec, TransformMatrix)
 from wavepacket.errors import ValidationError
-from wavepacket.evolution import Trajectory, solve_lambda
-from wavepacket.kernels import UNIFORM_ULPS
-from wavepacket.invariants import (EulerLagrangeMaxima, energy_partition,
-                                   ermakov_invariant, euler_lagrange_residuals,
-                                   matrix_from_state, record_columns)
+from wavepacket.evolution import solve_lambda
+from wavepacket.invariants import (energy_partition, ermakov_invariant, matrix_from_state,
+                                   record_columns)
 from wavepacket.packet import Moments, moments_from_lambda
 from wavepacket.wigner import wigner_gaussian, wigner_pointmap
 
@@ -191,15 +187,6 @@ def test_p_phi_is_half_hbar():
         assert np.abs(record_columns(traj)["p_phi"] - 0.5).max() <= 1e-10
 
 
-def test_euler_lagrange_residuals_at_integrator_resolution():
-    dt = 1e-3
-    t_grid = [k * dt for k in range(1001)]
-    traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
-    res_alpha = euler_lagrange_residuals(traj)
-    assert len(res_alpha) == len(traj) - 2
-    assert res_alpha.max() <= 1e-6
-
-
 def test_uncertainty_product_identity():
     """U = p_phi^2 + (alpha*p_alpha)^2 equals <x~^2><p~^2>."""
     traj = solve(HO, InitialPacket(0.0, 1.0, 1.7), t_end=5.0, n=50)
@@ -243,111 +230,3 @@ def test_canonical_matrix_rejects_wrong_determinant():
         wigner_pointmap(w0, m, 0.0, 0.0, C)
     with pytest.raises(ValidationError, match="alpha0"):
         TransformMatrix(1.0, 0.0, 0.0, 1.0, alpha0=0.0)
-
-
-@pytest.mark.parametrize("dt, sample_every", [(1e-4, 1), (1e-4, 10), (3e-4, 7)])
-def test_residuals_take_the_steps_of_a_fine_run(dt, sample_every):
-    """Step ends t + h, rounded to doubles near t = 2, are uniform to
-    within the rounding of those times, which exceeds 1e-12 of a 1e-4 step."""
-    step = dt * sample_every
-    t_grid = np.arange(math.ceil(2.0 / step) + 1) * step   # past t = 2
-    el, handed = EulerLagrangeMaxima(), []
-
-    def hook(steps, last):
-        handed.append(len(steps))
-        el(steps, last)
-    solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt,
-                 step_hook=hook, hook_steps=round(2.0 / dt))
-    assert sum(handed) - 2 * (len(handed) - 1) == round(2.0 / dt) + 1
-    assert 0.0 < el.alpha <= 10.0 * dt * dt
-
-
-def test_residuals_need_interior_uniform_samples():
-    traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0, 0.1, 0.2, 0.4])
-    with pytest.raises(ValidationError, match="uniform"):
-        euler_lagrange_residuals(traj)
-    # spacings 5e-13 apart: past 1e-12 of the step and UNIFORM_ULPS ulps of
-    # the last time, within those ulps of a `last` of 1000, as a block of
-    # steps is held to the tolerance at the last step handed over
-    traj = solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0, 0.25, 0.5 + 5e-13])
-    with pytest.raises(ValidationError, match="uniform"):
-        euler_lagrange_residuals(traj)
-    assert euler_lagrange_residuals(traj, 1000.0).shape == (1,)
-    EulerLagrangeMaxima()(traj, 1000.0)
-    for n in (0, 1):
-        traj = solve(FREE, InitialPacket(0.0, 1.0, 1.0), t_end=0.001, n=n)
-        assert euler_lagrange_residuals(traj).shape == (0,)
-
-
-def _uncertainty_dynamics_residual_reference(traj: Trajectory, index: int):
-    """The per-sample width-equation residual the array form replaced, kept
-    as its bit-exact reference."""
-    if not 0 < index < len(traj) - 1:
-        raise ValidationError("index must be interior for centered differences")
-    prev, here, nxt = traj[index - 1], traj[index], traj[index + 1]
-    h1 = here.t - prev.t
-    h2 = nxt.t - here.t
-    atol = UNIFORM_ULPS * float(np.spacing(traj.times[-1]))
-    if abs(h1 - h2) > 1e-12 * max(h1, h2) + atol:
-        raise ValidationError("centered differences need uniform sample spacing")
-    h = 0.5 * (h1 + h2)
-    alpha_ddot = (nxt.alpha - 2.0 * here.alpha + prev.alpha) / (h * h)
-    w = omega_at(traj.system, here.t)
-    return abs(alpha_ddot + w * w * here.alpha - here.phi_dot ** 2 * here.alpha)
-
-
-_finite = dict(allow_nan=False, allow_infinity=False)
-_omega = st.floats(0.0, 3.0, **_finite)
-
-
-@st.composite
-def _tabulated(draw):
-    """Knots reach past t = 4, the end of the longest trajectory below."""
-    interior = sorted(draw(st.lists(st.floats(0.01, 4.49, **_finite),
-                                    unique=True, max_size=4)))
-    times = (0.0, *interior, 4.5)
-    return TabulatedOmega(times, tuple(draw(_omega) for _ in times))
-
-
-_law = st.one_of(
-    st.just(Free()),
-    st.builds(ConstantOmega, _omega),
-    st.builds(RampOmega, _omega, st.floats(-0.5, 0.5, **_finite)),
-    st.builds(ModulatedOmega, _omega, st.floats(-0.5, 0.5, **_finite),
-              st.floats(0.0, 5.0, **_finite)),
-    _tabulated(),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(law=_law,
-       constants=st.builds(Constants, st.floats(0.1, 3.0, **_finite),
-                           st.floats(0.1, 3.0, **_finite)),
-       packet=st.builds(InitialPacket, st.floats(-3.0, 3.0, **_finite),
-                        st.floats(-3.0, 3.0, **_finite), st.floats(0.2, 3.0, **_finite)),
-       spacing=st.floats(1e-3, 0.1, **_finite),
-       substeps=st.integers(1, 4),
-       n=st.integers(0, 40))
-def test_euler_lagrange_residuals_equal_per_sample_reference(law, constants, packet,
-                                                             spacing, substeps, n):
-    system = SystemSpec(constants, law)
-    traj = solve_lambda(system, packet, [k * spacing for k in range(n + 1)],
-                        dt=spacing / substeps)
-    res_alpha = euler_lagrange_residuals(traj)
-    assert len(res_alpha) == max(0, len(traj) - 2)
-    for i in range(1, len(traj) - 1):
-        assert res_alpha[i - 1] == _uncertainty_dynamics_residual_reference(traj, i)
-
-
-@pytest.mark.parametrize("law", [
-    Free(), ConstantOmega(1.3), RampOmega(0.5, 0.2), ModulatedOmega(1.0, 0.2, 2.1),
-    TabulatedOmega((0.0, 0.4, 0.9, 1.5), (1.0, 0.4, 1.8, 0.7)),
-], ids=lambda law: type(law).__name__)
-def test_euler_lagrange_residuals_equal_reference_at_integrator_resolution(law):
-    """The invariant report's use: one sample per RK4 step, 1 000 steps."""
-    dt = 1e-3
-    traj = solve_lambda(SystemSpec(Constants(1.3, 0.7), law),
-                        InitialPacket(0.4, 0.9, 1.2), [k * dt for k in range(1001)], dt=dt)
-    reference = [_uncertainty_dynamics_residual_reference(traj, i)
-                 for i in range(1, len(traj) - 1)]
-    assert euler_lagrange_residuals(traj).tolist() == reference
