@@ -108,7 +108,6 @@ BUILTIN_SCENARIOS = {name: _builtin(name, *differences) for name, *differences i
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    constants: Constants
     system: SystemSpec
     packet: InitialPacket
     t_end: float
@@ -296,7 +295,7 @@ def parse_config(data, name="") -> ScenarioConfig:
 
     output_dir = _get(data, "output_dir", str, "out")
     config = ScenarioConfig(
-        constants=constants, system=system, packet=packet,
+        system=system, packet=packet,
         t_end=t_end, dt=dt, sample_every=sample_every,
         x_min=x_min, x_max=x_max, n_points=n_points,
         ps_nx=ps_nx, ps_np=ps_np, ps_span_sigmas=span,
@@ -331,9 +330,9 @@ def _check(value, tolerance):
     return {"value": value, "tolerance": tolerance, "pass": bool(value <= tolerance)}
 
 
-def _checks(values, tol):
-    """A check entry per value, against the tolerance entry of its name."""
-    return {name: _check(value, tol[name]) for name, value in values.items()}
+def _checks(values):
+    """A check entry per value, against the TOLERANCES entry of its name."""
+    return {name: _check(value, TOLERANCES[name]) for name, value in values.items()}
 
 
 def _step_doubling_error(config, traj):
@@ -359,11 +358,11 @@ def _step_doubling_error(config, traj):
     return error
 
 
-def _invariants_stage(config, traj, columns, tol):
+def _invariants_stage(config, traj, columns):
     """The drift of det M and the step-doubling error of the solve."""
     drift = float(np.abs(columns["det_M"] - 1.0).max())
     error = _step_doubling_error(config, traj)
-    return {"checks": _checks({"det_M_drift": drift, "step_doubling_error": error}, tol)}
+    return {"checks": _checks({"det_M_drift": drift, "step_doubling_error": error})}
 
 
 def _wide_points(nx):
@@ -404,8 +403,7 @@ def _wigner_entry(traj, idx, inputs, constants, write_window):
     psi, p_grid, window = inputs
     grid, marginal = wigner_numeric(psi, p_grid, constants, window)
     start, count = window
-    marginal_err = float(np.max(np.abs(
-        marginal[start:start + count] - np.abs(psi.values[start:start + count]) ** 2)))
+    marginal_err = float(np.max(np.abs(marginal - np.abs(psi.values[start:start + count]) ** 2)))
     entry = {
         "index": idx,
         "t": traj[idx].t,       # for the .dat header; samples[index].t in the report
@@ -420,13 +418,13 @@ def _wigner_entry(traj, idx, inputs, constants, write_window):
     return {k: v for k, v in entry.items() if k not in ("grid", "t")}
 
 
-def _wigner_stage(config, traj, columns, tol, write_window):
-    """One entry per end sample; the integral covers psi's whole grid, the
-    marginal error the window.  Both entries' inputs are built first, so a
-    window doubles cannot resolve refuses the run before any window is
-    written; then each entry's window goes to write_window before the next
+def _wigner_stage(config, traj, columns, write_window):
+    """One entry per end sample; its integral and marginal error cover the
+    written window.  Both entries' inputs are built first, so a window
+    doubles cannot resolve refuses the run before any window is written;
+    then each entry's window goes to write_window before the next
     transform, and one window is alive at a time."""
-    c = config.constants
+    c = config.system.constants
     ends = (0, len(traj) - 1)
     inputs = [wigner_window(traj, idx, c, math.sqrt(columns["var_x"][idx]),
                             math.sqrt(columns["var_p"][idx]),
@@ -436,10 +434,10 @@ def _wigner_stage(config, traj, columns, tol, write_window):
             for idx, entry_inputs in zip(ends, inputs)]
 
 
-def _kernel_check_stage(config, traj, columns, tol):
+def _kernel_check_stage(config, traj, columns):
     """The run's kernel at the last sample applied to the packet at t = 0 by
     quadrature, and its adjoint applied back."""
-    c = config.constants
+    c = config.system.constants
     matrix = matrix_from_state(traj[-1], config.packet.alpha0)
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
@@ -457,12 +455,12 @@ def _kernel_check_stage(config, traj, columns, tol):
         "td_unitarity_defect": abs(forward.norm() - psi0.norm()),
         "warnings": list(back.warnings + psi_t.warnings),
         "checks": _checks({"kernel_roundtrip_l2": roundtrip,
-                           "kernel_vs_analytic_l2": vs_analytic}, tol),
+                           "kernel_vs_analytic_l2": vs_analytic}),
     }
 
 
-def _oracle_stage(config, traj, columns, tol):
-    c = config.constants
+def _oracle_stage(config, traj, columns):
+    c = config.system.constants
     x = config.x_grid()
     psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
     n_steps = round(config.t_end / config.dt)
@@ -481,7 +479,7 @@ def _oracle_stage(config, traj, columns, tol):
         "norm": norm,
         "warnings": list(evolved.warnings + analytic.warnings),
         "checks": _checks({"oracle_vs_analytic_l2": l2,
-                           "oracle_norm_defect": abs(norm - 1.0)}, tol),
+                           "oracle_norm_defect": abs(norm - 1.0)}),
     }
 
 
@@ -520,7 +518,7 @@ def run_scenario(config: ScenarioConfig, write_window=lambda entry: entry):
     stages = STAGES | {"wigner": functools.partial(
         STAGES["wigner"], write_window=lambda entry: windows.append(write_window(entry)))}
     # wigner runs last; the report keeps the order of STAGES
-    done = {task: stages[task](config, traj, columns, TOLERANCES)
+    done = {task: stages[task](config, traj, columns)
             for task in sorted(stages, key="wigner".__eq__) if task in config.tasks}
 
     report = {

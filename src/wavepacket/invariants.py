@@ -85,9 +85,9 @@ def record_columns(traj: Trajectory):
     w is evaluated once, on traj.times.  Each value rounds as the formula
     rounds it for traj[i].  Raises DivergenceError at the first sample time
     where a column is not finite, naming it."""
-    s = traj.columns
     c = traj.system.constants
     with np.errstate(all="ignore"):
+        s = traj.columns
         w = traj.system.frequency_law.omega(s.t)
         moments = moments_from_lambda(s, c)
         e_cl, e_tilde = energy_partition(s, w, c)

@@ -19,8 +19,8 @@ corr_-j = conj(corr_j), so only j >= 0 is summed:
 On the p grid p_k = p_min + k*dp, with theta = dp*dx/hbar,
 exp(i*p_k*y_j/hbar) = exp(i*p_min*y_j/hbar) * exp(i*theta*k*j), so the sum
 over j is kernels.chirp_z (a chirp-z transform at a 5-smooth FFT length)
-between those two phase factors, a block of x rows at a time.  Only the
-kept x columns of W are stored, with the p integral of every column.
+between those two phase factors, a block of x rows at a time: W and its p
+integral on only the x columns asked for, whose offsets y span psi's grid.
 
 Phase-space transport of Gaussian states uses the point map of the
 transformation matrix M = ((a, b), (c, d)) = ((zd, -z), (-ud, u)),
@@ -115,10 +115,10 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
     p_grid is (p_min, dp, n_p).  The x grid is the grid of psi, which should
     extend far enough that psi is negligible at both ends (the refinement
     treats psi as periodic).  columns = (start, count) is the run of x
-    columns to keep.  Returns the PhaseSpaceGrid of the kept columns and
-    the trapezoid integral of W over p at every x of psi's grid.  The grid
-    carries psi's warnings, such as its coverage, and one more when the
-    requested momenta exceed what the y sampling can resolve (Nyquist).
+    columns to transform, whose offsets y span psi's whole grid.  Returns
+    their PhaseSpaceGrid and the trapezoid integral of W over p in each.
+    The grid carries psi's warnings, such as its coverage, and one more
+    when the requested momenta exceed what the y sampling can resolve.
     """
     p_min, dp, n_p = p_grid
     if dp <= 0.0 or n_p < 2:
@@ -155,11 +155,11 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
     post = (2.0 * scale) * np.exp(1j * (theta * np.arange(n_p, dtype=float)))
     transform = chirp_z(theta, m, n_p)
 
-    density = scale * np.abs(psi.values) ** 2
+    density = scale * np.abs(psi.values[start:start + count]) ** 2
     values = np.empty((n_p, count))
-    marginal = np.empty(n)
-    for i0 in range(0, n, WIGNER_ROWS):
-        i1 = min(i0 + WIGNER_ROWS, n)
+    marginal = np.empty(count)
+    for i0 in range(start, start + count, WIGNER_ROWS):
+        i1 = min(i0 + WIGNER_ROWS, start + count)
         # no row of the block reaches beyond offset j_max
         j_max = min(2 * (i1 - 1), 2 * (n - 1 - i0), m)
         block = np.conjugate(plus[i0:i1, :j_max])
@@ -168,11 +168,9 @@ def wigner_numeric(psi: ComplexGrid, p_grid, constants: Constants, columns):
         sums = transform(block)
         sums *= post
         w = sums.real
-        w += density[i0:i1, None]
-        marginal[i0:i1] = np.trapezoid(w, dx=dp, axis=1)
-        a, b = max(i0, start), min(i1, start + count)
-        if a < b:
-            values[:, a - start:b - start] = w[a - i0:b - i0].T
+        w += density[i0 - start:i1 - start, None]
+        marginal[i0 - start:i1 - start] = np.trapezoid(w, dx=dp, axis=1)
+        values[:, i0 - start:i1 - start] = w.T
         del block, sums, w   # freed before the next block is allocated
 
     grid = PhaseSpaceGrid(x_min=psi.x_min + dx * start, dx=dx, p_min=float(p_min),

@@ -258,7 +258,7 @@ def moments_from_lambda(state, constants):
 
 
 def sample_records(config, traj):
-    c = config.constants
+    c = config.system.constants
     records = []
     for state, cl in samples(traj):
         var_x, var_p, corr = moments_from_lambda(state, c)

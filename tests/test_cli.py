@@ -281,15 +281,20 @@ def test_exit_code_divergence(tmp_path):
     ({"system": {"type": "constant", "omega": 2.8284},
       "time": {"t_end": 400.0, "dt": 1.0, "sample_every": 400}},
      "step_doubling_error", 400.0),
-], ids=["resonance", "coarse-step-unstable"])
+    # |lambda| shrinks by 0.745 a step: the product rounds to 0 at t = 800,
+    # where alpha is 0 and alpha' is 0/0
+    ({"system": {"type": "constant", "omega": 2.0},
+      "time": {"t_end": 800.0, "dt": 1.0, "sample_every": 800}},
+     "alpha_dot", 800.0),
+], ids=["resonance", "coarse-step-unstable", "contracting-product"])
 def test_overflowing_sample_quantity_exits_3(tmp_path, capsys, overrides, quantity, t):
-    """A derived quantity that is not finite is a divergence (exit 3) that
-    names the quantity and the first sample time; no inf or NaN reaches
-    report.json."""
+    """A derived quantity that is not finite is a divergence (exit 3) whose
+    one line of stderr names the quantity and the first sample time; no
+    numpy warning precedes it, and no inf or NaN reaches report.json."""
     cfg = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert f"numerical divergence: non-finite {quantity} at t={t!r}" in err
+    assert err == f"error: numerical divergence: non-finite {quantity} at t={t!r}\n"
     assert not (tmp_path / "o" / "report.json").exists()
 
 

@@ -158,7 +158,7 @@ def _identity_defects(config, traj, columns):
     summed with the scale inside each square where doubles carry it: p0/m
     a normal double and s finite.  That sum reads phi' as 1/alpha^2, so it is
     (u^2*W^2 + z^2)/alpha^2, which differs from W by (W - 1)*(u^2*W - z^2)/alpha^2."""
-    c, packet, s = config.constants, config.packet, traj.columns
+    c, packet, s = config.system.constants, config.packet, traj.columns
     u, ud, z, zd = s.u_hat, s.u_hat_dot, s.z_hat, s.z_hat_dot
     alpha, alpha_dot = columns["alpha"], columns["alpha_dot"]
     w = config.system.frequency_law.omega(s.t)

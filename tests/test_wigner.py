@@ -1,11 +1,13 @@
 """Tests for the Wigner transform, closed form, and phase-space transport."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from wavepacket import wigner
 from wavepacket.cli import (BUILTIN_SCENARIOS, STAGES, _wide_points, parse_config,
                             run_scenario, wigner_window, wigner_working_set, write_run)
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
@@ -13,7 +15,7 @@ from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, Syst
 from wavepacket.errors import ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import matrix_from_state
-from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_td
+from wavepacket.kernels import ComplexGrid, apply_kernel, chirp_z, kernel_td
 from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambda, \
     propagate_analytic
 from wavepacket.wigner import (WIGNER_BLOCK_BYTES, PhaseSpaceGrid, _half_step_refine,
@@ -28,8 +30,8 @@ HO = SystemSpec(C, ConstantOmega(1.0))
 
 def transform_setup(system, packet, t, nx=256, n_p=257, span=8.0):
     """Trajectory, the runner's wavefunction on its padded grid, the Wigner
-    grid of its +-span sigma window, the p integral at every x of psi's
-    grid, and the matching closed-form evaluator."""
+    grid of its +-span sigma window, the p integral at every x of that
+    window, and the matching closed-form evaluator."""
     traj = solve_lambda(system, packet, [0.0, t] if t > 0 else [0.0])
     idx = len(traj) - 1
     state = traj[idx]
@@ -50,8 +52,11 @@ def test_initial_packet_wigner_is_symmetric_gaussian():
 
 
 def test_marginal_is_position_density():
-    _, psi, _, marginal, _ = transform_setup(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
-    density = np.abs(psi.values) ** 2
+    """On every column of the window, the only ones transformed: the
+    middle window.n_x points of psi's grid, as wigner_window places them."""
+    _, psi, window, marginal, _ = transform_setup(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
+    start = (psi.n - window.n_x) // 2
+    density = np.abs(psi.values[start:start + window.n_x]) ** 2
     assert np.max(np.abs(marginal - density)) <= 1e-5
 
 
@@ -71,6 +76,7 @@ def test_free_evolved_wigner_matches_closed_form():
 
 
 def test_normalization_of_numeric_transform():
+    """The p-marginal integrated over the window's +-8 sigma of x."""
     for system in (FREE, HO):
         _, psi, _, marginal, _ = transform_setup(system, InitialPacket(0.0, 1.0, 1.2), 1.0)
         assert abs(np.trapezoid(marginal, dx=psi.dx) - 1.0) <= 1e-5
@@ -190,7 +196,7 @@ def test_phase_space_grid_validation():
     with pytest.raises(ValidationError):
         wigner_numeric(psi, (0.0, 0.1, 4), C, (4, 3))
     sub, marginal = wigner_numeric(psi, (0.0, 0.1, 4), C, (1, 3))
-    assert sub.n_x == 3 and sub.x_min == pytest.approx(0.1) and len(marginal) == 6
+    assert sub.n_x == 3 and sub.x_min == pytest.approx(0.1) and len(marginal) == 3
 
 
 @pytest.mark.parametrize("name", ["free-spread", "ho-breathing"])
@@ -210,6 +216,47 @@ def test_builtin_wigner_windows_match_closed_form(name):
         assert np.max(np.abs(grid.values - closed(X, P))) <= 1e-12
         assert abs(out["integral"] - 1.0) <= 1e-12
         assert out["warnings"] == []
+
+
+def test_each_entry_transforms_only_its_window(monkeypatch):
+    """wigner_numeric hands the chirp-z transform the nx rows of the
+    window it writes, not every row of psi's 1.5x wider grid."""
+    rows = []
+
+    def counting_chirp_z(*args):
+        transform = chirp_z(*args)
+        rows.append(0)
+
+        def counted(f):
+            rows[-1] += f.shape[0]
+            return transform(f)
+        return counted
+
+    monkeypatch.setattr(wigner, "chirp_z", counting_chirp_z)
+    config = parse_config(dict(BUILTIN_SCENARIOS["ho-breathing"], tasks=["wigner"]),
+                          name="ho-breathing")
+    _, outputs = run_scenario(config)
+    assert rows == [config.ps_nx] * 2
+    assert [out["grid"].n_x for out in outputs] == [config.ps_nx] * 2
+
+
+@pytest.mark.parametrize("phase_space_grid", [
+    BUILTIN_SCENARIOS["ho-breathing"]["phase_space_grid"],
+    {"nx": 64, "np": 65, "span_sigmas": 1.0},      # cuts psi's grid to +-1.5 sigma
+], ids=["builtin", "cut-window"])
+def test_integral_is_the_mass_of_the_written_window(tmp_path, phase_space_grid):
+    """Each entry's integral is the trapezoid over p and x of the window its
+    .dat file holds, whether or not that window covers the packet."""
+    data = dict(BUILTIN_SCENARIOS["ho-breathing"], tasks=["evolve", "wigner"],
+                phase_space_grid=phase_space_grid)
+    report, _ = write_run(parse_config(data, name="ho-breathing"), tmp_path)
+    for entry in report["wigner"]:
+        path = tmp_path / f"wigner_t{entry['index']}.dat"
+        steps = dict(re.findall(r"(dx|dp) = (\S+)", path.read_text()))
+        values = np.loadtxt(path)
+        written = np.trapezoid(np.trapezoid(values, dx=float(steps["dp"]), axis=0),
+                               dx=float(steps["dx"]))
+        assert abs(entry["integral"] - written) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [7, 8, 385, 384])
@@ -236,7 +283,8 @@ def test_wigner_memory_is_the_kept_window_plus_blocks():
     """phase_space_grid.nx = 4096: everything wigner_numeric allocates on
     the runner's input, its output included, stays within 8 bytes per kept
     cell plus WIGNER_BLOCK_BYTES per point of psi's grid and of the p grid;
-    a dense n_p x (n - 1) phase table alone would take 25 MB."""
+    a dense n_p x (n - 1) phase table alone would take 25 MB.  The marginal
+    covers the window, +-8 sigma of x."""
     nx, n_p = 4096, 257
     traj = solve_lambda(FREE, InitialPacket(0.0, 0.0, 1.0), [0.0])
     psi, p_grid, window = wigner_window(traj, 0, C, math.sqrt(0.5), math.sqrt(0.5),
