@@ -51,9 +51,9 @@ from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 # sample, SOLVE_BLOCK_BYTES for one solve_lambda block at a time, and as its
 # tasks need GRID_POINT_BYTES per grid point and wigner_working_set, one
 # Wigner window and its blocks (tracemalloc: 1229 to 2020, 0.46 MiB for a
-# solve or the invariants' second one, 154 to 186, and 9.6 of 13.0 MiB at
-# 1024 x 1025); its steps to STEP_BUDGET, oracle point-steps to
-# POINT_STEP_BUDGET (0.5-0.7 us, 21-40 ns)
+# solve or the invariants' second one, 192 to 213 at 16384 to 1024 points,
+# and 9.6 of 13.0 MiB at 1024 x 1025); its steps to STEP_BUDGET, oracle
+# point-steps to POINT_STEP_BUDGET (0.5-0.7 us, 21-40 ns)
 MEMORY_BUDGET = 1 << 30
 SAMPLE_BYTES = 2560
 SOLVE_BLOCK_BYTES = 2 << 20
@@ -69,7 +69,9 @@ TOLERANCES = {
     "det_M_drift": 2e-10,
     # 1e3 times the rounding the built-ins read, 1e-1 of a wrong RK4 stage's
     "step_doubling_error": 1e-10,
-    "kernel_roundtrip_l2": 1e-5,
+    # 1e-10 flips the fewest verdicts of the round trip it replaced on two
+    # 1500-config draws: 1 and 9, against 3 and 16 at 1e-8, 10 and 9 at 1e-11
+    "kernel_norm_defect": 1e-10,
     # the kernel's and the oracle's unaligned L2 from the same analytic
     # packet: each sees its global phase
     "kernel_vs_analytic_l2": 1e-5,
@@ -436,7 +438,7 @@ def _wigner_stage(config, traj, columns, write_window):
 
 def _kernel_check_stage(config, traj, columns):
     """The run's kernel at the last sample applied to the packet at t = 0 by
-    quadrature, and its adjoint applied back."""
+    quadrature, checked by its norm and against the analytic packet."""
     c = config.system.constants
     matrix = matrix_from_state(traj[-1], config.packet.alpha0)
     x = config.x_grid()
@@ -444,17 +446,13 @@ def _kernel_check_stage(config, traj, columns):
     psi_t = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
     caustics = math.floor(traj[-1].phi / math.pi)
     forward = apply_kernel(kernel_td(matrix, c, caustics=caustics), psi0, x)
-    back = apply_kernel(kernel_td(matrix, c, inverse=True, caustics=caustics), forward, x)
-
-    def l2(a, b):
-        return math.sqrt(float(np.trapezoid(np.abs(a.values - b.values) ** 2, dx=b.dx)))
-    # the round trip is exact for any adjoint pair: only vs_analytic,
-    # unaligned, sees a wrong formula, matrix_from_state or branch
-    roundtrip, vs_analytic = l2(back, psi0), l2(forward, psi_t)
+    # the norm sees the quadrature, the grids and a formula that is not
+    # unitary; vs_analytic, unaligned, also a wrong phase, matrix or branch
+    vs_analytic = math.sqrt(float(np.trapezoid(np.abs(forward.values - psi_t.values) ** 2,
+                                               dx=psi_t.dx)))
     return {
-        "td_unitarity_defect": abs(forward.norm() - psi0.norm()),
-        "warnings": list(back.warnings + psi_t.warnings),
-        "checks": _checks({"kernel_roundtrip_l2": roundtrip,
+        "warnings": list(forward.warnings + psi_t.warnings),
+        "checks": _checks({"kernel_norm_defect": abs(forward.norm() - psi0.norm()),
                            "kernel_vs_analytic_l2": vs_analytic}),
     }
 

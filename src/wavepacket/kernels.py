@@ -5,16 +5,16 @@ The kernel of a linear canonical transformation M = ((a, b), (c, d))
 QuadraticPhaseKernel record,
 
     K(x, x') = prefactor * exp(i * coef * (a*x^2 - 2*x*y + d*y^2)),
-    y = x'/scale,
+    y = x'/scale.
 
-or its adjoint conj(K(x', x)).  kernel_td builds it for the time-dependent
-matrix M = ((zd, -z), (-ud, u)) of invariants.matrix_from_state:
-y = x'/alpha0, coef = m/(2*hbar*z) with z = -b, and the physical prefactor
-(m/(2*pi*i*hbar*alpha0*z))^(1/2) on the Maslov (metaplectic) branch that
-the packet's exp(-i*phi/2) follows, phi = arg lambda: its phase -pi/4 - n*pi/2
-drops by pi/2 at each zero of z = alpha*sin(phi), so after n = floor(phi/pi)
-of them it is the principal value times (+1, -1, -1, +1)[n mod 4], and the
-kernel gives the evolved packet with its global phase.  At m = alpha0 = 1
+kernel_td builds it for the time-dependent matrix M = ((zd, -z), (-ud, u))
+of invariants.matrix_from_state: y = x'/alpha0, coef = m/(2*hbar*z) with
+z = -b, and the physical prefactor (m/(2*pi*i*hbar*alpha0*z))^(1/2) on the
+Maslov (metaplectic) branch that the packet's exp(-i*phi/2) follows,
+phi = arg lambda: its phase -pi/4 - n*pi/2 drops by pi/2 at each zero of
+z = alpha*sin(phi), so after n = floor(phi/pi) of them it is the principal
+value times (+1, -1, -1, +1)[n mod 4], and the kernel gives the evolved
+packet with its global phase.  At m = alpha0 = 1
 it is the paper's time-independent kernel of a symplectic matrix, whose
 quoted prefactor (1/(2*pi*i*hbar*b))^(1/2) differs only by a global factor
 of +-i.  Of its two defining differential equations the first holds for
@@ -26,11 +26,11 @@ The kernel is singular where b vanishes; for |b| <= B_MIN it is a delta
 function and callers must use the point map instead, which is signalled by
 CapabilityError.
 
-kernel_td(..., inverse=True) is the adjoint K_inv(x, x') = conj(K(x', x)).
-It is the exact functional inverse of the forward transform for every z:
-|prefactor|^2 = m/(2*pi*hbar*alpha0*|z|) matches the cross-term
-coefficient m/(hbar*alpha0*z) of the phase, so the round trip holds
-whatever det M is.
+kernel_td is unitary for every z, whatever det M is: |prefactor|^2 =
+m/(2*pi*hbar*alpha0*|z|) matches the phase's cross-term coefficient
+m/(hbar*alpha0*z), so it keeps every state's norm, and kernel_check's
+kernel_norm_defect reads only what the quadrature loses: a phase the input
+grid does not resolve, or mass that the grids cut.
 
 chirp_z sums S_k = sum_j f_j * exp(i*theta*k*j), k < n_out, as a chirp-z
 transform (Rabiner, Schafer and Rader, 1969): by k*j = (k^2 + j^2 -
@@ -147,7 +147,7 @@ def _require_off_caustic(b):
 @dataclass(frozen=True)
 class QuadraticPhaseKernel:
     """K(x, x') = prefactor * exp(i * coef * (a*x^2 - 2*x*y + d*y^2)) with
-    y = x'/scale, or, when adjoint is set, its adjoint conj(K(x', x)).
+    y = x'/scale.
 
     Calling it evaluates pointwise, vectorized over numpy arguments, in a
     fixed operation order; apply_kernel reads the fields instead.
@@ -158,25 +158,20 @@ class QuadraticPhaseKernel:
     a: float
     d: float
     scale: float
-    adjoint: bool = False
 
     def __call__(self, x, x_prime):
-        if self.adjoint:
-            x, x_prime = x_prime, x
         x, y = np.asarray(x), np.asarray(x_prime) / self.scale
-        values = self.prefactor * np.exp(
+        return self.prefactor * np.exp(
             1j * (self.coef * (self.a * x ** 2 - 2.0 * x * y + self.d * y ** 2)))
-        return np.conjugate(values) if self.adjoint else values
 
 
 def kernel_td(matrix: TransformMatrix, constants: Constants,
-              inverse=False, caustics=0) -> QuadraticPhaseKernel:
+              caustics=0) -> QuadraticPhaseKernel:
     """The time-dependent kernel of M = ((zd, -z), (-ud, u)).
 
-    forward: K(x, x') maps the initial coordinate x' (scaled by 1/alpha0
-    inside, following the parametrization) to the evolved coordinate x.
-    inverse: the adjoint, conj(K_forward(x', x)), which undoes the forward
-    transform exactly.  caustics, n = floor(phi/pi), selects the branch.
+    K(x, x') maps the initial coordinate x' (scaled by 1/alpha0 inside,
+    following the parametrization) to the evolved coordinate x, unitarily
+    for every z.  caustics, n = floor(phi/pi), selects the branch.
 
     Raises CapabilityError for |z| <= B_MIN (the t -> 0 caustic where the
     kernel turns into a delta function).
@@ -187,7 +182,7 @@ def kernel_td(matrix: TransformMatrix, constants: Constants,
     prefactor = cmath.sqrt(m / (2.0j * math.pi * hbar * a0 * z))
     return QuadraticPhaseKernel(prefactor=-prefactor if caustics % 4 in (1, 2) else prefactor,
                                 coef=m / (2.0 * hbar * z), a=matrix.a, d=matrix.d,
-                                scale=a0, adjoint=inverse)
+                                scale=a0)
 
 
 def _fft_length(n):
@@ -246,23 +241,15 @@ def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> Co
     if mass < 1.0 - COVERAGE_TOL:
         warnings = (f"input grid covers only {mass!r} of unit probability mass",)
 
-    # phase coef*(a_out*u^2 - 2*u*v + d_in*v^2) over output u_i = u0 + i*du and
-    # input v_j = v0 + j*dv; the adjoint swaps the roles of a and d and of the
-    # scaled coordinate, and conjugates
-    s = kernel.scale
-    if kernel.adjoint:
-        prefactor, coef = kernel.prefactor.conjugate(), -kernel.coef
-        a_out, d_in = kernel.d, kernel.a
-        u0, du, v0, dv = x_min_out / s, step_out / s, psi_in.x_min, psi_in.dx
-    else:
-        prefactor, coef = kernel.prefactor, kernel.coef
-        a_out, d_in = kernel.a, kernel.d
-        u0, du, v0, dv = x_min_out, step_out, psi_in.x_min / s, psi_in.dx / s
+    # phase coef*(a*u^2 - 2*u*v + d*v^2) over output u_i = u0 + i*du and
+    # scaled input v_j = v0 + j*dv
+    coef, a, d, s = kernel.coef, kernel.a, kernel.d, kernel.scale
+    u0, du, v0, dv = x_min_out, step_out, psi_in.x_min / s, psi_in.dx / s
 
     # the trapezoid sum resolves the kernel only while its phase turns by
-    # less than pi per input step; the phase's v-gradient 2*coef*(d_in*v - u)
+    # less than pi per input step; the phase's v-gradient 2*coef*(d*v - u)
     # is linear, so its largest size over the two grids is at their ends
-    turn = dv * max(abs(2.0 * coef * (d_in * v - u))
+    turn = dv * max(abs(2.0 * coef * (d * v - u))
                     for u in (u0, u0 + du * (n_out - 1))
                     for v in (v0, v0 + dv * (n_in - 1)))
     if turn > math.pi:
@@ -272,9 +259,9 @@ def apply_kernel(kernel: QuadraticPhaseKernel, psi_in: ComplexGrid, x_out) -> Co
     i = np.arange(n_out, dtype=float)
     v = v0 + dv * np.arange(n_in, dtype=float)
     u = u0 + du * i
-    weighted = (np.exp(1j * (coef * (d_in * v * v - 2.0 * u0 * v)))
+    weighted = (np.exp(1j * (coef * (d * v * v - 2.0 * u0 * v)))
                 * (trapezoid_weights(n_in, psi_in.dx) * psi_in.values))
     summed = chirp_z(-2.0 * coef * du * dv, n_in, n_out)(weighted)
-    values = prefactor * np.exp(1j * (coef * (a_out * u * u - 2.0 * v0 * du * i))) * summed
+    values = kernel.prefactor * np.exp(1j * (coef * (a * u * u - 2.0 * v0 * du * i))) * summed
     return ComplexGrid(x_min=x_min_out, dx=dx_out, values=values,
                        warnings=psi_in.warnings + warnings)

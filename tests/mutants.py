@@ -105,7 +105,10 @@ MUTANTS = (
            "breathing-kernel", {"kernel_vs_analytic_l2"}),
     Mutant("kernel-unscaled-y", "kernels", "kernel_td",
            (("scale=a0", "scale=1.0"),),
-           "breathing-kernel", {"kernel_roundtrip_l2", "kernel_vs_analytic_l2"}),
+           "breathing-kernel", {"kernel_norm_defect", "kernel_vs_analytic_l2"}),
+    Mutant("kernel-prefactor-without-alpha0", "kernels", "kernel_td",
+           (("hbar * a0 * z))", "hbar * z))"),),
+           "breathing-kernel", {"kernel_norm_defect", "kernel_vs_analytic_l2"}),
     Mutant("wigner-doubled-scale", "wigner", "wigner_numeric",
            (("scale = dx / (2.0 * math.pi * hbar)", "scale = dx / (math.pi * hbar)"),),
            "breathing-wigner", set(),
@@ -161,9 +164,9 @@ def main():
     for mutant in MUTANTS:
         shown = ", ".join(f"{name} {value:.3g}/{tol:.0e}"
                           for name, (value, tol) in sorted(caught(mutant).items()))
-        print(f"{mutant.name:<24s} {mutant.scenario:<17s} {shown or 'caught by nothing'}")
+        print(f"{mutant.name:<32s} {mutant.scenario:<17s} {shown or 'caught by nothing'}")
         if mutant.why:
-            print(f"{'':<24s} {'':<17s} ({mutant.why})")
+            print(f"{'':<32s} {'':<17s} ({mutant.why})")
 
 
 if __name__ == "__main__":

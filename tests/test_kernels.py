@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wavepacket.core import (Constants, ConstantOmega, Free, InitialPacket, SystemSpec,
                              TransformMatrix)
@@ -154,36 +154,49 @@ def test_td_kernel_delta_limit():
     matrix = TransformMatrix(a=1.0, b=-1e-10, c=0.0, d=1.0)
     with pytest.raises(CapabilityError, match="delta function"):
         kernel_td(matrix, C)
-    with pytest.raises(CapabilityError, match="delta function"):
-        kernel_td(matrix, C, inverse=True)
 
 
-def test_td_roundtrip_does_not_need_unit_wronskian():
+def test_td_kernel_keeps_the_norm_at_det_1_5():
     """|prefactor|^2 matches the phase's cross term for every z, so the
-    adjoint undoes the forward kernel even when det M = 1.5."""
+    kernel keeps the norm even when det M = 1.5."""
     x = np.linspace(-15.0, 15.0, 1024)
     psi = gaussian_grid(x)
     matrix = TransformMatrix(a=1.0, b=-1.0, c=0.5, d=1.0, alpha0=1.3)
     assert matrix.det == 1.5
-    forward = apply_kernel(kernel_td(matrix, C), psi, x)
-    back = apply_kernel(kernel_td(matrix, C, inverse=True),
-                        forward, x)
-    assert abs(forward.norm() - psi.norm()) <= 1e-5
-    assert l2(back.values, psi.values, psi.dx) <= 1e-5
+    out = apply_kernel(kernel_td(matrix, C), psi, x)
+    assert out.warnings == ()
+    assert abs(out.norm() - psi.norm()) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(-1.5, 1.5), d=st.floats(-1.5, 1.5), c=st.floats(-2.0, 2.0),
+       b=st.floats(0.5, 1.5).flatmap(lambda b: st.sampled_from((b, -b))),
+       alpha0=st.floats(0.7, 1.4),
+       constants=st.builds(Constants, st.floats(0.8, 1.25), st.floats(0.8, 1.25)),
+       x0=st.floats(-1.0, 1.0), p0=st.floats(-1.0, 1.0), sigma=st.floats(0.7, 1.4))
+def test_td_kernel_keeps_the_norm_of_any_matrix(a, d, c, b, alpha0, constants, x0, p0,
+                                               sigma):
+    """Unitary for every matrix, det M != 1 included: on grids that cover the
+    packet before and after, with no warning, the quadrature keeps the norm
+    to kernel_norm_defect's 1e-10, the premise of that check."""
+    x = np.linspace(-20.0, 20.0, 2048)
+    values = np.exp(-(x - x0) ** 2 / (2.0 * sigma ** 2) + 1j * p0 * x / constants.hbar)
+    psi = ComplexGrid(float(x[0]), float(x[1] - x[0]), (math.pi * sigma ** 2) ** -0.25 * values)
+    out = apply_kernel(kernel_td(TransformMatrix(a, b, c, d, alpha0), constants), psi, x)
+    assume(out.warnings == ())
+    assert abs(out.norm() - psi.norm()) <= 1e-10
 
 
 def test_td_kernel_branch_after_n_caustics():
     """After n caustics the prefactor is the principal value times
-    (+1, -1, -1, +1)[n mod 4], bit for bit, in the forward kernel and its
-    adjoint, which differ from those of caustics=0 in nothing else."""
+    (+1, -1, -1, +1)[n mod 4], bit for bit, in a kernel that differs from
+    that of caustics=0 in nothing else."""
     matrix = TransformMatrix(a=0.8, b=-1.1, c=(0.8 * 1.2 - 1.0) / -1.1, d=1.2, alpha0=1.3)
     principal = kernel_td(matrix, C).prefactor
     for n, sign in enumerate((1, -1, -1, 1, 1, -1, -1, 1)):
-        for inverse in (False, True):
-            kernel = kernel_td(matrix, C, inverse=inverse, caustics=n)
-            assert kernel.prefactor == sign * principal
-            assert dataclasses.replace(kernel, prefactor=principal) == kernel_td(
-                matrix, C, inverse=inverse)
+        kernel = kernel_td(matrix, C, caustics=n)
+        assert kernel.prefactor == sign * principal
+        assert dataclasses.replace(kernel, prefactor=principal) == kernel_td(matrix, C)
 
 
 @pytest.mark.parametrize("system, packet", [
@@ -219,19 +232,6 @@ def test_apply_kernel_unitarity():
     for matrix in (TransformMatrix(0.8, 1.1, (0.8 * 1.2 - 1) / 1.1, 1.2), FOURIER):
         out = apply_kernel(kernel_td(matrix, C), psi, x)
         assert abs(out.norm() - psi.norm()) <= 1e-5
-
-
-def test_td_forward_inverse_roundtrip():
-    x = np.linspace(-15.0, 15.0, 1024)
-    system = SystemSpec(C, Free())
-    packet = InitialPacket(0.0, 1.0, 1.3)
-    traj = solve_lambda(system, packet, [0.0, 1.0])
-    psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-    matrix = matrix_from_state(traj[1], packet.alpha0)
-    forward = apply_kernel(kernel_td(matrix, C), psi0, x)
-    back = apply_kernel(kernel_td(matrix, C, inverse=True),
-                        forward, x)
-    assert l2(back.values, psi0.values, psi0.dx) <= 1e-5
 
 
 def test_group_property():
@@ -270,8 +270,7 @@ def _largest_phase_step(kernel, x_in, x_out):
         y = x_prime / kernel.scale
         return kernel.coef * (kernel.a * x * x - 2.0 * x * y + kernel.d * y * y)
 
-    x, x_prime = x_out[:, None], x_in[None, :]
-    values = -phase(x_prime, x) if kernel.adjoint else phase(x, x_prime)
+    values = phase(x_out[:, None], x_in[None, :])
     return float(np.abs(np.diff(values, axis=1)).max())
 
 
@@ -279,13 +278,12 @@ def _largest_phase_step(kernel, x_in, x_out):
     (TransformMatrix(1.0, -2.0, 0.0, 1.0, alpha0=1.0), True),       # free flight, t = 2
     (TransformMatrix(0.9, 0.02, -0.5, 1.1, alpha0=0.9), False),     # z = -0.02
 ])
-@pytest.mark.parametrize("inverse", [False, True])
-def test_apply_kernel_flags_unresolved_phase(matrix, resolved, inverse):
+def test_apply_kernel_flags_unresolved_phase(matrix, resolved):
     """The warning fires exactly when the kernel phase turns by more than pi
     between neighbouring input points (far from the threshold here, where
     the closed-form gradient bound and the brute-force step agree)."""
     x = np.linspace(-8.0, 8.0, 256)
-    kernel = kernel_td(matrix, C, inverse=inverse)
+    kernel = kernel_td(matrix, C)
     out = apply_kernel(kernel, gaussian_grid(x), x)
     flagged = [w for w in out.warnings if "kernel phase" in w]
     assert (_largest_phase_step(kernel, x, x) <= math.pi) is resolved
@@ -303,7 +301,7 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=120, deadline=None)
-@given(kind=st.sampled_from(("ti", "td", "td_inverse")),
+@given(kind=st.sampled_from(("ti", "td")),
        a=st.floats(-2.0, 2.0, **_finite), d=st.floats(-2.0, 2.0, **_finite),
        b=st.floats(0.3, 3.0, **_finite).flatmap(lambda b: st.sampled_from((b, -b))),
        alpha0=st.floats(0.5, 2.0, **_finite),
@@ -317,14 +315,14 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 def test_chirp_z_sum_equals_dense_quadrature(kind, a, d, b, alpha0, constants, n_in,
                                              n_out, half_in, centre, half_out, x0, p0,
                                              sigma):
-    """The time-independent case (m = alpha0 = 1), TD forward and TD inverse
-    kernels from one Gaussian grid onto an output grid of another size,
+    """The time-independent case (m = alpha0 = 1) and TD kernels from one
+    Gaussian grid onto an output grid of another size,
     shifted and rescaled: the chirp-z sum is the dense matrix-vector
     quadrature up to rounding."""
     if kind == "ti":
         alpha0, constants = 1.0, Constants(constants.hbar, 1.0)
     matrix = TransformMatrix(a, b, (a * d - 1.0) / b, d, alpha0=alpha0)
-    kernel = kernel_td(matrix, constants, inverse=kind == "td_inverse")
+    kernel = kernel_td(matrix, constants)
     x = np.linspace(-half_in, half_in, n_in)
     psi = ComplexGrid(float(x[0]), float(x[1] - x[0]),
                       np.exp(-(x - x0) ** 2 / (2.0 * sigma ** 2)

@@ -2,8 +2,8 @@
 Wigner point map as they were computed from separate per-use types.
 
 The references below keep that earlier code: the time-dependent kernel read
-from its own (z_hat, z_hat_dot, u_hat, u_hat_dot, alpha0, direction) record
-built from one sample of a trajectory, the time-independent kernel of an (a, b, c, d)
+from its own (z_hat, z_hat_dot, u_hat, u_hat_dot, alpha0) record built from
+one sample of a trajectory, the time-independent kernel of an (a, b, c, d)
 record (now kernel_td at m = alpha0 = 1, so its reference carries kernel_td's
 prefactor), and the point map through the scaled column vector
 (x'/alpha0, -alpha0*p'/m) and back.  The record's own Wronskian-within-1e-9
@@ -40,16 +40,14 @@ class _TDKernelParams:
     u_hat: float
     u_hat_dot: float
     alpha0: float
-    direction: str = "forward"
 
     @classmethod
-    def from_lambda_state(cls, state, alpha0, direction="forward"):
+    def from_lambda_state(cls, state, alpha0):
         return cls(z_hat=state.z_hat, z_hat_dot=state.z_hat_dot,
-                   u_hat=state.u_hat, u_hat_dot=state.u_hat_dot,
-                   alpha0=alpha0, direction=direction)
+                   u_hat=state.u_hat, u_hat_dot=state.u_hat_dot, alpha0=alpha0)
 
 
-def _kernel_td_forward_reference(params, x, x_prime, constants):
+def _kernel_td_reference(params, x, x_prime, constants):
     z, zd, u = params.z_hat, params.z_hat_dot, params.u_hat
     a0 = params.alpha0
     hbar, m = constants.hbar, constants.mass
@@ -59,12 +57,6 @@ def _kernel_td_forward_reference(params, x, x_prime, constants):
         zd * np.asarray(x) ** 2 - 2.0 * np.asarray(x) * xs + u * xs ** 2
     )
     return prefactor * np.exp(1j * phase)
-
-
-def _kernel_td_reference(params, x, x_prime, constants):
-    if params.direction == "forward":
-        return _kernel_td_forward_reference(params, x, x_prime, constants)
-    return np.conjugate(_kernel_td_forward_reference(params, x_prime, x, constants))
 
 
 def _kernel_ti_reference(a, b, d, x, x_prime, constants):
@@ -137,19 +129,16 @@ _points = st.lists(st.floats(-6.0, 6.0, **_finite), min_size=1, max_size=6)
 
 @settings(max_examples=150, deadline=None)
 @given(law=_law, constants=_constants, packet=_packet,
-       t=st.floats(0.05, T_MAX, **_finite), inverse=st.booleans(),
-       xs=_points, xps=_points)
-def test_td_kernel_and_pointmap_equal_references(law, constants, packet, t, inverse,
-                                                 xs, xps):
+       t=st.floats(0.05, T_MAX, **_finite), xs=_points, xps=_points)
+def test_td_kernel_and_pointmap_equal_references(law, constants, packet, t, xs, xps):
     state = solve_lambda(SystemSpec(constants, law), packet, [0.0, t])[1]
     assume(abs(state.z_hat) > 1e-8)
     matrix = matrix_from_state(state, packet.alpha0)
-    params = _TDKernelParams.from_lambda_state(
-        state, packet.alpha0, "inverse" if inverse else "forward")
+    params = _TDKernelParams.from_lambda_state(state, packet.alpha0)
 
     x = np.array(xs)[:, None]
     xp = np.array(xps)[None, :]
-    kernel = kernel_td(matrix, constants, inverse=inverse)
+    kernel = kernel_td(matrix, constants)
     got = kernel(x, xp)
     assert np.array_equal(got, _kernel_td_reference(params, x, xp, constants))
     # scalar arguments take numpy's scalar arithmetic, not its array loops
