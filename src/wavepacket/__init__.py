@@ -12,6 +12,6 @@ from .errors import CapabilityError, ConfigError, DivergenceError, ValidationErr
 from .evolution import solve_lambda
 from .invariants import matrix_from_state
 from .kernels import apply_kernel, kernel_td
-from .packet import evaluate_wavefunction, moments_from_lambda, propagate_analytic
+from .packet import moments_from_lambda, wavefunction
 
 __version__ = "0.1.0"

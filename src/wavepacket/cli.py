@@ -43,7 +43,7 @@ from .evolution import solve_lambda
 from .invariants import matrix_from_state, record_columns
 from .kernels import apply_kernel, kernel_td
 from .oracle import GridState, compare_states, split_step
-from .packet import evaluate_wavefunction, propagate_analytic
+from .packet import wavefunction
 from .rowformat import write_records, write_report, write_rows
 from .wigner import WIGNER_BLOCK_BYTES, wigner_numeric
 
@@ -69,13 +69,12 @@ TOLERANCES = {
     "det_M_drift": 2e-10,
     # 1e3 times the rounding the built-ins read, 1e-1 of a wrong RK4 stage's
     "step_doubling_error": 1e-10,
-    # 1e-10 flips the fewest verdicts of the round trip it replaced on two
-    # 1500-config draws: 1 and 9, against 3 and 16 at 1e-8, 10 and 9 at 1e-11
-    "kernel_norm_defect": 1e-10,
-    # the kernel's and the oracle's unaligned L2 from the same analytic
-    # packet: each sees its global phase
+    # the checks of _against_analytic: an unaligned L2 sees the global phase
     "kernel_vs_analytic_l2": 1e-5,
     "oracle_vs_analytic_l2": 1e-5,
+    # 1e-10 flipped the fewest verdicts of the adjoint round trip on two
+    # 1500-config draws: 1 and 9, against 3 and 16 at 1e-8, 10 and 9 at 1e-11
+    "kernel_norm_defect": 1e-10,
     # the input tolerance of GridState, applied to the oracle's result
     "oracle_norm_defect": 1e-8,
 }
@@ -393,7 +392,7 @@ def wigner_window(traj, idx, constants, sx, sp, nx, n_p, span):
     _require_resolvable(f"phase_space_grid: the Wigner window at t={state.t!r}",
                         width, n_wide, mean_x, CapabilityError)
     x_wide = np.linspace(mean_x - 0.5 * width, mean_x + 0.5 * width, n_wide)
-    psi = evaluate_wavefunction(propagate_analytic(traj, idx), x_wide)
+    psi = wavefunction(traj, idx, x_wide)
     p_grid = (mean_p - span * sp, 2.0 * span * sp / (n_p - 1), n_p)
     return psi, p_grid, ((n_wide - nx) // 2, nx)
 
@@ -436,48 +435,43 @@ def _wigner_stage(config, traj, columns, write_window):
             for idx, entry_inputs in zip(ends, inputs)]
 
 
-def _kernel_check_stage(config, traj, columns):
-    """The run's kernel at the last sample applied to the packet at t = 0 by
-    quadrature, checked by its norm and against the analytic packet."""
-    c = config.system.constants
-    matrix = matrix_from_state(traj[-1], config.packet.alpha0)
-    x = config.x_grid()
-    psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-    psi_t = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
-    caustics = math.floor(traj[-1].phi / math.pi)
-    forward = apply_kernel(kernel_td(matrix, c, caustics=caustics), psi0, x)
-    # the norm sees the quadrature, the grids and a formula that is not
-    # unitary; vs_analytic, unaligned, also a wrong phase, matrix or branch
-    vs_analytic = math.sqrt(float(np.trapezoid(np.abs(forward.values - psi_t.values) ** 2,
-                                               dx=psi_t.dx)))
+def _against_analytic(name, result, analytic):
+    """The warnings and checks of a result that should be the analytic packet
+    at t_end: `<name>_vs_analytic_l2`, their L2 without phase alignment, and
+    `<name>_norm_defect`, |norm(result) - 1|, which also fails where the
+    grid does not hold the packet."""
+    l2 = math.sqrt(float(np.trapezoid(np.abs(result.values - analytic.values) ** 2,
+                                      dx=analytic.dx)))
     return {
-        "warnings": list(forward.warnings + psi_t.warnings),
-        "checks": _checks({"kernel_norm_defect": abs(forward.norm() - psi0.norm()),
-                           "kernel_vs_analytic_l2": vs_analytic}),
+        "warnings": list(result.warnings + analytic.warnings),
+        "checks": _checks({f"{name}_vs_analytic_l2": l2,
+                           f"{name}_norm_defect": abs(result.norm() - 1.0)}),
     }
 
 
-def _oracle_stage(config, traj, columns):
-    c = config.system.constants
-    x = config.x_grid()
-    psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
+def _kernel_check_stage(config, traj, columns, ends):
+    """The run's kernel at the last sample applied to the packet at t = 0 by
+    quadrature, against the packet at t_end."""
+    psi0, psi_t = ends
+    matrix = matrix_from_state(traj[-1], config.packet.alpha0)
+    caustics = math.floor(traj[-1].phi / math.pi)
+    kernel = kernel_td(matrix, config.system.constants, caustics=caustics)
+    return _against_analytic("kernel", apply_kernel(kernel, psi0, config.x_grid()), psi_t)
+
+
+def _oracle_stage(config, traj, columns, ends):
+    """The packet at t = 0 propagated by split_step, against it at t_end."""
+    psi0, analytic = ends
     n_steps = round(config.t_end / config.dt)
-    # the packet sampled on the configured grid, and the reference sampled
-    # at t_end, are results too: on a grid that cuts their tails their norm
-    # is off, which their coverage warnings and oracle_norm_defect report
     evolved = split_step(GridState(psi0, 0.0, check_norm=False),
                          config.system, config.dt, n_steps).grid
-    analytic = evaluate_wavefunction(propagate_analytic(traj, len(traj) - 1), x)
-    l2, aligned, moment_errors = compare_states(evolved, analytic, c.hbar)
-    norm = evolved.norm()
+    aligned, moment_errors = compare_states(evolved, analytic, config.system.constants.hbar)
     return {
         "phase_aligned_l2_error": aligned,
         "moment_errors": dict(zip(("mean_x", "mean_p", "var_x", "var_p", "corr"),
                                   moment_errors)),
-        "norm": norm,
-        "warnings": list(evolved.warnings + analytic.warnings),
-        "checks": _checks({"oracle_vs_analytic_l2": l2,
-                           "oracle_norm_defect": abs(norm - 1.0)}),
+        "norm": evolved.norm(),
+        **_against_analytic("oracle", evolved, analytic),
     }
 
 
@@ -515,6 +509,12 @@ def run_scenario(config: ScenarioConfig, write_window=lambda entry: entry):
     windows = []
     stages = STAGES | {"wigner": functools.partial(
         STAGES["wigner"], write_window=lambda entry: windows.append(write_window(entry)))}
+    if {"kernel_check", "oracle_compare"} & set(config.tasks):
+        # the analytic packet on the config's grid at t = 0 and t_end
+        x = config.x_grid()
+        ends = wavefunction(traj, 0, x), wavefunction(traj, len(traj) - 1, x)
+        stages |= {task: functools.partial(STAGES[task], ends=ends)
+                   for task in ("kernel_check", "oracle_compare")}
     # wigner runs last; the report keeps the order of STAGES
     done = {task: stages[task](config, traj, columns)
             for task in sorted(stages, key="wigner".__eq__) if task in config.tasks}

@@ -28,9 +28,9 @@ CapabilityError.
 
 kernel_td is unitary for every z, whatever det M is: |prefactor|^2 =
 m/(2*pi*hbar*alpha0*|z|) matches the phase's cross-term coefficient
-m/(hbar*alpha0*z), so it keeps every state's norm, and kernel_check's
-kernel_norm_defect reads only what the quadrature loses: a phase the input
-grid does not resolve, or mass that the grids cut.
+m/(hbar*alpha0*z), so it keeps every state's norm.  apply_kernel's
+quadrature keeps it only where the input grid resolves the phase and the
+grids hold the packet.
 
 chirp_z sums S_k = sum_j f_j * exp(i*theta*k*j), k < n_out, as a chirp-z
 transform (Rabiner, Schafer and Rader, 1969): by k*j = (k^2 + j^2 -
@@ -90,26 +90,6 @@ class ComplexGrid:
     def norm(self):
         """L2 norm via trapezoid quadrature."""
         return math.sqrt(float(np.trapezoid(np.abs(self.values) ** 2, dx=self.dx)))
-
-    def with_warning(self, message):
-        return ComplexGrid(self.x_min, self.dx, self.values,
-                           self.warnings + (message,))
-
-
-def phase_aligned_l2(a: ComplexGrid, b: ComplexGrid) -> float:
-    """min over theta of the trapezoid L2 norm of a - e^(i*theta)*b, for two
-    grids of the same points; neither needs unit norm."""
-    dx = a.dx
-    # the minimizing phase is -arg(overlap); the difference is integrated
-    # directly, since ||a||^2 + ||b||^2 - 2|overlap| cancels below ~1e-8.
-    # The overlap is formed in real arithmetic so that it is exactly real for
-    # b = a (a fused complex multiply leaves a rounding-size imaginary part).
-    ar, ai = a.values.real, a.values.imag
-    br, bi = b.values.real, b.values.imag
-    overlap = complex(np.trapezoid(ar * br + ai * bi, dx=dx),
-                      np.trapezoid(ar * bi - ai * br, dx=dx))
-    aligned_diff = a.values - np.exp(-1j * cmath.phase(overlap)) * b.values
-    return math.sqrt(float(np.trapezoid(np.abs(aligned_diff) ** 2, dx=dx)))
 
 
 def trapezoid_weights(n, dx):

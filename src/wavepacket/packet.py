@@ -10,10 +10,11 @@ quadratic Hamiltonian and Gaussian initial data is
 with xt = x - <x>(t), <x> = eta(t), <p> = m*eta'(t), and
 S_cl = (m/2)*(eta*eta' - x0*p0/m) the classical action along the mean
 trajectory (exact for every quadratic Hamiltonian, integrating the
-Lagrangian by parts).  The square root of lambda uses the continuously
-unwrapped phase phi, which fixes the branch by continuity from the real
-positive normalization at t = 0.  This reproduces the kernel propagation
-of the initial packet identically, global phase included.
+Lagrangian by parts); wavefunction samples it on a grid.  The square
+root of lambda uses the continuously unwrapped phase phi, which fixes the
+branch by continuity from the real positive normalization at t = 0.  This
+reproduces the kernel propagation of the initial packet identically,
+global phase included.
 """
 
 import cmath
@@ -26,29 +27,6 @@ from .core import Constants
 from .evolution import Trajectory
 from .kernels import ComplexGrid, uniform_step
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class GaussianPacket:
-    """Gaussian state: means, complex width rate, and global prefactor.
-
-    y_complex is (2*hbar/m)*y = lambda'/lambda; its imaginary part is
-    1/alpha^2 > 0, which is what keeps the Gaussian normalizable.
-    norm_phase is the full x-independent complex prefactor.
-    """
-
-    t: float
-    mean_x: float
-    mean_p: float
-    y_complex: complex
-    norm_phase: complex
-    constants: Constants
-
-    def __post_init__(self):
-        if self.y_complex.imag <= 0.0:
-            raise ValidationError(
-                f"Im((2hbar/m)y) = {self.y_complex.imag!r} must be positive"
-            )
 
 
 @dataclass(frozen=True)
@@ -75,8 +53,16 @@ def classical_action(traj: Trajectory, index: int) -> float:
     return 0.5 * m * (s.eta * s.eta_dot - s0.eta * s0.eta_dot)
 
 
-def propagate_analytic(traj: Trajectory, index: int) -> GaussianPacket:
-    """The analytic Gaussian packet at sample `index` of a trajectory."""
+def wavefunction(traj: Trajectory, index: int, x_grid) -> ComplexGrid:
+    """The analytic packet at sample `index` of a trajectory, sampled on a
+    uniform grid.
+
+    Its width rate y = lambda'/lambda has imaginary part 1/alpha^2 > 0 on a
+    Wronskian of 1, which is what keeps the Gaussian normalizable;
+    ValidationError where it, or alpha, is not positive.  Attaches a
+    coverage warning when the grid holds less than 1 - 1e-6 of the
+    probability mass (trapezoid estimate).
+    """
     state = traj[index]
     c = traj.system.constants
     if state.alpha <= 0.0:  # unreachable for valid lambda; guards 1/alpha
@@ -85,38 +71,19 @@ def propagate_analytic(traj: Trajectory, index: int) -> GaussianPacket:
     inv_sqrt_lam = cmath.exp(-0.5j * state.phi) / math.sqrt(state.alpha)
     action_phase = cmath.exp(1j * classical_action(traj, index) / hbar)
     norm_phase = (m / (math.pi * hbar)) ** 0.25 * inv_sqrt_lam * action_phase
-    return GaussianPacket(
-        t=state.t,
-        mean_x=state.eta,
-        mean_p=m * state.eta_dot,
-        y_complex=(complex(state.u_hat_dot, state.z_hat_dot)
-                   / complex(state.u_hat, state.z_hat)),
-        norm_phase=norm_phase,
-        constants=c,
-    )
+    y = complex(state.u_hat_dot, state.z_hat_dot) / complex(state.u_hat, state.z_hat)
+    if y.imag <= 0.0:
+        raise ValidationError(f"Im(lambda'/lambda) = {y.imag!r} must be positive")
 
-
-def evaluate_wavefunction(packet: GaussianPacket, x_grid) -> ComplexGrid:
-    """Sample psi on a uniform grid.
-
-    Attaches a coverage warning when the grid holds less than 1 - 1e-6 of
-    the probability mass (trapezoid estimate).
-    """
     dx = uniform_step(x_grid, "x_grid")
     x = np.asarray(x_grid, dtype=float)
-
-    c = packet.constants
-    xt = x - packet.mean_x
-    exponent = (0.5j * c.mass / c.hbar) * packet.y_complex * xt * xt \
-        + (1j / c.hbar) * packet.mean_p * xt
-    values = packet.norm_phase * np.exp(exponent)
-
-    grid = ComplexGrid(x_min=float(x[0]), dx=dx, values=values)
+    xt = x - state.eta
+    exponent = (0.5j * m / hbar) * y * xt * xt + (1j / hbar) * (m * state.eta_dot) * xt
+    grid = ComplexGrid(x_min=float(x[0]), dx=dx, values=norm_phase * np.exp(exponent))
     mass = grid.norm() ** 2
     if abs(mass - 1.0) > 1e-6:
-        grid = grid.with_warning(
-            f"grid covers {mass!r} of unit probability mass"
-        )
+        return ComplexGrid(grid.x_min, dx, grid.values,
+                           (f"grid covers {mass!r} of unit probability mass",))
     return grid
 
 

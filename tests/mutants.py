@@ -109,6 +109,12 @@ MUTANTS = (
     Mutant("kernel-prefactor-without-alpha0", "kernels", "kernel_td",
            (("hbar * a0 * z))", "hbar * z))"),),
            "breathing-kernel", {"kernel_norm_defect", "kernel_vs_analytic_l2"}),
+    Mutant("packet-without-action-phase", "packet", "wavefunction",
+           (("cmath.exp(1j * classical_action(traj, index) / hbar)", "1.0"),),
+           "caustics", {"kernel_vs_analytic_l2"}),
+    Mutant("packet-momentum-without-mass", "packet", "wavefunction",
+           (("m * state.eta_dot", "state.eta_dot"),),
+           "caustics", {"kernel_vs_analytic_l2"}),
     Mutant("wigner-doubled-scale", "wigner", "wigner_numeric",
            (("scale = dx / (2.0 * math.pi * hbar)", "scale = dx / (math.pi * hbar)"),),
            "breathing-wigner", set(),

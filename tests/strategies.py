@@ -28,9 +28,9 @@ def law(draw, t_end):
     # the last knot at t_end, which the run's time grid may round past, or
     # beyond it
     end = draw(st.sampled_from((t_end, 1.05 * t_end + 0.01)))
-    interior = sorted(draw(st.lists(st.floats(0.01, 0.99, **FINITE),
-                                    unique=True, max_size=4)))
-    times = [0.0, *(end * f for f in interior), end]
+    interior = draw(st.lists(st.floats(0.01, 0.99, **FINITE), unique=True, max_size=4))
+    # distinct fractions can round to the same time: the knots must increase
+    times = [0.0, *sorted({end * f for f in interior}), end]
     return {"type": "tabulated", "points": [[t, draw(OMEGA)] for t in times]}
 
 

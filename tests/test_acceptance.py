@@ -20,8 +20,7 @@ from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import ermakov_invariant, matrix_from_state
 from wavepacket.kernels import apply_kernel, kernel_td
 from wavepacket.oracle import GridState, compare_states, split_step
-from wavepacket.packet import evaluate_wavefunction, moments_from_lambda, \
-    propagate_analytic
+from wavepacket.packet import moments_from_lambda, wavefunction
 from wavepacket.wigner import wigner_gaussian, wigner_numeric, wigner_pointmap
 
 from scalar_reference import (canonical_coordinates, closed_form_lambda, det_as_ermakov,
@@ -135,15 +134,15 @@ def test_criterion_06_representation_triangle():
     for system in (FREE, HO):
         packet = InitialPacket(0.0, 1.0, 1.0)
         traj = solve_lambda(system, packet, [0.0, 1.0])
-        psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-        analytic = evaluate_wavefunction(propagate_analytic(traj, 1), x)
+        psi0 = wavefunction(traj, 0, x)
+        analytic = wavefunction(traj, 1, x)
 
         matrix = matrix_from_state(traj[1], packet.alpha0)
         kernel = apply_kernel(kernel_td(matrix, C), psi0, x)
         oracle = split_step(GridState(psi0, 0.0), system, 1e-3, 1000).grid
 
         for a, b in ((analytic, kernel), (analytic, oracle), (kernel, oracle)):
-            _, aligned, _ = compare_states(a, b, C.hbar)
+            aligned, _ = compare_states(a, b, C.hbar)
             worst = max(worst, aligned)
     report("06", "analytic/kernel/oracle triangle at t=1", worst, 1e-5, started)
 
@@ -203,12 +202,12 @@ def test_criterion_09_oracle_convergence_order():
     packet = InitialPacket(0.0, 1.0, 1.0)
     x = np.linspace(-15.0, 15.0, 1024)
     traj = solve_lambda(HO, packet, [0.0, 1.0])
-    psi0 = GridState(evaluate_wavefunction(propagate_analytic(traj, 0), x), 0.0)
-    ref = evaluate_wavefunction(propagate_analytic(traj, 1), x)
+    psi0 = GridState(wavefunction(traj, 0, x), 0.0)
+    ref = wavefunction(traj, 1, x)
     errors = []
     for dt in (4e-3, 2e-3):
         out = split_step(psi0, HO, dt, round(1.0 / dt))
-        _, aligned, _ = compare_states(out.grid, ref, C.hbar)
+        aligned, _ = compare_states(out.grid, ref, C.hbar)
         errors.append(aligned)
     ratio = errors[0] / errors[1]
     status = "PASS" if 3.5 <= ratio <= 4.5 else "FAIL"

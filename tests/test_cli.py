@@ -336,8 +336,8 @@ def test_det_vs_ermakov_identity_needs_doubles_that_carry_it(tmp_path, capsys,
 def test_oracle_on_a_grid_that_samples_no_mass(tmp_path, capsys):
     """hbar = 4.28 and m = 1.3e6 make sigma_x about 2e-3: on 256 points over
     [-15, 15] the packet samples to all zeros.  Zero mass has nothing
-    aliased and nothing leaked; the oracle's norm check fails, with no
-    warning on stderr."""
+    aliased and nothing leaked; the oracle's and the kernel's norm checks
+    fail, each reading |0 - 1|, with no warning on stderr."""
     data = dict(SMALL_CONFIG, constants={"hbar": 4.28, "mass": 1.3e6},
                 system={"type": "constant", "omega": 0.904},
                 packet={"x0": 0.233, "p0": -99.2, "alpha0": 1.11},
@@ -351,6 +351,8 @@ def test_oracle_on_a_grid_that_samples_no_mass(tmp_path, capsys):
     assert oracle["norm"] == 0.0
     assert not any("leaked" in w for w in oracle["warnings"])
     assert oracle["checks"]["oracle_norm_defect"]["pass"] is False
+    assert report["kernel_check"]["checks"]["kernel_norm_defect"] == {
+        "value": 1.0, "tolerance": 1e-10, "pass": False}
     assert report["pass"] is False
 
 
@@ -759,20 +761,20 @@ def test_coverage_warnings_reach_the_report(tmp_path):
 def test_kernel_norm_defect_fails_on_a_grid_that_cuts_the_packet(monkeypatch):
     """free-spread on [-6, 6] with 256 points: the kernel's result loses the
     mass the grid cuts from the evolved packet, and kernel_norm_defect
-    reads it as |norm(K psi0) - norm(psi0)|, about 2.9e-3."""
+    reads it as |norm(K psi0) - 1|, about 2.9e-3."""
     applied, apply = [], cli.apply_kernel
 
     def recording(kernel, psi, x):
-        applied.append((psi, apply(kernel, psi, x)))
-        return applied[-1][1]
+        applied.append(apply(kernel, psi, x))
+        return applied[-1]
 
     monkeypatch.setattr(cli, "apply_kernel", recording)
     data = dict(BUILTIN_SCENARIOS["free-spread"],
                 grid={"x_min": -6.0, "x_max": 6.0, "n_points": 256},
                 tasks=["evolve", "kernel_check"])
     report, _ = run_scenario(parse_config(data))
-    [(psi0, out)] = applied
-    defect = abs(out.norm() - psi0.norm())
+    [out] = applied
+    defect = abs(out.norm() - 1.0)
     assert defect == pytest.approx(2.9e-3, rel=0.02)
     assert report["kernel_check"]["checks"]["kernel_norm_defect"] == {
         "value": defect, "tolerance": 1e-10, "pass": False}
@@ -836,7 +838,7 @@ def test_unresolved_td_kernel_is_flagged(tmp_path):
 
 
 def test_kernel_check_compares_with_analytic_packet(tmp_path):
-    """The forward kernel is checked against propagate_analytic at
+    """The forward kernel is checked against the analytic packet at
     criterion 06's 1e-5."""
     cfg = write_config(tmp_path, dict(BUILTIN_SCENARIOS["ho-constant-width"],
                                       tasks=["evolve", "kernel_check"]))
@@ -1110,7 +1112,7 @@ def test_run_without_invariants_neither_computes_nor_checks_them(monkeypatch):
 def test_layer_functions_are_looked_up_in_cli_at_call_time(monkeypatch, free_spread):
     """The benchmark times each layer by rebinding its name in wavepacket.cli;
     a run must call every one of them through that name."""
-    calls = dict.fromkeys(("solve_lambda", "split_step", "apply_kernel",
+    calls = dict.fromkeys(("solve_lambda", "wavefunction", "split_step", "apply_kernel",
                            "wigner_numeric", "compare_states"), 0)
 
     def counting(name, fn):
@@ -1122,5 +1124,11 @@ def test_layer_functions_are_looked_up_in_cli_at_call_time(monkeypatch, free_spr
     for name in calls:
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     run_scenario(free_spread)
-    assert calls == {"solve_lambda": 2, "split_step": 1, "apply_kernel": 1,
-                     "wigner_numeric": 2, "compare_states": 1}
+    # the packet is sampled for the two Wigner windows and, once for the
+    # kernel and the oracle, at t = 0 and t_end
+    assert calls == {"solve_lambda": 2, "wavefunction": 4, "split_step": 1,
+                     "apply_kernel": 1, "wigner_numeric": 2, "compare_states": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    run_scenario(parse_config(dict(BUILTIN_SCENARIOS["free-spread"],
+                                   tasks=["evolve", "invariants"])))
+    assert calls["wavefunction"] == 0

@@ -16,7 +16,7 @@ from wavepacket.errors import CapabilityError, ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import matrix_from_state
 from wavepacket.kernels import ComplexGrid, apply_kernel, kernel_td, trapezoid_weights
-from wavepacket.packet import evaluate_wavefunction, propagate_analytic
+from wavepacket.packet import wavefunction
 
 from scalar_reference import kernel_equation_residuals, kernel_equation_terms
 
@@ -209,8 +209,8 @@ def test_td_kernel_reproduces_analytic_packet(system, packet, x=None):
     packet, global phase included."""
     x = np.linspace(-15.0, 15.0, 1024)
     traj = solve_lambda(system, packet, [0.0, 1.0])
-    psi0 = evaluate_wavefunction(propagate_analytic(traj, 0), x)
-    psi1 = evaluate_wavefunction(propagate_analytic(traj, 1), x)
+    psi0 = wavefunction(traj, 0, x)
+    psi1 = wavefunction(traj, 1, x)
     matrix = matrix_from_state(traj[1], packet.alpha0)
     out = apply_kernel(kernel_td(matrix, C), psi0, x)
     assert l2(out.values, psi1.values, psi0.dx) <= 1e-6
@@ -374,14 +374,13 @@ def test_uniform_grids_accepted_at_any_size_and_perturbed_ones_rejected():
     1e-9 of the step is still refused by both grid checks."""
     x = np.linspace(-15.0, 15.0, 16384)
     traj = solve_lambda(SystemSpec(C, Free()), InitialPacket(0.0, 1.0, 1.0), [0.0])
-    packet = propagate_analytic(traj, 0)
-    psi = evaluate_wavefunction(packet, x)
+    psi = wavefunction(traj, 0, x)
     kernel = kernel_td(FOURIER, C)
     assert apply_kernel(kernel, psi, x).n == 16384
 
     moved = x.copy()
     moved[5000] += 1e-9 * psi.dx
     with pytest.raises(ValidationError, match="x_grid must be uniform"):
-        evaluate_wavefunction(packet, moved)
+        wavefunction(traj, 0, moved)
     with pytest.raises(ValidationError, match="x_out must be uniform"):
         apply_kernel(kernel, psi, moved)

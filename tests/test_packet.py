@@ -7,9 +7,8 @@ import pytest
 
 from wavepacket.core import Constants, ConstantOmega, Free, InitialPacket, SystemSpec
 from wavepacket.errors import ValidationError
-from wavepacket.evolution import solve_lambda
-from wavepacket.packet import (GaussianPacket, evaluate_wavefunction,
-                               moments_from_lambda, propagate_analytic)
+from wavepacket.evolution import Trajectory, solve_lambda
+from wavepacket.packet import moments_from_lambda, wavefunction
 
 from scalar_reference import closed_form_lambda
 
@@ -18,9 +17,14 @@ FREE = SystemSpec(C, Free())
 HO = SystemSpec(C, ConstantOmega(1.0))
 
 
-def packet_at(system, packet, t, n=200):
-    traj = solve_lambda(system, packet, np.linspace(0.0, t, n + 1) if t > 0 else [0.0])
-    return traj, propagate_analytic(traj, len(traj) - 1)
+def solved(system, packet, t, n=200):
+    return solve_lambda(system, packet, np.linspace(0.0, t, n + 1) if t > 0 else [0.0])
+
+
+def psi_at(system, packet, t, x):
+    """The analytic packet at t, sampled on x."""
+    traj = solved(system, packet, t)
+    return wavefunction(traj, len(traj) - 1, x)
 
 
 def centered_grid(mean, sigma, n=513, span=8.0):
@@ -28,37 +32,42 @@ def centered_grid(mean, sigma, n=513, span=8.0):
 
 
 def test_initial_packet_means_and_width():
-    _, p = packet_at(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
-    assert p.mean_x == 0.0
-    assert p.mean_p == 1.0
-    assert p.y_complex == pytest.approx(1.0j, abs=1e-15)
+    """At t = 0: pi^(-1/4) * exp(-x^2/2 + i*x), mean 0, momentum 1, width 1."""
+    x = centered_grid(0.0, 1.0)
+    psi = psi_at(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0, x)
+    expected = math.pi ** -0.25 * np.exp(-0.5 * x * x + 1j * x)
+    assert np.max(np.abs(psi.values - expected)) <= 1e-15
 
 
 def test_free_t1_mean_and_width_rate():
-    _, p = packet_at(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
-    assert p.mean_x == pytest.approx(1.0, abs=1e-12)
-    # lambda'/lambda = i/(1+i) = (1+i)/2
-    assert p.y_complex == pytest.approx(0.5 + 0.5j, abs=1e-12)
+    """The free packet pi^(-1/4) * (1+it)^(-1/2) * exp(-(x - t)^2/(2(1+it))
+    + i*x - i*t/2) at t = 1, global phase included: mean 1 and width rate
+    lambda'/lambda = i/(1+i) = (1+i)/2."""
+    x = centered_grid(1.0, 1.0)
+    psi = psi_at(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0, x)
+    expected = (math.pi ** -0.25 / np.sqrt(1.0 + 1.0j)
+                * np.exp(-(x - 1.0) ** 2 / (2.0 * (1.0 + 1.0j)) + 1j * x - 0.5j))
+    assert np.max(np.abs(psi.values - expected)) <= 1e-12
 
 
 def test_ho_half_period_reflection():
-    """eta = sin(t) for x0=0, v0=1: the mean returns to 0 at t=pi."""
-    _, p = packet_at(HO, InitialPacket(0.0, 1.0, 1.0), math.pi)
-    assert p.mean_x == pytest.approx(0.0, abs=1e-10)
-    assert p.mean_p == pytest.approx(-1.0, abs=1e-10)
+    """eta = sin(t) for x0=0, v0=1: at t = pi the packet is back at 0 with
+    momentum -1, -i * pi^(-1/4) * exp(-x^2/2 - i*x), lambda = e^(i*pi)."""
+    x = centered_grid(0.0, 1.0)
+    psi = psi_at(HO, InitialPacket(0.0, 1.0, 1.0), math.pi, x)
+    expected = -1j * math.pi ** -0.25 * np.exp(-0.5 * x * x - 1j * x)
+    assert np.max(np.abs(psi.values - expected)) <= 1e-10
 
 
 def test_gaussian_peak_value_at_t0():
     var_x0 = 0.5
-    _, p = packet_at(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
-    grid = evaluate_wavefunction(p, centered_grid(0.0, math.sqrt(var_x0)))
+    grid = psi_at(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0, centered_grid(0.0, math.sqrt(var_x0)))
     peak = np.abs(grid.values).max() ** 2
     assert peak == pytest.approx((2.0 * math.pi * var_x0) ** -0.5, rel=1e-12)
 
 
 def test_free_t1_density_peak_and_variance():
-    _, p = packet_at(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0)
-    grid = evaluate_wavefunction(p, centered_grid(1.0, 1.0))
+    grid = psi_at(FREE, InitialPacket(0.0, 1.0, 1.0), 1.0, centered_grid(1.0, 1.0))
     density = np.abs(grid.values) ** 2
     x = grid.x()
     assert x[np.argmax(density)] == pytest.approx(1.0, abs=1e-12)
@@ -73,16 +82,16 @@ def test_free_t1_density_peak_and_variance():
     (HO, InitialPacket(0.0, 1.0, 1.5), 3.0),
 ])
 def test_wavefunction_normalized(system, packet, t):
-    traj, p = packet_at(system, packet, t)
+    traj = solved(system, packet, t)
     sigma = math.sqrt(moments_from_lambda(traj[-1], C).var_x)
-    grid = evaluate_wavefunction(p, centered_grid(p.mean_x, sigma))
+    grid = wavefunction(traj, len(traj) - 1, centered_grid(traj[-1].eta, sigma))
     assert abs(grid.norm() ** 2 - 1.0) <= 1e-6
     assert grid.warnings == ()
 
 
 def test_narrow_grid_gets_coverage_warning():
-    _, p = packet_at(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
-    grid = evaluate_wavefunction(p, centered_grid(0.0, math.sqrt(0.5), span=2.0))
+    grid = psi_at(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0,
+                  centered_grid(0.0, math.sqrt(0.5), span=2.0))
     assert grid.warnings
 
 
@@ -114,7 +123,7 @@ def test_ehrenfest_mean_obeys_classical_equation():
     dt = 1e-3
     t_grid = [k * dt for k in range(1001)]
     traj = solve_lambda(HO, InitialPacket(0.0, 1.0, 1.0), t_grid, dt=dt)
-    mean = [propagate_analytic(traj, i).mean_x for i in range(len(traj))]
+    mean = traj.columns.eta
     for i in range(1, len(mean) - 1, 25):
         acc = (mean[i + 1] - 2.0 * mean[i] + mean[i - 1]) / dt ** 2
         assert abs(acc + mean[i]) <= 1e-6
@@ -144,22 +153,30 @@ def test_moments_ho_constant_width_any_t():
 
 
 def test_width_rate_imaginary_part_is_inverse_alpha_squared():
+    """|psi(eta +- 1)| / |psi(eta)| = exp(-(m/(2*hbar)) * Im(lambda'/lambda)),
+    with Im(lambda'/lambda) = 1/alpha^2."""
     traj = solve_lambda(HO, InitialPacket(0.0, 1.0, 1.5), np.linspace(0.0, 5.0, 51))
     for i in range(len(traj)):
-        p = propagate_analytic(traj, i)
         s = traj[i]
-        assert abs(p.y_complex.imag - 1.0 / s.alpha ** 2) <= 1e-10
+        three = wavefunction(traj, i, s.eta + np.array([-1.0, 0.0, 1.0]))
+        side, centre, other = np.abs(three.values)
+        for ratio in (side / centre, other / centre):
+            assert ratio == pytest.approx(math.exp(-0.5 / s.alpha ** 2), rel=1e-10)
 
 
 def test_packet_rejects_non_normalizable_width():
-    with pytest.raises(ValidationError):
-        GaussianPacket(t=0.0, mean_x=0.0, mean_p=0.0,
-                       y_complex=0.5 - 0.1j, norm_phase=1.0 + 0.0j, constants=C)
+    """lambda = 1 with lambda' = -i: a Wronskian of -1 makes Im(lambda'/lambda)
+    negative, a Gaussian that grows away from its mean."""
+    traj = Trajectory(FREE, InitialPacket(0.0, 0.0, 1.0), np.array([0.0]),
+                      np.array([[1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0]]))
+    assert traj[0].wronskian == -1.0
+    with pytest.raises(ValidationError, match="must be positive"):
+        wavefunction(traj, 0, centered_grid(0.0, 1.0))
 
 
 def test_wavefunction_grid_validation():
-    _, p = packet_at(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
+    traj = solved(FREE, InitialPacket(0.0, 1.0, 1.0), 0.0)
     with pytest.raises(ValidationError):
-        evaluate_wavefunction(p, np.array([0.0]))
+        wavefunction(traj, 0, np.array([0.0]))
     with pytest.raises(ValidationError):
-        evaluate_wavefunction(p, np.array([0.0, 1.0, 1.5]))
+        wavefunction(traj, 0, np.array([0.0, 1.0, 1.5]))

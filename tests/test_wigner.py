@@ -16,8 +16,7 @@ from wavepacket.errors import ValidationError
 from wavepacket.evolution import solve_lambda
 from wavepacket.invariants import matrix_from_state
 from wavepacket.kernels import ComplexGrid, apply_kernel, chirp_z, kernel_td
-from wavepacket.packet import Moments, evaluate_wavefunction, moments_from_lambda, \
-    propagate_analytic
+from wavepacket.packet import Moments, moments_from_lambda, wavefunction
 from wavepacket.wigner import (WIGNER_BLOCK_BYTES, PhaseSpaceGrid, _half_step_refine,
                                wigner_gaussian, wigner_numeric, wigner_pointmap)
 
@@ -173,8 +172,7 @@ def test_pointmap_rejects_frozen_width_matrix():
 
 def test_numeric_transform_warnings():
     x = np.linspace(-8.0, 8.0, 257)
-    psi = evaluate_wavefunction(
-        propagate_analytic(solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0]), 0), x)
+    psi = wavefunction(solve_lambda(FREE, InitialPacket(0.0, 1.0, 1.0), [0.0]), 0, x)
     # aliasing: momenta beyond hbar*pi/dx
     p_max = math.pi / psi.dx * 2.0
     grid, _ = wigner_numeric(psi, (-p_max, p_max / 16, 33), C, (0, psi.n))
